@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import dividing, fkt, hypertrees, plane_graph, transitions, trees, trinity
+from . import fkt, hypertrees, plane_graph, transitions, trinity
 from .limits import DEFAULT_CAP, CapExceeded
 
 
@@ -143,6 +143,14 @@ class VerificationSuite:
 
 
 def run_verification(graph, instance="graph", cap=DEFAULT_CAP, jobs=1):
+    """Run the census, magic, hypertree and classification stages.
+
+    The stages share the trinity's memoised duals, hypertree sets and magic
+    report. The configuration cap is checked before any stage runs, since
+    the classification stage would otherwise refuse the instance only after
+    the tree stages had done their work. A model bug found while
+    classifying fails that stage with a reason instead of escaping.
+    """
     suite = VerificationSuite(instance, {}, {})
 
     def stage(name, fn):
@@ -151,31 +159,24 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP, jobs=1):
         suite.seconds[name] = time.perf_counter() - t0
 
     trin = trinity.build_trinity(graph)
+    transitions.configuration_count(trin, cap)
 
     def census_stage():
         census = trin.census()
         return {**census, "ok": census["euler_ok"]}
 
     def magic_stage():
-        report = trees.magic_number(trin, cap)
+        report = trin.magic_report(cap)
         return {**report.to_json(), "ok": report.agree}
 
     def hypertree_stage():
-        counts = {}
-        for label in hypertrees.HYPERGRAPH_LABELS:
-            hg = hypertrees.trinity_hypergraph_by_label(trin, label)
-            counts[label] = len(hypertrees.enumerate_hypertrees(hg, cap))
+        sets = {label: trin.hypertree_set(label, cap) for label in hypertrees.HYPERGRAPH_LABELS}
+        counts = {label: len(found) for label, found in sets.items()}
         ok = len(set(counts.values())) == 1
-        pairs_ok = True
-        for a, b in (("VE", "RE"), ("ER", "VR"), ("RV", "EV")):
-            ha = hypertrees.enumerate_hypertrees(
-                hypertrees.trinity_hypergraph_by_label(trin, a), cap
-            )
-            hb = hypertrees.enumerate_hypertrees(
-                hypertrees.trinity_hypergraph_by_label(trin, b), cap
-            )
-            if hypertrees.translate_offset(ha, hb) is None:
-                pairs_ok = False
+        pairs_ok = all([
+            hypertrees.translate_offset(sets[a], sets[b]) is not None
+            for a, b in (("VE", "RE"), ("ER", "VR"), ("RV", "EV"))
+        ])
         return {
             "counts": {k: str(v) for k, v in sorted(counts.items())},
             "planar_dual_translates": pairs_ok,
@@ -183,9 +184,12 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP, jobs=1):
         }
 
     def classify_stage():
-        graph_c = transitions.build_configuration_graph(trin, cap, jobs)
-        report = transitions.classify_components(graph_c, cap)
-        magic = trees.magic_number(trin, cap)
+        try:
+            graph_c = transitions.build_configuration_graph(trin, cap, jobs)
+            report = transitions.classify_components(graph_c, cap)
+        except MODEL_FAILURES as exc:
+            return {"ok": False, "reason": f"{type(exc).__name__}: {exc}"}
+        magic = trin.magic_report(cap)
         euler_ok = all(
             sum(c.euler.values()) == len(trin.emerald) - len(trin.violet)
             for c in graph_c.components
@@ -252,7 +256,7 @@ def _cmd_census(args):
 
 def _cmd_magic(args):
     trin = trinity.build_trinity(_load_graph(args))
-    report = trees.magic_number(trin, args.cap)
+    report = trin.magic_report(args.cap)
     lines = [
         f"magic number: {report.value}",
         f"all counts agree: {'pass' if report.agree else 'FAIL'}",
@@ -266,7 +270,7 @@ def _cmd_hypertrees(args):
     lines = []
     for label in hypertrees.HYPERGRAPH_LABELS:
         hg = hypertrees.trinity_hypergraph_by_label(trin, label)
-        hts = hypertrees.enumerate_hypertrees(hg, args.cap)
+        hts = trin.hypertree_set(label, args.cap)
         order = hg.hyperedge_ids()
         payload.append(
             {
@@ -425,6 +429,13 @@ def _build_parser():
     g.add_argument("--out", help="directory for generated documents")
     return parser
 
+
+# model bugs the classification stage reports as a failure with a reason
+MODEL_FAILURES = (
+    transitions.EulerNotConstant,
+    transitions.NotTreeHuggingReachable,
+    transitions.NotBijective,
+)
 
 USAGE_ERRORS = (
     plane_graph.SchemaError,

@@ -13,7 +13,6 @@ into a single closed curve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .limits import DEFAULT_CAP, check_cap
 from .trees import SpanningTree
@@ -132,39 +131,6 @@ class DiscChart:
         return 2 * self.n
 
 
-@lru_cache(maxsize=None)
-def charts(trinity):
-    g = trinity.graph
-    out = {}
-    for fid in trinity.red:
-        boundary = g.faces[fid].boundary
-        signs = []
-        corners = []
-        for i, d in enumerate(boundary):
-            w = g.target(d)
-            if g.colour_of(w) == "violet":
-                signs.append(1)
-                corners.append(None)
-            else:
-                signs.append(-1)
-                corners.append(trinity.corner_id(fid, i))
-        out[fid] = DiscChart(fid, trinity.n_r[fid], tuple(signs), tuple(corners))
-    return out
-
-
-@lru_cache(maxsize=None)
-def glue_map(trinity):
-    """How boundary points pair across the edges of the graph."""
-    g = trinity.graph
-    glue = {}
-    for eid in g.edges:
-        a, b = g.edges[eid].darts
-        pa, pb = g.position_of(a), g.position_of(b)
-        glue[pa] = pb
-        glue[pb] = pa
-    return glue
-
-
 # -- configurations --------------------------------------------------------------
 
 
@@ -216,7 +182,7 @@ class TightVerdict:
 
 def loop_count(config):
     """Closed curves obtained by gluing chord endpoints across graph edges."""
-    glue = glue_map(config.trinity)
+    glue = config.trinity.glue_map
     chord = {}
     for fid, diagram in config.entries:
         for i, j in enumerate(diagram.partner):
@@ -267,7 +233,7 @@ class SignedRegions:
 
 def signed_regions(trinity, face, diagram):
     """Complementary regions of the diagram with their signs and valences."""
-    chart = charts(trinity)[face]
+    chart = trinity.charts[face]
     if diagram.n != chart.n:
         raise SizeMismatch(f"diagram size {diagram.n} != n_r {chart.n}")
     regions = []
@@ -302,7 +268,7 @@ def tree_hugging(trinity, tree):
     """
     gv = trinity.violet_graph
     _require_spanning(gv, tree)
-    ch = charts(trinity)
+    ch = trinity.charts
     diagrams = {}
     for fid in trinity.red:
         chart = ch[fid]
@@ -338,7 +304,7 @@ def is_tree_hugging(config):
     trinity = config.trinity
     if not is_tight(config).tight:
         raise NotTight("configuration is not tight")
-    ch = charts(trinity)
+    ch = trinity.charts
     edges = set()
     for fid, diagram in config.entries:
         sr = signed_regions(trinity, fid, diagram)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import dividing, plane_graph, transitions, trees, trinity as trinity_mod
+from . import dividing, plane_graph, transitions, trinity as trinity_mod
 from .limits import DEFAULT_CAP, check_cap
 from .plane_graph import RotationGraph, parse_graph, planar_dual, two_colouring, with_colours
 
@@ -370,7 +370,7 @@ def states_vs_configurations(universe, cap=DEFAULT_CAP):
     bijective = len(image) == len(states) and image == tight
     if not bijective:
         raise MappingFailure("states do not biject with tight configurations")
-    magic = trees.magic_number(trin, cap)
+    magic = trin.magic_report(cap)
     if not magic.agree or magic.value != len(states):
         raise MappingFailure("state count disagrees with the magic number")
     return CorrespondenceReport(len(states), len(tight), magic.value, True)

@@ -135,19 +135,33 @@ class ConfigurationGraph:
         return len(self.components)
 
 
+def configuration_count(trinity, cap=DEFAULT_CAP):
+    """Size of the Catalan product the configuration graph filters.
+
+    Raises ``CapExceeded`` for the first face with more chord diagrams than
+    the cap, then for the product; nothing is enumerated.
+    """
+    total = 1
+    for fid in sorted(trinity.red):
+        diagrams = dividing.catalan(trinity.n_r[fid])
+        check_cap(diagrams, cap, "chord diagram enumeration")
+        total *= diagrams
+    check_cap(total, cap, "configuration enumeration")
+    return total
+
+
 def build_configuration_graph(trinity, cap=DEFAULT_CAP, jobs=1):
     """All tight configurations, joined when they differ on one face."""
+    total = configuration_count(trinity, cap)
     faces = tuple(sorted(trinity.red))
     per_face = {
         fid: dividing.enumerate_chord_diagrams(trinity.n_r[fid], cap) for fid in faces
     }
-    total = 1
-    for fid in faces:
-        total *= len(per_face[fid])
-    check_cap(total, cap, "configuration enumeration")
 
-    choices = list(itertools.product(*(range(len(per_face[f])) for f in faces)))
+    # streamed, not stored: the product is the largest object of a verify
+    choices = itertools.product(*(range(len(per_face[f])) for f in faces))
     if jobs > 1:
+        choices = list(choices)
         chunk = (len(choices) + jobs - 1) // jobs
         blocks = [choices[i:i + chunk] for i in range(0, len(choices), chunk)]
         with Pool(jobs) as pool:
@@ -189,11 +203,12 @@ def build_configuration_graph(trinity, cap=DEFAULT_CAP, jobs=1):
         if ri != rj:
             parent[ri] = rj
 
-    roots = sorted({find(i) for i in range(len(vertices))}, key=lambda r: min(
-        i for i in range(len(vertices)) if find(i) == r
-    ))
-    component_of = tuple(roots.index(find(i)) for i in range(len(vertices)))
-    components = _label_components(trinity, vertices, component_of, len(roots))
+    # one pass in vertex order numbers components by their smallest member
+    number = {}
+    component_of = tuple(
+        number.setdefault(find(i), len(number)) for i in range(len(vertices))
+    )
+    components = _label_components(trinity, vertices, component_of, len(number))
     return ConfigurationGraph(
         trinity, vertices, edges, component_of, components, total
     )
@@ -266,11 +281,8 @@ class ClassificationReport:
 
 def classify_components(config_graph, cap=DEFAULT_CAP):
     """Check that components biject onto the hypertrees of (E,R)."""
-    from . import hypertrees as ht
-
     trinity = config_graph.trinity
-    hg = ht.trinity_hypergraph(trinity, "emerald", "red")
-    expected = {h.vector for h in ht.enumerate_hypertrees(hg, cap)}
+    expected = {h.vector for h in trinity.hypertree_set("ER", cap)}
     got = [tuple(sorted(c.hypertree.items())) for c in config_graph.components]
     ok = len(got) == len(set(got)) and set(got) == expected
     if not ok:

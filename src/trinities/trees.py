@@ -104,55 +104,70 @@ def enumerate_spanning_trees(graph, record_colour=None, cap=DEFAULT_CAP):
     """Yield every spanning tree exactly once, in a deterministic order.
 
     Contraction/deletion over edges in id order: the branch including the
-    smallest live edge is explored first. The Kirchhoff count is taken
-    up front and checked against the cap before any tree is produced.
+    smallest live edge is explored first, and the branch excluding it only
+    when the remaining edges still join the contracted classes. The
+    Kirchhoff count is taken up front and checked against the cap before
+    any tree is produced; with ``cap=None`` it is not taken.
+
+    Vertices and edges are handled by index. Each search node carries one
+    class label per vertex, and an explicit stack replaces recursion, so
+    the interpreter's stack depth does not grow with the graph.
     """
-    check_cap(spanning_tree_count(graph), cap, "spanning tree enumeration")
+    if cap is not None:
+        check_cap(spanning_tree_count(graph), cap, "spanning tree enumeration")
     verts = sorted(graph.vertices)
+    index = {v: i for i, v in enumerate(verts)}
     edge_ids = sorted(e for e in graph.edges if not graph.is_loop(e))
-    target = len(verts) - 1
+    tails, heads = [], []
+    for eid in edge_ids:
+        u, v = graph.endpoints(eid)
+        tails.append(index[u])
+        heads.append(index[v])
+    n, m = len(verts), len(edge_ids)
+    target = n - 1
 
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def connected(parent, remaining):
-        # can the contracted classes still be joined by the remaining edges?
-        p = dict(parent)
-        classes = {find(p, v) for v in verts}
-        count = len(classes)
-        for eid in remaining:
-            u, v = graph.endpoints(eid)
-            ru, rv = find(p, u), find(p, v)
-            if ru != rv:
-                p[ru] = rv
-                count -= 1
-                if count == 1:
+    def joins(label, pos, classes):
+        # can edges pos.. still join the contracted classes (at least two) into one?
+        root = list(range(n))
+        for j in range(pos, m):
+            a, b = label[tails[j]], label[heads[j]]
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a != b:
+                root[a] = b
+                classes -= 1
+                if classes == 1:
                     return True
-        return count == 1
+        return False
 
-    def rec(parent, chosen, pool):
-        if len(chosen) == target:
-            yield SpanningTree(graph, frozenset(chosen), record_colour)
-            return
-        for k, eid in enumerate(pool):
-            u, v = graph.endpoints(eid)
-            ru, rv = find(parent, u), find(parent, v)
-            rest = pool[k + 1:]
-            if ru == rv:
-                continue  # contracted loop, never in a tree
-            # include eid
-            p2 = dict(parent)
-            p2[ru] = rv
-            yield from rec(p2, chosen + [eid], rest)
-            # exclude eid, viable only if the rest still connects
-            if connected(parent, rest):
-                yield from rec(parent, chosen, rest)
-            return
-
-    yield from rec({v: v for v in verts}, [], edge_ids)
+    # chosen[d] is the edge taken at depth d on the branch being explored;
+    # a frame at depth d reads only chosen[:d], and nothing explored between
+    # its push and its pop writes below index d
+    chosen = [0] * target
+    # frame: (class label per vertex, edges chosen, next edge, whether the
+    # branch has just excluded an edge and must first pass the joins test)
+    stack = [(list(range(n)), 0, 0, False)]
+    while stack:
+        label, depth, pos, excluded = stack.pop()
+        if excluded and not joins(label, pos, n - depth):
+            continue
+        if depth == target:
+            yield SpanningTree(
+                graph, frozenset([edge_ids[i] for i in chosen]), record_colour
+            )
+            continue
+        while pos < m and label[tails[pos]] == label[heads[pos]]:
+            pos += 1  # contracted loop, never in a tree
+        if pos == m:
+            continue
+        keep, merge = label[heads[pos]], label[tails[pos]]
+        stack.append((label, depth, pos + 1, True))
+        chosen[depth] = pos
+        stack.append(
+            ([keep if c == merge else c for c in label], depth + 1, pos + 1, False)
+        )
 
 
 # -- arborescences -------------------------------------------------------------
@@ -256,8 +271,12 @@ class MagicReport:
 
 def magic_number(trinity, cap=DEFAULT_CAP):
     """Count arborescences of all three duals and hypertrees of all six
-    hypergraphs; the verdict passes iff every populated count agrees."""
-    from . import hypertrees as ht
+    hypergraphs; the verdict passes iff every populated count agrees.
+
+    Duals and hypertree sets come from the trinity's memoised copies;
+    ``Trinity.magic_report`` memoises the report itself.
+    """
+    from .hypertrees import HYPERGRAPH_LABELS
 
     det = {}
     enum = {}
@@ -271,10 +290,9 @@ def magic_number(trinity, cap=DEFAULT_CAP):
             enum[colour] = None
 
     hyper = {}
-    for label in ht.HYPERGRAPH_LABELS:
-        hg = ht.trinity_hypergraph_by_label(trinity, label)
+    for label in HYPERGRAPH_LABELS:
         try:
-            hyper[label] = len(ht.enumerate_hypertrees(hg, cap))
+            hyper[label] = len(trinity.hypertree_set(label, cap))
         except CapExceeded:
             hyper[label] = None
 

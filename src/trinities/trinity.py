@@ -12,6 +12,13 @@ From the trinity we expose the three colour graphs (the violet graph on
 emerald+red vertices, the emerald graph on red+violet vertices, and the red
 graph, which is the input itself) and their planar duals directed from
 black to white triangles, which are balanced.
+
+A ``Trinity`` owns the products computed from it: the directed duals, the
+six hypertree sets, the magic-number report, and the disc charts and glue
+map of the dividing-set layer are each built at most once per trinity and
+shared by every caller. A cached hypertree set is handed out only after
+its Kirchhoff count is checked against the caller's cap, so a cache hit
+never gets round a smaller cap.
 """
 
 from __future__ import annotations
@@ -19,6 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import hypertrees, trees
+from .dividing import DiscChart
+from .limits import DEFAULT_CAP, check_cap
 from .plane_graph import Edge, RotationGraph, Vertex, ensure_bicoloured
 
 BLACK = "black"
@@ -83,6 +93,11 @@ class Trinity:
             fid: len(face.boundary) // 2 for fid, face in graph.faces.items()
         }
         self.triangles = self._build_triangles()
+        self._duals = {}
+        # label -> (Kirchhoff count of the host graph, hypertree set)
+        self._hypertrees = {}
+        # cap -> MagicReport; which counts a report leaves out depends on the cap
+        self._magic = {}
 
     def _build_triangles(self):
         g = self.graph
@@ -161,6 +176,13 @@ class Trinity:
     # -- directed duals ------------------------------------------------------
 
     def directed_dual(self, colour):
+        """The colour graph's planar dual, arcs directed black to white (memoised)."""
+        dual = self._duals.get(colour)
+        if dual is None:
+            dual = self._duals[colour] = self._build_directed_dual(colour)
+        return dual
+
+    def _build_directed_dual(self, colour):
         g = self.graph
         if colour == "red":
             arcs = []
@@ -190,6 +212,67 @@ class Trinity:
             arcs.append(Arc(self.corner_id(fid, i), tail, head))
         vertices = g.colour_classes[mine]
         return DirectedDual(colour, vertices, tuple(arcs))
+
+    # -- hypertrees and the magic number ---------------------------------------
+
+    def hypertree_set(self, label, cap=DEFAULT_CAP):
+        """Hypertrees of the hypergraph ``label`` with one witness tree each.
+
+        Enumerated once per trinity; every call, the first included, checks
+        the host graph's Kirchhoff count against ``cap`` and raises
+        ``CapExceeded`` above it.
+        """
+        entry = self._hypertrees.get(label)
+        if entry is not None:
+            check_cap(entry[0], cap, "spanning tree enumeration")
+            return entry[1]
+        hypergraph = hypertrees.trinity_hypergraph_by_label(self, label)
+        needed = trees.spanning_tree_count(hypergraph.bip)
+        check_cap(needed, cap, "spanning tree enumeration")
+        found = hypertrees.enumerate_hypertrees(hypergraph, cap=None)
+        self._hypertrees[label] = (needed, found)
+        return found
+
+    def magic_report(self, cap=DEFAULT_CAP):
+        """``trees.magic_number`` of this trinity, computed once per cap value."""
+        report = self._magic.get(cap)
+        if report is None:
+            report = self._magic[cap] = trees.magic_number(self, cap)
+        return report
+
+    # -- dividing-set bookkeeping ----------------------------------------------
+
+    @cached_property
+    def charts(self):
+        """Face id -> DiscChart: signs of the boundary arcs and their corners."""
+        g = self.graph
+        out = {}
+        for fid in self.red:
+            boundary = g.faces[fid].boundary
+            signs = []
+            corners = []
+            for i, d in enumerate(boundary):
+                w = g.target(d)
+                if g.colour_of(w) == "violet":
+                    signs.append(1)
+                    corners.append(None)
+                else:
+                    signs.append(-1)
+                    corners.append(self.corner_id(fid, i))
+            out[fid] = DiscChart(fid, self.n_r[fid], tuple(signs), tuple(corners))
+        return out
+
+    @cached_property
+    def glue_map(self):
+        """How boundary points pair across the edges of the graph."""
+        g = self.graph
+        glue = {}
+        for eid in g.edges:
+            a, b = g.edges[eid].darts
+            pa, pb = g.position_of(a), g.position_of(b)
+            glue[pa] = pb
+            glue[pb] = pa
+        return glue
 
     # -- census ---------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, byte-stable reports."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from corpus import running_example_document, triangle_document
-from trinities import cli, fkt
+from trinities import cli, dividing, fkt, hypertrees, transitions, trees, trinity
 from trinities import plane_graph as pg
 
 
@@ -171,3 +173,84 @@ def test_gen_unknown_family(capsys):
 def test_unknown_family_error():
     with pytest.raises(cli.UnknownFamily):
         cli.generate_corpus("moebius", 2)
+
+
+def test_verify_refuses_the_configuration_cap_before_any_tree_work(capsys, tmp_path, monkeypatch):
+    # even_cycle 10 has two faces of half-length 10: Catalan(10)^2 > 10^6
+    path = write_json(tmp_path, "c20.json", cli.generate_corpus("even_cycle", 10)[0])
+
+    def no_trees(*args, **kwargs):
+        pytest.fail("spanning trees enumerated before the configuration cap was checked")
+
+    monkeypatch.setattr(trees, "enumerate_spanning_trees", no_trees)
+    monkeypatch.setattr(hypertrees, "enumerate_spanning_trees", no_trees)
+    code, out, err = run(capsys, "verify", "--graph", path)
+    assert code == 2
+    assert out == ""
+    assert "configuration enumeration: 282105616 objects exceed cap 1000000" in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "owner, name, replacement, reason",
+    [
+        (transitions, "classify_components", _raise(transitions.NotBijective("components 1 vs hypertrees 2")), "NotBijective"),
+        (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
+        (dividing, "euler_vector", lambda config: {fid: 0 for fid, _ in config.entries}, "EulerNotConstant"),
+    ],
+)
+def test_model_failures_fail_the_classification_stage(capsys, c4_file, monkeypatch, owner, name, replacement, reason):
+    monkeypatch.setattr(owner, name, replacement)
+    code, out, err = run(capsys, "verify", "--graph", c4_file)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    stage = doc["stages"]["classification"]
+    assert stage["ok"] is False
+    assert stage["reason"].startswith(reason + ": ")
+    assert all(doc["stages"][s]["ok"] for s in ("census", "magic", "hypertrees"))
+    assert "classification: FAIL" in err
+
+
+def test_verify_enumerates_each_tree_family_once(graphs, monkeypatch):
+    calls = {"spanning": 0, "arborescence": 0}
+    real_spanning = trees.enumerate_spanning_trees
+    real_arborescences = trees.enumerate_arborescences
+
+    def spanning(*args, **kwargs):
+        calls["spanning"] += 1
+        return real_spanning(*args, **kwargs)
+
+    def arborescences(*args, **kwargs):
+        calls["arborescence"] += 1
+        return real_arborescences(*args, **kwargs)
+
+    monkeypatch.setattr(trees, "enumerate_spanning_trees", spanning)
+    monkeypatch.setattr(hypertrees, "enumerate_spanning_trees", spanning)
+    monkeypatch.setattr(trees, "enumerate_arborescences", arborescences)
+    suite = cli.run_verification(graphs["grid2"])
+    assert suite.ok
+    assert calls["spanning"] <= 6
+    assert calls["arborescence"] <= 3
+
+
+def test_finished_verification_releases_its_trinity(graphs, monkeypatch):
+    built = []
+    real_build = trinity.build_trinity
+
+    def build(graph):
+        t = real_build(graph)
+        built.append(weakref.ref(t))
+        return t
+
+    monkeypatch.setattr(trinity, "build_trinity", build)
+    assert cli.run_verification(graphs["cycle6"]).ok
+    gc.collect()
+    assert len(built) == 1
+    assert built[0]() is None

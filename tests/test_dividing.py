@@ -130,7 +130,7 @@ def test_signed_regions_isolating_diagram(trinities):
     # diagram cutting off both emerald corners of a square face
     t = trinities["cycle4"]
     fid = sorted(t.red)[0]
-    chart = dv.charts(t)[fid]
+    chart = t.charts[fid]
     m = 2 * chart.n
     pairs = [
         tuple(sorted((i, (i + 1) % m)))

@@ -92,6 +92,29 @@ def test_component_count_equals_magic(trinities):
         assert cg.component_count() == trees.magic_number(t).value, name
 
 
+def test_components_are_numbered_by_smallest_member(trinities):
+    for name, t in trinities.items():
+        cg = tx.build_configuration_graph(t)
+        adjacent = {i: set() for i in range(len(cg.vertices))}
+        for i, j in cg.edges:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+        seen = {}
+        count = 0
+        for start in range(len(cg.vertices)):
+            if start in seen:
+                continue
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen[v] = count
+                    stack.extend(adjacent[v])
+            count += 1
+        # ids follow first appearance in vertex order, i.e. smallest member
+        assert cg.component_of == tuple(seen[i] for i in range(len(cg.vertices))), name
+
+
 def test_edges_join_single_face_differences(trinities):
     t = trinities["cycle6"]
     cg = tx.build_configuration_graph(t)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinities import trees
+from trinities import plane_graph, trees
 from trinities.limits import CapExceeded
 
 
@@ -101,6 +101,86 @@ def test_four_cycle_violet_graph_trees_and_records(trinities):
 def test_enumeration_cap(graphs):
     with pytest.raises(CapExceeded):
         list(trees.enumerate_spanning_trees(graphs["grid2"], cap=10))
+
+
+def brute_force_spanning_trees(graph):
+    """Independent oracle: every acyclic edge subset of size |V| - 1."""
+    edge_ids = sorted(e for e in graph.edges if not graph.is_loop(e))
+    hits = set()
+    for subset in combinations(edge_ids, len(graph.vertices) - 1):
+        comp = {v: v for v in graph.vertices}
+
+        def find(x):
+            while comp[x] != x:
+                x = comp[x]
+            return x
+
+        for eid in subset:
+            u, v = (find(w) for w in graph.endpoints(eid))
+            if u == v:
+                break
+            comp[u] = v
+        else:
+            hits.add(frozenset(subset))
+    return hits
+
+
+def test_enumeration_equals_subset_oracle(graphs, trinities):
+    for name, t in trinities.items():
+        for colour in ("violet", "emerald"):
+            host = getattr(t, f"{colour}_graph")
+            if len(host.edges) > 12:
+                continue
+            found = [tree.edges for tree in trees.enumerate_spanning_trees(host)]
+            assert len(found) == len(set(found)), (name, colour)
+            assert set(found) == brute_force_spanning_trees(host), (name, colour)
+    for name, g in graphs.items():
+        found = [tree.edges for tree in trees.enumerate_spanning_trees(g)]
+        assert set(found) == brute_force_spanning_trees(g), name
+
+
+# the first ten trees of grid 2 in the contraction/deletion order, each
+# given by the four edges it leaves out
+GRID2_PREFIX = (
+    ("v1_0", "v1_1", "v2_0", "v2_1"),
+    ("v0_1", "v1_0", "v2_0", "v2_1"),
+    ("v0_1", "v1_0", "v1_1", "v2_0"),
+    ("v0_0", "v1_1", "v2_0", "v2_1"),
+    ("v0_0", "v1_0", "v1_1", "v2_1"),
+    ("v0_0", "v0_1", "v2_0", "v2_1"),
+    ("v0_0", "v0_1", "v1_1", "v2_0"),
+    ("v0_0", "v0_1", "v1_0", "v2_1"),
+    ("v0_0", "v0_1", "v1_0", "v1_1"),
+    ("h1_2", "v1_0", "v1_1", "v2_0"),
+)
+
+
+def test_enumeration_order_frozen_on_grid2(graphs):
+    g = graphs["grid2"]
+    prefix = []
+    for tree in trees.enumerate_spanning_trees(g):
+        prefix.append(tuple(sorted(set(g.edges) - tree.edges)))
+        if len(prefix) == len(GRID2_PREFIX):
+            break
+    assert tuple(prefix) == GRID2_PREFIX
+
+
+def test_enumeration_depth_does_not_grow_with_the_graph():
+    # a path longer than the interpreter's recursion limit; cap=None skips
+    # the Kirchhoff determinant, which is cubic in the vertex count
+    k = 1200
+    doc = {
+        "vertices": [
+            {
+                "id": f"v{i}",
+                "rotation": ([f"p{i - 1}.1"] if i else []) + ([f"p{i}.0"] if i < k else []),
+            }
+            for i in range(k + 1)
+        ],
+        "edges": [{"id": f"p{i}", "darts": [f"p{i}.0", f"p{i}.1"]} for i in range(k)],
+    }
+    (tree,) = trees.enumerate_spanning_trees(plane_graph.parse_graph(doc), cap=None)
+    assert len(tree.edges) == k
 
 
 def test_count_arborescences_loop_vertex(trinities):

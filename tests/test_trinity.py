@@ -4,6 +4,7 @@ import pytest
 
 from trinities import plane_graph as pg
 from trinities import trinity as tr
+from trinities.limits import CapExceeded
 
 
 def test_single_edge_trinity(trinities):
@@ -155,3 +156,17 @@ def test_build_trinity_requires_bipartite():
 
     with pytest.raises(pg.SchemaError):
         tr.build_trinity(pg.parse_graph(triangle_document()))
+
+
+def test_cached_products_still_honour_the_cap(graphs):
+    t = tr.build_trinity(graphs["grid2"])
+    assert t.directed_dual("violet") is t.directed_dual("violet")
+    found = t.hypertree_set("ER", cap=None)
+    assert t.hypertree_set("ER") is found
+    # the violet graph of grid 2 has more than 3 spanning trees
+    with pytest.raises(CapExceeded, match="spanning tree enumeration"):
+        t.hypertree_set("ER", cap=3)
+    uncapped = t.magic_report(cap=None)
+    assert t.magic_report(cap=None) is uncapped
+    capped = t.magic_report(cap=3)
+    assert capped.hypertrees["ER"] is None and uncapped.hypertrees["ER"] == len(found)
