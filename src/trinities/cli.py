@@ -142,7 +142,7 @@ class VerificationSuite:
         return {"instance": self.instance, "stages": self.stages, "pass": self.ok}
 
 
-def run_verification(graph, instance="graph", cap=DEFAULT_CAP, jobs=1):
+def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
     """Run the census, magic, hypertree and classification stages.
 
     The stages share the trinity's memoised duals, hypertree sets and magic
@@ -185,10 +185,10 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP, jobs=1):
 
     def classify_stage():
         try:
-            graph_c = transitions.build_configuration_graph(trin, cap, jobs)
+            graph_c = transitions.build_configuration_graph(trin, cap)
             report = transitions.classify_components(graph_c, cap)
         except MODEL_FAILURES as exc:
-            return {"ok": False, "reason": f"{type(exc).__name__}: {exc}"}
+            return {"ok": False, "reason": _reason(exc)}
         magic = trin.magic_report(cap)
         euler_ok = all(
             sum(c.euler.values()) == len(trin.emerald) - len(trin.violet)
@@ -231,6 +231,10 @@ def _load_universe(args):
         raise plane_graph.SchemaError("this command needs --universe FILE")
     with open(args.universe) as fh:
         return fkt.parse_universe(json.loads(fh.read()))
+
+
+def _reason(exc):
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _emit(args, payload, summary_lines, ok=True):
@@ -286,7 +290,7 @@ def _cmd_hypertrees(args):
 
 def _cmd_configs(args):
     trin = trinity.build_trinity(_load_graph(args))
-    graph_c = transitions.build_configuration_graph(trin, args.cap, args.jobs)
+    graph_c = transitions.build_configuration_graph(trin, args.cap)
     payload = {
         "total": str(graph_c.total_configurations),
         "tight": str(len(graph_c.vertices)),
@@ -298,7 +302,7 @@ def _cmd_configs(args):
 
 def _cmd_classify(args):
     trin = trinity.build_trinity(_load_graph(args))
-    graph_c = transitions.build_configuration_graph(trin, args.cap, args.jobs)
+    graph_c = transitions.build_configuration_graph(trin, args.cap)
     report = transitions.classify_components(graph_c, args.cap)
     lines = [
         f"components: {graph_c.component_count()}",
@@ -309,7 +313,7 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     graph = _load_graph(args)
-    suite = run_verification(graph, args.graph, args.cap, args.jobs)
+    suite = run_verification(graph, args.graph, args.cap)
     lines = [
         f"{name}: {'pass' if stage.get('ok') else 'FAIL'}"
         + f"  ({suite.seconds[name]:.3f}s)"
@@ -401,7 +405,6 @@ def _build_parser():
         description="Verify the counting identities of a plane bipartite graph's trinity.",
     )
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap per stage")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel shards for enumeration")
     parser.add_argument("--format", choices=("json", "summary"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, needs in (
@@ -430,8 +433,10 @@ def _build_parser():
     return parser
 
 
-# model bugs the classification stage reports as a failure with a reason
+# model bugs reported as a failure with a reason: by verify's classification
+# stage, and by main for the other commands
 MODEL_FAILURES = (
+    transitions.BuiltNotTight,
     transitions.EulerNotConstant,
     transitions.NotTreeHuggingReachable,
     transitions.NotBijective,
@@ -462,6 +467,10 @@ def main(argv=None):
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MODEL_FAILURES as exc:
+        reason = _reason(exc)
+        lines = [f"{args.command}: FAIL ({reason})"]
+        return _emit(args, {"ok": False, "reason": reason}, lines, ok=False)
 
 
 if __name__ == "__main__":

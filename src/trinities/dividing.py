@@ -187,20 +187,17 @@ def loop_count(config):
     for fid, diagram in config.entries:
         for i, j in enumerate(diagram.partner):
             chord[(fid, i)] = (fid, j)
+    # walk each curve once, removing its chords as they are crossed
     loops = 0
-    seen = set()
-    for start in chord:
-        if start in seen:
-            continue
+    while chord:
+        start, q = chord.popitem()
+        del chord[q]
         loops += 1
-        p = start
-        while True:
-            seen.add(p)
-            q = chord[p]
-            seen.add(q)
+        p = glue[q]
+        while p != start:
+            q = chord.pop(p)
+            del chord[q]
             p = glue[q]
-            if p == start:
-                break
     return loops
 
 
@@ -245,9 +242,16 @@ def signed_regions(trinity, face, diagram):
 
 
 def disc_euler(trinity, face, diagram):
-    """Euler contribution of one disc: positive minus negative region count."""
-    sr = signed_regions(trinity, face, diagram)
-    return len(sr.positives()) - len(sr.negatives())
+    """Euler contribution of one disc: positive minus negative region count.
+
+    Memoised per (face, diagram) in ``trinity.disc_eulers``.
+    """
+    key = (face, diagram)
+    euler = trinity.disc_eulers.get(key)
+    if euler is None:
+        sr = signed_regions(trinity, face, diagram)
+        euler = trinity.disc_eulers[key] = len(sr.positives()) - len(sr.negatives())
+    return euler
 
 
 def euler_vector(config):

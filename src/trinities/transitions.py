@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from multiprocessing import Pool
+from functools import cached_property
 
 from . import dividing
 from .dividing import ChordDiagram, Configuration, NotTight
@@ -26,6 +26,10 @@ class EulerNotConstant(RuntimeError):
 
 class NotTreeHuggingReachable(RuntimeError):
     """A component contains no tree-hugging configuration (model bug)."""
+
+
+class BuiltNotTight(RuntimeError):
+    """The builder produced a configuration that is not tight (model bug)."""
 
 
 class NotBijective(RuntimeError):
@@ -124,9 +128,15 @@ class Component:
 
 @dataclass(frozen=True)
 class ConfigurationGraph:
+    """Tight configurations and the partition of their one-face graph.
+
+    ``choices[i]`` holds, face by face in sorted order, the index of
+    vertex i's diagram in ``enumerate_chord_diagrams``.
+    """
+
     trinity: object = field(compare=False)
     vertices: tuple = ()
-    edges: tuple = ()
+    choices: tuple = ()
     component_of: tuple = ()
     components: tuple = ()
     total_configurations: int = 0
@@ -134,12 +144,25 @@ class ConfigurationGraph:
     def component_count(self):
         return len(self.components)
 
+    @cached_property
+    def edges(self):
+        """Sorted index pairs of the vertices that differ on exactly one face.
+
+        Built on first access: the components do not need them, and on
+        large instances they far outnumber the vertices.
+        """
+        pairs = []
+        for group in _one_face_groups(self.choices):
+            pairs.extend(itertools.combinations(group, 2))
+        return tuple(sorted(pairs))
+
 
 def configuration_count(trinity, cap=DEFAULT_CAP):
-    """Size of the Catalan product the configuration graph filters.
+    """Size of the Catalan product of the faces' chord diagrams.
 
     Raises ``CapExceeded`` for the first face with more chord diagrams than
-    the cap, then for the product; nothing is enumerated.
+    the cap, then for the product; nothing is enumerated. The cap bounds
+    this product even though only its tight members are built.
     """
     total = 1
     for fid in sorted(trinity.red):
@@ -150,45 +173,31 @@ def configuration_count(trinity, cap=DEFAULT_CAP):
     return total
 
 
-def build_configuration_graph(trinity, cap=DEFAULT_CAP, jobs=1):
-    """All tight configurations, joined when they differ on one face."""
+def build_configuration_graph(trinity, cap=DEFAULT_CAP):
+    """All tight configurations, joined when they differ on one face.
+
+    The tight configurations are built chord by chord, not filtered out of
+    the Catalan product, and each one is checked with ``dividing.is_tight``.
+    Vertices come in the product's order: lexicographic in ``choices``.
+    """
     total = configuration_count(trinity, cap)
     faces = tuple(sorted(trinity.red))
     per_face = {
         fid: dividing.enumerate_chord_diagrams(trinity.n_r[fid], cap) for fid in faces
     }
-
-    # streamed, not stored: the product is the largest object of a verify
-    choices = itertools.product(*(range(len(per_face[f])) for f in faces))
-    if jobs > 1:
-        choices = list(choices)
-        chunk = (len(choices) + jobs - 1) // jobs
-        blocks = [choices[i:i + chunk] for i in range(0, len(choices), chunk)]
-        with Pool(jobs) as pool:
-            kept = pool.starmap(
-                _tight_block, [(trinity, faces, per_face, block) for block in blocks]
-            )
-        tight_choices = [c for block in kept for c in block]
-    else:
-        tight_choices = _tight_block(trinity, faces, per_face, choices)
-
+    choices = tuple(sorted(_tight_choices(trinity, faces, per_face)))
     vertices = tuple(
         Configuration.from_diagrams(
             trinity, {f: per_face[f][k] for f, k in zip(faces, choice)}
         )
-        for choice in tight_choices
+        for choice in choices
     )
-
-    # vertices differing in exactly one coordinate: bucket by the rest
-    edges = []
-    for axis in range(len(faces)):
-        buckets = {}
-        for idx, choice in enumerate(tight_choices):
-            key = choice[:axis] + choice[axis + 1:]
-            buckets.setdefault(key, []).append(idx)
-        for group in buckets.values():
-            edges.extend(itertools.combinations(group, 2))
-    edges = tuple(sorted(set(edges)))
+    for choice, config in zip(choices, vertices):
+        verdict = dividing.is_tight(config)
+        if not verdict.tight:
+            raise BuiltNotTight(
+                f"diagrams {dict(zip(faces, choice))} close into {verdict.loops} curves"
+            )
 
     parent = list(range(len(vertices)))
 
@@ -198,10 +207,12 @@ def build_configuration_graph(trinity, cap=DEFAULT_CAP, jobs=1):
             x = parent[x]
         return x
 
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+    for group in _one_face_groups(choices):
+        root = find(group[0])
+        for i in group[1:]:
+            r = find(i)
+            if r != root:
+                parent[r] = root
 
     # one pass in vertex order numbers components by their smallest member
     number = {}
@@ -210,19 +221,90 @@ def build_configuration_graph(trinity, cap=DEFAULT_CAP, jobs=1):
     )
     components = _label_components(trinity, vertices, component_of, len(number))
     return ConfigurationGraph(
-        trinity, vertices, edges, component_of, components, total
+        trinity, vertices, choices, component_of, components, total
     )
 
 
-def _tight_block(trinity, faces, per_face, choices):
+def _tight_choices(trinity, faces, per_face):
+    """Diagram index tuples of the tight configurations, built chord by chord.
+
+    Boundary points get global indices, faces in sorted order. Each glued
+    pair of points starts as an open path, and ``end[p]`` is the far end of
+    the path that ends at ``p``. A chord (a, b) joins the paths ending at a
+    and b; when ``end[a] == b`` it closes a curve instead, which only the
+    last chord may do, so every finished configuration is a single curve.
+    Within a face the first free point of the leftmost open segment takes
+    each odd-offset partner in turn, splitting the segment into an inner
+    and an outer one; faces are matched one after another. The search runs
+    on an explicit stack, one frame per chord placed.
+    """
+    offset = {}
+    spans = []
+    start = 0
+    for fid in faces:
+        offset[fid] = start
+        size = 2 * trinity.n_r[fid]
+        # diagram index by partner tuple, in global point indices
+        rank = {tuple(p + start for p in d.partner): k for k, d in enumerate(per_face[fid])}
+        spans.append((start, start + size, rank))
+        start += size
+    end = [0] * start
+    for (f, i), (g, j) in trinity.glue_map.items():
+        end[offset[f] + i] = offset[g] + j
+    partner = [0] * start
+    chords = start // 2
+
+    # open segments as a linked list (segment, rest), leftmost first
+    pending = None
+    for lo, hi, _rank in reversed(spans):
+        pending = ((lo, hi), pending)
+    (a, hi), rest = pending
+    # frame: [a, hi, b, rest, ea, eb] pairs point a with b < hi; ea >= 0
+    # while chord (a, b) is applied, with ea and eb the ends it joined
+    frames = [[a, hi, a - 1, rest, -1, -1]]
     kept = []
-    for choice in choices:
-        config = Configuration.from_diagrams(
-            trinity, {f: per_face[f][k] for f, k in zip(faces, choice)}
-        )
-        if dividing.is_tight(config).tight:
-            kept.append(choice)
+    while frames:
+        frame = frames[-1]
+        a, hi, b, rest, ea, eb = frame
+        if ea >= 0:
+            end[ea] = a
+            end[eb] = b
+            frame[4] = -1
+        b += 2
+        if b >= hi:
+            frames.pop()
+            continue
+        frame[2] = b
+        ea = end[a]
+        if ea == b:
+            if len(frames) == chords:
+                partner[a] = b
+                partner[b] = a
+                kept.append(tuple(rank[tuple(partner[lo:hi])] for lo, hi, rank in spans))
+            continue
+        eb = end[b]
+        end[ea] = eb
+        end[eb] = ea
+        frame[4] = ea
+        frame[5] = eb
+        partner[a] = b
+        partner[b] = a
+        if b + 1 < hi:
+            rest = ((b + 1, hi), rest)
+        if a + 1 < b:
+            rest = ((a + 1, b), rest)
+        (a, hi), rest = rest
+        frames.append([a, hi, a - 1, rest, -1, -1])
     return kept
+
+
+def _one_face_groups(choices):
+    """Index groups, in vertex order, of the choices equal off one axis."""
+    for axis in range(len(choices[0]) if choices else 0):
+        buckets = {}
+        for idx, choice in enumerate(choices):
+            buckets.setdefault(choice[:axis] + choice[axis + 1:], []).append(idx)
+        yield from buckets.values()
 
 
 def _label_components(trinity, vertices, component_of, count):

@@ -14,9 +14,9 @@ graph, which is the input itself) and their planar duals directed from
 black to white triangles, which are balanced.
 
 A ``Trinity`` owns the products computed from it: the directed duals, the
-six hypertree sets, the magic-number report, and the disc charts and glue
-map of the dividing-set layer are each built at most once per trinity and
-shared by every caller. A cached hypertree set is handed out only after
+six hypertree sets, the magic-number report, the disc charts and glue map
+of the dividing-set layer and each disc's Euler contribution are built at
+most once per trinity and shared by every caller. A cached hypertree set is handed out only after
 its Kirchhoff count is checked against the caller's cap, so a cache hit
 never gets round a smaller cap.
 """
@@ -98,6 +98,8 @@ class Trinity:
         self._hypertrees = {}
         # cap -> MagicReport; which counts a report leaves out depends on the cap
         self._magic = {}
+        # (face, diagram) -> Euler contribution, filled by dividing.disc_euler
+        self.disc_eulers = {}
 
     def _build_triangles(self):
         g = self.graph

@@ -197,14 +197,15 @@ def _raise(exc):
     return fail
 
 
-@pytest.mark.parametrize(
-    "owner, name, replacement, reason",
-    [
-        (transitions, "classify_components", _raise(transitions.NotBijective("components 1 vs hypertrees 2")), "NotBijective"),
-        (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
-        (dividing, "euler_vector", lambda config: {fid: 0 for fid, _ in config.entries}, "EulerNotConstant"),
-    ],
-)
+MODEL_FAILURE_CASES = [
+    (transitions, "classify_components", _raise(transitions.NotBijective("components 1 vs hypertrees 2")), "NotBijective"),
+    (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
+    (dividing, "euler_vector", lambda config: {fid: 0 for fid, _ in config.entries}, "EulerNotConstant"),
+    (dividing, "is_tight", lambda config: dividing.TightVerdict(False, 2), "BuiltNotTight"),
+]
+
+
+@pytest.mark.parametrize("owner, name, replacement, reason", MODEL_FAILURE_CASES)
 def test_model_failures_fail_the_classification_stage(capsys, c4_file, monkeypatch, owner, name, replacement, reason):
     monkeypatch.setattr(owner, name, replacement)
     code, out, err = run(capsys, "verify", "--graph", c4_file)
@@ -216,6 +217,17 @@ def test_model_failures_fail_the_classification_stage(capsys, c4_file, monkeypat
     assert stage["reason"].startswith(reason + ": ")
     assert all(doc["stages"][s]["ok"] for s in ("census", "magic", "hypertrees"))
     assert "classification: FAIL" in err
+
+
+@pytest.mark.parametrize("owner, name, replacement, reason", MODEL_FAILURE_CASES)
+def test_model_failures_fail_classify(capsys, c4_file, monkeypatch, owner, name, replacement, reason):
+    monkeypatch.setattr(owner, name, replacement)
+    code, out, err = run(capsys, "classify", "--graph", c4_file)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["reason"].startswith(reason + ": ")
+    assert "classify: FAIL (" + reason in err
 
 
 def test_verify_enumerates_each_tree_family_once(graphs, monkeypatch):

@@ -1,12 +1,47 @@
 """Bypass moves, the configuration graph and its classification."""
 
+import itertools
+
 import pytest
 
 from trinities import dividing as dv
 from trinities import hypertrees as ht
+from trinities import plane_graph, trinity
 from trinities import transitions as tx
 from trinities import trees
+from trinities.cli import generate_corpus
 from trinities.limits import CapExceeded
+
+
+def _generated(family, size):
+    doc = generate_corpus(family, size)[0]
+    return trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+
+
+def _product_oracle(t):
+    """Diagram index tuples of the tight configurations, filtered from the product."""
+    faces = sorted(t.red)
+    per_face = [dv.enumerate_chord_diagrams(t.n_r[f]) for f in faces]
+    kept = []
+    for choice in itertools.product(*(range(len(d)) for d in per_face)):
+        config = dv.Configuration.from_diagrams(
+            t, {f: diagrams[k] for f, diagrams, k in zip(faces, per_face, choice)}
+        )
+        if dv.loop_count(config) == 1:
+            kept.append(choice)
+    return kept, per_face
+
+
+def _bucket_pair_edges(choices):
+    """Index pairs differing on one face, from every pair of each bucket."""
+    edges = set()
+    for axis in range(len(choices[0])):
+        buckets = {}
+        for idx, choice in enumerate(choices):
+            buckets.setdefault(choice[:axis] + choice[axis + 1:], []).append(idx)
+        for group in buckets.values():
+            edges.update(itertools.combinations(group, 2))
+    return tuple(sorted(edges))
 
 
 def test_no_moves_with_two_chords():
@@ -236,9 +271,44 @@ def test_valence_concentration_requires_tight(trinities):
         tx.valence_concentration_path(loose)
 
 
-def test_parallel_enumeration_matches_serial(trinities):
-    t = trinities["running11"]
-    serial = tx.build_configuration_graph(t, jobs=1)
-    parallel = tx.build_configuration_graph(t, jobs=2)
-    assert serial.vertices == parallel.vertices
-    assert serial.component_count() == parallel.component_count()
+BEYOND_CORPUS = {"even_cycle5": ("even_cycle", 5), "even_cycle6": ("even_cycle", 6), "ladder5": ("ladder", 5)}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["path1", "path2", "cycle4", "cycle6", "theta3", "ladder3", "grid2", "running11", *BEYOND_CORPUS],
+)
+def test_builder_matches_the_product_filter(trinities, name):
+    t = _generated(*BEYOND_CORPUS[name]) if name in BEYOND_CORPUS else trinities[name]
+    choices, per_face = _product_oracle(t)
+    cg = tx.build_configuration_graph(t)
+    assert cg.choices == tuple(choices)
+    assert cg.vertices == tuple(
+        dv.Configuration.from_diagrams(
+            t, {f: diagrams[k] for f, diagrams, k in zip(sorted(t.red), per_face, choice)}
+        )
+        for choice in choices
+    )
+    assert cg.edges == _bucket_pair_edges(choices)
+
+
+def test_builder_checks_each_tight_configuration_once(monkeypatch):
+    t = _generated("even_cycle", 6)
+    calls = {"is_tight": 0, "is_tree_hugging": 0}
+    real_is_tight, real_is_tree_hugging = dv.is_tight, dv.is_tree_hugging
+
+    def is_tight(config):
+        calls["is_tight"] += 1
+        return real_is_tight(config)
+
+    def is_tree_hugging(config):
+        calls["is_tree_hugging"] += 1
+        return real_is_tree_hugging(config)
+
+    monkeypatch.setattr(dv, "is_tight", is_tight)
+    monkeypatch.setattr(dv, "is_tree_hugging", is_tree_hugging)
+    cg = tx.build_configuration_graph(t)
+    assert cg.total_configurations == 17424
+    assert len(cg.vertices) == 1828
+    # each tree-hugging probe checks its input's tightness once more
+    assert calls["is_tight"] == len(cg.vertices) + calls["is_tree_hugging"]
