@@ -20,7 +20,7 @@ from .plane_graph import (
     trace_faces,
     validate_bipartite_plane,
 )
-from .trinity import Trinity, build_trinity, colour_graph, directed_dual, trinity_census
+from .trinity import Trinity, build_trinity
 from .trees import (
     count_arborescences,
     enumerate_arborescences,

@@ -158,19 +158,19 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
         suite.stages[name] = fn()
         suite.seconds[name] = time.perf_counter() - t0
 
-    trin = trinity.build_trinity(graph)
-    transitions.configuration_count(trin, cap)
+    trin = trinity.build_trinity(graph, cap)
+    transitions.configuration_count(trin)
 
     def census_stage():
         census = trin.census()
         return {**census, "ok": census["euler_ok"]}
 
     def magic_stage():
-        report = trin.magic_report(cap)
+        report = trin.magic_report
         return {**report.to_json(), "ok": report.agree}
 
     def hypertree_stage():
-        sets = {label: trin.hypertree_set(label, cap) for label in hypertrees.HYPERGRAPH_LABELS}
+        sets = {label: trin.hypertree_set(label) for label in hypertrees.HYPERGRAPH_LABELS}
         counts = {label: len(found) for label, found in sets.items()}
         ok = len(set(counts.values())) == 1
         pairs_ok = all([
@@ -185,11 +185,11 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
 
     def classify_stage():
         try:
-            graph_c = transitions.build_configuration_graph(trin, cap)
-            report = transitions.classify_components(graph_c, cap)
+            graph_c = transitions.build_configuration_graph(trin)
+            report = transitions.classify_components(graph_c)
         except MODEL_FAILURES as exc:
             return {"ok": False, "reason": _reason(exc)}
-        magic = trin.magic_report(cap)
+        magic = trin.magic_report
         euler_ok = all(
             sum(c.euler.values()) == len(trin.emerald) - len(trin.violet)
             for c in graph_c.components
@@ -220,9 +220,6 @@ def _load_graph(args):
         raise plane_graph.SchemaError("this command needs --graph FILE")
     with open(args.graph) as fh:
         graph = plane_graph.parse_graph(fh.read())
-    report = plane_graph.validate_bipartite_plane(graph)
-    if not report.ok:
-        raise plane_graph.SchemaError("; ".join(report.failures))
     return plane_graph.ensure_bicoloured(graph)
 
 
@@ -249,7 +246,7 @@ def _emit(args, payload, summary_lines, ok=True):
 
 
 def _cmd_census(args):
-    trin = trinity.build_trinity(_load_graph(args))
+    trin = trinity.build_trinity(_load_graph(args), args.cap)
     census = trin.census()
     lines = [
         f"census: |V|={census['V']} |E|={census['E']} |R|={census['R']} n={census['n']}",
@@ -259,8 +256,8 @@ def _cmd_census(args):
 
 
 def _cmd_magic(args):
-    trin = trinity.build_trinity(_load_graph(args))
-    report = trin.magic_report(args.cap)
+    trin = trinity.build_trinity(_load_graph(args), args.cap)
+    report = trin.magic_report
     lines = [
         f"magic number: {report.value}",
         f"all counts agree: {'pass' if report.agree else 'FAIL'}",
@@ -269,12 +266,12 @@ def _cmd_magic(args):
 
 
 def _cmd_hypertrees(args):
-    trin = trinity.build_trinity(_load_graph(args))
+    trin = trinity.build_trinity(_load_graph(args), args.cap)
     payload = []
     lines = []
     for label in hypertrees.HYPERGRAPH_LABELS:
         hg = hypertrees.trinity_hypergraph_by_label(trin, label)
-        hts = trin.hypertree_set(label, args.cap)
+        hts = trin.hypertree_set(label)
         order = hg.hyperedge_ids()
         payload.append(
             {
@@ -289,8 +286,8 @@ def _cmd_hypertrees(args):
 
 
 def _cmd_configs(args):
-    trin = trinity.build_trinity(_load_graph(args))
-    graph_c = transitions.build_configuration_graph(trin, args.cap)
+    trin = trinity.build_trinity(_load_graph(args), args.cap)
+    graph_c = transitions.build_configuration_graph(trin)
     payload = {
         "total": str(graph_c.total_configurations),
         "tight": str(len(graph_c.vertices)),
@@ -301,9 +298,9 @@ def _cmd_configs(args):
 
 
 def _cmd_classify(args):
-    trin = trinity.build_trinity(_load_graph(args))
-    graph_c = transitions.build_configuration_graph(trin, args.cap)
-    report = transitions.classify_components(graph_c, args.cap)
+    trin = trinity.build_trinity(_load_graph(args), args.cap)
+    graph_c = transitions.build_configuration_graph(trin)
+    report = transitions.classify_components(graph_c)
     lines = [
         f"components: {graph_c.component_count()}",
         f"hypertree bijection: {'pass' if report.bijection_ok else 'FAIL'}",
@@ -320,14 +317,7 @@ def _cmd_verify(args):
         for name, stage in suite.stages.items()
     ]
     lines.append(f"verdict: {'pass' if suite.ok else 'FAIL'}")
-    if args.format == "json":
-        print(json.dumps(suite.to_json(), sort_keys=True, indent=2))
-        for line in lines:
-            print(line, file=sys.stderr)
-    else:
-        for line in lines:
-            print(line)
-    return 0 if suite.ok else 1
+    return _emit(args, suite.to_json(), lines, suite.ok)
 
 
 def _cmd_states(args):
@@ -440,6 +430,7 @@ MODEL_FAILURES = (
     transitions.EulerNotConstant,
     transitions.NotTreeHuggingReachable,
     transitions.NotBijective,
+    fkt.MappingFailure,
 )
 
 USAGE_ERRORS = (

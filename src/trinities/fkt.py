@@ -256,22 +256,18 @@ def clock_graph(universe, cap=DEFAULT_CAP):
                 stack.append(y)
     connected = len(seen) == n
 
-    colour = [0] * n  # 0 unseen, 1 on stack, 2 done
-    acyclic = True
-
-    def dfs(x):
-        nonlocal acyclic
-        colour[x] = 1
+    # Kahn's algorithm: the graph is acyclic iff every state gets removed
+    remaining = list(indeg)
+    ready = [i for i in range(n) if remaining[i] == 0]
+    removed = 0
+    while ready:
+        x = ready.pop()
+        removed += 1
         for y in outs[x]:
-            if colour[y] == 1:
-                acyclic = False
-            elif colour[y] == 0:
-                dfs(y)
-        colour[x] = 2
-
-    for x in range(n):
-        if colour[x] == 0:
-            dfs(x)
+            remaining[y] -= 1
+            if remaining[y] == 0:
+                ready.append(y)
+    acyclic = removed == n
 
     sources = [i for i in range(n) if indeg[i] == 0]
     sinks = [i for i in range(n) if not outs[i]]
@@ -355,11 +351,11 @@ def states_vs_configurations(universe, cap=DEFAULT_CAP):
     trinity.
     """
     dual = universe_dual_graph(universe)
-    trin = trinity_mod.build_trinity(dual)
+    trin = trinity_mod.build_trinity(dual, cap)
     if any(n != 2 for n in trin.n_r.values()):
         raise MappingFailure("dual faces must be quadrilaterals")
     states = enumerate_states(universe, cap)
-    graph = transitions.build_configuration_graph(trin, cap)
+    graph = transitions.build_configuration_graph(trin)
     tight = set(graph.vertices)
     image = set()
     for s in states:
@@ -370,7 +366,7 @@ def states_vs_configurations(universe, cap=DEFAULT_CAP):
     bijective = len(image) == len(states) and image == tight
     if not bijective:
         raise MappingFailure("states do not biject with tight configurations")
-    magic = trin.magic_report(cap)
+    magic = trin.magic_report
     if not magic.agree or magic.value != len(states):
         raise MappingFailure("state count disagrees with the magic number")
     return CorrespondenceReport(len(states), len(tight), magic.value, True)

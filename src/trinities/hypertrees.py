@@ -85,9 +85,6 @@ class Hypertree:
     def as_dict(self):
         return dict(self.vector)
 
-    def value(self, hyperedge):
-        return dict(self.vector)[hyperedge]
-
 
 def hypertree_of(tree, hyperedge_colour):
     """Hypertree realized by a spanning tree: f(e) = deg(e) - 1 at hyperedge nodes."""

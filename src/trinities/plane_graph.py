@@ -115,9 +115,6 @@ class RotationGraph:
     def vertex_of(self, dart):
         return self._dart_vertex[dart]
 
-    def edge_of(self, dart):
-        return self._dart_edge[dart]
-
     def reverse(self, dart):
         return self._reverse[dart]
 

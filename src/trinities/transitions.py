@@ -17,7 +17,7 @@ from functools import cached_property
 
 from . import dividing
 from .dividing import ChordDiagram, Configuration, NotTight
-from .limits import DEFAULT_CAP, check_cap
+from .limits import check_cap
 
 
 class EulerNotConstant(RuntimeError):
@@ -157,33 +157,34 @@ class ConfigurationGraph:
         return tuple(sorted(pairs))
 
 
-def configuration_count(trinity, cap=DEFAULT_CAP):
+def configuration_count(trinity):
     """Size of the Catalan product of the faces' chord diagrams.
 
     Raises ``CapExceeded`` for the first face with more chord diagrams than
-    the cap, then for the product; nothing is enumerated. The cap bounds
-    this product even though only its tight members are built.
+    the trinity's cap, then for the product; nothing is enumerated. The cap
+    bounds this product even though only its tight members are built.
     """
     total = 1
     for fid in sorted(trinity.red):
         diagrams = dividing.catalan(trinity.n_r[fid])
-        check_cap(diagrams, cap, "chord diagram enumeration")
+        check_cap(diagrams, trinity.cap, "chord diagram enumeration")
         total *= diagrams
-    check_cap(total, cap, "configuration enumeration")
+    check_cap(total, trinity.cap, "configuration enumeration")
     return total
 
 
-def build_configuration_graph(trinity, cap=DEFAULT_CAP):
+def build_configuration_graph(trinity):
     """All tight configurations, joined when they differ on one face.
 
     The tight configurations are built chord by chord, not filtered out of
     the Catalan product, and each one is checked with ``dividing.is_tight``.
     Vertices come in the product's order: lexicographic in ``choices``.
     """
-    total = configuration_count(trinity, cap)
+    total = configuration_count(trinity)
     faces = tuple(sorted(trinity.red))
     per_face = {
-        fid: dividing.enumerate_chord_diagrams(trinity.n_r[fid], cap) for fid in faces
+        fid: dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap)
+        for fid in faces
     }
     choices = tuple(sorted(_tight_choices(trinity, faces, per_face)))
     vertices = tuple(
@@ -361,10 +362,9 @@ class ClassificationReport:
         }
 
 
-def classify_components(config_graph, cap=DEFAULT_CAP):
+def classify_components(config_graph):
     """Check that components biject onto the hypertrees of (E,R)."""
-    trinity = config_graph.trinity
-    expected = {h.vector for h in trinity.hypertree_set("ER", cap)}
+    expected = {h.vector for h in config_graph.trinity.hypertree_set("ER")}
     got = [tuple(sorted(c.hypertree.items())) for c in config_graph.components]
     ok = len(got) == len(set(got)) and set(got) == expected
     if not ok:
@@ -387,7 +387,7 @@ def _excess_count(trinity, face, diagram):
     return sum(1 for r in sr.negatives() if r.valence > 1)
 
 
-def valence_concentration_path(config, cap=DEFAULT_CAP):
+def valence_concentration_path(config):
     """Walk to a tree-hugging configuration through tight neighbours.
 
     Face by face, while a disc has two negative regions of valence above
@@ -403,7 +403,7 @@ def valence_concentration_path(config, cap=DEFAULT_CAP):
         while _excess_count(trinity, fid, current.diagram(fid)) > 1:
             best = None
             top = _max_negative_valence(trinity, fid, current.diagram(fid))
-            for alt in dividing.enumerate_chord_diagrams(trinity.n_r[fid], cap):
+            for alt in dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap):
                 if alt == current.diagram(fid):
                     continue
                 if _max_negative_valence(trinity, fid, alt) <= top:

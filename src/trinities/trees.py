@@ -269,15 +269,17 @@ class MagicReport:
         }
 
 
-def magic_number(trinity, cap=DEFAULT_CAP):
+def magic_number(trinity):
     """Count arborescences of all three duals and hypertrees of all six
     hypergraphs; the verdict passes iff every populated count agrees.
 
-    Duals and hypertree sets come from the trinity's memoised copies;
+    Duals and hypertree sets come from the trinity's memoised copies, and
+    a count over the trinity's cap is left out (``None``);
     ``Trinity.magic_report`` memoises the report itself.
     """
     from .hypertrees import HYPERGRAPH_LABELS
 
+    cap = trinity.cap
     det = {}
     enum = {}
     for colour in ("violet", "emerald", "red"):
@@ -292,7 +294,7 @@ def magic_number(trinity, cap=DEFAULT_CAP):
     hyper = {}
     for label in HYPERGRAPH_LABELS:
         try:
-            hyper[label] = len(trinity.hypertree_set(label, cap))
+            hyper[label] = len(trinity.hypertree_set(label))
         except CapExceeded:
             hyper[label] = None
 

@@ -16,9 +16,8 @@ black to white triangles, which are balanced.
 A ``Trinity`` owns the products computed from it: the directed duals, the
 six hypertree sets, the magic-number report, the disc charts and glue map
 of the dividing-set layer and each disc's Euler contribution are built at
-most once per trinity and shared by every caller. A cached hypertree set is handed out only after
-its Kirchhoff count is checked against the caller's cap, so a cache hit
-never gets round a smaller cap.
+most once per trinity and shared by every caller. The enumeration cap is
+fixed when the trinity is built, so every product is a plain memo.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import cached_property
 
 from . import hypertrees, trees
 from .dividing import DiscChart
-from .limits import DEFAULT_CAP, check_cap
+from .limits import DEFAULT_CAP
 from .plane_graph import Edge, RotationGraph, Vertex, ensure_bicoloured
 
 BLACK = "black"
@@ -71,20 +70,19 @@ class DirectedDual:
     def is_balanced(self):
         return all(self.out_degree(v) == self.in_degree(v) for v in self.vertices)
 
-    def in_arcs(self, v):
-        return [a for a in self.arcs if a.head == v]
-
 
 class Trinity:
     """Trinity generated by a connected plane bipartite graph.
 
     Red vertex ids are the face ids of the input graph, so hypertree
     vectors, Euler class vectors and census entries all share one index.
+    ``cap`` bounds every enumeration run for the trinity's products.
     """
 
-    def __init__(self, graph: RotationGraph):
+    def __init__(self, graph: RotationGraph, cap=DEFAULT_CAP):
         graph = ensure_bicoloured(graph)
         self.graph = graph
+        self.cap = cap
         self.violet = graph.colour_classes.get("violet", ())
         self.emerald = graph.colour_classes.get("emerald", ())
         self.red = tuple(sorted(graph.faces))
@@ -94,10 +92,7 @@ class Trinity:
         }
         self.triangles = self._build_triangles()
         self._duals = {}
-        # label -> (Kirchhoff count of the host graph, hypertree set)
         self._hypertrees = {}
-        # cap -> MagicReport; which counts a report leaves out depends on the cap
-        self._magic = {}
         # (face, diagram) -> Euler contribution, filled by dividing.disc_euler
         self.disc_eulers = {}
 
@@ -217,30 +212,20 @@ class Trinity:
 
     # -- hypertrees and the magic number ---------------------------------------
 
-    def hypertree_set(self, label, cap=DEFAULT_CAP):
-        """Hypertrees of the hypergraph ``label`` with one witness tree each.
-
-        Enumerated once per trinity; every call, the first included, checks
-        the host graph's Kirchhoff count against ``cap`` and raises
-        ``CapExceeded`` above it.
-        """
-        entry = self._hypertrees.get(label)
-        if entry is not None:
-            check_cap(entry[0], cap, "spanning tree enumeration")
-            return entry[1]
-        hypergraph = hypertrees.trinity_hypergraph_by_label(self, label)
-        needed = trees.spanning_tree_count(hypergraph.bip)
-        check_cap(needed, cap, "spanning tree enumeration")
-        found = hypertrees.enumerate_hypertrees(hypergraph, cap=None)
-        self._hypertrees[label] = (needed, found)
+    def hypertree_set(self, label):
+        """Hypertrees of the hypergraph ``label`` with one witness tree each (memoised)."""
+        found = self._hypertrees.get(label)
+        if found is None:
+            hypergraph = hypertrees.trinity_hypergraph_by_label(self, label)
+            found = self._hypertrees[label] = hypertrees.enumerate_hypertrees(
+                hypergraph, self.cap
+            )
         return found
 
-    def magic_report(self, cap=DEFAULT_CAP):
-        """``trees.magic_number`` of this trinity, computed once per cap value."""
-        report = self._magic.get(cap)
-        if report is None:
-            report = self._magic[cap] = trees.magic_number(self, cap)
-        return report
+    @cached_property
+    def magic_report(self):
+        """``trees.magic_number`` of this trinity."""
+        return trees.magic_number(self)
 
     # -- dividing-set bookkeeping ----------------------------------------------
 
@@ -293,24 +278,6 @@ class Trinity:
         }
 
 
-def build_trinity(graph):
+def build_trinity(graph, cap=DEFAULT_CAP):
     """Construct the trinity of a validated plane bipartite graph."""
-    return Trinity(graph)
-
-
-def colour_graph(trinity, colour):
-    if colour == "violet":
-        return trinity.violet_graph
-    if colour == "emerald":
-        return trinity.emerald_graph
-    if colour == "red":
-        return trinity.red_graph
-    raise ValueError(f"unknown colour {colour!r}")
-
-
-def directed_dual(trinity, colour):
-    return trinity.directed_dual(colour)
-
-
-def trinity_census(trinity):
-    return trinity.census()
+    return Trinity(graph, cap)

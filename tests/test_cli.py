@@ -230,6 +230,17 @@ def test_model_failures_fail_classify(capsys, c4_file, monkeypatch, owner, name,
     assert "classify: FAIL (" + reason in err
 
 
+def test_mapping_failure_fails_correspond(capsys, fig8_file, monkeypatch):
+    real_states = fkt.enumerate_states
+    monkeypatch.setattr(fkt, "enumerate_states", lambda universe, cap: real_states(universe, cap)[1:])
+    code, out, err = run(capsys, "correspond", "--universe", fig8_file)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["reason"].startswith("MappingFailure: ")
+    assert "correspond: FAIL (MappingFailure" in err
+
+
 def test_verify_enumerates_each_tree_family_once(graphs, monkeypatch):
     calls = {"spanning": 0, "arborescence": 0}
     real_spanning = trees.enumerate_spanning_trees
@@ -256,8 +267,8 @@ def test_finished_verification_releases_its_trinity(graphs, monkeypatch):
     built = []
     real_build = trinity.build_trinity
 
-    def build(graph):
-        t = real_build(graph)
+    def build(graph, cap):
+        t = real_build(graph, cap)
         built.append(weakref.ref(t))
         return t
 

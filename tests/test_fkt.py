@@ -187,6 +187,30 @@ def test_clock_graph_hopf_shape(universes):
     assert clock.report["arcs"] == 1
 
 
+def _patch_clockwise_arcs(monkeypatch, n, successors):
+    """Make clock_graph see states 0..n-1 with the given clockwise moves."""
+    monkeypatch.setattr(fkt, "enumerate_states", lambda universe, cap: tuple(range(n)))
+    monkeypatch.setattr(
+        fkt, "transpositions", lambda universe, s: [(t, fkt.CLOCKWISE) for t in successors(s)]
+    )
+
+
+def test_clock_graph_long_chain_needs_no_recursion(monkeypatch):
+    # a chain deeper than the interpreter's recursion limit
+    n = 5000
+    _patch_clockwise_arcs(monkeypatch, n, lambda s: [s + 1] if s + 1 < n else [])
+    report = fkt.clock_graph(None).report
+    assert report["states"] == n and report["arcs"] == n - 1
+    assert report["acyclic"] and report["ok"]
+
+
+def test_clock_graph_reports_a_cycle(monkeypatch):
+    _patch_clockwise_arcs(monkeypatch, 3, lambda s: [(s + 1) % 3])
+    report = fkt.clock_graph(None).report
+    assert report["acyclic"] is False
+    assert report["ok"] is False
+
+
 def test_universe_dual_hopf_is_four_cycle(universes, graphs):
     dual = fkt.universe_dual_graph(universes["hopf"])
     assert pg.canonical_form(dual) == pg.canonical_form(graphs["cycle4"])

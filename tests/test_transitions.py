@@ -116,9 +116,9 @@ def test_configuration_graph_four_cycle(trinities):
     assert cg.component_count() == 2
 
 
-def test_configuration_graph_cap(trinities):
+def test_configuration_graph_cap(graphs):
     with pytest.raises(CapExceeded):
-        tx.build_configuration_graph(trinities["grid2"], cap=100)
+        tx.build_configuration_graph(trinity.build_trinity(graphs["grid2"], cap=100))
 
 
 def test_component_count_equals_magic(trinities):

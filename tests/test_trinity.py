@@ -63,22 +63,22 @@ def test_shades_alternate_around_every_flank(trinities):
 
 def test_red_colour_graph_is_the_input(trinities, graphs):
     for name, t in trinities.items():
-        assert tr.colour_graph(t, "red") is graphs[name]
+        assert t.red_graph is graphs[name]
 
 
 def test_four_cycle_violet_graph_is_a_four_cycle(trinities):
-    gv = tr.colour_graph(trinities["cycle4"], "violet")
+    gv = trinities["cycle4"].violet_graph
     # hand construction: two emerald vertices and two red vertices in a cycle
     assert len(gv.vertices) == 4
     assert len(gv.edges) == 4
     assert all(gv.degree(v) == 2 for v in gv.vertices)
-    assert pg.canonical_form(gv) == pg.canonical_form(tr.colour_graph(trinities["cycle4"], "red"))
+    assert pg.canonical_form(gv) == pg.canonical_form(trinities["cycle4"].red_graph)
 
 
 def test_colour_graphs_are_plane_bipartite_with_n_edges(trinities):
     for t in trinities.values():
         for colour in ("violet", "emerald", "red"):
-            cg = tr.colour_graph(t, colour)
+            cg = getattr(t, f"{colour}_graph")
             assert len(cg.edges) == t.n
             # class tags vary per colour graph; validate the structure bare
             bare = pg.with_colours(cg, {v: None for v in cg.vertices})
@@ -137,7 +137,7 @@ def test_rebuilding_from_any_colour_graph_gives_the_same_trinity(trinities):
             pg.canonical_form(x) for x in (t.red_graph, t.violet_graph, t.emerald_graph)
         )
         for colour in ("violet", "emerald"):
-            cg = tr.colour_graph(t, colour)
+            cg = getattr(t, f"{colour}_graph")
             mapping = {}
             classes = sorted(c for c in cg.colour_classes if c is not None)
             for new, old in zip(("violet", "emerald"), classes):
@@ -159,14 +159,15 @@ def test_build_trinity_requires_bipartite():
 
 
 def test_cached_products_still_honour_the_cap(graphs):
-    t = tr.build_trinity(graphs["grid2"])
-    assert t.directed_dual("violet") is t.directed_dual("violet")
-    found = t.hypertree_set("ER", cap=None)
-    assert t.hypertree_set("ER") is found
+    uncapped = tr.build_trinity(graphs["grid2"], cap=None)
+    assert uncapped.directed_dual("violet") is uncapped.directed_dual("violet")
+    found = uncapped.hypertree_set("ER")
+    assert uncapped.hypertree_set("ER") is found
+    assert uncapped.magic_report is uncapped.magic_report
+    assert uncapped.magic_report.hypertrees["ER"] == len(found)
     # the violet graph of grid 2 has more than 3 spanning trees
-    with pytest.raises(CapExceeded, match="spanning tree enumeration"):
-        t.hypertree_set("ER", cap=3)
-    uncapped = t.magic_report(cap=None)
-    assert t.magic_report(cap=None) is uncapped
-    capped = t.magic_report(cap=3)
-    assert capped.hypertrees["ER"] is None and uncapped.hypertrees["ER"] == len(found)
+    capped = tr.build_trinity(graphs["grid2"], cap=3)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="spanning tree enumeration"):
+            capped.hypertree_set("ER")
+    assert capped.magic_report.hypertrees["ER"] is None
