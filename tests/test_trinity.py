@@ -171,3 +171,58 @@ def test_cached_products_still_honour_the_cap(graphs):
         with pytest.raises(CapExceeded, match="spanning tree enumeration"):
             capped.hypertree_set("ER")
     assert capped.magic_report.hypertrees["ER"] is None
+
+
+def _corner_of(triangle, colour):
+    return triangle.face if colour == "red" else getattr(triangle, colour)
+
+
+def test_dual_arcs_run_black_to_white(trinities):
+    # every dual arc crosses one colour-graph edge and runs from that colour's
+    # corner of the black flanking triangle to its corner of the white one
+    for name, t in trinities.items():
+        g = t.graph
+        by_position = {(x.face, x.index): x for x in t.triangles}
+        flanks = {
+            "red": {
+                eid: tuple(by_position[g.position_of(d)] for d in g.edges[eid].darts)
+                for eid in g.edges
+            }
+        }
+        for colour, corner_colour in (("violet", "emerald"), ("emerald", "violet")):
+            flanks[colour] = {
+                t.corner_id(fid, i): (
+                    by_position[(fid, i)],
+                    by_position[(fid, (i + 1) % len(g.faces[fid].boundary))],
+                )
+                for fid, i, _w in t.corners(corner_colour)
+            }
+        for colour, crossed in flanks.items():
+            arcs = t.directed_dual(colour).arcs
+            assert sorted(a.id for a in arcs) == sorted(crossed), (name, colour)
+            for arc in arcs:
+                x, y = crossed[arc.id]
+                assert {x.shade, y.shade} == {"black", "white"}, (name, arc)
+                black, white = (x, y) if x.shade == "black" else (y, x)
+                assert arc.tail == _corner_of(black, colour), (name, colour, arc)
+                assert arc.head == _corner_of(white, colour), (name, colour, arc)
+
+
+def test_shade_convention_fixture(trinities):
+    # frozen convention: the triangle of a dart leaving a violet vertex is black
+    t = trinities["path1"]
+    g = t.graph
+    (violet,) = t.violet
+    (dart,) = g.vertices[violet].rotation
+    (triangle,) = [x for x in t.triangles if x.dart == dart]
+    assert triangle.shade == "black"
+    assert (triangle.violet, triangle.emerald) == (violet, g.target(dart))
+    # ... so each red dual arc of the four-cycle leaves the face of its
+    # edge's violet-to-emerald dart
+    arcs = trinities["cycle4"].directed_dual("red").arcs
+    assert [(a.id, a.tail, a.head) for a in arcs] == [
+        ("e0", "f0", "f1"),
+        ("e1", "f1", "f0"),
+        ("e2", "f0", "f1"),
+        ("e3", "f1", "f0"),
+    ]
