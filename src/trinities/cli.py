@@ -442,7 +442,7 @@ USAGE_ERRORS = (
     fkt.CountMismatch,
     UnknownFamily,
     CapExceeded,
-    FileNotFoundError,
+    OSError,
     json.JSONDecodeError,
 )
 

@@ -55,7 +55,10 @@ def parse_universe(document):
     if not isinstance(document, dict) or "stars" not in document:
         raise plane_graph.SchemaError("universe document needs a 'stars' field")
     graph = parse_graph({k: v for k, v in document.items() if k != "stars"})
-    stars = tuple(str(s) for s in document["stars"])
+    stars = document["stars"]
+    if not isinstance(stars, list) or not all(isinstance(s, str) for s in stars):
+        raise plane_graph.SchemaError(f"stars must be a list of two face ids, not {stars!r}")
+    stars = tuple(stars)
     if len(stars) != 2 or len(set(stars)) != 2:
         raise plane_graph.SchemaError("stars must name two distinct faces")
     for v in graph.vertices.values():

@@ -40,39 +40,27 @@ class Hypergraph:
     def hyperedge_ids(self):
         return tuple(h for h, _ in self.hyperedges)
 
-    def members(self, hyperedge):
-        return dict(self.hyperedges)[hyperedge]
-
 
 def trinity_hypergraph(trinity, vertex_colour, hyperedge_colour):
-    """One of the six hypergraphs of a trinity."""
-    pair = {vertex_colour, hyperedge_colour}
-    if pair == {"violet", "emerald"}:
-        bip = trinity.red_graph
-    elif pair == {"emerald", "red"}:
-        bip = trinity.violet_graph
-    elif pair == {"violet", "red"}:
-        bip = trinity.emerald_graph
-    else:
+    """One of the six hypergraphs of a trinity, hosted by the third colour's graph."""
+    rest = set(_COLOUR_OF_LETTER.values()) - {vertex_colour, hyperedge_colour}
+    if len(rest) != 1:
         raise ValueError(f"bad colour pair {vertex_colour!r}/{hyperedge_colour!r}")
+    (third,) = rest
+    bip = getattr(trinity, f"{third}_graph")
     hyperedges = []
     for h in bip.colour_classes[hyperedge_colour]:
         members = frozenset(
             bip.target(d) for d in bip.vertices[h].rotation
         )
         hyperedges.append((h, members))
-    label = _label_for(vertex_colour, hyperedge_colour)
+    label = (vertex_colour[0] + hyperedge_colour[0]).upper()
     return Hypergraph(label, vertex_colour, hyperedge_colour, bip, tuple(hyperedges))
 
 
 def trinity_hypergraph_by_label(trinity, label):
     v, h = label
     return trinity_hypergraph(trinity, _COLOUR_OF_LETTER[v], _COLOUR_OF_LETTER[h])
-
-
-def _label_for(vertex_colour, hyperedge_colour):
-    inv = {v: k for k, v in _COLOUR_OF_LETTER.items()}
-    return inv[vertex_colour] + inv[hyperedge_colour]
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ disc; transitions confined to a single disc connect any two tight variants
 of that disc, so this edge relation yields the same component partition as
 explicit bypass surgery while avoiding attaching-arc bookkeeping. Bypass
 moves themselves (re-matching three chords by rotating their six endpoints
-one step around the hexagon) are generated for cross-checks and for the
-valence-concentration walk.
+one step around the hexagon) are generated for cross-checks only; the
+valence-concentration walk scans ``dividing.enumerate_chord_diagrams``
+instead.
 """
 
 from __future__ import annotations

@@ -11,7 +11,10 @@ vertex. The two shades alternate around every vertex.
 From the trinity we expose the three colour graphs (the violet graph on
 emerald+red vertices, the emerald graph on red+violet vertices, and the red
 graph, which is the input itself) and their planar duals directed from
-black to white triangles, which are balanced.
+black to white triangles, which are balanced. The shade rule lives in
+``_build_triangles`` only: each dual arc crosses one colour-graph edge and
+is read off the two triangles flanking it, from that colour's corner of the
+black one to its corner of the white one.
 
 A ``Trinity`` owns the products computed from it: the directed duals, the
 six hypertree sets, the magic-number report, the disc charts and glue map
@@ -44,6 +47,11 @@ class Triangle:
     shade: str
     violet: str
     emerald: str
+
+    @property
+    def red(self):
+        """The red corner: the face the triangle lies in."""
+        return self.face
 
 
 @dataclass(frozen=True)
@@ -180,34 +188,32 @@ class Trinity:
         return dual
 
     def _build_directed_dual(self, colour):
+        # each arc crosses one edge of the colour graph, from that colour's
+        # corner of the black flanking triangle to its corner of the white one
         g = self.graph
+        of_dart = {x.dart: x for x in self.triangles}
         if colour == "red":
-            arcs = []
+            # the triangles of the edge's two darts
+            flanks = []
             for eid in sorted(g.edges):
                 a, b = g.edges[eid].darts
-                if g.colour_of(g.origin(a)) != "violet":
-                    a, b = b, a
-                arcs.append(Arc(eid, g.face_of(a), g.face_of(b)))
-            return DirectedDual("red", self.red, tuple(arcs))
-        if colour == "violet":
-            corner_colour, mine = "emerald", "violet"
-        elif colour == "emerald":
-            corner_colour, mine = "violet", "emerald"
+                flanks.append((eid, of_dart[a], of_dart[b]))
+            vertices = self.red
+        elif colour in ("violet", "emerald"):
+            # the triangles of the darts entering and leaving the corner
+            corner_colour = "emerald" if colour == "violet" else "violet"
+            flanks = []
+            for fid, i, _w in self.corners(corner_colour):
+                boundary = g.faces[fid].boundary
+                d_in, d_out = boundary[i], boundary[(i + 1) % len(boundary)]
+                flanks.append((self.corner_id(fid, i), of_dart[d_in], of_dart[d_out]))
+            vertices = g.colour_classes[colour]
         else:
             raise ValueError(f"unknown colour {colour!r}")
         arcs = []
-        for fid, i, _w in self.corners(corner_colour):
-            boundary = g.faces[fid].boundary
-            d_in = boundary[i]
-            d_out = boundary[(i + 1) % len(boundary)]
-            # flanking triangles: the one of d_in is black iff its origin is
-            # violet, and the two shades always differ across the corner edge
-            if mine == "violet":
-                tail, head = g.origin(d_in), g.target(d_out)
-            else:
-                tail, head = g.target(d_out), g.origin(d_in)
-            arcs.append(Arc(self.corner_id(fid, i), tail, head))
-        vertices = g.colour_classes[mine]
+        for arc_id, x, y in flanks:
+            black, white = (x, y) if x.shade == BLACK else (y, x)
+            arcs.append(Arc(arc_id, getattr(black, colour), getattr(white, colour)))
         return DirectedDual(colour, vertices, tuple(arcs))
 
     # -- hypertrees and the magic number ---------------------------------------
@@ -231,23 +237,19 @@ class Trinity:
 
     @cached_property
     def charts(self):
-        """Face id -> DiscChart: signs of the boundary arcs and their corners."""
-        g = self.graph
-        out = {}
-        for fid in self.red:
-            boundary = g.faces[fid].boundary
-            signs = []
-            corners = []
-            for i, d in enumerate(boundary):
-                w = g.target(d)
-                if g.colour_of(w) == "violet":
-                    signs.append(1)
-                    corners.append(None)
-                else:
-                    signs.append(-1)
-                    corners.append(self.corner_id(fid, i))
-            out[fid] = DiscChart(fid, self.n_r[fid], tuple(signs), tuple(corners))
-        return out
+        """Face id -> DiscChart: signs of the boundary arcs and their corners.
+
+        An arc is negative exactly when it ends at an emerald corner.
+        """
+        signs = {fid: [1] * (2 * k) for fid, k in self.n_r.items()}
+        corners = {fid: [None] * (2 * k) for fid, k in self.n_r.items()}
+        for fid, i, _w in self.corners("emerald"):
+            signs[fid][i] = -1
+            corners[fid][i] = self.corner_id(fid, i)
+        return {
+            fid: DiscChart(fid, self.n_r[fid], tuple(signs[fid]), tuple(corners[fid]))
+            for fid in self.red
+        }
 
     @cached_property
     def glue_map(self):

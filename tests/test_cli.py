@@ -57,6 +57,27 @@ def test_missing_file_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("census", "--graph"), ("states", "--universe")], ids=["graph", "universe"]
+)
+def test_unreadable_path_is_usage_error(capsys, tmp_path, argv):
+    # a directory cannot be opened as a file: IsADirectoryError, an OSError
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("stars", [None, 5, "ab"], ids=["null", "number", "string"])
+def test_stars_of_the_wrong_type_are_a_usage_error(capsys, tmp_path, stars):
+    doc = {**fkt.figure_eight_universe(), "stars": stars}
+    path = write_json(tmp_path, "universe.json", doc)
+    code, out, err = run(capsys, "states", "--universe", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: stars must be a list of two face ids")
+
+
 def test_census_running_example(capsys, tmp_path):
     path = write_json(tmp_path, "running.json", running_example_document())
     code, out, _err = run(capsys, "census", "--graph", path)

@@ -173,3 +173,22 @@ def test_hypergraph_reproduces_adjacency(trinities):
             neighbours = {bip.target(d) for d in bip.vertices[h].rotation}
             assert members == neighbours
             assert members  # hyperedges are non-empty
+
+
+def test_hypergraph_host_is_the_third_colour_graph(trinities):
+    t = trinities["running11"]
+    hosts = {
+        "VE": t.red_graph,
+        "EV": t.red_graph,
+        "ER": t.violet_graph,
+        "RE": t.violet_graph,
+        "VR": t.emerald_graph,
+        "RV": t.emerald_graph,
+    }
+    for label, host in hosts.items():
+        hg = ht.trinity_hypergraph_by_label(t, label)
+        assert hg.label == label
+        assert hg.bip is host
+    for pair in (("violet", "violet"), ("red", "blue")):
+        with pytest.raises(ValueError, match="bad colour pair"):
+            ht.trinity_hypergraph(t, *pair)
