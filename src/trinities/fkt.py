@@ -14,6 +14,7 @@ pinned by a regression fixture, since only its consistency matters here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import dividing, plane_graph, transitions, trinity as trinity_mod
 from .limits import DEFAULT_CAP, check_cap
@@ -48,6 +49,14 @@ class Universe:
     @property
     def unstarred(self):
         return tuple(f for f in sorted(self.graph.faces) if f not in self.stars)
+
+    @cached_property
+    def quadrants(self):
+        """{vertex: the faces of its quadrants 0..3}, traced once per universe."""
+        return {
+            v: tuple(quadrant_face(self.graph, v, k) for k in range(4))
+            for v in self.graph.vertices
+        }
 
 
 def parse_universe(document):
@@ -86,9 +95,6 @@ def parse_universe(document):
 class UniverseState:
     markers: tuple  # sorted (vertex id, quadrant index) pairs
 
-    def marker(self, v):
-        return dict(self.markers)[v]
-
     def to_json(self):
         return {"markers": {v: k for v, k in self.markers}}
 
@@ -99,30 +105,40 @@ def quadrant_face(graph, v, k):
 
 
 def enumerate_states(universe, cap=DEFAULT_CAP):
-    """All marker assignments covering each unstarred face exactly once."""
-    g = universe.graph
-    verts = sorted(g.vertices)
+    """All marker assignments covering each unstarred face exactly once.
+
+    Depth-first over the vertices in id order, trying quadrants 0..3 at
+    each; an explicit choice array replaces recursion, so the interpreter's
+    stack depth does not grow with the number of crossings.
+    """
+    verts = sorted(universe.graph.vertices)
     check_cap(4 ** len(verts), cap, "state search space")
+    quads = [universe.quadrants[v] for v in verts]
+    n = len(verts)
     states = []
-    used = set()
-    markers = {}
-
-    def rec(i):
-        if i == len(verts):
-            states.append(UniverseState(tuple(sorted(markers.items()))))
-            return
-        v = verts[i]
-        for k in range(4):
-            face = quadrant_face(g, v, k)
-            if face in universe.stars or face in used:
-                continue
-            used.add(face)
-            markers[v] = k
-            rec(i + 1)
-            used.discard(face)
-            del markers[v]
-
-    rec(0)
+    used = set(universe.stars)
+    # choice[i] is the quadrant taken at vertex i on the branch being
+    # explored, or -1 before the first try
+    choice = [-1] * n
+    i = 0
+    while i >= 0:
+        if i == n:
+            states.append(UniverseState(tuple(zip(verts, choice))))
+            i -= 1
+            continue
+        k = choice[i]
+        if k >= 0:
+            used.discard(quads[i][k])
+        k += 1
+        while k < 4 and quads[i][k] in used:
+            k += 1
+        if k == 4:
+            choice[i] = -1
+            i -= 1
+        else:
+            choice[i] = k
+            used.add(quads[i][k])
+            i += 1
     return tuple(states)
 
 
@@ -199,25 +215,41 @@ def transpositions(universe, state):
 
     The markers of v and w rotate one quadrant the same way and their
     faces swap; only the face identities matter, so the two vertices may
-    be far apart.
+    be far apart. A state marks every unstarred face exactly once, so for
+    a vertex v and a step the only possible partner is the vertex whose
+    marker sits on v's quadrant one step on; a starred or self-marked face
+    there means no partner. One lookup per vertex and direction replaces
+    a scan over all pairs. Moves come out ordered by v, then w, then
+    clockwise first.
     """
-    g = universe.graph
-    markers = dict(state.markers)
-    verts = sorted(markers)
+    quads = universe.quadrants
+    markers = state.markers
+    # position in ``markers`` of the vertex marking each face; markers are
+    # sorted by vertex, so positions compare as the vertices do
+    marker_on = {quads[v][k]: i for i, (v, k) in enumerate(markers)}
     out = []
-    for i, v in enumerate(verts):
-        for w in verts[i + 1:]:
-            for direction, step in ((CLOCKWISE, -1), (COUNTERCLOCKWISE, 1)):
-                kv, kw = markers[v], markers[w]
-                fv, fw = quadrant_face(g, v, kv), quadrant_face(g, w, kw)
-                if quadrant_face(g, v, (kv + step) % 4) != fw:
-                    continue
-                if quadrant_face(g, w, (kw + step) % 4) != fv:
-                    continue
-                new = dict(markers)
-                new[v] = (kv + step) % 4
-                new[w] = (kw + step) % 4
-                out.append((UniverseState(tuple(sorted(new.items()))), direction))
+    for i, (v, kv) in enumerate(markers):
+        qv = quads[v]
+        fv = qv[kv]
+        clockwise_partner = None
+        for direction, step in ((CLOCKWISE, -1), (COUNTERCLOCKWISE, 1)):
+            kv2 = (kv + step) % 4
+            j = marker_on.get(qv[kv2], -1)
+            if j <= i:  # a starred face, v itself, or a pair found from w's side
+                continue
+            w, kw = markers[j]
+            kw2 = (kw + step) % 4
+            if quads[w][kw2] != fv:
+                continue
+            new = list(markers)
+            new[i] = (v, kv2)
+            new[j] = (w, kw2)
+            move = (UniverseState(tuple(new)), direction)
+            if clockwise_partner is not None and j < clockwise_partner:
+                out.insert(-1, move)  # the all-pairs order: by w, clockwise first
+            else:
+                out.append(move)
+            clockwise_partner = j
     return out
 
 
@@ -334,13 +366,14 @@ def state_configuration(universe, dual, trin, state):
     boundary points of the dual face at that vertex.
     """
     g = universe.graph
+    markers = dict(state.markers)
     diagrams = {}
     for fid in trin.red:
         boundary = dual.faces[fid].boundary
         x = _dual_face_vertex(universe, dual, fid)
         point_of = {g.reverse(t): i for i, t in enumerate(boundary)}
         pairs = []
-        for pair in split_pairs(g, x, state.marker(x) % 2):
+        for pair in split_pairs(g, x, markers[x] % 2):
             a, b = pair
             pairs.append(tuple(sorted((point_of[a], point_of[b]))))
         diagrams[fid] = dividing.ChordDiagram.from_pairs(2, pairs)

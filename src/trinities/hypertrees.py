@@ -87,15 +87,33 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
     """Deduplicated hypertree set with one witness tree per vector.
 
     Witnesses keep the first realizing tree in canonical enumeration order.
+    Each edge of the host graph is mapped once to the slot of its endpoint
+    in the hyperedge class (the host is bipartite, so there is exactly
+    one), and each tree's record is counted into those slots;
+    ``hypertree_of`` is the single-tree reference.
     """
+    bip, colour = hypergraph.bip, hypergraph.hyperedge_colour
+    classes = bip.colour_classes
+    if colour not in classes:
+        raise WrongClass(f"host graph has no {colour!r} class")
+    ids = classes[colour]  # sorted, as in every vector
+    slot = {h: i for i, h in enumerate(ids)}
+    slot_of_edge = {}
+    for eid in bip.edges:
+        for v in bip.endpoints(eid):
+            if v in slot:
+                slot_of_edge[eid] = slot[v]
     found = {}
-    for tree in enumerate_spanning_trees(
-        hypergraph.bip, record_colour=hypergraph.hyperedge_colour, cap=cap
-    ):
-        ht = hypertree_of(tree, hypergraph.hyperedge_colour)
-        if ht.vector not in found:
-            found[ht.vector] = ht
-    return tuple(found[v] for v in sorted(found))
+    for tree in enumerate_spanning_trees(bip, record_colour=colour, cap=cap):
+        counts = [-1] * len(ids)
+        for eid in tree.edges:
+            counts[slot_of_edge[eid]] += 1
+        key = tuple(counts)
+        if key not in found:
+            found[key] = tree
+    return tuple(
+        Hypertree(tuple(zip(ids, key)), found[key]) for key in sorted(found)
+    )
 
 
 def translate_offset(set_a, set_b):

@@ -80,3 +80,46 @@ def corpus_graphs():
         name: plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc))
         for name, doc in corpus_documents().items()
     }
+
+
+def path_document(k):
+    """Path with k edges p0..p{k-1}, of any length (the generator stops at 64)."""
+    vertices = []
+    for i in range(k + 1):
+        rotation = []
+        if i > 0:
+            rotation.append(f"p{i - 1}.1")
+        if i < k:
+            rotation.append(f"p{i}.0")
+        vertices.append({"id": f"v{i}", "colour": None, "rotation": rotation})
+    edges = [{"id": f"p{i}", "darts": [f"p{i}.0", f"p{i}.1"]} for i in range(k)]
+    return {"vertices": vertices, "edges": edges}
+
+
+def medial_universe_document(doc, star_dart):
+    """Medial graph of a plane graph, as a universe document.
+
+    One crossing per edge, named by the edge's position in the document so
+    that crossing ids sort in edge order, and one medial edge ``m:<d>`` per
+    corner of a face, joining the crossing of dart d to the crossing of the
+    next dart along d's face. The two faces flanking ``m:<star_dart>`` are
+    starred. The states then biject with the spanning trees of the graph.
+    """
+    graph = plane_graph.parse_graph(doc)
+    prev = {}
+    for face in graph.faces.values():
+        for i, d in enumerate(face.boundary):
+            prev[d] = face.boundary[i - 1]
+    width = len(str(len(doc["edges"])))
+    vertices = []
+    for i, edge in enumerate(doc["edges"]):
+        a, b = edge["darts"]
+        # counterclockwise with a pointing east: ahead of a on its left,
+        # behind a on its left, ahead of b on its left, behind b on its left
+        rotation = [f"m:{a}.0", f"m:{prev[a]}.1", f"m:{b}.0", f"m:{prev[b]}.1"]
+        vertices.append({"id": f"x{i:0{width}d}", "colour": None, "rotation": rotation})
+    edges = [{"id": f"m:{d}", "darts": [f"m:{d}.0", f"m:{d}.1"]} for d in sorted(prev)]
+    medial = {"vertices": vertices, "edges": edges}
+    medial_graph = plane_graph.parse_graph(medial)
+    medial["stars"] = sorted(medial_graph.face_of(f"m:{star_dart}.{j}") for j in (0, 1))
+    return medial

@@ -1,20 +1,41 @@
 """Universes, states, trails, transpositions, the clock graph and the
 state/configuration correspondence."""
 
+import sys
 from itertools import product
 
 import pytest
 
-from corpus import corpus_documents
+from corpus import corpus_documents, medial_universe_document, path_document
 from trinities import fkt
 from trinities import plane_graph as pg
 from trinities import trees
 from trinities import trinity as tr
+from trinities.cli import generate_corpus
 
 
 @pytest.fixture(scope="module")
 def universes():
     return {name: fkt.parse_universe(builder()) for name, builder in fkt.BUILTIN_UNIVERSES.items()}
+
+
+MEDIAL_SPECS = {"medial_ladder3": ("ladder", 3), "medial_grid2": ("grid", 2)}
+
+
+@pytest.fixture(scope="module")
+def medial_universes():
+    """Medial universes of two corpus graphs, starred at their first edge."""
+    out = {}
+    for name, (family, size) in MEDIAL_SPECS.items():
+        (doc,) = generate_corpus(family, size)
+        star = doc["edges"][0]["darts"][0]
+        out[name] = (fkt.parse_universe(medial_universe_document(doc, star)), doc)
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_universes(universes, medial_universes):
+    return {**universes, **{name: u for name, (u, _doc) in medial_universes.items()}}
 
 
 def splitting_oracle(universe):
@@ -122,6 +143,29 @@ def test_state_search_cap(universes):
         fkt.enumerate_states(universes["figure_eight"], cap=10)
 
 
+def test_medial_state_counts_are_tree_counts(medial_universes):
+    # Kauffman's state-tree bijection; also pins the lexicographic state order
+    for name, (u, doc) in medial_universes.items():
+        states = fkt.enumerate_states(u, cap=None)
+        assert len(states) == trees.spanning_tree_count(pg.parse_graph(doc)), name
+        choices = [tuple(k for _v, k in s.markers) for s in states]
+        assert choices == sorted(set(choices)), name
+
+
+def test_state_order_is_lexicographic(universes):
+    for name, u in universes.items():
+        assert list(fkt.enumerate_states(u)) == state_oracle(u), name
+
+
+def test_state_search_needs_no_recursion():
+    # more crossings than the interpreter's recursion limit
+    k = sys.getrecursionlimit() + 100
+    u = fkt.parse_universe(medial_universe_document(path_document(k), "p0.0"))
+    (state,) = fkt.enumerate_states(u, cap=None)
+    faces = [fkt.quadrant_face(u.graph, v, q) for v, q in state.markers]
+    assert sorted(faces) == sorted(u.unstarred)
+
+
 def test_transpositions_curl(universes):
     u = universes["curl"]
     (state,) = fkt.enumerate_states(u)
@@ -169,6 +213,47 @@ def test_transpositions_yield_valid_states(universes):
         for s in states:
             for s2, _ in fkt.transpositions(u, s):
                 assert s2 in states
+
+
+def all_pairs_transpositions(universe, state):
+    """Oracle: try every pair of vertices in both directions."""
+    g = universe.graph
+    markers = dict(state.markers)
+    verts = sorted(markers)
+    out = []
+    for i, v in enumerate(verts):
+        for w in verts[i + 1:]:
+            for direction, step in ((fkt.CLOCKWISE, -1), (fkt.COUNTERCLOCKWISE, 1)):
+                kv, kw = markers[v], markers[w]
+                fv, fw = fkt.quadrant_face(g, v, kv), fkt.quadrant_face(g, w, kw)
+                if fkt.quadrant_face(g, v, (kv + step) % 4) != fw:
+                    continue
+                if fkt.quadrant_face(g, w, (kw + step) % 4) != fv:
+                    continue
+                new = dict(markers)
+                new[v] = (kv + step) % 4
+                new[w] = (kw + step) % 4
+                out.append((fkt.UniverseState(tuple(sorted(new.items()))), direction))
+    return out
+
+
+ORACLE_NAMES = ["curl", "hopf", "figure_eight", *MEDIAL_SPECS]
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_transpositions_match_all_pairs_scan(oracle_universes, name):
+    u = oracle_universes[name]
+    for s in fkt.enumerate_states(u, cap=None):
+        assert fkt.transpositions(u, s) == all_pairs_transpositions(u, s), s
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_clock_arcs_match_all_pairs_scan(oracle_universes, name, monkeypatch):
+    u = oracle_universes[name]
+    arcs = fkt.clock_graph(u, cap=None).arcs
+    assert arcs or name == "curl"
+    monkeypatch.setattr(fkt, "transpositions", all_pairs_transpositions)
+    assert fkt.clock_graph(u, cap=None).arcs == arcs
 
 
 @pytest.mark.parametrize("name", ["curl", "hopf", "figure_eight"])

@@ -192,3 +192,23 @@ def test_hypergraph_host_is_the_third_colour_graph(trinities):
     for pair in (("violet", "violet"), ("red", "blue")):
         with pytest.raises(ValueError, match="bad colour pair"):
             ht.trinity_hypergraph(t, *pair)
+
+
+def realization_oracle(hypergraph):
+    """First realizing tree per vector, by ``hypertree_of`` on every spanning tree."""
+    first = {}
+    for tree in trees.enumerate_spanning_trees(
+        hypergraph.bip, record_colour=hypergraph.hyperedge_colour, cap=None
+    ):
+        first.setdefault(ht.hypertree_of(tree, hypergraph.hyperedge_colour).vector, tree)
+    return first
+
+
+@pytest.mark.parametrize("label", ht.HYPERGRAPH_LABELS)
+def test_hypertree_sets_match_per_tree_realization(trinities, label):
+    for name, t in trinities.items():
+        first = realization_oracle(ht.trinity_hypergraph_by_label(t, label))
+        found = t.hypertree_set(label)
+        assert [h.vector for h in found] == sorted(first), (name, label)
+        for h in found:
+            assert h.witness.edges == first[h.vector].edges, (name, label, h.vector)
