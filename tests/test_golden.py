@@ -13,13 +13,23 @@ import json
 
 import pytest
 
-from corpus import corpus_documents
+from corpus import corpus_documents, medial_universe_document
 from trinities import cli, fkt
 
 GRAPH_COMMANDS = ("census", "magic", "hypertrees", "configs", "classify", "verify", "dual")
 UNIVERSE_COMMANDS = ("states", "clock", "correspond", "dual")
 UNIVERSES = ("curl", "hopf", "figure_eight")
 CAPS = (None, 5)
+# medial universes of corpus graphs, starred at the graph's first dart, with
+# the commands frozen for each; their clock graphs have up to 529 arcs
+MEDIAL_UNIVERSES = {
+    "medial_ladder3": (("ladder", 3), ("states", "clock")),
+    "medial_grid2": (("grid", 2), ("states", "clock")),
+    "medial_ladder4": (("ladder", 4), ("states", "clock")),
+    "medial_theta3": (("theta", 3), ("states", "clock", "correspond")),
+    "medial_even_cycle3": (("even_cycle", 3), ("states", "clock", "correspond")),
+}
+MEDIAL_CAP = 4**13  # the state search space of ladder 4's 13 crossings
 
 
 def cases():
@@ -34,6 +44,10 @@ def cases():
         for command in UNIVERSE_COMMANDS:
             argv = [command, "--universe", f"{name}.json"]
             out.append((" ".join(argv), argv))
+    for name, (_spec, commands) in MEDIAL_UNIVERSES.items():
+        for command in commands:
+            argv = ["--cap", str(MEDIAL_CAP), command, "--universe", f"{name}.json"]
+            out.append((" ".join(argv), argv))
     return out
 
 
@@ -46,6 +60,10 @@ def write_inputs(directory):
     for name in UNIVERSES:
         doc = fkt.BUILTIN_UNIVERSES[name]()
         (directory / f"{name}.json").write_text(json.dumps(doc))
+    for name, ((family, size), _commands) in MEDIAL_UNIVERSES.items():
+        (doc,) = cli.generate_corpus(family, size)
+        medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
+        (directory / f"{name}.json").write_text(json.dumps(medial))
 
 
 def digest(argv):
@@ -180,6 +198,18 @@ GOLDEN = {
     "clock --universe figure_eight.json": ("ef708fde818a816a6c9277ea32ae1efb45696b1071472a842bd5dce4ec3dae1e", 0),
     "correspond --universe figure_eight.json": ("85ee632fe2e170b387f111f11bdb3124727cf6e6814cc767fb644daff4f5b078", 0),
     "dual --universe figure_eight.json": ("80901b80d521f1b3699b8d806008bc2259d42b1df213127bac3bc75acd279dce", 0),
+    "--cap 67108864 states --universe medial_ladder3.json": ("6df7b913d58b904e0091ac470d8b8b7c6793b34ba5dab7f7509a11f59e42fdf6", 0),
+    "--cap 67108864 clock --universe medial_ladder3.json": ("87368449ac80ae4a2b00a817845bed24a70d4c55f072250b3f7e6b42d1f04e25", 0),
+    "--cap 67108864 states --universe medial_grid2.json": ("228c9d214053c4962f000f1ffbb79a1375b6dbcf7b4130a28c4aa9b97ae57a13", 0),
+    "--cap 67108864 clock --universe medial_grid2.json": ("15cbedebba4cc017b48298aba9e54f9315de6966bd5bc0019ebbb2eaf15875f9", 0),
+    "--cap 67108864 states --universe medial_ladder4.json": ("ed8720d396b61f641a24bae1d22a51fc43c00a63811fd376270edef39a29a8ba", 0),
+    "--cap 67108864 clock --universe medial_ladder4.json": ("c8dd7dd4964f9c469fb94e3209fae6c3a1a6b9fffd3ac7c5a249a537b2e9293d", 0),
+    "--cap 67108864 states --universe medial_theta3.json": ("12fe5faa1a1181a0a05e340e06d004e020e00c2fe4df9aef5f3c83d9d6e73d9d", 0),
+    "--cap 67108864 clock --universe medial_theta3.json": ("c9b1bc68e35c23323be402d7f67cdd62022b7c197f79b6fd7b178b0b765a8c5f", 0),
+    "--cap 67108864 correspond --universe medial_theta3.json": ("7c9ac06ab778a4e74c6731ed9053e9b2545f9a870e30b650b04cd82a07966a09", 0),
+    "--cap 67108864 states --universe medial_even_cycle3.json": ("a225547e065672fd63d0722f4be23dfba4c19380cc404095c77a2f724f512ed4", 0),
+    "--cap 67108864 clock --universe medial_even_cycle3.json": ("c3197d5ad1be5cb1948921dd4bcecba130cb2f7a1fac0cb12092dd18db9cd5a1", 0),
+    "--cap 67108864 correspond --universe medial_even_cycle3.json": ("cf3b21adc8316e3276e9074eb75040d8fd91fa8ffcddd2e09a61b45de8d4e431", 0),
 }
 
 
