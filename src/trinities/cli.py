@@ -21,6 +21,10 @@ class UnknownFamily(ValueError):
     """Corpus family tag not recognised."""
 
 
+class SizeOutOfRange(ValueError):
+    """Corpus size outside 1..MAX_GEN_SIZE."""
+
+
 GEN_FAMILIES = ("path", "even_cycle", "theta", "grid", "ladder")
 MAX_GEN_SIZE = 64
 
@@ -33,7 +37,7 @@ def generate_corpus(family, size):
     if family not in GEN_FAMILIES:
         raise UnknownFamily(f"unknown family {family!r}; choose from {GEN_FAMILIES}")
     if not 1 <= size <= MAX_GEN_SIZE:
-        raise CapExceeded("corpus size", size, MAX_GEN_SIZE)
+        raise SizeOutOfRange(f"corpus size {size} is out of range 1-{MAX_GEN_SIZE}")
     if family == "path":
         return [_path_document(size)]
     if family == "even_cycle":
@@ -441,6 +445,7 @@ USAGE_ERRORS = (
     fkt.StarsNotAdjacent,
     fkt.CountMismatch,
     UnknownFamily,
+    SizeOutOfRange,
     CapExceeded,
     OSError,
     json.JSONDecodeError,

@@ -206,21 +206,17 @@ def state_to_trail(universe, state):
 # -- transpositions and the clock graph ----------------------------------------------
 
 
-CLOCKWISE = "clockwise"
-COUNTERCLOCKWISE = "counterclockwise"
-
-
 def transpositions(universe, state):
-    """States one marker switch away, tagged with the rotation direction.
+    """States one clockwise transposition away, ordered by v, then w.
 
-    The markers of v and w rotate one quadrant the same way and their
+    The markers of v and w each retreat one quadrant clockwise and their
     faces swap; only the face identities matter, so the two vertices may
-    be far apart. A state marks every unstarred face exactly once, so for
-    a vertex v and a step the only possible partner is the vertex whose
-    marker sits on v's quadrant one step on; a starred or self-marked face
-    there means no partner. One lookup per vertex and direction replaces
-    a scan over all pairs. Moves come out ordered by v, then w, then
-    clockwise first.
+    be far apart. A state marks every unstarred face exactly once, so the
+    only possible partner of v is the vertex whose marker sits on v's
+    quadrant one step clockwise; a starred or self-marked face there means
+    no partner. One lookup per vertex replaces a scan over all pairs.
+    Counterclockwise moves are not listed: each is a clockwise move read
+    backwards, from its target to its source.
     """
     quads = universe.quadrants
     markers = state.markers
@@ -229,27 +225,18 @@ def transpositions(universe, state):
     marker_on = {quads[v][k]: i for i, (v, k) in enumerate(markers)}
     out = []
     for i, (v, kv) in enumerate(markers):
-        qv = quads[v]
-        fv = qv[kv]
-        clockwise_partner = None
-        for direction, step in ((CLOCKWISE, -1), (COUNTERCLOCKWISE, 1)):
-            kv2 = (kv + step) % 4
-            j = marker_on.get(qv[kv2], -1)
-            if j <= i:  # a starred face, v itself, or a pair found from w's side
-                continue
-            w, kw = markers[j]
-            kw2 = (kw + step) % 4
-            if quads[w][kw2] != fv:
-                continue
-            new = list(markers)
-            new[i] = (v, kv2)
-            new[j] = (w, kw2)
-            move = (UniverseState(tuple(new)), direction)
-            if clockwise_partner is not None and j < clockwise_partner:
-                out.insert(-1, move)  # the all-pairs order: by w, clockwise first
-            else:
-                out.append(move)
-            clockwise_partner = j
+        kv2 = (kv - 1) % 4
+        j = marker_on.get(quads[v][kv2], -1)
+        if j <= i:  # a starred face, v itself, or a pair found from w's side
+            continue
+        w, kw = markers[j]
+        kw2 = (kw - 1) % 4
+        if quads[w][kw2] != quads[v][kv]:
+            continue
+        new = list(markers)
+        new[i] = (v, kv2)
+        new[j] = (w, kw2)
+        out.append(UniverseState(tuple(new)))
     return out
 
 
@@ -264,35 +251,31 @@ def clock_graph(universe, cap=DEFAULT_CAP):
     """States with clockwise transpositions as arcs, plus structure checks."""
     states = enumerate_states(universe, cap)
     index = {s: i for i, s in enumerate(states)}
-    arcs = []
-    for i, s in enumerate(states):
-        for s2, direction in transpositions(universe, s):
-            if direction == CLOCKWISE:
-                arcs.append((i, index[s2]))
-    arcs = tuple(sorted(set(arcs)))
+    # distinct as listed: a target differs from its source at exactly the two
+    # swapped vertices, and each pair is found only from its smaller vertex
+    arcs = tuple(
+        sorted((i, index[t]) for i, s in enumerate(states) for t in transpositions(universe, s))
+    )
 
     n = len(states)
     outs = [[] for _ in range(n)]
-    indeg = [0] * n
-    undirected = [set() for _ in range(n)]
+    ins = [[] for _ in range(n)]
     for i, j in arcs:
         outs[i].append(j)
-        indeg[j] += 1
-        undirected[i].add(j)
-        undirected[j].add(i)
+        ins[j].append(i)
 
     seen = {0} if n else set()
     stack = [0] if n else []
     while stack:
         x = stack.pop()
-        for y in undirected[x]:
+        for y in outs[x] + ins[x]:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
     connected = len(seen) == n
 
     # Kahn's algorithm: the graph is acyclic iff every state gets removed
-    remaining = list(indeg)
+    remaining = [len(p) for p in ins]
     ready = [i for i in range(n) if remaining[i] == 0]
     removed = 0
     while ready:
@@ -304,7 +287,7 @@ def clock_graph(universe, cap=DEFAULT_CAP):
                 ready.append(y)
     acyclic = removed == n
 
-    sources = [i for i in range(n) if indeg[i] == 0]
+    sources = [i for i in range(n) if not ins[i]]
     sinks = [i for i in range(n) if not outs[i]]
     report = {
         "states": n,

@@ -205,14 +205,19 @@ def count_arborescences(dual, root):
 
 
 def enumerate_arborescences(dual, root, cap=DEFAULT_CAP):
-    """All arborescences away from the root, duplicate-free, deterministic order."""
+    """All arborescences away from the root, duplicate-free, deterministic order.
+
+    Depth-first over the non-root vertices in id order, trying each one's
+    in-arcs in id order; an explicit choice array replaces recursion, so the
+    interpreter's stack depth does not grow with the number of vertices.
+    """
     count = count_arborescences(dual, root)
     check_cap(count, cap, "arborescence enumeration")
     others = [v for v in sorted(dual.vertices) if v != root]
-    in_arcs = {
-        v: sorted((a for a in dual.arcs if a.head == v and a.tail != v), key=lambda a: a.id)
+    in_arcs = [
+        sorted((a for a in dual.arcs if a.head == v and a.tail != v), key=lambda a: a.id)
         for v in others
-    }
+    ]
     result = []
     parent = {}
 
@@ -224,19 +229,32 @@ def enumerate_arborescences(dual, root, cap=DEFAULT_CAP):
                 return True
         return False
 
-    def rec(k, chosen):
-        if k == len(others):
+    n = len(others)
+    # choice[k] is the position in in_arcs[k] of the arc taken at others[k]
+    # on the branch being explored, or -1 before the first try; chosen[k]
+    # is that arc's id
+    choice = [-1] * n
+    chosen = [None] * n
+    k = 0
+    while k >= 0:
+        if k == n:
             result.append(Arborescence(dual, root, frozenset(chosen)))
-            return
+            k -= 1
+            continue
         v = others[k]
-        for arc in in_arcs[v]:
-            if creates_cycle(v, arc.tail):
-                continue
-            parent[v] = arc.tail
-            rec(k + 1, chosen + [arc.id])
-            del parent[v]
-
-    rec(0, [])
+        arcs = in_arcs[k]
+        parent.pop(v, None)
+        c = choice[k] + 1
+        while c < len(arcs) and creates_cycle(v, arcs[c].tail):
+            c += 1
+        if c == len(arcs):
+            choice[k] = -1
+            k -= 1
+        else:
+            choice[k] = c
+            chosen[k] = arcs[c].id
+            parent[v] = arcs[c].tail
+            k += 1
     assert len(result) == count
     return result
 

@@ -196,6 +196,16 @@ def test_unknown_family_error():
         cli.generate_corpus("moebius", 2)
 
 
+@pytest.mark.parametrize("size", [0, -1, 65])
+def test_gen_size_out_of_range_is_a_usage_error(capsys, size):
+    code, out, err = run(capsys, "gen", "--family", "path", "--size", str(size))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: corpus size {size} is out of range 1-64\n"
+    with pytest.raises(cli.SizeOutOfRange):
+        cli.generate_corpus("path", size)
+
+
 def test_verify_refuses_the_configuration_cap_before_any_tree_work(capsys, tmp_path, monkeypatch):
     # even_cycle 10 has two faces of half-length 10: Catalan(10)^2 > 10^6
     path = write_json(tmp_path, "c20.json", cli.generate_corpus("even_cycle", 10)[0])

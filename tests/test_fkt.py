@@ -173,14 +173,12 @@ def test_transpositions_curl(universes):
 
 
 def test_transpositions_hopf(universes):
+    # one clockwise move joins the two states; the other way is its reverse
     u = universes["hopf"]
-    states = fkt.enumerate_states(u)
-    for s in states:
-        moves = fkt.transpositions(u, s)
-        assert len(moves) == 1
-        target, _direction = moves[0]
-        assert target in states
-        assert target != s
+    a, b = fkt.enumerate_states(u)
+    moves = {a: fkt.transpositions(u, a), b: fkt.transpositions(u, b)}
+    assert sorted(len(m) for m in moves.values()) == [0, 1]
+    assert moves[a] == [b] or moves[b] == [a]
 
 
 def test_hopf_direction_regression(universes):
@@ -188,42 +186,47 @@ def test_hopf_direction_regression(universes):
     u = universes["hopf"]
     states = {dict(s.markers)["t"]: s for s in fkt.enumerate_states(u)}
     src = states[3]  # markers t:3, b:0
-    (move,) = fkt.transpositions(u, src)
-    target, direction = move
+    (target,) = fkt.transpositions(u, src)
     assert dict(src.markers) == {"t": 3, "b": 0}
     assert dict(target.markers) == {"t": 2, "b": 3}
-    assert direction == fkt.CLOCKWISE
 
 
-def test_transposition_symmetry(universes):
-    for u in universes.values():
-        states = fkt.enumerate_states(u)
-        for s in states:
-            for s2, direction in fkt.transpositions(u, s):
-                back = fkt.transpositions(u, s2)
-                opposite = (
-                    fkt.COUNTERCLOCKWISE if direction == fkt.CLOCKWISE else fkt.CLOCKWISE
-                )
-                assert (s, opposite) in back
+def test_transposition_symmetry(oracle_universes):
+    # each counterclockwise move is a clockwise move read backwards
+    for name, u in oracle_universes.items():
+        states = fkt.enumerate_states(u, cap=None)
+        clockwise = {(s, t) for s in states for t in fkt.transpositions(u, s)}
+        counterclockwise = {
+            (s, t)
+            for s in states
+            for t, direction in all_pairs_transpositions(u, s)
+            if direction == COUNTERCLOCKWISE
+        }
+        assert clockwise == {(t, s) for s, t in counterclockwise}, name
+        assert clockwise or name == "curl"
 
 
 def test_transpositions_yield_valid_states(universes):
     for u in universes.values():
         states = set(fkt.enumerate_states(u))
         for s in states:
-            for s2, _ in fkt.transpositions(u, s):
+            for s2 in fkt.transpositions(u, s):
                 assert s2 in states
 
 
+# the oracle's own direction labels: clockwise retreats a marker one quadrant
+CLOCKWISE, COUNTERCLOCKWISE = "clockwise", "counterclockwise"
+
+
 def all_pairs_transpositions(universe, state):
-    """Oracle: try every pair of vertices in both directions."""
+    """Oracle: try every pair of vertices in both directions, tagged."""
     g = universe.graph
     markers = dict(state.markers)
     verts = sorted(markers)
     out = []
     for i, v in enumerate(verts):
         for w in verts[i + 1:]:
-            for direction, step in ((fkt.CLOCKWISE, -1), (fkt.COUNTERCLOCKWISE, 1)):
+            for direction, step in ((CLOCKWISE, -1), (COUNTERCLOCKWISE, 1)):
                 kv, kw = markers[v], markers[w]
                 fv, fw = fkt.quadrant_face(g, v, kv), fkt.quadrant_face(g, w, kw)
                 if fkt.quadrant_face(g, v, (kv + step) % 4) != fw:
@@ -237,6 +240,13 @@ def all_pairs_transpositions(universe, state):
     return out
 
 
+def all_pairs_clockwise(universe, state):
+    """The oracle's clockwise moves, as bare states in its order."""
+    return [
+        t for t, direction in all_pairs_transpositions(universe, state) if direction == CLOCKWISE
+    ]
+
+
 ORACLE_NAMES = ["curl", "hopf", "figure_eight", *MEDIAL_SPECS]
 
 
@@ -244,7 +254,7 @@ ORACLE_NAMES = ["curl", "hopf", "figure_eight", *MEDIAL_SPECS]
 def test_transpositions_match_all_pairs_scan(oracle_universes, name):
     u = oracle_universes[name]
     for s in fkt.enumerate_states(u, cap=None):
-        assert fkt.transpositions(u, s) == all_pairs_transpositions(u, s), s
+        assert fkt.transpositions(u, s) == all_pairs_clockwise(u, s), s
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)
@@ -252,7 +262,7 @@ def test_clock_arcs_match_all_pairs_scan(oracle_universes, name, monkeypatch):
     u = oracle_universes[name]
     arcs = fkt.clock_graph(u, cap=None).arcs
     assert arcs or name == "curl"
-    monkeypatch.setattr(fkt, "transpositions", all_pairs_transpositions)
+    monkeypatch.setattr(fkt, "transpositions", all_pairs_clockwise)
     assert fkt.clock_graph(u, cap=None).arcs == arcs
 
 
@@ -275,9 +285,7 @@ def test_clock_graph_hopf_shape(universes):
 def _patch_clockwise_arcs(monkeypatch, n, successors):
     """Make clock_graph see states 0..n-1 with the given clockwise moves."""
     monkeypatch.setattr(fkt, "enumerate_states", lambda universe, cap: tuple(range(n)))
-    monkeypatch.setattr(
-        fkt, "transpositions", lambda universe, s: [(t, fkt.CLOCKWISE) for t in successors(s)]
-    )
+    monkeypatch.setattr(fkt, "transpositions", lambda universe, s: successors(s))
 
 
 def test_clock_graph_long_chain_needs_no_recursion(monkeypatch):

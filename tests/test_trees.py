@@ -1,5 +1,6 @@
 """Exact counting and enumeration of spanning trees and arborescences."""
 
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from trinities import plane_graph, trees
 from trinities.limits import CapExceeded
+from trinities.trinity import Arc, DirectedDual
 
 
 def permutation_determinant(rows):
@@ -189,6 +191,36 @@ def test_count_arborescences_loop_vertex(trinities):
     assert trees.count_arborescences(dual, root) == 1
     found = trees.enumerate_arborescences(dual, root)
     assert found == [trees.Arborescence(dual, root, frozenset())]
+
+
+def test_arborescence_order_is_lexicographic(trinities):
+    # depth first over non-root vertices by id, each one's in-arcs by id
+    for name, t in trinities.items():
+        for colour in ("violet", "emerald", "red"):
+            dual = t.directed_dual(colour)
+            for root in dual.vertices:
+                others = [v for v in sorted(dual.vertices) if v != root]
+                rank = {
+                    v: sorted(a.id for a in dual.arcs if a.head == v and a.tail != v)
+                    for v in others
+                }
+                choices = []
+                for found in trees.enumerate_arborescences(dual, root):
+                    head = {a.head: a.id for a in dual.arcs if a.id in found.arcs}
+                    choices.append(tuple(rank[v].index(head[v]) for v in others))
+                assert choices == sorted(set(choices)), (name, colour, root)
+
+
+def test_arborescence_search_needs_no_recursion(monkeypatch):
+    # a directed chain deeper than the interpreter's recursion limit
+    n = sys.getrecursionlimit() + 100
+    vertices = tuple(f"v{i:05d}" for i in range(n))
+    arcs = tuple(Arc(f"a{i:05d}", vertices[i], vertices[i + 1]) for i in range(n - 1))
+    dual = DirectedDual("red", vertices, arcs)
+    # the Bareiss count is cubic in n; the chain has exactly one arborescence
+    monkeypatch.setattr(trees, "count_arborescences", lambda dual, root: 1)
+    (found,) = trees.enumerate_arborescences(dual, vertices[0], cap=None)
+    assert found.arcs == frozenset(a.id for a in arcs)
 
 
 def test_unknown_root(trinities):
