@@ -1,12 +1,15 @@
 """Hypergraphs, hypertree enumeration and the affine identities."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from random_maps import plane_bipartite_maps
 
+from trinities import cli, trees
 from trinities import hypertrees as ht
 from trinities import plane_graph as pg
-from trinities import trees
+from trinities import trinity as trinity_mod
 
 
 def brute_force_degree_vectors(graph, hyperedge_colour):
@@ -204,11 +207,105 @@ def realization_oracle(hypergraph):
     return first
 
 
+def assert_witness_spans_and_realizes(hypergraph, hypertree):
+    """The witness is a spanning tree of the host whose record is the vector."""
+    bip = hypergraph.bip
+    witness = hypertree.witness
+    assert witness.graph is bip
+    assert witness.edges <= bip.edges.keys()
+    assert len(witness.edges) == len(bip.vertices) - 1
+    root = {v: v for v in bip.vertices}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for eid in witness.edges:
+        u, v = (find(x) for x in bip.endpoints(eid))
+        assert u != v, ("cycle through", eid)
+        root[u] = v
+    assert ht.hypertree_of(witness, hypergraph.hyperedge_colour).vector == hypertree.vector
+
+
 @pytest.mark.parametrize("label", ht.HYPERGRAPH_LABELS)
 def test_hypertree_sets_match_per_tree_realization(trinities, label):
     for name, t in trinities.items():
-        first = realization_oracle(ht.trinity_hypergraph_by_label(t, label))
+        hypergraph = ht.trinity_hypergraph_by_label(t, label)
+        first = realization_oracle(hypergraph)
         found = t.hypertree_set(label)
         assert [h.vector for h in found] == sorted(first), (name, label)
         for h in found:
-            assert h.witness.edges == first[h.vector].edges, (name, label, h.vector)
+            assert_witness_spans_and_realizes(hypergraph, h)
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_random_map_hypertrees_match_per_tree_realization(doc):
+    t = trinity_mod.build_trinity(pg.ensure_bicoloured(pg.parse_graph(doc)))
+    for label in ht.HYPERGRAPH_LABELS:
+        hypergraph = ht.trinity_hypergraph_by_label(t, label)
+        found = t.hypertree_set(label)
+        assert [h.vector for h in found] == sorted(realization_oracle(hypergraph)), label
+        for h in found:
+            assert_witness_spans_and_realizes(hypergraph, h)
+
+
+def polytope_oracle(hypergraph):
+    """Kalman's description of the hypertrees, with no spanning tree in sight.
+
+    f is a hypertree iff f >= 0, f(S) <= mu(S) for every set S of
+    hyperedges, and f(E) = mu(E), where mu(S) = |union of S| - c(S) and
+    c(S) counts the components of the bipartite graph on S and its union.
+    Since mu({e}) = |e| - 1, the search runs over that box.
+    """
+    ids = hypergraph.hyperedge_ids()
+    members = [sorted(m) for _, m in hypergraph.hyperedges]
+    k = len(members)
+    mu = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        chosen = [members[i] for i in range(k) if mask >> i & 1]
+        root = {v: v for m in chosen for v in m}
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        components = len(root)
+        for m in chosen:
+            for v in m[1:]:
+                a, b = find(m[0]), find(v)
+                if a != b:
+                    root[a] = b
+                    components -= 1
+        mu[mask] = len(root) - components
+    full = (1 << k) - 1
+    found = []
+    for f in product(*(range(len(m)) for m in members)):
+        if sum(f) != mu[full]:
+            continue
+        if all(
+            sum(f[i] for i in range(k) if mask >> i & 1) <= mu[mask] for mask in range(1, full)
+        ):
+            found.append(tuple(zip(ids, f)))
+    return found
+
+
+@pytest.fixture(scope="module")
+def polytope_trinities(trinities):
+    extra = {
+        name: trinity_mod.build_trinity(
+            pg.ensure_bicoloured(pg.parse_graph(cli.generate_corpus(family, size)[0]))
+        )
+        for name, family, size in (("theta4", "theta", 4), ("cycle8", "even_cycle", 4))
+    }
+    return {**trinities, **extra}
+
+
+@pytest.mark.parametrize("label", ht.HYPERGRAPH_LABELS)
+def test_hypertree_sets_are_the_polytope_lattice_points(polytope_trinities, label):
+    for name, t in polytope_trinities.items():
+        hypergraph = ht.trinity_hypergraph_by_label(t, label)
+        found = [h.vector for h in t.hypertree_set(label)]
+        assert found == sorted(polytope_oracle(hypergraph)), (name, label)

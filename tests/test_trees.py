@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_maps import plane_bipartite_maps
+
 from trinities import plane_graph, trees
+from trinities import trinity as trinity_mod
 from trinities.limits import CapExceeded
 from trinities.trinity import Arc, DirectedDual
 
@@ -349,3 +352,14 @@ def test_exchange_paths_exist_for_all_same_record_pairs(trinities):
                 for x, y in zip(path, path[1:]):
                     assert len(x.edges - y.edges) == 1
                     assert x.record() == y.record()
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_random_map_determinants_match_arborescence_counts(doc):
+    t = trinity_mod.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+    for colour in ("violet", "emerald", "red"):
+        dual = t.directed_dual(colour)
+        root = min(dual.vertices)
+        count = trees.count_arborescences(dual, root)
+        assert count == len(trees.enumerate_arborescences(dual, root, cap=None)), colour
