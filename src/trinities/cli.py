@@ -428,8 +428,10 @@ def _build_parser():
 
 
 # model bugs reported as a failure with a reason: by verify's classification
-# stage, and by main for the other commands
+# stage, and by main for the other commands and for a bad hypertree witness,
+# which verify meets in its magic stage
 MODEL_FAILURES = (
+    hypertrees.BadWitness,
     transitions.BuiltNotTight,
     transitions.EulerNotConstant,
     transitions.NotTreeHuggingReachable,

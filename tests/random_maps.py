@@ -53,8 +53,8 @@ class Map:
         self.darts += 1
         return f"d{self.darts}"
 
-    def _edge(self, first=None, second=None):
-        darts = (first or self._dart(), second or self._dart())
+    def _edge(self, second=None):
+        darts = (self._dart(), second or self._dart())
         self.edges[f"a{len(self.edges)}"] = darts
         return darts
 

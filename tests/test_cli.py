@@ -272,6 +272,26 @@ def test_mapping_failure_fails_correspond(capsys, fig8_file, monkeypatch):
     assert "correspond: FAIL (MappingFailure" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "hypertrees"])
+def test_bad_witness_fails_with_a_reason(capsys, c4_file, monkeypatch, command):
+    real = hypertrees._ExchangeGraph.augment
+
+    def drop_an_edge(self, j):
+        witness = real(self, j)
+        return witness[:-1] if witness else witness
+
+    monkeypatch.setattr(hypertrees._ExchangeGraph, "augment", drop_an_edge)
+    code, out, err = run(capsys, command, "--graph", c4_file)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    # VE is the first hypergraph searched, and its first move finds (0, 1)
+    assert doc["reason"] == (
+        "BadWitness: VE: witness for (0, 1) has 2 edges and 2 components on 4 vertices"
+    )
+    assert f"{command}: FAIL (BadWitness: " in err
+
+
 def test_verify_enumerates_each_tree_family_once(graphs, monkeypatch):
     calls = {"spanning": 0, "arborescence": 0}
     real_spanning = trees.enumerate_spanning_trees

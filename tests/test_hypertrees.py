@@ -243,10 +243,13 @@ def test_hypertree_sets_match_per_tree_realization(trinities, label):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_random_map_hypertrees_match_per_tree_realization(doc):
     t = trinity_mod.build_trinity(pg.ensure_bicoloured(pg.parse_graph(doc)))
+    dual = t.directed_dual("violet")
+    magic = trees.count_arborescences(dual, min(dual.vertices))
     for label in ht.HYPERGRAPH_LABELS:
         hypergraph = ht.trinity_hypergraph_by_label(t, label)
         found = t.hypertree_set(label)
         assert [h.vector for h in found] == sorted(realization_oracle(hypergraph)), label
+        assert len(found) == magic, label
         for h in found:
             assert_witness_spans_and_realizes(hypergraph, h)
 
@@ -309,3 +312,30 @@ def test_hypertree_sets_are_the_polytope_lattice_points(polytope_trinities, labe
         hypergraph = ht.trinity_hypergraph_by_label(t, label)
         found = [h.vector for h in t.hypertree_set(label)]
         assert found == sorted(polytope_oracle(hypergraph)), (name, label)
+
+
+def test_each_hypertree_set_draws_one_spanning_tree(graphs, monkeypatch):
+    drawn = []
+    real = ht.enumerate_spanning_trees
+
+    def counted(*args, **kwargs):
+        drawn.append(0)
+        for tree in real(*args, **kwargs):
+            drawn[-1] += 1
+            yield tree
+
+    monkeypatch.setattr(ht, "enumerate_spanning_trees", counted)
+    t = trinity_mod.build_trinity(graphs["grid2"])
+    for label in ht.HYPERGRAPH_LABELS:
+        assert len(t.hypertree_set(label)) == 15
+    assert drawn == [1] * len(ht.HYPERGRAPH_LABELS)
+
+
+def test_a_witness_with_another_record_is_refused(trinities):
+    hypergraph = ht.trinity_hypergraph_by_label(trinities["cycle4"], "VE")
+    first, second = ht.enumerate_hypertrees(hypergraph)
+    host = ht._Host(hypergraph.bip, hypergraph.hyperedge_ids())
+    edges = sorted(host.edge_index[eid] for eid in first.witness.edges)
+    vector = tuple(f for _, f in second.vector)
+    with pytest.raises(ht.BadWitness, match=r"VE: witness for \(1, 0\) realizes \(0, 1\)"):
+        host.certify(edges, vector, "VE")
