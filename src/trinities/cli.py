@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import fkt, hypertrees, plane_graph, transitions, trinity
+from . import dividing, fkt, hypertrees, plane_graph, transitions, trinity
 from .limits import DEFAULT_CAP, CapExceeded
 
 
@@ -432,6 +432,9 @@ def _build_parser():
 # which verify meets in its magic stage
 MODEL_FAILURES = (
     hypertrees.BadWitness,
+    dividing.MixedRegion,
+    dividing.NoHugBack,
+    dividing.NotSpanning,
     transitions.BuiltNotTight,
     transitions.EulerNotConstant,
     transitions.NotTreeHuggingReachable,

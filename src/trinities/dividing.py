@@ -12,10 +12,11 @@ into a single closed curve.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .limits import DEFAULT_CAP, check_cap
-from .trees import SpanningTree
+from .trees import SpanningTree, components
 
 
 class SizeMismatch(ValueError):
@@ -28,6 +29,14 @@ class NotSpanning(ValueError):
 
 class NotTight(ValueError):
     """Operation defined only for tight configurations."""
+
+
+class MixedRegion(RuntimeError):
+    """A complementary region's boundary arcs differ in sign (model bug)."""
+
+
+class NoHugBack(RuntimeError):
+    """A tree-hugging witness hugs another configuration (model bug)."""
 
 
 @dataclass(frozen=True)
@@ -44,10 +53,10 @@ class ChordDiagram:
         for i, j in enumerate(p):
             if not 0 <= j < m or j == i or p[j] != i:
                 raise ValueError("partner array is not a perfect matching")
-        for a, b in self.pairs():
-            for c, d in self.pairs():
-                if a < c < b < d:
-                    raise ValueError(f"chords ({a},{b}) and ({c},{d}) cross")
+        crossing = first_crossing(self.pairs())
+        if crossing is not None:
+            (a, b), (c, d) = crossing
+            raise ValueError(f"chords ({a},{b}) and ({c},{d}) cross")
 
     @property
     def n(self):
@@ -63,6 +72,14 @@ class ChordDiagram:
             partner[a] = b
             partner[b] = a
         return cls(tuple(partner))
+
+
+def first_crossing(pairs):
+    """The first two chords, in input order, whose ends interleave; None if none do."""
+    for (a, b), (c, d) in itertools.combinations(pairs, 2):
+        if a < c < b < d or c < a < d < b:
+            return (a, b), (c, d)
+    return None
 
 
 def catalan(n):
@@ -227,6 +244,10 @@ class SignedRegions:
     def negatives(self):
         return [r for r in self.regions if r.sign < 0]
 
+    def hugs(self):
+        """The tree-hugging rule: at most one negative region of valence above one."""
+        return sum(1 for r in self.negatives() if r.valence > 1) <= 1
+
 
 def signed_regions(trinity, face, diagram):
     """Complementary regions of the diagram with their signs and valences."""
@@ -236,7 +257,8 @@ def signed_regions(trinity, face, diagram):
     regions = []
     for arcs in _region_arcs(diagram.partner):
         signs = {chart.arc_signs[a] for a in arcs}
-        assert len(signs) == 1, "arcs of one region must share a sign"
+        if len(signs) != 1:
+            raise MixedRegion(f"face {face}: region on arcs {arcs} has mixed signs")
         regions.append(Region(signs.pop(), len(arcs), tuple(arcs)))
     return SignedRegions(face, tuple(regions))
 
@@ -312,15 +334,14 @@ def is_tree_hugging(config):
     edges = set()
     for fid, diagram in config.entries:
         sr = signed_regions(trinity, fid, diagram)
-        negatives = sr.negatives()
-        if sum(1 for r in negatives if r.valence > 1) > 1:
+        if not sr.hugs():
             return False, None
-        central = max(negatives, key=lambda r: (r.valence, -r.arcs[0]))
+        central = max(sr.negatives(), key=lambda r: (r.valence, -r.arcs[0]))
         for arc in central.arcs:
             edges.add(ch[fid].emerald_corner[arc])
     tree = SpanningTree(trinity.violet_graph, frozenset(edges), "red")
-    _require_spanning(trinity.violet_graph, tree)
-    assert tree_hugging(trinity, tree) == config, "witness must hug back to the input"
+    if tree_hugging(trinity, tree) != config:
+        raise NoHugBack(f"witness {sorted(tree.edges)} hugs another configuration")
     return True, tree
 
 
@@ -329,20 +350,9 @@ def _require_spanning(graph, tree):
         raise NotSpanning("edges outside the host graph")
     if len(tree.edges) != len(graph.vertices) - 1:
         raise NotSpanning("wrong edge count for a spanning tree")
-    comp = {v: v for v in graph.vertices}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for eid in tree.edges:
-        u, v = graph.endpoints(eid)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise NotSpanning("edge set contains a cycle")
-        comp[ru] = rv
+    # with |V| - 1 edges, a cycle is the same as a second component
+    if len(set(components(graph, tree.edges).values())) != 1:
+        raise NotSpanning("edge set contains a cycle")
 
 
 # -- serialization ---------------------------------------------------------------------

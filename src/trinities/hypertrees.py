@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .limits import DEFAULT_CAP
-from .trees import SpanningTree, enumerate_spanning_trees
+from .trees import SpanningTree, components, enumerate_spanning_trees
 
 
 class WrongClass(ValueError):
@@ -170,6 +170,7 @@ class _Host:
     def __init__(self, bip, ids):
         slot_of = {h: s for s, h in enumerate(ids)}
         index = {v: x for x, v in enumerate(sorted(bip.vertices))}
+        self.bip = bip
         self.edge_ids = sorted(bip.edges)
         self.edge_index = {eid: e for e, eid in enumerate(self.edge_ids)}
         self.tail, self.head, self.slot = [], [], []
@@ -193,21 +194,11 @@ class _Host:
 
     def certify(self, edges, vector, label):
         """Raise ``BadWitness`` unless the edges form a spanning tree with this record."""
-        root = list(range(self.n))
-        joined = 0
-        for e in edges:
-            a, b = self.tail[e], self.head[e]
-            while root[a] != a:
-                a = root[a]
-            while root[b] != b:
-                b = root[b]
-            if a != b:
-                root[a] = b
-                joined += 1
-        if len(edges) != self.n - 1 or joined != self.n - 1:
+        parts = len(set(components(self.bip, [self.edge_ids[e] for e in edges]).values()))
+        if len(edges) != self.n - 1 or parts != 1:
             raise BadWitness(
                 f"{label}: witness for {vector} has {len(edges)} edges and "
-                f"{self.n - joined} components on {self.n} vertices"
+                f"{parts} components on {self.n} vertices"
             )
         record = self.record(edges)
         if record != vector:

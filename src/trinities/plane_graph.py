@@ -328,7 +328,6 @@ def with_colours(graph, colouring):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    connected: bool
     bipartite: bool
     loop_free: bool
     colour_classes: dict
@@ -338,16 +337,6 @@ class ValidationReport:
     @property
     def ok(self):
         return not self.failures
-
-    def to_json(self):
-        return {
-            "connected": self.connected,
-            "bipartite": self.bipartite,
-            "loop_free": self.loop_free,
-            "colour_classes": {k: len(v) for k, v in sorted(self.colour_classes.items())},
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
 
 
 def validate_bipartite_plane(graph):
@@ -390,7 +379,7 @@ def validate_bipartite_plane(graph):
         for v, c in colouring.items():
             classes.setdefault(c, []).append(v)
     classes = {c: tuple(sorted(vs)) for c, vs in classes.items()}
-    return ValidationReport(True, bipartite, loop_free, classes, tuple(failures), colouring)
+    return ValidationReport(bipartite, loop_free, classes, tuple(failures), colouring)
 
 
 def ensure_bicoloured(graph):

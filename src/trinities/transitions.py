@@ -87,17 +87,10 @@ def diagram_moves(diagram):
                 j = new_local[i]
                 if i < j:
                     new_pairs.append(tuple(sorted((points[i], points[j]))))
-            if _crossing_free(new_pairs):
+            if dividing.first_crossing(new_pairs) is None:
                 target = ChordDiagram.from_pairs(diagram.n, new_pairs)
                 moves.append(BypassMove(None, points, step, diagram, target))
     return moves
-
-
-def _crossing_free(pairs):
-    for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        if a < c < b < d or c < a < d < b:
-            return False
-    return True
 
 
 def bypass_moves(diagram):
@@ -383,11 +376,6 @@ def _max_negative_valence(trinity, face, diagram):
     return max(r.valence for r in sr.negatives())
 
 
-def _excess_count(trinity, face, diagram):
-    sr = dividing.signed_regions(trinity, face, diagram)
-    return sum(1 for r in sr.negatives() if r.valence > 1)
-
-
 def valence_concentration_path(config):
     """Walk to a tree-hugging configuration through tight neighbours.
 
@@ -401,7 +389,7 @@ def valence_concentration_path(config):
     path = [config]
     current = config
     for fid in sorted(trinity.red):
-        while _excess_count(trinity, fid, current.diagram(fid)) > 1:
+        while not dividing.signed_regions(trinity, fid, current.diagram(fid)).hugs():
             best = None
             top = _max_negative_valence(trinity, fid, current.diagram(fid))
             for alt in dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap):
@@ -418,5 +406,6 @@ def valence_concentration_path(config):
             current = best
             path.append(current)
     hugging, _ = dividing.is_tree_hugging(current)
-    assert hugging, "concentration must end tree-hugging"
+    if not hugging:
+        raise Stuck("concentration ended on a configuration that hugs no tree")
     return path

@@ -255,7 +255,6 @@ def enumerate_arborescences(dual, root, cap=DEFAULT_CAP):
             chosen[k] = arcs[c].id
             parent[v] = arcs[c].tail
             k += 1
-    assert len(result) == count
     return result
 
 
@@ -351,7 +350,7 @@ def tree_exchange_path(graph, tree_a, tree_b, cap=DEFAULT_CAP):
     def neighbours(edges):
         out = []
         for removed in sorted(edges):
-            comp = _components(graph, edges - {removed})
+            comp = components(graph, edges - {removed})
             for added in sorted(graph.edges):
                 if added in edges or graph.is_loop(added):
                     continue
@@ -386,7 +385,12 @@ def tree_exchange_path(graph, tree_a, tree_b, cap=DEFAULT_CAP):
     raise NoPath("fixed-degree exchange graph is disconnected")
 
 
-def _components(graph, edges):
+def components(graph, edge_ids):
+    """Component representative of every vertex of the graph on these edges.
+
+    The one check that an edge set spans: with |V| - 1 edges it is a
+    spanning tree exactly when every vertex gets the same representative.
+    """
     comp = {v: v for v in graph.vertices}
 
     def find(x):
@@ -395,7 +399,7 @@ def _components(graph, edges):
             x = comp[x]
         return x
 
-    for eid in edges:
+    for eid in edge_ids:
         u, v = graph.endpoints(eid)
         ru, rv = find(u), find(v)
         if ru != rv:

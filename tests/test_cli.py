@@ -233,6 +233,9 @@ MODEL_FAILURE_CASES = [
     (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
     (dividing, "euler_vector", lambda config: {fid: 0 for fid, _ in config.entries}, "EulerNotConstant"),
     (dividing, "is_tight", lambda config: dividing.TightVerdict(False, 2), "BuiltNotTight"),
+    (dividing, "_region_arcs", lambda partner: [list(range(len(partner)))], "MixedRegion"),
+    (dividing, "tree_hugging", lambda trinity, tree: None, "NoHugBack"),
+    (dividing, "_require_spanning", _raise(dividing.NotSpanning("edge set contains a cycle")), "NotSpanning"),
 ]
 
 
@@ -270,6 +273,17 @@ def test_mapping_failure_fails_correspond(capsys, fig8_file, monkeypatch):
     assert doc["ok"] is False
     assert doc["reason"].startswith("MappingFailure: ")
     assert "correspond: FAIL (MappingFailure" in err
+
+
+def test_magic_reports_an_enumeration_that_misses_its_determinant(capsys, c4_file, monkeypatch):
+    real = trees.count_arborescences
+    monkeypatch.setattr(trees, "count_arborescences", lambda dual, root: real(dual, root) + 1)
+    code, out, err = run(capsys, "magic", "--graph", c4_file)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["agree"] is False
+    assert doc["det"]["violet"] == "3" and doc["enum"]["violet"] == "2"
+    assert "all counts agree: FAIL" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "hypertrees"])

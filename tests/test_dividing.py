@@ -62,8 +62,19 @@ def test_diagrams_are_valid_matchings(n):
 
 
 def test_crossing_diagram_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"chords \(0,2\) and \(1,3\) cross"):
         dv.ChordDiagram.from_pairs(2, [(0, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_first_crossing_in_either_chord_order(n):
+    for m in all_perfect_matchings(list(range(2 * n))):
+        for pairs in (m, m[::-1]):
+            crossing = dv.first_crossing(pairs)
+            assert (crossing is None) == is_non_crossing(m)
+            if crossing is not None:
+                (a, b), (c, d) = crossing
+                assert a < c < b < d or c < a < d < b
 
 
 def test_diagram_cap():

@@ -1,8 +1,11 @@
 """Bypass moves, the configuration graph and its classification."""
 
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from random_maps import plane_bipartite_maps
 
 from trinities import dividing as dv
 from trinities import hypertrees as ht
@@ -233,6 +236,20 @@ def test_classification_json(trinities):
         assert comp["tree_hugging_rep"]["tight"] is True
 
 
+@given(plane_bipartite_maps())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_random_map_classification(doc):
+    t = trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+    assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
+    cg = tx.build_configuration_graph(t)
+    # also checks Euler constancy, tree-hugging reachability and the bijection
+    assert tx.classify_components(cg).bijection_ok
+    dual = t.directed_dual("violet")
+    assert cg.component_count() == trees.count_arborescences(dual, min(dual.vertices))
+    for component in cg.components:
+        assert sum(component.euler.values()) == len(t.emerald) - len(t.violet)
+
+
 def test_valence_concentration_already_hugging(trinities):
     t = trinities["cycle4"]
     tree = next(iter(trees.enumerate_spanning_trees(t.violet_graph, record_colour="red")))
@@ -257,6 +274,15 @@ def test_valence_concentration_terminates_tree_hugging(trinities):
                 differing = [f for f in t.red if a.diagram(f) != b.diagram(f)]
                 assert len(differing) == 1
                 assert dv.is_tight(b).tight
+
+
+def test_valence_concentration_that_ends_off_a_tree_is_stuck(trinities, monkeypatch):
+    t = trinities["cycle4"]
+    tree = next(iter(trees.enumerate_spanning_trees(t.violet_graph, record_colour="red")))
+    config = dv.tree_hugging(t, tree)
+    monkeypatch.setattr(dv, "is_tree_hugging", lambda config: (False, None))
+    with pytest.raises(tx.Stuck, match="hugs no tree"):
+        tx.valence_concentration_path(config)
 
 
 def test_valence_concentration_requires_tight(trinities):
