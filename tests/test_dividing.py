@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinities import dividing as dv
-from trinities import trees
+from trinities import plane_graph, trees
+from trinities import trinity as trinity_mod
+from trinities.cli import generate_corpus
 from trinities.limits import CapExceeded
 
 
@@ -50,6 +52,16 @@ def test_enumeration_equals_noncrossing_filter_oracle(n):
     }
     ours = {d.pairs() for d in dv.enumerate_chord_diagrams(n)}
     assert ours == oracle
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_enumeration_order_is_the_sorted_filter_oracle(n):
+    oracle = sorted(
+        dv.ChordDiagram.from_pairs(n, m).partner
+        for m in all_perfect_matchings(list(range(2 * n)))
+        if is_non_crossing([tuple(sorted(p)) for p in m])
+    )
+    assert [d.partner for d in dv.enumerate_chord_diagrams(n)] == oracle
 
 
 @given(st.integers(min_value=1, max_value=6))
@@ -118,6 +130,39 @@ def test_loop_counts_partition_curves(trinities):
         for c in full_configurations(t):
             loops = dv.loop_count(c)
             assert 1 <= loops <= t.n
+
+
+def glued_curve_count(config):
+    """Closed curves of a configuration, walked on (face, index) points."""
+    g = config.trinity.graph
+    glue = {}
+    for edge in g.edges.values():
+        pa, pb = (g.position_of(d) for d in edge.darts)
+        glue[pa] = pb
+        glue[pb] = pa
+    chord = {}
+    for fid, diagram in config.entries:
+        for i, j in enumerate(diagram.partner):
+            chord[(fid, i)] = (fid, j)
+    loops = 0
+    while chord:
+        start, q = chord.popitem()
+        del chord[q]
+        loops += 1
+        p = glue[q]
+        while p != start:
+            q = chord.pop(p)
+            del chord[q]
+            p = glue[q]
+    return loops
+
+
+def test_loop_count_matches_the_glued_curve_oracle(trinities):
+    doc = generate_corpus("even_cycle", 5)[0]
+    cycle10 = trinity_mod.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+    for t in [*trinities.values(), cycle10]:
+        for c in full_configurations(t):
+            assert dv.loop_count(c) == glued_curve_count(c)
 
 
 def test_running_example_tree_hugging_tight(trinities):
