@@ -94,21 +94,67 @@ def enumerate_chord_diagrams(n, cap=DEFAULT_CAP):
     if n < 1:
         raise ValueError("need n >= 1")
     check_cap(catalan(n), cap, "chord diagram enumeration")
+    # one unglued face: no chord can close a curve
+    matchings = noncrossing_matchings([(0, 2 * n)], list(range(2 * n)))
+    return tuple(ChordDiagram(tuple(partner)) for partner in matchings)
 
-    def matchings(points):
-        if not points:
-            yield []
-            return
-        first = points[0]
-        for k in range(1, len(points), 2):
-            inner = points[1:k]
-            outer = points[k + 1:]
-            for mi in matchings(inner):
-                for mo in matchings(outer):
-                    yield [(first, points[k])] + mi + mo
 
-    diagrams = [ChordDiagram.from_pairs(n, m) for m in matchings(list(range(2 * n)))]
-    return tuple(sorted(diagrams, key=lambda d: d.partner))
+def noncrossing_matchings(spans, end):
+    """Non-crossing matchings of the spans' points that close no curve early.
+
+    Each span ``(lo, hi)`` is one face, whose points lo..hi-1 are matched
+    among themselves; spans are matched one after another. ``end[p]`` is
+    the far end of the open path ending at point p (p itself for a lone
+    point). A chord (a, b) joins the paths ending at a and b; when
+    ``end[a] == b`` it would close a curve, and only the last chord may.
+    The first free point of the leftmost open segment takes each odd-offset
+    partner in turn, splitting the segment in two, so matchings come out in
+    partner order. The search keeps one explicit stack frame per chord and
+    yields the partner list, reused between yields; ``end`` is restored
+    only once the search is exhausted.
+    """
+    partner = [0] * len(end)
+    chords = sum(hi - lo for lo, hi in spans) // 2
+
+    # open segments as a linked list (segment, rest), leftmost first
+    pending = None
+    for span in reversed(spans):
+        pending = (span, pending)
+    (a, hi), rest = pending
+    # frame: [a, hi, b, rest, ea, eb] pairs point a with b < hi; ea >= 0
+    # while chord (a, b) is applied, with ea and eb the ends it joined
+    frames = [[a, hi, a - 1, rest, -1, -1]]
+    while frames:
+        frame = frames[-1]
+        a, hi, b, rest, ea, eb = frame
+        if ea >= 0:
+            end[ea] = a
+            end[eb] = b
+            frame[4] = -1
+        b += 2
+        if b >= hi:
+            frames.pop()
+            continue
+        frame[2] = b
+        partner[a] = b
+        partner[b] = a
+        if len(frames) == chords:
+            yield partner
+            continue
+        ea = end[a]
+        if ea == b:
+            continue
+        eb = end[b]
+        end[ea] = eb
+        end[eb] = ea
+        frame[4] = ea
+        frame[5] = eb
+        if b + 1 < hi:
+            rest = ((b + 1, hi), rest)
+        if a + 1 < b:
+            rest = ((a + 1, b), rest)
+        (a, hi), rest = rest
+        frames.append([a, hi, a - 1, rest, -1, -1])
 
 
 def _region_arcs(partner):
@@ -133,14 +179,13 @@ def _region_arcs(partner):
 class DiscChart:
     """Boundary bookkeeping of one face disc.
 
-    arc_signs[i] is +1/-1 for the arc between points i and i+1;
-    emerald_corner[i] is the violet-graph edge id of the corner under a
-    negative arc (None under positive arcs).
+    emerald_corner[i] is the violet-graph edge id of the corner under the
+    arc between points i and i+1 when that arc is negative, None when it
+    is positive.
     """
 
     face: str
     n: int
-    arc_signs: tuple[int, ...]
     emerald_corner: tuple
 
     @property
@@ -199,21 +244,23 @@ class TightVerdict:
 
 def loop_count(config):
     """Closed curves obtained by gluing chord endpoints across graph edges."""
-    glue = config.trinity.glue_map
-    chord = {}
+    trinity = config.trinity
+    glue = trinity.glue
+    chord = [0] * len(glue)
     for fid, diagram in config.entries:
-        for i, j in enumerate(diagram.partner):
-            chord[(fid, i)] = (fid, j)
-    # walk each curve once, removing its chords as they are crossed
+        lo = trinity.offset[fid]
+        chord[lo:lo + len(diagram.partner)] = [lo + j for j in diagram.partner]
+    # walk each curve once, marking the points it crosses
+    seen = bytearray(len(glue))
     loops = 0
-    while chord:
-        start, q = chord.popitem()
-        del chord[q]
+    for start in range(len(glue)):
+        if seen[start]:
+            continue
         loops += 1
-        p = glue[q]
-        while p != start:
-            q = chord.pop(p)
-            del chord[q]
+        p = start
+        while not seen[p]:
+            q = chord[p]
+            seen[p] = seen[q] = 1
             p = glue[q]
     return loops
 
@@ -256,7 +303,7 @@ def signed_regions(trinity, face, diagram):
         raise SizeMismatch(f"diagram size {diagram.n} != n_r {chart.n}")
     regions = []
     for arcs in _region_arcs(diagram.partner):
-        signs = {chart.arc_signs[a] for a in arcs}
+        signs = {1 if chart.emerald_corner[a] is None else -1 for a in arcs}
         if len(signs) != 1:
             raise MixedRegion(f"face {face}: region on arcs {arcs} has mixed signs")
         regions.append(Region(signs.pop(), len(arcs), tuple(arcs)))

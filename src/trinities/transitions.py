@@ -223,74 +223,21 @@ def build_configuration_graph(trinity):
 def _tight_choices(trinity, faces, per_face):
     """Diagram index tuples of the tight configurations, built chord by chord.
 
-    Boundary points get global indices, faces in sorted order. Each glued
-    pair of points starts as an open path, and ``end[p]`` is the far end of
-    the path that ends at ``p``. A chord (a, b) joins the paths ending at a
-    and b; when ``end[a] == b`` it closes a curve instead, which only the
-    last chord may do, so every finished configuration is a single curve.
-    Within a face the first free point of the leftmost open segment takes
-    each odd-offset partner in turn, splitting the segment into an inner
-    and an outer one; faces are matched one after another. The search runs
-    on an explicit stack, one frame per chord placed.
+    ``dividing.noncrossing_matchings`` matches the faces in sorted order on a
+    copy of ``trinity.glue``, so every matching it yields is a single curve;
+    each face's part of it is looked up in that face's rank table.
     """
-    offset = {}
     spans = []
-    start = 0
+    ranks = []
     for fid in faces:
-        offset[fid] = start
-        size = 2 * trinity.n_r[fid]
+        lo = trinity.offset[fid]
+        spans.append((lo, lo + 2 * trinity.n_r[fid]))
         # diagram index by partner tuple, in global point indices
-        rank = {tuple(p + start for p in d.partner): k for k, d in enumerate(per_face[fid])}
-        spans.append((start, start + size, rank))
-        start += size
-    end = [0] * start
-    for (f, i), (g, j) in trinity.glue_map.items():
-        end[offset[f] + i] = offset[g] + j
-    partner = [0] * start
-    chords = start // 2
-
-    # open segments as a linked list (segment, rest), leftmost first
-    pending = None
-    for lo, hi, _rank in reversed(spans):
-        pending = ((lo, hi), pending)
-    (a, hi), rest = pending
-    # frame: [a, hi, b, rest, ea, eb] pairs point a with b < hi; ea >= 0
-    # while chord (a, b) is applied, with ea and eb the ends it joined
-    frames = [[a, hi, a - 1, rest, -1, -1]]
-    kept = []
-    while frames:
-        frame = frames[-1]
-        a, hi, b, rest, ea, eb = frame
-        if ea >= 0:
-            end[ea] = a
-            end[eb] = b
-            frame[4] = -1
-        b += 2
-        if b >= hi:
-            frames.pop()
-            continue
-        frame[2] = b
-        ea = end[a]
-        if ea == b:
-            if len(frames) == chords:
-                partner[a] = b
-                partner[b] = a
-                kept.append(tuple(rank[tuple(partner[lo:hi])] for lo, hi, rank in spans))
-            continue
-        eb = end[b]
-        end[ea] = eb
-        end[eb] = ea
-        frame[4] = ea
-        frame[5] = eb
-        partner[a] = b
-        partner[b] = a
-        if b + 1 < hi:
-            rest = ((b + 1, hi), rest)
-        if a + 1 < b:
-            rest = ((a + 1, b), rest)
-        (a, hi), rest = rest
-        frames.append([a, hi, a - 1, rest, -1, -1])
-    return kept
+        ranks.append({tuple(lo + p for p in d.partner): k for k, d in enumerate(per_face[fid])})
+    return [
+        tuple(rank[tuple(partner[lo:hi])] for (lo, hi), rank in zip(spans, ranks))
+        for partner in dividing.noncrossing_matchings(spans, list(trinity.glue))
+    ]
 
 
 def _one_face_groups(choices):

@@ -17,10 +17,11 @@ is read off the two triangles flanking it, from that colour's corner of the
 black one to its corner of the white one.
 
 A ``Trinity`` owns the products computed from it: the directed duals, the
-six hypertree sets, the magic-number report, the disc charts and glue map
-of the dividing-set layer and each disc's Euler contribution are built at
-most once per trinity and shared by every caller. The enumeration cap is
-fixed when the trinity is built, so every product is a plain memo.
+six hypertree sets, the magic-number report, the disc charts, the global
+numbering of boundary points and their glue across edges, and each disc's
+Euler contribution are built at most once per trinity and shared by every
+caller. The enumeration cap is fixed when the trinity is built, so every
+product is a plain memo.
 """
 
 from __future__ import annotations
@@ -237,30 +238,34 @@ class Trinity:
 
     @cached_property
     def charts(self):
-        """Face id -> DiscChart: signs of the boundary arcs and their corners.
+        """Face id -> DiscChart: the emerald corner under each boundary arc.
 
         An arc is negative exactly when it ends at an emerald corner.
         """
-        signs = {fid: [1] * (2 * k) for fid, k in self.n_r.items()}
         corners = {fid: [None] * (2 * k) for fid, k in self.n_r.items()}
         for fid, i, _w in self.corners("emerald"):
-            signs[fid][i] = -1
             corners[fid][i] = self.corner_id(fid, i)
-        return {
-            fid: DiscChart(fid, self.n_r[fid], tuple(signs[fid]), tuple(corners[fid]))
-            for fid in self.red
-        }
+        return {fid: DiscChart(fid, self.n_r[fid], tuple(corners[fid])) for fid in self.red}
 
     @cached_property
-    def glue_map(self):
-        """How boundary points pair across the edges of the graph."""
+    def offset(self):
+        """Face id -> global index of its boundary point 0, faces in sorted order."""
+        offset = {}
+        start = 0
+        for fid in self.red:
+            offset[fid] = start
+            start += 2 * self.n_r[fid]
+        return offset
+
+    @cached_property
+    def glue(self):
+        """Point glued to each boundary point across its edge, by global index."""
         g = self.graph
-        glue = {}
-        for eid in g.edges:
-            a, b = g.edges[eid].darts
-            pa, pb = g.position_of(a), g.position_of(b)
-            glue[pa] = pb
-            glue[pb] = pa
+        glue = [0] * (2 * self.n)
+        for edge in g.edges.values():
+            a, b = (self.offset[f] + i for f, i in map(g.position_of, edge.darts))
+            glue[a] = b
+            glue[b] = a
         return glue
 
     # -- census ---------------------------------------------------------------

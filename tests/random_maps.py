@@ -96,23 +96,36 @@ class Map:
 
 @st.composite
 def plane_bipartite_maps(draw, max_edges=14):
-    """A connected plane bipartite map document with at most ``max_edges`` edges."""
+    """A connected plane bipartite map document with at most ``max_edges`` edges.
+
+    Each step draws its move in at most two choices from lists that no
+    other step offers: first a site, an edge to split or a face to cross,
+    then for a face the two corners and the path length together.
+    Hypothesis labels a ``sampled_from`` draw by its elements, so its
+    mutator finds no two draws of one label to copy between; a copied
+    ``booleans()`` draw would switch one step's move and misread every
+    later choice.
+    """
     target = draw(st.integers(min_value=1, max_value=max_edges))
     grown = Map()
     while len(grown.edges) < target:
         room = target - len(grown.edges)
-        if room >= 2 and draw(st.booleans()):
-            grown.split_edge(draw(st.sampled_from(sorted(grown.edges))))
-            continue
         graph = plane_graph.parse_graph(grown.document())
-        face = graph.faces[draw(st.sampled_from(sorted(graph.faces)))]
-        corner_u = draw(st.sampled_from(face.boundary))
-        colour_u = graph.colour_of(graph.origin(corner_u))
-        corner_w = draw(
-            st.sampled_from(
-                [d for d in face.boundary if graph.colour_of(graph.origin(d)) != colour_u]
-            )
-        )
-        length = draw(st.sampled_from([n for n in (1, 3, 5) if n <= room]))
-        grown.add_path(corner_u, corner_w, length)
+        sites = [("split", eid) for eid in sorted(grown.edges) if room >= 2]
+        sites += [("cross", fid) for fid in sorted(graph.faces)]
+        move, site = draw(st.sampled_from(sites))
+        if move == "split":
+            grown.split_edge(site)
+            continue
+        boundary = graph.faces[site].boundary
+        colour = {d: graph.colour_of(graph.origin(d)) for d in boundary}
+        paths = [
+            (corner_u, corner_w, length)
+            for corner_u in boundary
+            for corner_w in boundary
+            if colour[corner_w] != colour[corner_u]
+            for length in (1, 3, 5)
+            if length <= room
+        ]
+        grown.add_path(*draw(st.sampled_from(paths)))
     return grown.document()

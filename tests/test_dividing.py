@@ -1,5 +1,6 @@
 """Chord diagrams, tightness, signed regions, Euler classes, tree-hugging."""
 
+import sys
 from itertools import product
 
 import pytest
@@ -71,6 +72,25 @@ def test_diagrams_are_valid_matchings(n):
         assert d.n == n
         assert is_non_crossing(d.pairs())
         assert sorted(x for p in d.pairs() for x in p) == list(range(2 * n))
+
+
+def recursion_headroom(depth=0):
+    """Nested Python calls that still fit under the recursion limit."""
+    try:
+        return recursion_headroom(depth + 1)
+    except RecursionError:
+        return depth
+
+
+def test_chord_diagrams_need_no_recursion():
+    # the interpreter's own count of the caller's depth, C calls included
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - recursion_headroom() + 10)
+    try:
+        diagrams = dv.enumerate_chord_diagrams(10)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(diagrams) == 16_796
 
 
 def test_crossing_diagram_rejected():

@@ -47,6 +47,24 @@ def _bucket_pair_edges(choices):
     return tuple(sorted(edges))
 
 
+def test_building_leaves_the_glue_unchanged(trinities, monkeypatch):
+    for t in trinities.values():
+        glue = list(t.glue)
+        tx.build_configuration_graph(t)
+        assert t.glue == glue
+    # the matcher puts back the path ends it rewires only once exhausted,
+    # so the builder must hand it a copy, which shows when it stops early
+    t = trinities["running11"]
+    glue = list(t.glue)
+    per_face = {f: dv.enumerate_chord_diagrams(t.n_r[f]) for f in t.red}
+    matchings = dv.noncrossing_matchings
+    monkeypatch.setattr(
+        dv, "noncrossing_matchings", lambda spans, end: itertools.islice(matchings(spans, end), 1)
+    )
+    assert len(tx._tight_choices(t, t.red, per_face)) == 1
+    assert t.glue == glue
+
+
 def test_no_moves_with_two_chords():
     for d in dv.enumerate_chord_diagrams(2):
         assert tx.bypass_moves(d) == set()
