@@ -201,7 +201,7 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
         counts_ok = graph_c.component_count() == magic.value
         return {
             "total_configurations": str(graph_c.total_configurations),
-            "tight_configurations": str(len(graph_c.vertices)),
+            "tight_configurations": str(len(graph_c.choices)),
             "components": str(graph_c.component_count()),
             "bijection_ok": report.bijection_ok,
             "euler_sum_ok": euler_ok,

@@ -245,23 +245,31 @@ class TightVerdict:
 def loop_count(config):
     """Closed curves obtained by gluing chord endpoints across graph edges."""
     trinity = config.trinity
-    glue = trinity.glue
-    chord = [0] * len(glue)
+    chord = [0] * len(trinity.glue)
     for fid, diagram in config.entries:
         lo = trinity.offset[fid]
         chord[lo:lo + len(diagram.partner)] = [lo + j for j in diagram.partner]
-    # walk each curve once, marking the points it crosses
+    return glued_loops(chord, trinity.glue)
+
+
+def glued_loops(chord, glue):
+    """Closed curves of the chords ``chord`` glued across edges by ``glue``.
+
+    Both are partner arrays over the trinity's global point numbering.
+    """
+    # walk each curve once, marking the points it crosses; each new curve
+    # starts at the first unmarked point
     seen = bytearray(len(glue))
     loops = 0
-    for start in range(len(glue)):
-        if seen[start]:
-            continue
+    start = seen.find(0)
+    while start >= 0:
         loops += 1
         p = start
         while not seen[p]:
             q = chord[p]
             seen[p] = seen[q] = 1
             p = glue[q]
+        start = seen.find(0, start)
     return loops
 
 

@@ -13,8 +13,9 @@ instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import getitem
 
 from . import dividing
 from .dividing import ChordDiagram, Configuration, NotTight
@@ -124,12 +125,14 @@ class Component:
 class ConfigurationGraph:
     """Tight configurations and the partition of their one-face graph.
 
-    ``choices[i]`` holds, face by face in sorted order, the index of
-    vertex i's diagram in ``enumerate_chord_diagrams``.
+    A vertex is its choice tuple: ``choices[i]`` holds, face by face in
+    sorted order, the index of vertex i's diagram in that face's
+    ``diagrams``. ``vertex(i)`` builds its ``Configuration`` when read;
+    building the graph makes one only for each tree-hugging probe.
     """
 
     trinity: object = field(compare=False)
-    vertices: tuple = ()
+    diagrams: tuple = ()
     choices: tuple = ()
     component_of: tuple = ()
     components: tuple = ()
@@ -137,6 +140,14 @@ class ConfigurationGraph:
 
     def component_count(self):
         return len(self.components)
+
+    def vertex(self, i):
+        entries = zip(self.trinity.red, map(getitem, self.diagrams, self.choices[i]))
+        return Configuration(self.trinity, tuple(entries))
+
+    @cached_property
+    def vertices(self):
+        return tuple(map(self.vertex, range(len(self.choices))))
 
     @cached_property
     def edges(self):
@@ -171,30 +182,30 @@ def build_configuration_graph(trinity):
     """All tight configurations, joined when they differ on one face.
 
     The tight configurations are built chord by chord, not filtered out of
-    the Catalan product, and each one is checked with ``dividing.is_tight``.
+    the Catalan product. Each one is checked with ``dividing.glued_loops``
+    on its chords, concatenated from per-face tables of partner tuples.
     Vertices come in the product's order: lexicographic in ``choices``.
     """
     total = configuration_count(trinity)
-    faces = tuple(sorted(trinity.red))
+    faces = trinity.red
     per_face = {
         fid: dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap)
         for fid in faces
     }
     choices = tuple(sorted(_tight_choices(trinity, faces, per_face)))
-    vertices = tuple(
-        Configuration.from_diagrams(
-            trinity, {f: per_face[f][k] for f, k in zip(faces, choice)}
-        )
-        for choice in choices
-    )
-    for choice, config in zip(choices, vertices):
-        verdict = dividing.is_tight(config)
-        if not verdict.tight:
+    tables = [_offset_partners(trinity, fid, per_face[fid]) for fid in faces]
+    glue, walk = trinity.glue, dividing.glued_loops
+    for choice in choices:
+        chord = []
+        for table, k in zip(tables, choice):
+            chord += table[k]
+        loops = walk(chord, glue)
+        if loops != 1:
             raise BuiltNotTight(
-                f"diagrams {dict(zip(faces, choice))} close into {verdict.loops} curves"
+                f"diagrams {dict(zip(faces, choice))} close into {loops} curves"
             )
 
-    parent = list(range(len(vertices)))
+    parent = list(range(len(choices)))
 
     def find(x):
         while parent[x] != x:
@@ -212,12 +223,17 @@ def build_configuration_graph(trinity):
     # one pass in vertex order numbers components by their smallest member
     number = {}
     component_of = tuple(
-        number.setdefault(find(i), len(number)) for i in range(len(vertices))
+        number.setdefault(find(i), len(number)) for i in range(len(choices))
     )
-    components = _label_components(trinity, vertices, component_of, len(number))
-    return ConfigurationGraph(
-        trinity, vertices, choices, component_of, components, total
-    )
+    diagrams = tuple(per_face[fid] for fid in faces)
+    graph = ConfigurationGraph(trinity, diagrams, choices, component_of, (), total)
+    return replace(graph, components=_label_components(graph, len(number)))
+
+
+def _offset_partners(trinity, fid, diagrams):
+    """Each diagram's partner tuple, in global point indices."""
+    lo = trinity.offset[fid]
+    return [tuple(lo + p for p in d.partner) for d in diagrams]
 
 
 def _tight_choices(trinity, faces, per_face):
@@ -232,8 +248,7 @@ def _tight_choices(trinity, faces, per_face):
     for fid in faces:
         lo = trinity.offset[fid]
         spans.append((lo, lo + 2 * trinity.n_r[fid]))
-        # diagram index by partner tuple, in global point indices
-        ranks.append({tuple(lo + p for p in d.partner): k for k, d in enumerate(per_face[fid])})
+        ranks.append({p: k for k, p in enumerate(_offset_partners(trinity, fid, per_face[fid]))})
     return [
         tuple(rank[tuple(partner[lo:hi])] for (lo, hi), rank in zip(spans, ranks))
         for partner in dividing.noncrossing_matchings(spans, list(trinity.glue))
@@ -249,32 +264,46 @@ def _one_face_groups(choices):
         yield from buckets.values()
 
 
-def _label_components(trinity, vertices, component_of, count):
+def _label_components(graph, count):
+    """Each component's Euler vector, hypertree and tree-hugging representative.
+
+    Disc Euler contributions are read through ``dividing.disc_euler`` once
+    per (face, diagram index), and every member's Euler tuple is compared.
+    """
+    trinity, diagrams, choices = graph.trinity, graph.diagrams, graph.choices
+    faces = trinity.red
     members = [[] for _ in range(count)]
-    for idx, c in enumerate(component_of):
+    for idx, c in enumerate(graph.component_of):
         members[c].append(idx)
+    table = [[None] * len(d) for d in diagrams]
+
+    def euler(choice):
+        for axis, k in enumerate(choice):
+            if table[axis][k] is None:
+                table[axis][k] = dividing.disc_euler(trinity, faces[axis], diagrams[axis][k])
+        return tuple(map(getitem, table, choice))
+
     components = []
     for cid in range(count):
-        eulers = [dividing.euler_vector(vertices[i]) for i in members[cid]]
-        if any(e != eulers[0] for e in eulers[1:]):
+        first = euler(choices[members[cid][0]])
+        if any(euler(choices[i]) != first for i in members[cid][1:]):
             raise EulerNotConstant(f"component {cid} mixes Euler vectors")
-        euler = eulers[0]
         hypertree = {}
-        for fid, e in euler.items():
+        for fid, e in zip(faces, first):
             f2 = e + trinity.n_r[fid] - 1
             if f2 % 2:
                 raise EulerNotConstant(f"odd Euler offset on face {fid}")
             hypertree[fid] = f2 // 2
         rep = None
         for i in members[cid]:
-            hugging, _tree = dividing.is_tree_hugging(vertices[i])
+            hugging, _tree = dividing.is_tree_hugging(graph.vertex(i))
             if hugging:
                 rep = i
                 break
         if rep is None:
             raise NotTreeHuggingReachable(f"component {cid} has no tree-hugging vertex")
         components.append(
-            Component(cid, tuple(members[cid]), euler, hypertree, rep)
+            Component(cid, tuple(members[cid]), dict(zip(faces, first)), hypertree, rep)
         )
     return tuple(components)
 
@@ -295,7 +324,7 @@ class ClassificationReport:
                     "size": len(c.members),
                     "euler": dict(sorted(c.euler.items())),
                     "hypertree": dict(sorted(c.hypertree.items())),
-                    "tree_hugging_rep": self.graph.vertices[c.representative].to_json(),
+                    "tree_hugging_rep": self.graph.vertex(c.representative).to_json(),
                 }
                 for c in self.graph.components
             ],

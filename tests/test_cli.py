@@ -231,8 +231,8 @@ def _raise(exc):
 MODEL_FAILURE_CASES = [
     (transitions, "classify_components", _raise(transitions.NotBijective("components 1 vs hypertrees 2")), "NotBijective"),
     (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
-    (dividing, "euler_vector", lambda config: {fid: 0 for fid, _ in config.entries}, "EulerNotConstant"),
-    (dividing, "is_tight", lambda config: dividing.TightVerdict(False, 2), "BuiltNotTight"),
+    (dividing, "disc_euler", lambda trinity, face, diagram: 0, "EulerNotConstant"),
+    (dividing, "glued_loops", lambda chord, glue: 2, "BuiltNotTight"),
     (dividing, "_region_arcs", lambda partner: [list(range(len(partner)))], "MixedRegion"),
     (dividing, "tree_hugging", lambda trinity, tree: None, "NoHugBack"),
     (dividing, "_require_spanning", _raise(dividing.NotSpanning("edge set contains a cycle")), "NotSpanning"),

@@ -338,21 +338,91 @@ def test_builder_matches_the_product_filter(trinities, name):
 
 def test_builder_checks_each_tight_configuration_once(monkeypatch):
     t = _generated("even_cycle", 6)
-    calls = {"is_tight": 0, "is_tree_hugging": 0}
-    real_is_tight, real_is_tree_hugging = dv.is_tight, dv.is_tree_hugging
+    calls = {"glued_loops": 0, "is_tree_hugging": 0}
+    real_glued_loops, real_is_tree_hugging = dv.glued_loops, dv.is_tree_hugging
 
-    def is_tight(config):
-        calls["is_tight"] += 1
-        return real_is_tight(config)
+    def glued_loops(chord, glue):
+        calls["glued_loops"] += 1
+        return real_glued_loops(chord, glue)
 
     def is_tree_hugging(config):
         calls["is_tree_hugging"] += 1
         return real_is_tree_hugging(config)
 
-    monkeypatch.setattr(dv, "is_tight", is_tight)
+    monkeypatch.setattr(dv, "glued_loops", glued_loops)
     monkeypatch.setattr(dv, "is_tree_hugging", is_tree_hugging)
     cg = tx.build_configuration_graph(t)
     assert cg.total_configurations == 17424
-    assert len(cg.vertices) == 1828
-    # each tree-hugging probe checks its input's tightness once more
-    assert calls["is_tight"] == len(cg.vertices) + calls["is_tree_hugging"]
+    assert len(cg.choices) == 1828
+    # one walk per vertex; each tree-hugging probe walks its input once more
+    assert calls["glued_loops"] == len(cg.choices) + calls["is_tree_hugging"]
+
+
+def test_building_makes_configurations_for_the_tree_hugging_probes_only(monkeypatch):
+    t = _generated("even_cycle", 6)
+    calls = {"post_init": 0, "is_tree_hugging": 0, "tree_hugging": 0}
+    real_post_init = dv.Configuration.__post_init__
+    real_is_tree_hugging, real_tree_hugging = dv.is_tree_hugging, dv.tree_hugging
+
+    def post_init(config):
+        calls["post_init"] += 1
+        real_post_init(config)
+
+    def is_tree_hugging(config):
+        calls["is_tree_hugging"] += 1
+        return real_is_tree_hugging(config)
+
+    def tree_hugging(trinity, tree):
+        calls["tree_hugging"] += 1
+        return real_tree_hugging(trinity, tree)
+
+    monkeypatch.setattr(dv.Configuration, "__post_init__", post_init)
+    monkeypatch.setattr(dv, "is_tree_hugging", is_tree_hugging)
+    monkeypatch.setattr(dv, "tree_hugging", tree_hugging)
+    cg = tx.build_configuration_graph(t)
+    assert len(cg.choices) == 1828
+    # one per probe, plus the configuration each found witness hugs
+    assert calls["tree_hugging"] == cg.component_count()
+    assert calls["post_init"] == calls["is_tree_hugging"] + calls["tree_hugging"]
+
+
+def test_vertex_builds_the_listed_configuration(trinities):
+    for name, t in trinities.items():
+        cg = tx.build_configuration_graph(t)
+        assert len(cg.vertices) == len(cg.choices), name
+        for i in range(len(cg.choices)):
+            assert cg.vertex(i) == cg.vertices[i], (name, i)
+
+
+def test_a_late_member_euler_mismatch_is_caught(trinities, monkeypatch):
+    t = trinities["cycle6"]
+    cg = tx.build_configuration_graph(t)
+    component = max(cg.components, key=lambda c: len(c.members))
+    assert len(component.members) > 2
+    last = cg.choices[component.members[-1]]
+    # a disc of the last member on which no component's first two members
+    # differ and which the component's first member lacks: a check of fewer
+    # members than all of them sees no mismatch there
+    axis = next(
+        a for a, k in enumerate(last)
+        if all(len({cg.choices[i][a] == k for i in c.members[:2]}) == 1 for c in cg.components)
+        and cg.choices[component.members[0]][a] != k
+    )
+    target = cg.vertex(component.members[-1]).entries[axis]
+    real = dv.disc_euler
+    monkeypatch.setattr(
+        dv, "disc_euler", lambda trinity, face, diagram: real(trinity, face, diagram) + 2 * ((face, diagram) == target)
+    )
+    with pytest.raises(tx.EulerNotConstant, match="mixes Euler vectors"):
+        tx.build_configuration_graph(t)
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_random_map_component_euler_is_every_member_euler(doc):
+    t = trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+    assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
+    cg = tx.build_configuration_graph(t)
+    for component in cg.components:
+        for i in component.members:
+            assert dv.euler_vector(cg.vertex(i)) == component.euler
