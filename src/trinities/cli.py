@@ -440,6 +440,7 @@ MODEL_FAILURES = (
     transitions.NotTreeHuggingReachable,
     transitions.NotBijective,
     fkt.MappingFailure,
+    fkt.MoveLeavesStates,
 )
 
 USAGE_ERRORS = (

@@ -9,6 +9,12 @@ quadrants' two neighbours off and yields the single-loop trail of the
 state. A clockwise transposition retreats the markers of two vertices one
 quadrant clockwise so that their faces swap; the direction convention is
 pinned by a regression fixture, since only its consistency matters here.
+
+Faces are numbered once per universe, and each vertex, in id order, keeps
+the face indices of its four quadrants. One search yields each state as
+its tuple of quadrant choices and one move rule gives a choice tuple's
+clockwise moves; the clock graph runs on these tuples and builds
+``UniverseState`` objects only when its ``states`` are read.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ class MappingFailure(RuntimeError):
     """The state-to-configuration correspondence failed (model bug)."""
 
 
+class MoveLeavesStates(RuntimeError):
+    """A clockwise move must lead to a listed state (model bug otherwise)."""
+
+
 @dataclass(frozen=True)
 class Universe:
     graph: RotationGraph = field(compare=False)
@@ -51,12 +61,23 @@ class Universe:
         return tuple(f for f in sorted(self.graph.faces) if f not in self.stars)
 
     @cached_property
+    def vertex_ids(self):
+        return tuple(sorted(self.graph.vertices))
+
+    @cached_property
+    def face_index(self):
+        """{face id: its index}, faces sorted."""
+        return {f: i for i, f in enumerate(sorted(self.graph.faces))}
+
+    @cached_property
     def quadrants(self):
-        """{vertex: the faces of its quadrants 0..3}, traced once per universe."""
-        return {
-            v: tuple(quadrant_face(self.graph, v, k) for k in range(4))
-            for v in self.graph.vertices
-        }
+        """Per vertex in id order, the face indices of its quadrants 0..3,
+        traced once per universe."""
+        index = self.face_index
+        return tuple(
+            tuple(index[quadrant_face(self.graph, v, k)] for k in range(4))
+            for v in self.vertex_ids
+        )
 
 
 def parse_universe(document):
@@ -105,41 +126,53 @@ def quadrant_face(graph, v, k):
 
 
 def enumerate_states(universe, cap=DEFAULT_CAP):
-    """All marker assignments covering each unstarred face exactly once.
+    """All marker assignments covering each unstarred face exactly once."""
+    return _as_states(universe, _state_choices(universe, cap))
 
-    Depth-first over the vertices in id order, trying quadrants 0..3 at
-    each; an explicit choice array replaces recursion, so the interpreter's
-    stack depth does not grow with the number of crossings.
+
+def _as_states(universe, choices):
+    verts = universe.vertex_ids
+    return tuple(UniverseState(tuple(zip(verts, c))) for c in choices)
+
+
+def _state_choices(universe, cap):
+    """Each state's quadrant choices, vertices in id order, lexicographically.
+
+    Depth-first over the vertices, trying quadrants 0..3 at each; an
+    explicit choice array replaces recursion, so the interpreter's stack
+    depth does not grow with the number of crossings.
     """
-    verts = sorted(universe.graph.vertices)
-    check_cap(4 ** len(verts), cap, "state search space")
-    quads = [universe.quadrants[v] for v in verts]
-    n = len(verts)
+    quads = universe.quadrants
+    n = len(quads)
+    check_cap(4**n, cap, "state search space")
     states = []
-    used = set(universe.stars)
+    used = bytearray(len(universe.face_index))
+    for f in universe.stars:
+        used[universe.face_index[f]] = 1
     # choice[i] is the quadrant taken at vertex i on the branch being
     # explored, or -1 before the first try
     choice = [-1] * n
     i = 0
     while i >= 0:
         if i == n:
-            states.append(UniverseState(tuple(zip(verts, choice))))
+            states.append(tuple(choice))
             i -= 1
             continue
+        q = quads[i]
         k = choice[i]
         if k >= 0:
-            used.discard(quads[i][k])
+            used[q[k]] = 0
         k += 1
-        while k < 4 and quads[i][k] in used:
+        while k < 4 and used[q[k]]:
             k += 1
         if k == 4:
             choice[i] = -1
             i -= 1
         else:
             choice[i] = k
-            used.add(quads[i][k])
+            used[q[k]] = 1
             i += 1
-    return tuple(states)
+    return states
 
 
 # -- trails ----------------------------------------------------------------------
@@ -207,7 +240,13 @@ def state_to_trail(universe, state):
 
 
 def transpositions(universe, state):
-    """States one clockwise transposition away, ordered by v, then w.
+    """States one clockwise transposition away, ordered by v, then w."""
+    choice = tuple(k for _v, k in state.markers)
+    return list(_as_states(universe, _clockwise_moves(universe, choice)))
+
+
+def _clockwise_moves(universe, choice):
+    """Quadrant choices one clockwise transposition away, ordered by v, then w.
 
     The markers of v and w each retreat one quadrant clockwise and their
     faces swap; only the face identities matter, so the two vertices may
@@ -219,45 +258,56 @@ def transpositions(universe, state):
     backwards, from its target to its source.
     """
     quads = universe.quadrants
-    markers = state.markers
-    # position in ``markers`` of the vertex marking each face; markers are
-    # sorted by vertex, so positions compare as the vertices do
-    marker_on = {quads[v][k]: i for i, (v, k) in enumerate(markers)}
+    # the vertex marking each face, or -1; vertex order is id order
+    marker_on = [-1] * len(universe.face_index)
+    for i, k in enumerate(choice):
+        marker_on[quads[i][k]] = i
     out = []
-    for i, (v, kv) in enumerate(markers):
-        kv2 = (kv - 1) % 4
-        j = marker_on.get(quads[v][kv2], -1)
+    for i, k in enumerate(choice):
+        q = quads[i]
+        kv = k - 1 if k else 3
+        j = marker_on[q[kv]]
         if j <= i:  # a starred face, v itself, or a pair found from w's side
             continue
-        w, kw = markers[j]
-        kw2 = (kw - 1) % 4
-        if quads[w][kw2] != quads[v][kv]:
+        kw = choice[j] - 1 if choice[j] else 3
+        if quads[j][kw] != q[k]:
             continue
-        new = list(markers)
-        new[i] = (v, kv2)
-        new[j] = (w, kw2)
-        out.append(UniverseState(tuple(new)))
+        new = list(choice)
+        new[i] = kv
+        new[j] = kw
+        out.append(tuple(new))
     return out
 
 
 @dataclass(frozen=True)
 class ClockGraph:
-    states: tuple
+    universe: Universe = field(compare=False)
+    choices: tuple  # each state's quadrant choices, in enumerate_states' order
     arcs: tuple  # (i, j) state indices, clockwise moves
     report: dict
+
+    @cached_property
+    def states(self):
+        return _as_states(self.universe, self.choices)
 
 
 def clock_graph(universe, cap=DEFAULT_CAP):
     """States with clockwise transpositions as arcs, plus structure checks."""
-    states = enumerate_states(universe, cap)
-    index = {s: i for i, s in enumerate(states)}
+    choices = _state_choices(universe, cap)
+    index = {c: i for i, c in enumerate(choices)}
     # distinct as listed: a target differs from its source at exactly the two
     # swapped vertices, and each pair is found only from its smaller vertex
-    arcs = tuple(
-        sorted((i, index[t]) for i, s in enumerate(states) for t in transpositions(universe, s))
-    )
+    arcs = []
+    for i, c in enumerate(choices):
+        for t in _clockwise_moves(universe, c):
+            j = index.get(t)
+            if j is None:
+                v, w = (universe.vertex_ids[p] for p, k in enumerate(c) if k != t[p])
+                raise MoveLeavesStates(f"state {i}: the move at {v} and {w} leaves the states")
+            arcs.append((i, j))
+    arcs.sort()
 
-    n = len(states)
+    n = len(choices)
     outs = [[] for _ in range(n)]
     ins = [[] for _ in range(n)]
     for i, j in arcs:
@@ -300,7 +350,7 @@ def clock_graph(universe, cap=DEFAULT_CAP):
     report["ok"] = all(
         report[k] for k in ("weakly_connected", "acyclic", "unique_source", "unique_sink")
     )
-    return ClockGraph(states, arcs, report)
+    return ClockGraph(universe, tuple(choices), tuple(arcs), report)
 
 
 # -- the checkerboard dual -------------------------------------------------------------

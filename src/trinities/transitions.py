@@ -192,8 +192,8 @@ def build_configuration_graph(trinity):
         fid: dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap)
         for fid in faces
     }
-    choices = tuple(sorted(_tight_choices(trinity, faces, per_face)))
     tables = [_offset_partners(trinity, fid, per_face[fid]) for fid in faces]
+    choices = tuple(sorted(_tight_choices(trinity, faces, tables)))
     glue, walk = trinity.glue, dividing.glued_loops
     for choice in choices:
         chord = []
@@ -236,19 +236,19 @@ def _offset_partners(trinity, fid, diagrams):
     return [tuple(lo + p for p in d.partner) for d in diagrams]
 
 
-def _tight_choices(trinity, faces, per_face):
+def _tight_choices(trinity, faces, tables):
     """Diagram index tuples of the tight configurations, built chord by chord.
 
     ``dividing.noncrossing_matchings`` matches the faces in sorted order on a
     copy of ``trinity.glue``, so every matching it yields is a single curve;
-    each face's part of it is looked up in that face's rank table.
+    each face's part of it is looked up in the rank table of that face's
+    ``_offset_partners`` table.
     """
     spans = []
-    ranks = []
     for fid in faces:
         lo = trinity.offset[fid]
         spans.append((lo, lo + 2 * trinity.n_r[fid]))
-        ranks.append({p: k for k, p in enumerate(_offset_partners(trinity, fid, per_face[fid]))})
+    ranks = [{p: k for k, p in enumerate(table)} for table in tables]
     return [
         tuple(rank[tuple(partner[lo:hi])] for (lo, hi), rank in zip(spans, ranks))
         for partner in dividing.noncrossing_matchings(spans, list(trinity.glue))

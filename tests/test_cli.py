@@ -275,6 +275,20 @@ def test_mapping_failure_fails_correspond(capsys, fig8_file, monkeypatch):
     assert "correspond: FAIL (MappingFailure" in err
 
 
+def test_move_to_an_unlisted_state_fails_clock(capsys, fig8_file, monkeypatch):
+    # state 3 moves to state 0; with state 0 dropped, state 3 becomes state 2
+    real_choices = fkt._state_choices
+    monkeypatch.setattr(fkt, "_state_choices", lambda universe, cap: real_choices(universe, cap)[1:])
+    code, out, err = run(capsys, "clock", "--universe", fig8_file)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc == {
+        "ok": False,
+        "reason": "MoveLeavesStates: state 2: the move at b and m leaves the states",
+    }
+    assert "clock: FAIL (MoveLeavesStates" in err
+
+
 def test_magic_reports_an_enumeration_that_misses_its_determinant(capsys, c4_file, monkeypatch):
     real = trees.count_arborescences
     monkeypatch.setattr(trees, "count_arborescences", lambda dual, root: real(dual, root) + 1)

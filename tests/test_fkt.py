@@ -5,8 +5,10 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from corpus import corpus_documents, medial_universe_document, path_document
+from random_maps import plane_bipartite_maps
 from trinities import fkt
 from trinities import plane_graph as pg
 from trinities import trees
@@ -257,13 +259,50 @@ def test_transpositions_match_all_pairs_scan(oracle_universes, name):
         assert fkt.transpositions(u, s) == all_pairs_clockwise(u, s), s
 
 
+def all_pairs_clockwise_choices(universe, choice):
+    """The oracle's clockwise moves, as quadrant choice tuples."""
+    state = fkt.UniverseState(tuple(zip(sorted(universe.graph.vertices), choice)))
+    return [tuple(k for _v, k in t.markers) for t in all_pairs_clockwise(universe, state)]
+
+
+def all_pairs_arcs(universe):
+    """Clock graph arcs built from the oracle's moves and the state listing."""
+    states = fkt.enumerate_states(universe, cap=None)
+    index = {s: i for i, s in enumerate(states)}
+    return sorted(
+        (i, index[t]) for i, s in enumerate(states) for t in all_pairs_clockwise(universe, s)
+    )
+
+
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_clock_arcs_match_all_pairs_scan(oracle_universes, name, monkeypatch):
     u = oracle_universes[name]
     arcs = fkt.clock_graph(u, cap=None).arcs
     assert arcs or name == "curl"
-    monkeypatch.setattr(fkt, "transpositions", all_pairs_clockwise)
+    monkeypatch.setattr(fkt, "_clockwise_moves", all_pairs_clockwise_choices)
     assert fkt.clock_graph(u, cap=None).arcs == arcs
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_random_medial_clock_graphs(doc):
+    u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
+    clock = fkt.clock_graph(u, cap=None)
+    # Kauffman's state-tree bijection, counted by the matrix-tree theorem
+    assert clock.report["states"] == trees.spanning_tree_count(pg.parse_graph(doc))
+    assert list(clock.arcs) == all_pairs_arcs(u)
+    assert clock.report["ok"]
+
+
+def test_clock_graph_builds_states_only_when_read(medial_universes, monkeypatch):
+    u, _doc = medial_universes["medial_ladder3"]
+    made = []
+    real = fkt.UniverseState
+    monkeypatch.setattr(fkt, "UniverseState", lambda markers: made.append(1) or real(markers))
+    clock = fkt.clock_graph(u, cap=None)
+    assert made == []
+    assert clock.states == fkt.enumerate_states(u, cap=None)
+    assert len(made) == 2 * clock.report["states"]
 
 
 @pytest.mark.parametrize("name", ["curl", "hopf", "figure_eight"])
@@ -283,9 +322,11 @@ def test_clock_graph_hopf_shape(universes):
 
 
 def _patch_clockwise_arcs(monkeypatch, n, successors):
-    """Make clock_graph see states 0..n-1 with the given clockwise moves."""
-    monkeypatch.setattr(fkt, "enumerate_states", lambda universe, cap: tuple(range(n)))
-    monkeypatch.setattr(fkt, "transpositions", lambda universe, s: successors(s))
+    """Make clock_graph see states (0,)..(n-1,) with the given clockwise moves."""
+    monkeypatch.setattr(fkt, "_state_choices", lambda universe, cap: [(s,) for s in range(n)])
+    monkeypatch.setattr(
+        fkt, "_clockwise_moves", lambda universe, choice: [(t,) for t in successors(choice[0])]
+    )
 
 
 def test_clock_graph_long_chain_needs_no_recursion(monkeypatch):

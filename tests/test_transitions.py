@@ -56,12 +56,12 @@ def test_building_leaves_the_glue_unchanged(trinities, monkeypatch):
     # so the builder must hand it a copy, which shows when it stops early
     t = trinities["running11"]
     glue = list(t.glue)
-    per_face = {f: dv.enumerate_chord_diagrams(t.n_r[f]) for f in t.red}
+    tables = [tx._offset_partners(t, f, dv.enumerate_chord_diagrams(t.n_r[f])) for f in t.red]
     matchings = dv.noncrossing_matchings
     monkeypatch.setattr(
         dv, "noncrossing_matchings", lambda spans, end: itertools.islice(matchings(spans, end), 1)
     )
-    assert len(tx._tight_choices(t, t.red, per_face)) == 1
+    assert len(tx._tight_choices(t, t.red, tables)) == 1
     assert t.glue == glue
 
 
