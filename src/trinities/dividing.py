@@ -94,43 +94,24 @@ def enumerate_chord_diagrams(n, cap=DEFAULT_CAP):
     if n < 1:
         raise ValueError("need n >= 1")
     check_cap(catalan(n), cap, "chord diagram enumeration")
-    # one unglued face: no chord can close a curve
-    matchings = noncrossing_matchings([(0, 2 * n)], list(range(2 * n)))
-    return tuple(ChordDiagram(tuple(partner)) for partner in matchings)
+    return tuple(ChordDiagram(tuple(partner)) for partner in noncrossing_matchings(n))
 
 
-def noncrossing_matchings(spans, end):
-    """Non-crossing matchings of the spans' points that close no curve early.
+def noncrossing_matchings(n):
+    """Non-crossing perfect matchings of 2n points on a circle, in partner order.
 
-    Each span ``(lo, hi)`` is one face, whose points lo..hi-1 are matched
-    among themselves; spans are matched one after another. ``end[p]`` is
-    the far end of the open path ending at point p (p itself for a lone
-    point). A chord (a, b) joins the paths ending at a and b; when
-    ``end[a] == b`` it would close a curve, and only the last chord may.
     The first free point of the leftmost open segment takes each odd-offset
     partner in turn, splitting the segment in two, so matchings come out in
     partner order. The search keeps one explicit stack frame per chord and
-    yields the partner list, reused between yields; ``end`` is restored
-    only once the search is exhausted.
+    yields the partner list, reused between yields.
     """
-    partner = [0] * len(end)
-    chords = sum(hi - lo for lo, hi in spans) // 2
-
-    # open segments as a linked list (segment, rest), leftmost first
-    pending = None
-    for span in reversed(spans):
-        pending = (span, pending)
-    (a, hi), rest = pending
-    # frame: [a, hi, b, rest, ea, eb] pairs point a with b < hi; ea >= 0
-    # while chord (a, b) is applied, with ea and eb the ends it joined
-    frames = [[a, hi, a - 1, rest, -1, -1]]
+    partner = [0] * (2 * n)
+    # frame: [a, hi, b, rest] pairs point a with b < hi; rest is the linked
+    # list (segment, rest) of the other open segments, leftmost first
+    frames = [[0, 2 * n, -1, None]]
     while frames:
         frame = frames[-1]
-        a, hi, b, rest, ea, eb = frame
-        if ea >= 0:
-            end[ea] = a
-            end[eb] = b
-            frame[4] = -1
+        a, hi, b, rest = frame
         b += 2
         if b >= hi:
             frames.pop()
@@ -138,23 +119,15 @@ def noncrossing_matchings(spans, end):
         frame[2] = b
         partner[a] = b
         partner[b] = a
-        if len(frames) == chords:
+        if len(frames) == n:
             yield partner
             continue
-        ea = end[a]
-        if ea == b:
-            continue
-        eb = end[b]
-        end[ea] = eb
-        end[eb] = ea
-        frame[4] = ea
-        frame[5] = eb
         if b + 1 < hi:
             rest = ((b + 1, hi), rest)
         if a + 1 < b:
             rest = ((a + 1, b), rest)
         (a, hi), rest = rest
-        frames.append([a, hi, a - 1, rest, -1, -1])
+        frames.append([a, hi, a - 1, rest])
 
 
 def _region_arcs(partner):
@@ -257,6 +230,15 @@ def glued_loops(chord, glue):
 
     Both are partner arrays over the trinity's global point numbering.
     """
+    # follow the curve through point 0 without marking: when it crosses
+    # every chord, it is the only curve
+    crossed = 1
+    p = glue[chord[0]]
+    while p:
+        p = glue[chord[p]]
+        crossed += 1
+    if 2 * crossed == len(glue):
+        return 1
     # walk each curve once, marking the points it crosses; each new curve
     # starts at the first unmarked point
     seen = bytearray(len(glue))
@@ -306,16 +288,10 @@ class SignedRegions:
 
 def signed_regions(trinity, face, diagram):
     """Complementary regions of the diagram with their signs and valences."""
-    chart = trinity.charts[face]
-    if diagram.n != chart.n:
-        raise SizeMismatch(f"diagram size {diagram.n} != n_r {chart.n}")
-    regions = []
-    for arcs in _region_arcs(diagram.partner):
-        signs = {1 if chart.emerald_corner[a] is None else -1 for a in arcs}
-        if len(signs) != 1:
-            raise MixedRegion(f"face {face}: region on arcs {arcs} has mixed signs")
-        regions.append(Region(signs.pop(), len(arcs), tuple(arcs)))
-    return SignedRegions(face, tuple(regions))
+    regions = tuple(
+        Region(sign, len(arcs), tuple(arcs)) for sign, arcs in _region_signs(trinity, face, diagram)
+    )
+    return SignedRegions(face, regions)
 
 
 def disc_euler(trinity, face, diagram):
@@ -326,9 +302,24 @@ def disc_euler(trinity, face, diagram):
     key = (face, diagram)
     euler = trinity.disc_eulers.get(key)
     if euler is None:
-        sr = signed_regions(trinity, face, diagram)
-        euler = trinity.disc_eulers[key] = len(sr.positives()) - len(sr.negatives())
+        signs = _region_signs(trinity, face, diagram)
+        euler = trinity.disc_eulers[key] = sum(sign for sign, _ in signs)
     return euler
+
+
+def _region_signs(trinity, face, diagram):
+    """Each complementary region's sign and arcs, root region last."""
+    chart = trinity.charts[face]
+    if diagram.n != chart.n:
+        raise SizeMismatch(f"diagram size {diagram.n} != n_r {chart.n}")
+    corner = chart.emerald_corner
+    out = []
+    for arcs in _region_arcs(diagram.partner):
+        signs = {1 if corner[a] is None else -1 for a in arcs}
+        if len(signs) != 1:
+            raise MixedRegion(f"face {face}: region on arcs {arcs} has mixed signs")
+        out.append((signs.pop(), arcs))
+    return out
 
 
 def euler_vector(config):

@@ -13,9 +13,10 @@ instead.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import getitem
+from operator import getitem, itemgetter, mul, sub
 
 from . import dividing
 from .dividing import ChordDiagram, Configuration, NotTight
@@ -157,7 +158,7 @@ class ConfigurationGraph:
         large instances they far outnumber the vertices.
         """
         pairs = []
-        for group in _one_face_groups(self.choices):
+        for group in _one_face_groups(self.choices, tuple(map(len, self.diagrams))):
             pairs.extend(itertools.combinations(group, 2))
         return tuple(sorted(pairs))
 
@@ -181,19 +182,19 @@ def configuration_count(trinity):
 def build_configuration_graph(trinity):
     """All tight configurations, joined when they differ on one face.
 
-    The tight configurations are built chord by chord, not filtered out of
-    the Catalan product. Each one is checked with ``dividing.glued_loops``
-    on its chords, concatenated from per-face tables of partner tuples.
-    Vertices come in the product's order: lexicographic in ``choices``.
+    The tight configurations are built chord by chord, by walking the
+    faces' chord tries, not filtered out of the Catalan product. Each one
+    is checked with ``dividing.glued_loops`` on its chords, concatenated
+    from per-face tables of partner tuples. Vertices come in the product's
+    order: lexicographic in ``choices``.
     """
     total = configuration_count(trinity)
     faces = trinity.red
-    per_face = {
-        fid: dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap)
-        for fid in faces
-    }
-    tables = [_offset_partners(trinity, fid, per_face[fid]) for fid in faces]
-    choices = tuple(sorted(_tight_choices(trinity, faces, tables)))
+    diagrams = tuple(
+        dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap) for fid in faces
+    )
+    choices = tuple(_tight_choices(trinity, diagrams))
+    tables = [_offset_partners(trinity, fid, d) for fid, d in zip(faces, diagrams)]
     glue, walk = trinity.glue, dividing.glued_loops
     for choice in choices:
         chord = []
@@ -213,7 +214,7 @@ def build_configuration_graph(trinity):
             x = parent[x]
         return x
 
-    for group in _one_face_groups(choices):
+    for group in _one_face_groups(choices, tuple(map(len, diagrams))):
         root = find(group[0])
         for i in group[1:]:
             r = find(i)
@@ -225,7 +226,6 @@ def build_configuration_graph(trinity):
     component_of = tuple(
         number.setdefault(find(i), len(number)) for i in range(len(choices))
     )
-    diagrams = tuple(per_face[fid] for fid in faces)
     graph = ConfigurationGraph(trinity, diagrams, choices, component_of, (), total)
     return replace(graph, components=_label_components(graph, len(number)))
 
@@ -236,39 +236,130 @@ def _offset_partners(trinity, fid, diagrams):
     return [tuple(lo + p for p in d.partner) for d in diagrams]
 
 
-def _tight_choices(trinity, faces, tables):
-    """Diagram index tuples of the tight configurations, built chord by chord.
+def _chord_tries(trinity, diagrams):
+    """The faces' chord tries in sorted face order, as flat node arrays.
 
-    ``dividing.noncrossing_matchings`` matches the faces in sorted order on a
-    copy of ``trinity.glue``, so every matching it yields is a single curve;
-    each face's part of it is looked up in the rank table of that face's
-    ``_offset_partners`` table.
+    Node x is the chord ``(a[x], b[x])`` in global point indices. A face's
+    trie takes each diagram's chords in opener order (``ChordDiagram.pairs``,
+    the one-face matcher's order); the children of x run from ``child[x]``
+    along ``sibling`` in diagram order, and -1 ends a sibling list. A leaf
+    holds its diagram's index in ``leaf`` (-1 elsewhere), and its child is
+    the first node of the next face's trie (past the end for the last face,
+    whose leaves end the walk).
     """
-    spans = []
-    for fid in faces:
+    a, b, child, sibling, leaf = [], [], [], [], []
+    for fid, face_diagrams in zip(trinity.red, diagrams):
         lo = trinity.offset[fid]
-        spans.append((lo, lo + 2 * trinity.n_r[fid]))
-    ranks = [{p: k for k, p in enumerate(table)} for table in tables]
-    return [
-        tuple(rank[tuple(partner[lo:hi])] for (lo, hi), rank in zip(spans, ranks))
-        for partner in dividing.noncrossing_matchings(spans, list(trinity.glue))
-    ]
+        path = [0] * trinity.n_r[fid]
+        previous = [None] * trinity.n_r[fid]
+        leaves = []
+        for k, diagram in enumerate(face_diagrams):
+            pairs = diagram.pairs()
+            depth = 0
+            while pairs[depth] == previous[depth]:
+                depth += 1
+            if k:
+                sibling[path[depth]] = len(a)
+            # a new node's child is the node made next
+            for i in range(depth, len(pairs)):
+                path[i] = len(a)
+                a.append(lo + pairs[i][0])
+                b.append(lo + pairs[i][1])
+                child.append(len(a))
+                sibling.append(-1)
+                leaf.append(-1)
+            leaf[-1] = k
+            leaves.append(len(a) - 1)
+            previous = pairs
+        for x in leaves:
+            child[x] = len(a)
+    return a, b, child, sibling, leaf
 
 
-def _one_face_groups(choices):
-    """Index groups, in vertex order, of the choices equal off one axis."""
-    for axis in range(len(choices[0]) if choices else 0):
-        buckets = {}
-        for idx, choice in enumerate(choices):
-            buckets.setdefault(choice[:axis] + choice[axis + 1:], []).append(idx)
-        yield from buckets.values()
+def _tight_choices(trinity, diagrams):
+    """Diagram index tuples of the tight configurations, in lexicographic order.
+
+    Walks the faces' chord tries depth first on a copy of ``trinity.glue``,
+    read as ``end``: ``end[p]`` is the far end of the open path ending at
+    point p. A chord (p, q) joins the paths ending at p and q; when
+    ``end[p] == q`` it would close a curve, and only the last chord may, so
+    every leaf of the last face is a single curve. Per depth, ``node`` holds
+    the chord applied there (else the next one to try) and ``far_p``,
+    ``far_q`` the two path ends it joined.
+    """
+    a, b, child, sibling, leaf = _chord_tries(trinity, diagrams)
+    end = list(trinity.glue)
+    last = len(end) // 2 - 1
+    face_at = [f for f, fid in enumerate(trinity.red) for _ in range(trinity.n_r[fid])]
+    node = [0] * (last + 1)
+    far_p = [0] * last
+    far_q = [0] * last
+    choice = [0] * len(trinity.red)
+    depth = 0
+    while depth >= 0:
+        x = node[depth]
+        if x < 0:
+            depth -= 1
+            if depth >= 0:
+                x = node[depth]
+                end[far_p[depth]] = a[x]
+                end[far_q[depth]] = b[x]
+                node[depth] = sibling[x]
+            continue
+        node[depth] = sibling[x]
+        if depth == last:
+            choice[-1] = leaf[x]
+            yield tuple(choice)
+            continue
+        ep = end[a[x]]
+        q = b[x]
+        if ep == q:
+            continue
+        eq = end[q]
+        end[ep] = eq
+        end[eq] = ep
+        far_p[depth] = ep
+        far_q[depth] = eq
+        if leaf[x] >= 0:
+            choice[face_at[depth]] = leaf[x]
+        node[depth] = x
+        depth += 1
+        node[depth] = child[x]
+
+
+def _one_face_groups(choices, sizes):
+    """Index groups of two or more choices equal off one axis, each in vertex order.
+
+    A choice's key off axis a is its mixed-radix code, with radices
+    ``sizes``, less its term for a: ``code - choice[a] * stride[a]``. Each
+    group is listed under its first member, so a lone choice costs no list.
+    """
+    strides = [1] * len(sizes)
+    for axis in range(len(sizes) - 1, 0, -1):
+        strides[axis - 1] = strides[axis] * sizes[axis]
+    # a machine word per code, not an int object: codes stay below the product
+    codes = array("q", (sum(map(mul, choice, strides)) for choice in choices))
+    for axis, stride in enumerate(strides):
+        terms = map(mul, map(itemgetter(axis), choices), itertools.repeat(stride))
+        first_of = {}
+        groups = {}
+        for idx, key in enumerate(map(sub, codes, terms)):
+            first = first_of.setdefault(key, idx)
+            if first == idx:
+                continue
+            if first in groups:
+                groups[first].append(idx)
+            else:
+                groups[first] = [first, idx]
+        yield from groups.values()
 
 
 def _label_components(graph, count):
     """Each component's Euler vector, hypertree and tree-hugging representative.
 
     Disc Euler contributions are read through ``dividing.disc_euler`` once
-    per (face, diagram index), and every member's Euler tuple is compared.
+    per (face, diagram index) that some vertex uses, and every member's
+    Euler tuple is compared.
     """
     trinity, diagrams, choices = graph.trinity, graph.diagrams, graph.choices
     faces = trinity.red
@@ -276,11 +367,11 @@ def _label_components(graph, count):
     for idx, c in enumerate(graph.component_of):
         members[c].append(idx)
     table = [[None] * len(d) for d in diagrams]
+    for axis in range(len(faces)):
+        for k in set(map(itemgetter(axis), choices)):
+            table[axis][k] = dividing.disc_euler(trinity, faces[axis], diagrams[axis][k])
 
     def euler(choice):
-        for axis, k in enumerate(choice):
-            if table[axis][k] is None:
-                table[axis][k] = dividing.disc_euler(trinity, faces[axis], diagrams[axis][k])
         return tuple(map(getitem, table, choice))
 
     components = []

@@ -1,6 +1,7 @@
 """Chord diagrams, tightness, signed regions, Euler classes, tree-hugging."""
 
 import sys
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -185,6 +186,15 @@ def test_loop_count_matches_the_glued_curve_oracle(trinities):
             assert dv.loop_count(c) == glued_curve_count(c)
 
 
+@pytest.mark.parametrize("name,loops", [("cycle4", 2), ("cycle6", 3)])
+def test_glued_loops_walks_on_past_a_short_first_curve(trinities, name, loops):
+    # with more than one curve, the curve through point 0 misses a chord,
+    # so the count comes from the marking walk
+    t = trinities[name]
+    config = next(c for c in full_configurations(t) if glued_curve_count(c) == loops)
+    assert dv.loop_count(config) == loops
+
+
 def test_running_example_tree_hugging_tight(trinities):
     t = trinities["running11"]
     for tree in trees.enumerate_spanning_trees(t.violet_graph, record_colour="red"):
@@ -228,6 +238,30 @@ def test_valence_sums(trinities):
                 assert sum(r.valence for r in sr.negatives()) == t.n_r[fid]
                 assert sum(r.valence for r in sr.positives()) == t.n_r[fid]
                 assert len(sr.regions) == t.n_r[fid] + 1
+
+
+def test_disc_euler_is_positives_minus_negatives(graphs):
+    for g in graphs.values():
+        t = trinity_mod.build_trinity(g)
+        for fid in t.red:
+            for diagram in dv.enumerate_chord_diagrams(t.n_r[fid]):
+                sr = dv.signed_regions(t, fid, diagram)
+                assert dv.disc_euler(t, fid, diagram) == len(sr.positives()) - len(sr.negatives())
+
+
+def test_a_flipped_arc_sign_mixes_a_region(graphs):
+    t = trinity_mod.build_trinity(graphs["cycle4"])
+    fid = sorted(t.red)[0]
+    chart = t.charts[fid]
+    diagram = dv.enumerate_chord_diagrams(chart.n)[0]
+    arc = next(a for arcs in dv._region_arcs(diagram.partner) if len(arcs) > 1 for a in arcs)
+    corners = list(chart.emerald_corner)
+    corners[arc] = "flipped" if corners[arc] is None else None
+    t.charts[fid] = replace(chart, emerald_corner=tuple(corners))
+    with pytest.raises(dv.MixedRegion, match="mixed signs"):
+        dv.signed_regions(t, fid, diagram)
+    with pytest.raises(dv.MixedRegion, match="mixed signs"):
+        dv.disc_euler(t, fid, diagram)
 
 
 def test_size_mismatch(trinities):

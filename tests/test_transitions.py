@@ -48,20 +48,17 @@ def _bucket_pair_edges(choices):
 
 
 def test_building_leaves_the_glue_unchanged(trinities, monkeypatch):
+    # the walk joins path ends on its own copy of the glue, so neither a
+    # full build nor one stopped by a model failure rewires the trinity's
     for t in trinities.values():
         glue = list(t.glue)
         tx.build_configuration_graph(t)
         assert t.glue == glue
-    # the matcher puts back the path ends it rewires only once exhausted,
-    # so the builder must hand it a copy, which shows when it stops early
     t = trinities["running11"]
     glue = list(t.glue)
-    tables = [tx._offset_partners(t, f, dv.enumerate_chord_diagrams(t.n_r[f])) for f in t.red]
-    matchings = dv.noncrossing_matchings
-    monkeypatch.setattr(
-        dv, "noncrossing_matchings", lambda spans, end: itertools.islice(matchings(spans, end), 1)
-    )
-    assert len(tx._tight_choices(t, t.red, tables)) == 1
+    monkeypatch.setattr(dv, "glued_loops", lambda chord, glue: 2)
+    with pytest.raises(tx.BuiltNotTight, match="close into 2 curves"):
+        tx.build_configuration_graph(t)
     assert t.glue == glue
 
 
@@ -333,6 +330,30 @@ def test_builder_matches_the_product_filter(trinities, name):
         )
         for choice in choices
     )
+    assert cg.edges == _bucket_pair_edges(choices)
+
+
+# closed meander numbers M_1..M_7 (OEIS A005315; Lando and Zvonkin 1993):
+# both faces of the 2k-cycle are discs of half-length k, and a tight
+# configuration is a pair of arch systems that close into one curve
+CLOSED_MEANDERS = (1, 2, 8, 42, 262, 1828, 13820)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_even_cycle_tight_configurations_are_closed_meanders(k):
+    t = _generated("even_cycle", k)
+    assert len(tx.build_configuration_graph(t).choices) == CLOSED_MEANDERS[k - 1]
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_map_builder_matches_the_product_filter(doc):
+    t = trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+    assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
+    choices, _ = _product_oracle(t)
+    cg = tx.build_configuration_graph(t)
+    # the oracle lists the product in order, and the builder sorts nothing
+    assert cg.choices == tuple(choices)
     assert cg.edges == _bucket_pair_edges(choices)
 
 
