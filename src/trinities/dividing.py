@@ -50,12 +50,18 @@ class ChordDiagram:
         m = len(p)
         if m % 2 or m == 0:
             raise ValueError("need an even, positive number of points")
+        # non-crossing iff each closing point closes the innermost open chord
+        opened = []
+        nested = True
         for i, j in enumerate(p):
             if not 0 <= j < m or j == i or p[j] != i:
                 raise ValueError("partner array is not a perfect matching")
-        crossing = first_crossing(self.pairs())
-        if crossing is not None:
-            (a, b), (c, d) = crossing
+            if j > i:
+                opened.append(i)
+            elif nested:
+                nested = opened.pop() == j
+        if not nested:
+            (a, b), (c, d) = first_crossing(self.pairs())
             raise ValueError(f"chords ({a},{b}) and ({c},{d}) cross")
 
     @property

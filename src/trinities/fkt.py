@@ -11,14 +11,18 @@ quadrant clockwise so that their faces swap; the direction convention is
 pinned by a regression fixture, since only its consistency matters here.
 
 Faces are numbered once per universe, and each vertex, in id order, keeps
-the face indices of its four quadrants. One search yields each state as
-its tuple of quadrant choices and one move rule gives a choice tuple's
-clockwise moves; the clock graph runs on these tuples and builds
-``UniverseState`` objects only when its ``states`` are read.
+the face indices of its four quadrants. A state is kept as its code, the
+base-4 number of its choices with vertex 0 most significant, so code order
+is lexicographic. The one move rule is the universe's swap table, giving
+the code delta of each clockwise move; counterclockwise moves are clockwise
+moves read backwards. One search yields each state's code and moves, and
+drops a branch once it places a face's last vertex with the face unmarked.
+The clock graph runs on codes and decodes states only when they are read.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,6 +83,26 @@ class Universe:
             for v in self.vertex_ids
         )
 
+    @cached_property
+    def swaps(self):
+        """Per vertex j and quadrant kj, the (i, ki, code delta) of each earlier
+        vertex i whose marker in quadrant ki swaps clockwise with j's marker in
+        kj: both retreat one quadrant and their faces swap."""
+        quads = self.quadrants
+        n = len(quads)
+        pairs = defaultdict(list)  # (face of quadrant k - 1, face of quadrant k) -> [(i, k)]
+        for i, q in enumerate(quads):
+            for k in range(4):
+                pairs[q[k - 1], q[k]].append((i, k))
+        step = [[(3 if k == 0 else -1) << 2 * (n - 1 - i) for k in range(4)] for i in range(n)]
+        return tuple(
+            tuple(
+                tuple((i, ki, step[i][ki] + dj) for i, ki in pairs[q[kj], q[kj - 1]] if i < j)
+                for kj, dj in enumerate(step[j])
+            )
+            for j, q in enumerate(quads)
+        )
+
 
 def parse_universe(document):
     """Validate a universe document: graph schema plus a ``stars`` pair."""
@@ -127,52 +151,73 @@ def quadrant_face(graph, v, k):
 
 def enumerate_states(universe, cap=DEFAULT_CAP):
     """All marker assignments covering each unstarred face exactly once."""
-    return _as_states(universe, _state_choices(universe, cap))
+    return _as_states(universe, [code for code, _moves in _search(universe, cap)])
 
 
-def _as_states(universe, choices):
+def _decode(code, n):
+    """The quadrant choices of a state code, vertices in id order."""
+    return tuple((code >> 2 * (n - 1 - i)) & 3 for i in range(n))
+
+
+def _as_states(universe, codes):
     verts = universe.vertex_ids
-    return tuple(UniverseState(tuple(zip(verts, c))) for c in choices)
+    return tuple(UniverseState(tuple(zip(verts, _decode(c, len(verts))))) for c in codes)
 
 
-def _state_choices(universe, cap):
-    """Each state's quadrant choices, vertices in id order, lexicographically.
+def _search(universe, cap):
+    """Each state's code with its clockwise moves as code deltas, codes rising.
 
-    Depth-first over the vertices, trying quadrants 0..3 at each; an
-    explicit choice array replaces recursion, so the interpreter's stack
-    depth does not grow with the number of crossings.
+    Depth-first over the vertices, trying quadrants 0..3 at each, with
+    explicit arrays instead of recursion; a move is recorded when the later
+    vertex of its pair is placed, and no state lies below a dropped branch.
     """
-    quads = universe.quadrants
+    quads, swaps = universe.quadrants, universe.swaps
     n = len(quads)
     check_cap(4**n, cap, "state search space")
-    states = []
     used = bytearray(len(universe.face_index))
     for f in universe.stars:
         used[universe.face_index[f]] = 1
-    # choice[i] is the quadrant taken at vertex i on the branch being
-    # explored, or -1 before the first try
-    choice = [-1] * n
+    closing = [[] for _ in range(n)]  # the unstarred faces whose last vertex is i
+    for f, i in {f: i for i, q in enumerate(quads) for f in q if not used[f]}.items():
+        closing[i].append(f)
+    choice = [-1] * n  # -1 before vertex i's first try on this branch
+    code = [0] * (n + 1)  # code[i]: the code of the choices at vertices below i
+    marks = [0] * n  # len(moves) before vertex i was placed
+    moves = []
     i = 0
     while i >= 0:
-        if i == n:
-            states.append(tuple(choice))
-            i -= 1
-            continue
         q = quads[i]
         k = choice[i]
         if k >= 0:
             used[q[k]] = 0
+            del moves[marks[i]:]
+        shut = closing[i]
         k += 1
-        while k < 4 and used[q[k]]:
+        while k < 4:
+            f = q[k]
+            if not used[f]:
+                # every face whose last vertex is i must be marked once i is
+                for g in shut:
+                    if g != f and not used[g]:
+                        break
+                else:
+                    break
             k += 1
         if k == 4:
             choice[i] = -1
             i -= 1
+            continue
+        choice[i] = k
+        used[f] = 1
+        code[i + 1] = 4 * code[i] + k
+        marks[i] = len(moves)
+        for h, kh, d in swaps[i][k]:
+            if choice[h] == kh:
+                moves.append(d)
+        if i + 1 == n:
+            yield code[n], tuple(moves)
         else:
-            choice[i] = k
-            used[q[k]] = 1
             i += 1
-    return states
 
 
 # -- trails ----------------------------------------------------------------------
@@ -241,78 +286,63 @@ def state_to_trail(universe, state):
 
 def transpositions(universe, state):
     """States one clockwise transposition away, ordered by v, then w."""
-    choice = tuple(k for _v, k in state.markers)
-    return list(_as_states(universe, _clockwise_moves(universe, choice)))
-
-
-def _clockwise_moves(universe, choice):
-    """Quadrant choices one clockwise transposition away, ordered by v, then w.
-
-    The markers of v and w each retreat one quadrant clockwise and their
-    faces swap; only the face identities matter, so the two vertices may
-    be far apart. A state marks every unstarred face exactly once, so the
-    only possible partner of v is the vertex whose marker sits on v's
-    quadrant one step clockwise; a starred or self-marked face there means
-    no partner. One lookup per vertex replaces a scan over all pairs.
-    Counterclockwise moves are not listed: each is a clockwise move read
-    backwards, from its target to its source.
-    """
-    quads = universe.quadrants
-    # the vertex marking each face, or -1; vertex order is id order
-    marker_on = [-1] * len(universe.face_index)
-    for i, k in enumerate(choice):
-        marker_on[quads[i][k]] = i
-    out = []
-    for i, k in enumerate(choice):
-        q = quads[i]
-        kv = k - 1 if k else 3
-        j = marker_on[q[kv]]
-        if j <= i:  # a starred face, v itself, or a pair found from w's side
-            continue
-        kw = choice[j] - 1 if choice[j] else 3
-        if quads[j][kw] != q[k]:
-            continue
-        new = list(choice)
-        new[i] = kv
-        new[j] = kw
-        out.append(tuple(new))
-    return out
+    choice = [k for _v, k in state.markers]
+    code = int("0" + "".join(map(str, choice)), 4)
+    # each v has at most one partner w, so sorting by v orders by v, then w
+    moves = sorted(
+        (i, d) for j, k in enumerate(choice) for i, ki, d in universe.swaps[j][k] if choice[i] == ki
+    )
+    return list(_as_states(universe, [code + d for _i, d in moves]))
 
 
 @dataclass(frozen=True)
 class ClockGraph:
     universe: Universe = field(compare=False)
-    choices: tuple  # each state's quadrant choices, in enumerate_states' order
-    arcs: tuple  # (i, j) state indices, clockwise moves
+    codes: tuple  # each state's code, in enumerate_states' order
+    outs: tuple  # per state, the sorted indices of its clockwise moves' targets
     report: dict
 
     @cached_property
+    def choices(self):
+        return tuple(_decode(c, len(self.universe.vertex_ids)) for c in self.codes)
+
+    @cached_property
+    def arcs(self):
+        return tuple((i, j) for i, out in enumerate(self.outs) for j in out)
+
+    @cached_property
     def states(self):
-        return _as_states(self.universe, self.choices)
+        return _as_states(self.universe, self.codes)
 
 
 def clock_graph(universe, cap=DEFAULT_CAP):
     """States with clockwise transpositions as arcs, plus structure checks."""
-    choices = _state_choices(universe, cap)
-    index = {c: i for i, c in enumerate(choices)}
-    # distinct as listed: a target differs from its source at exactly the two
-    # swapped vertices, and each pair is found only from its smaller vertex
-    arcs = []
-    for i, c in enumerate(choices):
-        for t in _clockwise_moves(universe, c):
-            j = index.get(t)
+    found = list(_search(universe, cap))
+    codes = tuple(c for c, _moves in found)
+    index = {c: i for i, c in enumerate(codes)}
+    outs = []
+    for i, (c, deltas) in enumerate(found):
+        out = []
+        for d in deltas:
+            j = index.get(c + d)
             if j is None:
-                v, w = (universe.vertex_ids[p] for p, k in enumerate(c) if k != t[p])
+                source, target = _as_states(universe, (c, c + d))
+                v, w = (x for (x, a), (_x, b) in zip(source.markers, target.markers) if a != b)
                 raise MoveLeavesStates(f"state {i}: the move at {v} and {w} leaves the states")
-            arcs.append((i, j))
-    arcs.sort()
+            out.append(j)
+        out.sort()
+        outs.append(out)
+    del found, index  # before the structure checks build their in-lists
+    return ClockGraph(universe, codes, tuple(outs), clock_report(outs))
 
-    n = len(choices)
-    outs = [[] for _ in range(n)]
+
+def clock_report(outs):
+    """Counts and the four structure checks of a graph given by its out-lists."""
+    n = len(outs)
     ins = [[] for _ in range(n)]
-    for i, j in arcs:
-        outs[i].append(j)
-        ins[j].append(i)
+    for i, out in enumerate(outs):
+        for j in out:
+            ins[j].append(i)
 
     seen = {0} if n else set()
     stack = [0] if n else []
@@ -341,7 +371,7 @@ def clock_graph(universe, cap=DEFAULT_CAP):
     sinks = [i for i in range(n) if not outs[i]]
     report = {
         "states": n,
-        "arcs": len(arcs),
+        "arcs": sum(map(len, outs)),
         "weakly_connected": connected,
         "acyclic": acyclic,
         "unique_source": len(sources) == 1,
@@ -350,7 +380,7 @@ def clock_graph(universe, cap=DEFAULT_CAP):
     report["ok"] = all(
         report[k] for k in ("weakly_connected", "acyclic", "unique_source", "unique_sink")
     )
-    return ClockGraph(universe, tuple(choices), tuple(arcs), report)
+    return report
 
 
 # -- the checkerboard dual -------------------------------------------------------------

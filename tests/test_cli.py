@@ -277,8 +277,8 @@ def test_mapping_failure_fails_correspond(capsys, fig8_file, monkeypatch):
 
 def test_move_to_an_unlisted_state_fails_clock(capsys, fig8_file, monkeypatch):
     # state 3 moves to state 0; with state 0 dropped, state 3 becomes state 2
-    real_choices = fkt._state_choices
-    monkeypatch.setattr(fkt, "_state_choices", lambda universe, cap: real_choices(universe, cap)[1:])
+    real_search = fkt._search
+    monkeypatch.setattr(fkt, "_search", lambda universe, cap: list(real_search(universe, cap))[1:])
     code, out, err = run(capsys, "clock", "--universe", fig8_file)
     assert code == 1
     doc = json.loads(out)

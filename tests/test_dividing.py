@@ -110,6 +110,20 @@ def test_first_crossing_in_either_chord_order(n):
                 assert a < c < b < d or c < a < d < b
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stack_check_agrees_with_first_crossing(n):
+    # every perfect matching of up to 10 points, crossing or not
+    for m in all_perfect_matchings(list(range(2 * n))):
+        crossing = dv.first_crossing(m)
+        if crossing is None:
+            assert dv.ChordDiagram.from_pairs(n, m).pairs() == tuple(m)
+            continue
+        (a, b), (c, d) = crossing
+        with pytest.raises(ValueError) as raised:
+            dv.ChordDiagram.from_pairs(n, m)
+        assert str(raised.value) == f"chords ({a},{b}) and ({c},{d}) cross"
+
+
 def test_diagram_cap():
     with pytest.raises(CapExceeded):
         dv.enumerate_chord_diagrams(8, cap=100)

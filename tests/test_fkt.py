@@ -5,7 +5,7 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from corpus import corpus_documents, medial_universe_document, path_document
 from random_maps import plane_bipartite_maps
@@ -51,18 +51,54 @@ def splitting_oracle(universe):
     return single
 
 
-def state_oracle(universe):
-    """Exhaustive 4^V marker sweep with the bijection filter."""
+def choice_oracle(universe):
+    """Exhaustive 4^V sweep of quadrant choices, vertices in id order,
+    keeping those that mark no starred face and no face twice."""
     g = universe.graph
-    verts = sorted(g.vertices)
+    faces = [[g.face_of(d) for d in g.vertices[v].rotation] for v in sorted(g.vertices)]
+    choices = []
+    for choice in product(range(4), repeat=len(faces)):
+        marked = {faces[i][k] for i, k in enumerate(choice)}
+        if len(marked) == len(choice) and not marked & set(universe.stars):
+            choices.append(choice)
+    return choices
+
+
+def state_oracle(universe):
+    """The choice oracle's states."""
+    verts = sorted(universe.graph.vertices)
+    return [fkt.UniverseState(tuple(zip(verts, c))) for c in choice_oracle(universe)]
+
+
+def plain_search_choices(universe):
+    """Unpruned depth-first search over the vertices, quadrants 0..3 at each."""
+    quads = universe.quadrants
+    n = len(quads)
     states = []
-    for choice in product(range(4), repeat=len(verts)):
-        faces = [fkt.quadrant_face(g, v, k) for v, k in zip(verts, choice)]
-        if any(f in universe.stars for f in faces):
+    used = bytearray(len(universe.face_index))
+    for f in universe.stars:
+        used[universe.face_index[f]] = 1
+    choice = [-1] * n
+    i = 0
+    while i >= 0:
+        if i == n:
+            states.append(tuple(choice))
+            i -= 1
             continue
-        if len(set(faces)) != len(faces):
-            continue
-        states.append(fkt.UniverseState(tuple(zip(verts, choice))))
+        q = quads[i]
+        k = choice[i]
+        if k >= 0:
+            used[q[k]] = 0
+        k += 1
+        while k < 4 and used[q[k]]:
+            k += 1
+        if k == 4:
+            choice[i] = -1
+            i -= 1
+        else:
+            choice[i] = k
+            used[q[k]] = 1
+            i += 1
     return states
 
 
@@ -157,6 +193,27 @@ def test_medial_state_counts_are_tree_counts(medial_universes):
 def test_state_order_is_lexicographic(universes):
     for name, u in universes.items():
         assert list(fkt.enumerate_states(u)) == state_oracle(u), name
+
+
+def test_state_codes_match_choice_oracle(oracle_universes):
+    for name, u in oracle_universes.items():
+        if len(u.graph.vertices) <= 8:
+            assert list(fkt.clock_graph(u, cap=None).choices) == choice_oracle(u), name
+
+
+@given(plane_bipartite_maps(max_edges=8))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_medial_state_codes_match_choice_oracle(doc):
+    u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
+    assert list(fkt.clock_graph(u, cap=None).choices) == choice_oracle(u)
+
+
+def test_pruned_search_matches_plain_search_on_ladder7():
+    (doc,) = generate_corpus("ladder", 7)
+    u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
+    choices = fkt.clock_graph(u, cap=None).choices
+    assert len(choices) == trees.spanning_tree_count(pg.parse_graph(doc))
+    assert list(choices) == plain_search_choices(u)
 
 
 def test_state_search_needs_no_recursion():
@@ -259,12 +316,6 @@ def test_transpositions_match_all_pairs_scan(oracle_universes, name):
         assert fkt.transpositions(u, s) == all_pairs_clockwise(u, s), s
 
 
-def all_pairs_clockwise_choices(universe, choice):
-    """The oracle's clockwise moves, as quadrant choice tuples."""
-    state = fkt.UniverseState(tuple(zip(sorted(universe.graph.vertices), choice)))
-    return [tuple(k for _v, k in t.markers) for t in all_pairs_clockwise(universe, state)]
-
-
 def all_pairs_arcs(universe):
     """Clock graph arcs built from the oracle's moves and the state listing."""
     states = fkt.enumerate_states(universe, cap=None)
@@ -275,12 +326,11 @@ def all_pairs_arcs(universe):
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)
-def test_clock_arcs_match_all_pairs_scan(oracle_universes, name, monkeypatch):
+def test_clock_arcs_match_all_pairs_scan(oracle_universes, name):
     u = oracle_universes[name]
     arcs = fkt.clock_graph(u, cap=None).arcs
     assert arcs or name == "curl"
-    monkeypatch.setattr(fkt, "_clockwise_moves", all_pairs_clockwise_choices)
-    assert fkt.clock_graph(u, cap=None).arcs == arcs
+    assert list(arcs) == all_pairs_arcs(u)
 
 
 @given(plane_bipartite_maps())
@@ -292,6 +342,70 @@ def test_random_medial_clock_graphs(doc):
     assert clock.report["states"] == trees.spanning_tree_count(pg.parse_graph(doc))
     assert list(clock.arcs) == all_pairs_arcs(u)
     assert clock.report["ok"]
+
+
+def check_clock_lattice(outs):
+    """Kauffman's clock theorem as a lattice: some rank rises by exactly 1
+    along every arc, and the reachability order is a distributive lattice."""
+    n = len(outs)
+    ins = [[] for _ in range(n)]
+    for x, out in enumerate(outs):
+        for y in out:
+            ins[y].append(x)
+    rank = {0: 0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for ys, step in ((outs[x], 1), (ins[x], -1)):
+            for y in ys:
+                if y not in rank:
+                    rank[y] = rank[x] + step
+                    stack.append(y)
+                assert rank[y] == rank[x] + step
+    assert len(rank) == n
+    # bitsets of the states at or above (up) and at or below (down) each state
+    up, down = [0] * n, [0] * n
+    for x in sorted(range(n), key=rank.get, reverse=True):
+        up[x] = 1 << x
+        for y in outs[x]:
+            up[x] |= up[y]
+    for x in sorted(range(n), key=rank.get):
+        down[x] = 1 << x
+        for y in ins[x]:
+            down[x] |= down[y]
+    least_above = {m: x for x, m in enumerate(up)}
+    greatest_below = {m: x for x, m in enumerate(down)}
+    # with ranks, arcs are the covers: join-irreducibles have one lower cover
+    irreducible = sum(1 << x for x in range(n) if len(ins[x]) == 1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            join = least_above.get(up[a] & up[b])
+            meet = greatest_below.get(down[a] & down[b])
+            assert join is not None and meet is not None, (a, b)
+            # distributive iff each join-irreducible below a join is below a or b
+            assert down[join] & irreducible == (down[a] | down[b]) & irreducible, (a, b)
+
+
+def test_clock_graphs_are_distributive_lattices(oracle_universes):
+    for name, u in oracle_universes.items():
+        clock = fkt.clock_graph(u, cap=None)
+        assert clock.report["states"] <= 300, name
+        check_clock_lattice(clock.outs)
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_medial_clock_graphs_are_distributive_lattices(doc):
+    u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
+    clock = fkt.clock_graph(u, cap=None)
+    assume(clock.report["states"] <= 300)
+    check_clock_lattice(clock.outs)
+
+
+def test_lattice_check_refuses_a_non_distributive_lattice():
+    # the diamond M3: three incomparable states between a bottom and a top
+    with pytest.raises(AssertionError):
+        check_clock_lattice([[1, 2, 3], [4], [4], [4], []])
 
 
 def test_clock_graph_builds_states_only_when_read(medial_universes, monkeypatch):
@@ -321,26 +435,16 @@ def test_clock_graph_hopf_shape(universes):
     assert clock.report["arcs"] == 1
 
 
-def _patch_clockwise_arcs(monkeypatch, n, successors):
-    """Make clock_graph see states (0,)..(n-1,) with the given clockwise moves."""
-    monkeypatch.setattr(fkt, "_state_choices", lambda universe, cap: [(s,) for s in range(n)])
-    monkeypatch.setattr(
-        fkt, "_clockwise_moves", lambda universe, choice: [(t,) for t in successors(choice[0])]
-    )
-
-
-def test_clock_graph_long_chain_needs_no_recursion(monkeypatch):
+def test_clock_graph_long_chain_needs_no_recursion():
     # a chain deeper than the interpreter's recursion limit
     n = 5000
-    _patch_clockwise_arcs(monkeypatch, n, lambda s: [s + 1] if s + 1 < n else [])
-    report = fkt.clock_graph(None).report
+    report = fkt.clock_report([[s + 1] if s + 1 < n else [] for s in range(n)])
     assert report["states"] == n and report["arcs"] == n - 1
     assert report["acyclic"] and report["ok"]
 
 
-def test_clock_graph_reports_a_cycle(monkeypatch):
-    _patch_clockwise_arcs(monkeypatch, 3, lambda s: [(s + 1) % 3])
-    report = fkt.clock_graph(None).report
+def test_clock_graph_reports_a_cycle():
+    report = fkt.clock_report([[(s + 1) % 3] for s in range(3)])
     assert report["acyclic"] is False
     assert report["ok"] is False
 
