@@ -8,6 +8,7 @@ Exit status: 0 pass, 1 verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -393,7 +394,9 @@ def _cmd_gen(args):
 # -- entry point ------------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="trinities",
         description="Verify the counting identities of a plane bipartite graph's trinity.",

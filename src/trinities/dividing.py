@@ -100,40 +100,66 @@ def enumerate_chord_diagrams(n, cap=DEFAULT_CAP):
     if n < 1:
         raise ValueError("need n >= 1")
     check_cap(catalan(n), cap, "chord diagram enumeration")
-    return tuple(ChordDiagram(tuple(partner)) for partner in noncrossing_matchings(n))
+    return tuple(map(ChordDiagram, noncrossing_matchings(n)))
 
 
 def noncrossing_matchings(n):
-    """Non-crossing perfect matchings of 2n points on a circle, in partner order.
+    """Non-crossing perfect matchings of 2n points on a circle, in partner order."""
+    return chord_trie(n)[1]
+
+
+def chord_trie(n):
+    """The chord trie and partner tuples of all matchings of 2n points.
 
     The first free point of the leftmost open segment takes each odd-offset
-    partner in turn, splitting the segment in two, so matchings come out in
-    partner order. The search keeps one explicit stack frame per chord and
-    yields the partner list, reused between yields.
+    partner in turn, splitting the segment in two, so chords come in opener
+    order and matchings in partner order. The explicit stack, one frame per
+    chord, is the trie's path to the current chord: each partner a frame
+    tries is a new node, the next sibling of the last one it tried.
+
+    The trie is flat int lists ``(a, b, child, sibling, leaf)``. Node x is
+    the chord ``(a[x], b[x])``; the children of x run from ``child[x]``
+    along ``sibling`` in matching order, and -1 ends a sibling list. Leaf x
+    holds matching ``leaf[x]`` (-1 elsewhere) and has child ``len(a)``.
+    The partner tuples come in matching order.
     """
     partner = [0] * (2 * n)
-    # frame: [a, hi, b, rest] pairs point a with b < hi; rest is the linked
-    # list (segment, rest) of the other open segments, leftmost first
-    frames = [[0, 2 * n, -1, None]]
+    a, b, child, sibling, leaf, partners = [], [], [], [], [], []
+    # frame: [p, hi, q, rest, x] pairs point p with q < hi as node x; rest
+    # is the linked list (segment, rest) of the other open segments,
+    # leftmost first
+    frames = [[0, 2 * n, -1, None, -1]]
     while frames:
         frame = frames[-1]
-        a, hi, b, rest = frame
-        b += 2
-        if b >= hi:
+        p, hi, q, rest, x = frame
+        q += 2
+        if q >= hi:
             frames.pop()
             continue
-        frame[2] = b
-        partner[a] = b
-        partner[b] = a
+        frame[2] = q
+        frame[4] = len(a)
+        if x >= 0:
+            sibling[x] = len(a)
+        partner[p] = q
+        partner[q] = p
+        a.append(p)
+        b.append(q)
+        # a node's first child is the node made next
+        child.append(len(a))
+        sibling.append(-1)
         if len(frames) == n:
-            yield partner
+            leaf.append(len(partners))
+            partners.append(tuple(partner))
             continue
-        if b + 1 < hi:
-            rest = ((b + 1, hi), rest)
-        if a + 1 < b:
-            rest = ((a + 1, b), rest)
-        (a, hi), rest = rest
-        frames.append([a, hi, a - 1, rest])
+        leaf.append(-1)
+        if q + 1 < hi:
+            rest = ((q + 1, hi), rest)
+        if p + 1 < q:
+            rest = ((p + 1, q), rest)
+        (p, hi), rest = rest
+        frames.append([p, hi, p - 1, rest, -1])
+    child = [len(a) if k >= 0 else x for x, k in zip(child, leaf)]
+    return (a, b, child, sibling, leaf), partners
 
 
 def _region_arcs(partner):

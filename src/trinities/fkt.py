@@ -22,6 +22,7 @@ The clock graph runs on codes and decodes states only when they are read.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -154,9 +155,15 @@ def enumerate_states(universe, cap=DEFAULT_CAP):
     return _as_states(universe, [code for code, _moves in _search(universe, cap)])
 
 
+# each byte's four quadrant digits, most significant first
+_BYTE_DIGITS = tuple(itertools.product(range(4), repeat=4))
+
+
 def _decode(code, n):
     """The quadrant choices of a state code, vertices in id order."""
-    return tuple((code >> 2 * (n - 1 - i)) & 3 for i in range(n))
+    size = (n + 3) // 4
+    digits = sum(map(_BYTE_DIGITS.__getitem__, code.to_bytes(size, "big")), ())
+    return digits[4 * size - n:]
 
 
 def _as_states(universe, codes):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import getitem, itemgetter, mul, sub
@@ -128,8 +129,10 @@ class ConfigurationGraph:
 
     A vertex is its choice tuple: ``choices[i]`` holds, face by face in
     sorted order, the index of vertex i's diagram in that face's
-    ``diagrams``. ``vertex(i)`` builds its ``Configuration`` when read;
-    building the graph makes one only for each tree-hugging probe.
+    ``diagrams``, a sequence in ``enumerate_chord_diagrams`` order whose
+    items are built when first read. ``vertex(i)`` builds its
+    ``Configuration`` when read; building the graph makes one only for
+    each tree-hugging probe.
     """
 
     trinity: object = field(compare=False)
@@ -183,18 +186,30 @@ def build_configuration_graph(trinity):
     """All tight configurations, joined when they differ on one face.
 
     The tight configurations are built chord by chord, by walking the
-    faces' chord tries, not filtered out of the Catalan product. Each one
-    is checked with ``dividing.glued_loops`` on its chords, concatenated
-    from per-face tables of partner tuples. Vertices come in the product's
-    order: lexicographic in ``choices``.
+    faces' chord tries, not filtered out of the Catalan product; faces of
+    one half-length share one ``dividing.chord_trie``. Each one is checked
+    with ``dividing.glued_loops`` on its chords, concatenated from per-face
+    tables of offset partner tuples, made only for the diagrams some tight
+    configuration uses. Vertices come in the product's order: lexicographic
+    in ``choices``.
     """
     total = configuration_count(trinity)
     faces = trinity.red
-    diagrams = tuple(
-        dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap) for fid in faces
-    )
-    choices = tuple(_tight_choices(trinity, diagrams))
-    tables = [_offset_partners(trinity, fid, d) for fid, d in zip(faces, diagrams)]
+    tries = {n: dividing.chord_trie(n) for n in set(trinity.n_r.values())}
+    choices = tuple(_tight_choices(trinity, [tries[trinity.n_r[fid]][0] for fid in faces]))
+    # past the walk only the partner tuples are read
+    shared = {n: _Diagrams(partners) for n, (_trie, partners) in tries.items()}
+    del tries
+    diagrams = tuple(shared[trinity.n_r[fid]] for fid in faces)
+    # per face, the diagram indices some tight configuration uses
+    used = [set(map(itemgetter(axis), choices)) for axis in range(len(faces))]
+    tables = []
+    for fid, face_diagrams, keep in zip(faces, diagrams, used):
+        lo = trinity.offset[fid]
+        table = [None] * len(face_diagrams)
+        for k in keep:
+            table[k] = tuple(map(lo.__add__, face_diagrams.partners[k]))
+        tables.append(table)
     glue, walk = trinity.glue, dividing.glued_loops
     for choice in choices:
         chord = []
@@ -227,56 +242,55 @@ def build_configuration_graph(trinity):
         number.setdefault(find(i), len(number)) for i in range(len(choices))
     )
     graph = ConfigurationGraph(trinity, diagrams, choices, component_of, (), total)
-    return replace(graph, components=_label_components(graph, len(number)))
+    return replace(graph, components=_label_components(graph, len(number), used))
 
 
-def _offset_partners(trinity, fid, diagrams):
-    """Each diagram's partner tuple, in global point indices."""
-    lo = trinity.offset[fid]
-    return [tuple(lo + p for p in d.partner) for d in diagrams]
+class _Diagrams(Sequence):
+    """One half-length's chord diagrams in matcher order, each built when first read.
+
+    Item k equals ``dividing.enumerate_chord_diagrams(n)[k]``, and like it
+    is validated by ``ChordDiagram`` when built.
+    """
+
+    def __init__(self, partners):
+        self.partners = partners
+        self.built = [None] * len(partners)
+
+    def __len__(self):
+        return len(self.partners)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        diagram = self.built[k]
+        if diagram is None:
+            diagram = self.built[k] = ChordDiagram(self.partners[k])
+        return diagram
+
+    def __eq__(self, other):
+        return isinstance(other, _Diagrams) and self.partners == other.partners
 
 
-def _chord_tries(trinity, diagrams):
-    """The faces' chord tries in sorted face order, as flat node arrays.
+def _chord_tries(trinity, tries):
+    """The faces' chord tries in sorted face order, as one flat trie.
 
-    Node x is the chord ``(a[x], b[x])`` in global point indices. A face's
-    trie takes each diagram's chords in opener order (``ChordDiagram.pairs``,
-    the one-face matcher's order); the children of x run from ``child[x]``
-    along ``sibling`` in diagram order, and -1 ends a sibling list. A leaf
-    holds its diagram's index in ``leaf`` (-1 elsewhere), and its child is
-    the first node of the next face's trie (past the end for the last face,
-    whose leaves end the walk).
+    Face f's part is ``tries[f]``, the trie of a ``dividing.chord_trie``,
+    with its points offset by ``trinity.offset`` and its nodes by the sizes
+    of the parts before it, so a leaf's child is the first node of the next
+    face's part (past the end for the last face, whose leaves end the walk).
     """
     a, b, child, sibling, leaf = [], [], [], [], []
-    for fid, face_diagrams in zip(trinity.red, diagrams):
-        lo = trinity.offset[fid]
-        path = [0] * trinity.n_r[fid]
-        previous = [None] * trinity.n_r[fid]
-        leaves = []
-        for k, diagram in enumerate(face_diagrams):
-            pairs = diagram.pairs()
-            depth = 0
-            while pairs[depth] == previous[depth]:
-                depth += 1
-            if k:
-                sibling[path[depth]] = len(a)
-            # a new node's child is the node made next
-            for i in range(depth, len(pairs)):
-                path[i] = len(a)
-                a.append(lo + pairs[i][0])
-                b.append(lo + pairs[i][1])
-                child.append(len(a))
-                sibling.append(-1)
-                leaf.append(-1)
-            leaf[-1] = k
-            leaves.append(len(a) - 1)
-            previous = pairs
-        for x in leaves:
-            child[x] = len(a)
+    for fid, (ta, tb, tchild, tsibling, tleaf) in zip(trinity.red, tries):
+        lo, base = trinity.offset[fid], len(a)
+        a += [lo + p for p in ta]
+        b += [lo + q for q in tb]
+        child += [base + x for x in tchild]
+        sibling += [base + x if x >= 0 else -1 for x in tsibling]
+        leaf += tleaf
     return a, b, child, sibling, leaf
 
 
-def _tight_choices(trinity, diagrams):
+def _tight_choices(trinity, tries):
     """Diagram index tuples of the tight configurations, in lexicographic order.
 
     Walks the faces' chord tries depth first on a copy of ``trinity.glue``,
@@ -287,7 +301,7 @@ def _tight_choices(trinity, diagrams):
     the chord applied there (else the next one to try) and ``far_p``,
     ``far_q`` the two path ends it joined.
     """
-    a, b, child, sibling, leaf = _chord_tries(trinity, diagrams)
+    a, b, child, sibling, leaf = _chord_tries(trinity, tries)
     end = list(trinity.glue)
     last = len(end) // 2 - 1
     face_at = [f for f, fid in enumerate(trinity.red) for _ in range(trinity.n_r[fid])]
@@ -354,12 +368,12 @@ def _one_face_groups(choices, sizes):
         yield from groups.values()
 
 
-def _label_components(graph, count):
+def _label_components(graph, count, used):
     """Each component's Euler vector, hypertree and tree-hugging representative.
 
     Disc Euler contributions are read through ``dividing.disc_euler`` once
-    per (face, diagram index) that some vertex uses, and every member's
-    Euler tuple is compared.
+    per (face, diagram index) that some vertex uses, listed per face in
+    ``used``, and every member's Euler tuple is compared.
     """
     trinity, diagrams, choices = graph.trinity, graph.diagrams, graph.choices
     faces = trinity.red
@@ -367,8 +381,8 @@ def _label_components(graph, count):
     for idx, c in enumerate(graph.component_of):
         members[c].append(idx)
     table = [[None] * len(d) for d in diagrams]
-    for axis in range(len(faces)):
-        for k in set(map(itemgetter(axis), choices)):
+    for axis, keep in enumerate(used):
+        for k in keep:
             table[axis][k] = dividing.disc_euler(trinity, faces[axis], diagrams[axis][k])
 
     def euler(choice):

@@ -78,6 +78,29 @@ def test_stars_of_the_wrong_type_are_a_usage_error(capsys, tmp_path, stars):
     assert err.startswith("error: stars must be a list of two face ids")
 
 
+def test_one_parser_serves_a_sequence_of_calls(capsys, c4_file, fig8_file):
+    # the cached parser's ``fn`` defaults pin the ``_cmd_*`` functions as
+    # they were when it was built; no test monkeypatches those functions
+    calls = [
+        ("verify", "--graph", c4_file),
+        ("gen", "--family", "nope", "--size", "1"),
+        ("clock", "--universe", fig8_file),
+        ("gen", "--family", "path", "--size", "2"),
+        ("correspond", "--universe", fig8_file),
+        ("verify", "--graph", c4_file),
+    ]
+    first = {}
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        first[argv] = run(capsys, *argv)[:2]
+    assert first[calls[1]][0] == 2
+    assert all(first[argv][0] == 0 and first[argv][1] for argv in calls if argv != calls[1])
+    cli._build_parser.cache_clear()
+    for argv in calls:
+        assert run(capsys, *argv)[:2] == first[argv], argv
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_census_running_example(capsys, tmp_path):
     path = write_json(tmp_path, "running.json", running_example_document())
     code, out, _err = run(capsys, "census", "--graph", path)

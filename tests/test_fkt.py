@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import corpus_documents, medial_universe_document, path_document
 from random_maps import plane_bipartite_maps
@@ -406,6 +407,15 @@ def test_lattice_check_refuses_a_non_distributive_lattice():
     # the diamond M3: three incomparable states between a bottom and a top
     with pytest.raises(AssertionError):
         check_clock_lattice([[1, 2, 3], [4], [4], [4], []])
+
+
+@given(st.integers(min_value=0, max_value=40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=4**n - 1))
+))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_decode_matches_the_digit_by_digit_decode(n_code):
+    n, code = n_code
+    assert fkt._decode(code, n) == tuple((code >> 2 * (n - 1 - i)) & 3 for i in range(n))
 
 
 def test_clock_graph_builds_states_only_when_read(medial_universes, monkeypatch):

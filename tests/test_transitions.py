@@ -47,6 +47,73 @@ def _bucket_pair_edges(choices):
     return tuple(sorted(edges))
 
 
+def _prefix_trie(parts):
+    """Chord tries built from diagram pairs by prefix comparison, one after another.
+
+    ``parts`` lists each face's point offset and diagrams in matcher order.
+    A new node's child is the node made next; a leaf's child is the first
+    node of the next part (past the end after the last part).
+    """
+    a, b, child, sibling, leaf = [], [], [], [], []
+    for lo, face_diagrams in parts:
+        n = face_diagrams[0].n
+        path = [0] * n
+        previous = [None] * n
+        leaves = []
+        for k, diagram in enumerate(face_diagrams):
+            pairs = diagram.pairs()
+            depth = 0
+            while pairs[depth] == previous[depth]:
+                depth += 1
+            if k:
+                sibling[path[depth]] = len(a)
+            for i in range(depth, len(pairs)):
+                path[i] = len(a)
+                a.append(lo + pairs[i][0])
+                b.append(lo + pairs[i][1])
+                child.append(len(a))
+                sibling.append(-1)
+                leaf.append(-1)
+            leaf[-1] = k
+            leaves.append(len(a) - 1)
+            previous = pairs
+        for x in leaves:
+            child[x] = len(a)
+    return a, b, child, sibling, leaf
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_search_trie_matches_the_prefix_trie(n):
+    trie, partners = dv.chord_trie(n)
+    assert trie == _prefix_trie([(0, dv.enumerate_chord_diagrams(n))])
+    leaves = [k for k in trie[4] if k >= 0]
+    assert leaves == list(range(dv.catalan(n)))
+    assert [partners[k] for k in leaves] == list(dv.noncrossing_matchings(n))
+
+
+def test_concatenated_tries_match_the_prefix_tries(trinities):
+    for name, t in trinities.items():
+        tries = [dv.chord_trie(t.n_r[f])[0] for f in t.red]
+        parts = [(t.offset[f], dv.enumerate_chord_diagrams(t.n_r[f])) for f in t.red]
+        assert tx._chord_tries(t, tries) == _prefix_trie(parts), name
+
+
+def test_building_reads_only_the_diagrams_of_tight_choices(monkeypatch):
+    t = _generated("path", 8)
+    built = []
+    real = dv.ChordDiagram
+    monkeypatch.setattr(tx, "ChordDiagram", lambda partner: built.append(partner) or real(partner))
+    cg = tx.build_configuration_graph(t)
+    used = sorted({k for (k,) in cg.choices})
+    assert (len(cg.choices), len(used)) == (174, 174)
+    assert sorted(built) == sorted(cg.diagrams[0].partners[k] for k in used)
+    expected = dv.enumerate_chord_diagrams(8)
+    assert len(cg.diagrams[0]) == len(expected) == 1430
+    assert all(cg.diagrams[0][k] == expected[k] for k in range(len(expected)))
+    assert cg.diagrams[0][::-1] == expected[::-1]
+    assert len(built) == 1430
+
+
 def test_building_leaves_the_glue_unchanged(trinities, monkeypatch):
     # the walk joins path ends on its own copy of the glue, so neither a
     # full build nor one stopped by a model failure rewires the trinity's
