@@ -275,14 +275,13 @@ def _cmd_hypertrees(args):
     payload = []
     lines = []
     for label in hypertrees.HYPERGRAPH_LABELS:
-        hg = hypertrees.trinity_hypergraph_by_label(trin, label)
         hts = trin.hypertree_set(label)
-        order = hg.hyperedge_ids()
+        # every vector lists its hyperedges in the same, sorted order
         payload.append(
             {
                 "hypergraph": label,
-                "hyperedges": list(order),
-                "vectors": [[dict(h.vector)[e] for e in order] for h in hts],
+                "hyperedges": [e for e, _ in hts[0].vector],
+                "vectors": [[f for _, f in h.vector] for h in hts],
                 "count": len(hts),
             }
         )

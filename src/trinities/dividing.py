@@ -314,8 +314,13 @@ class SignedRegions:
         return [r for r in self.regions if r.sign < 0]
 
     def hugs(self):
-        """The tree-hugging rule: at most one negative region of valence above one."""
-        return sum(1 for r in self.negatives() if r.valence > 1) <= 1
+        """The tree-hugging rule, stated once in ``_hugs``."""
+        return _hugs((r.sign, r.arcs) for r in self.regions)
+
+
+def _hugs(signs):
+    """The tree-hugging rule: at most one negative region of valence above one."""
+    return sum(1 for sign, arcs in signs if sign < 0 and len(arcs) > 1) <= 1
 
 
 def signed_regions(trinity, face, diagram):
@@ -327,16 +332,21 @@ def signed_regions(trinity, face, diagram):
 
 
 def disc_euler(trinity, face, diagram):
-    """Euler contribution of one disc: positive minus negative region count.
+    """Euler contribution of one disc: positive minus negative region count."""
+    return disc_profile(trinity, face, diagram)[0]
 
-    Memoised per (face, diagram) in ``trinity.disc_eulers``.
+
+def disc_profile(trinity, face, diagram):
+    """A disc's Euler contribution and whether it hugs, by ``SignedRegions.hugs``'s rule.
+
+    One ``_region_signs`` pass, memoised per (face, diagram) in ``trinity.discs``.
     """
     key = (face, diagram)
-    euler = trinity.disc_eulers.get(key)
-    if euler is None:
+    disc = trinity.discs.get(key)
+    if disc is None:
         signs = _region_signs(trinity, face, diagram)
-        euler = trinity.disc_eulers[key] = sum(sign for sign, _ in signs)
-    return euler
+        disc = trinity.discs[key] = (sum(sign for sign, _ in signs), _hugs(signs))
+    return disc
 
 
 def _region_signs(trinity, face, diagram):
@@ -370,8 +380,7 @@ def tree_hugging(trinity, tree):
     chords; one chord per gap between consecutive in-tree corners then
     bounds the central negative region.
     """
-    gv = trinity.violet_graph
-    _require_spanning(gv, tree)
+    _require_spanning(trinity.graph_index("violet"), tree)
     ch = trinity.charts
     diagrams = {}
     for fid in trinity.red:
@@ -411,25 +420,26 @@ def is_tree_hugging(config):
     ch = trinity.charts
     edges = set()
     for fid, diagram in config.entries:
-        sr = signed_regions(trinity, fid, diagram)
-        if not sr.hugs():
+        signs = _region_signs(trinity, fid, diagram)
+        if not _hugs(signs):
             return False, None
-        central = max(sr.negatives(), key=lambda r: (r.valence, -r.arcs[0]))
-        for arc in central.arcs:
-            edges.add(ch[fid].emerald_corner[arc])
+        negatives = (arcs for sign, arcs in signs if sign < 0)
+        central = max(negatives, key=lambda arcs: (len(arcs), -arcs[0]))
+        edges.update(map(ch[fid].emerald_corner.__getitem__, central))
     tree = SpanningTree(trinity.violet_graph, frozenset(edges), "red")
     if tree_hugging(trinity, tree) != config:
         raise NoHugBack(f"witness {sorted(tree.edges)} hugs another configuration")
     return True, tree
 
 
-def _require_spanning(graph, tree):
-    if not tree.edges <= set(graph.edges):
+def _require_spanning(index, tree):
+    """Raise ``NotSpanning`` unless the tree spans the graph of this ``trees.GraphIndex``."""
+    if not tree.edges <= index.edge_index.keys():
         raise NotSpanning("edges outside the host graph")
-    if len(tree.edges) != len(graph.vertices) - 1:
+    if len(tree.edges) != len(index.vertex_ids) - 1:
         raise NotSpanning("wrong edge count for a spanning tree")
     # with |V| - 1 edges, a cycle is the same as a second component
-    if len(set(components(graph, tree.edges).values())) != 1:
+    if len(set(components(index, map(index.edge_index.__getitem__, tree.edges)))) != 1:
         raise NotSpanning("edge set contains a cycle")
 
 

@@ -13,10 +13,14 @@ inequalities.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+from operator import getitem, mul
 
-from .limits import DEFAULT_CAP
-from .trees import SpanningTree, components, enumerate_spanning_trees
+from .limits import DEFAULT_CAP, check_cap
+from .trees import GraphIndex, SpanningTree, components, enumerate_spanning_trees
 
 
 class WrongClass(ValueError):
@@ -43,6 +47,8 @@ class Hypergraph:
     hyperedge_colour: str
     bip: object = field(compare=False)
     hyperedges: tuple = ()
+    # the host's trees.GraphIndex, shared by the two hypergraphs it hosts
+    index: object = field(compare=False, default=None)
 
     def hyperedge_ids(self):
         return tuple(h for h, _ in self.hyperedges)
@@ -55,14 +61,13 @@ def trinity_hypergraph(trinity, vertex_colour, hyperedge_colour):
         raise ValueError(f"bad colour pair {vertex_colour!r}/{hyperedge_colour!r}")
     (third,) = rest
     bip = getattr(trinity, f"{third}_graph")
-    hyperedges = []
-    for h in bip.colour_classes[hyperedge_colour]:
-        members = frozenset(
-            bip.target(d) for d in bip.vertices[h].rotation
-        )
-        hyperedges.append((h, members))
+    hyperedges = tuple(
+        (h, frozenset(bip.target(d) for d in bip.vertices[h].rotation))
+        for h in bip.colour_classes[hyperedge_colour]
+    )
     label = (vertex_colour[0] + hyperedge_colour[0]).upper()
-    return Hypergraph(label, vertex_colour, hyperedge_colour, bip, tuple(hyperedges))
+    index = trinity.graph_index(third)
+    return Hypergraph(label, vertex_colour, hyperedge_colour, bip, hyperedges, index)
 
 
 def trinity_hypergraph_by_label(trinity, label):
@@ -72,10 +77,23 @@ def trinity_hypergraph_by_label(trinity, label):
 
 @dataclass(frozen=True)
 class Hypertree:
-    """Degree record of a realizing spanning tree, minus one per hyperedge."""
+    """Degree record of a realizing spanning tree, minus one per hyperedge.
+
+    The tree is ``witness``. ``source`` is either that tree or, for a
+    searched hypertree, its search host and edge positions, from which the
+    tree is built when first read.
+    """
 
     vector: tuple
-    witness: object = field(compare=False, default=None)
+    source: object = field(compare=False, default=None, repr=False)
+
+    @cached_property
+    def witness(self):
+        if not isinstance(self.source, tuple):
+            return self.source
+        host, edges = self.source
+        ids = frozenset(map(host.edge_ids.__getitem__, edges))
+        return SpanningTree(host.index.graph, ids, host.colour)
 
     def as_dict(self):
         return dict(self.vector)
@@ -113,6 +131,10 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
     then there is no edge to end a path. Every witness is checked to span
     the host and realize its vector, or ``BadWitness`` is raised.
 
+    A vector is kept as its mixed-radix code over the hyperedge degrees,
+    first hyperedge most significant, so code order is vector order and a
+    move is two additions; tuples are built for hypertrees only.
+
     The cap bounds the host's Kirchhoff count, checked before the first
     tree is drawn; with ``cap=None`` it is not taken.
     """
@@ -121,70 +143,75 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
     if colour not in classes:
         raise WrongClass(f"host graph has no {colour!r} class")
     ids = classes[colour]  # sorted, as in every vector
-    seed = next(enumerate_spanning_trees(bip, record_colour=colour, cap=cap))
-    host = _Host(bip, ids)
+    host = _Host(bip, ids, hypergraph.index)
+    if cap is not None:
+        check_cap(host.index.tree_count, cap, "spanning tree enumeration")
+    seed = next(enumerate_spanning_trees(bip, record_colour=colour, cap=None))
     tree = sorted(host.edge_index[eid] for eid in seed.edges)
-    # decided[vector] is the witness of a hypertree, or None for a vector
-    # that is not one
-    decided = {host.record(tree): tree}
-    queue = list(decided)
-    k = len(ids)
-    for vector in queue:
-        # moves into j with a host edge at j outside T; the others have no sink
-        targets = [j for j in range(k) if vector[j] + 1 < host.degree[j]]
+    k, degree = host.k, host.degree
+    stride = [1] * k
+    for i in range(k - 1, 0, -1):
+        stride[i - 1] = stride[i] * degree[i]
+    vector = host.record(tree)
+    code = sum(map(mul, vector, stride))
+    # decided[code] is the witness of a hypertree, or None for a code that
+    # is not one; found lists each hypertree's code and vector
+    decided = {code: tree}
+    found = [(code, vector)]
+    # codes of the vectors h = f - 1_i already expanded: the first hypertree
+    # f above h decides every h + 1_j, so any later one skips h
+    lowered = set()
+    for code, vector in found:
+        # moves into j with a host edge at j outside T; the others have no
+        # sink. The move from i back into i is the vector itself, decided.
+        targets = [j for j in range(k) if vector[j] + 1 < degree[j]]
         rooted = None
         for i in range(k):
             if vector[i] == 0:
                 continue
-            move = list(vector)
-            move[i] -= 1
-            exchange = None
-            for j in targets:
-                if j == i:
-                    continue
-                move[j] += 1
-                candidate = tuple(move)
-                move[j] -= 1
-                if candidate in decided:
-                    continue
-                if exchange is None:
-                    if rooted is None:
-                        rooted = _RootedTree(host, decided[vector])
-                    exchange = _ExchangeGraph(host, rooted, i)
-                witness = decided[candidate] = exchange.augment(j)
+            base = code - stride[i]
+            if base in lowered:
+                continue
+            lowered.add(base)
+            fresh = [j for j in targets if base + stride[j] not in decided]
+            if not fresh:
+                continue
+            if rooted is None:
+                rooted = _RootedTree(host, decided[code])
+            exchange = _ExchangeGraph(host, rooted, i)
+            for j in fresh:
+                witness = decided[base + stride[j]] = exchange.augment(j)
                 if witness is not None:
-                    host.certify(witness, candidate, hypergraph.label)
-                    queue.append(candidate)
+                    move = list(vector)
+                    move[i] -= 1
+                    move[j] += 1
+                    move = tuple(move)
+                    host.certify(witness, move, hypergraph.label)
+                    found.append((base + stride[j], move))
+    # one (hyperedge, value) pair object per value, shared by every vector
+    pairs = [[(h, f) for f in range(d)] for h, d in zip(ids, degree)]
     return tuple(
-        Hypertree(
-            tuple(zip(ids, vector)),
-            SpanningTree(bip, frozenset(host.edge_ids[e] for e in decided[vector]), colour),
-        )
-        for vector in sorted(v for v, w in decided.items() if w is not None)
+        Hypertree(tuple(map(getitem, pairs, vector)), (host, decided[code]))
+        for code, vector in sorted(found)
     )
 
 
 class _Host:
-    """The host graph by index: endpoints and hyperedge slot of every edge."""
+    """The host graph by index, as its ``trees.GraphIndex``, and the
+    hyperedge slot of every edge."""
 
-    def __init__(self, bip, ids):
+    def __init__(self, bip, ids, index=None):
+        self.index = index = index if index is not None else GraphIndex(bip)
+        self.colour = bip.colour_of(ids[0])
+        self.edge_ids, self.edge_index = index.edge_ids, index.edge_index
+        self.tail, self.head = index.tail, index.head
         slot_of = {h: s for s, h in enumerate(ids)}
-        index = {v: x for x, v in enumerate(sorted(bip.vertices))}
-        self.bip = bip
-        self.edge_ids = sorted(bip.edges)
-        self.edge_index = {eid: e for e, eid in enumerate(self.edge_ids)}
-        self.tail, self.head, self.slot = [], [], []
-        for eid in self.edge_ids:
-            u, v = bip.endpoints(eid)
-            self.tail.append(index[u])
-            self.head.append(index[v])
-            # bipartite: exactly one endpoint lies in the hyperedge class
-            self.slot.append(slot_of[u] if u in slot_of else slot_of[v])
-        self.n = len(index)
+        # bipartite: exactly one end of each edge lies in the hyperedge class
+        at = [slot_of.get(v, -1) for v in index.vertex_ids]
+        self.slot = [max(at[u], at[v]) for u, v in zip(self.tail, self.head)]
+        self.n = len(index.vertex_ids)
         self.k = len(ids)
-        self.degree = [0] * self.k
-        for s in self.slot:
-            self.degree[s] += 1
+        self.degree = [self.slot.count(s) for s in range(self.k)]
 
     def record(self, edges):
         counts = [-1] * self.k
@@ -194,7 +221,7 @@ class _Host:
 
     def certify(self, edges, vector, label):
         """Raise ``BadWitness`` unless the edges form a spanning tree with this record."""
-        parts = len(set(components(self.bip, [self.edge_ids[e] for e in edges]).values()))
+        parts = len(set(components(self.index, edges)))
         if len(edges) != self.n - 1 or parts != 1:
             raise BadWitness(
                 f"{label}: witness for {vector} has {len(edges)} edges and "
@@ -210,7 +237,8 @@ class _RootedTree:
 
     The vertices below each tree edge form one interval of the preorder,
     ``below[e]``, so whether an edge has exactly one end below e is two
-    comparisons.
+    comparisons. ``ends`` lists each edge outside the tree, in index
+    order, with the preorder positions of its two ends.
     """
 
     def __init__(self, host, edges):
@@ -220,39 +248,37 @@ class _RootedTree:
         for e in edges:
             incident[tail[e]].append(e)
             incident[head[e]].append(e)
+        # depth first from vertex 0; in a tree, every edge at v other
+        # than the one to v's parent leads to a child
         up = [-1] * n  # tree edge to the parent
-        seen = [False] * n
-        seen[0] = True
         order = []
         stack = [0]
         while stack:
             v = stack.pop()
             order.append(v)
+            u = up[v]
             for e in incident[v]:
-                w = head[e] if tail[e] == v else tail[e]
-                if not seen[w]:
-                    seen[w] = True
+                if e != u:
+                    w = tail[e] + head[e] - v
                     up[w] = e
                     stack.append(w)
         first = [0] * n
         for x, v in enumerate(order):
             first[v] = x
         size = [1] * n
-        self.below = [None] * m
+        self.below = below = [None] * m
         for v in reversed(order):
             e = up[v]
             if e >= 0:
-                size[tail[e] if head[e] == v else head[e]] += size[v]
-                self.below[e] = (first[v], first[v] + size[v])
-        self.first = first
-        self.inside = bytearray(m)
-        for e in edges:
-            self.inside[e] = 1
-        self.outside = [e for e in range(m) if not self.inside[e]]
-        self.at_slot = [[] for _ in range(host.k)]
+                size[tail[e] + head[e] - v] += size[v]
+                below[e] = (first[v], first[v] + size[v])
+        self.inside = inside = bytearray(m)
+        self.at_slot = at_slot = [[] for _ in range(host.k)]
         for e in edges:  # sorted, so each list is in index order
-            self.at_slot[slot[e]].append(e)
-        self.edges = edges
+            inside[e] = 1
+            at_slot[slot[e]].append(e)
+        self.first = first
+        self.ends = [(z, first[tail[z]], first[head[z]]) for z in range(m) if not inside[z]]
 
 
 class _ExchangeGraph:
@@ -277,61 +303,59 @@ class _ExchangeGraph:
     def __init__(self, host, rooted, i):
         self.host = host
         self.rooted = rooted
-        self.a = a = rooted.at_slot[i][0]
+        a = rooted.at_slot[i][0]
         self.inside = bytearray(rooted.inside)
         self.inside[a] = 0
-        self.outside = sorted(rooted.outside + [a])
-        self.at_slot = list(rooted.at_slot)
+        first = rooted.first
+        self.ends = rooted.ends[:]
+        insort(self.ends, (a, first[host.tail[a]], first[host.head[a]]))
+        self.at_slot = rooted.at_slot[:]
         self.at_slot[i] = self.at_slot[i][1:]
         self.parent = [-2] * len(host.tail)  # -2 unseen, -1 source
         self.sink = [-1] * host.k  # first edge outside I seen at each hyperedge
         self.queue = []
         self.expanded = 0
-        tail, head, first = host.tail, host.head, rooted.first
-        lo, hi = rooted.below[a]
-        for z in self.outside:
-            if (lo <= first[tail[z]] < hi) != (lo <= first[head[z]] < hi):
-                self._see(z, -1)
+        self._cross(a, -1)
 
-    def _see(self, e, parent):
-        self.parent[e] = parent
-        self.queue.append(e)
-        if not self.inside[e]:
-            s = self.host.slot[e]
-            if self.sink[s] < 0:
-                self.sink[s] = e
-
-    def _expand(self, e):
-        parent = self.parent
-        if self.inside[e]:
-            tail, head, first = self.host.tail, self.host.head, self.rooted.first
-            lo, hi = self.rooted.below[e]
-            for z in self.outside:
-                if parent[z] == -2 and (lo <= first[tail[z]] < hi) != (lo <= first[head[z]] < hi):
-                    self._see(z, e)
-        else:
-            for y in self.at_slot[self.host.slot[e]]:
-                if parent[y] == -2:
-                    self._see(y, e)
+    def _cross(self, e, mark):
+        """Queue, marked ``mark``, each unseen edge outside I with exactly one end below e."""
+        parent, queue, sink, slot = self.parent, self.queue, self.sink, self.host.slot
+        lo, hi = self.rooted.below[e]
+        for z, p, q in self.ends:
+            if parent[z] == -2 and (lo <= p < hi) != (lo <= q < hi):
+                parent[z] = mark
+                queue.append(z)
+                if sink[slot[z]] < 0:
+                    sink[slot[z]] = z
 
     def augment(self, j):
         """Witness edges of the move to hyperedge j, or None when there is none."""
-        while self.sink[j] < 0 and self.expanded < len(self.queue):
-            self._expand(self.queue[self.expanded])
-            self.expanded += 1
-        z = self.sink[j]
+        sink, parent, queue = self.sink, self.parent, self.queue
+        inside, at_slot, slot = self.inside, self.at_slot, self.host.slot
+        x = self.expanded
+        while sink[j] < 0 and x < len(queue):
+            e = queue[x]
+            x += 1
+            if inside[e]:
+                self._cross(e, e)
+            else:
+                for y in at_slot[slot[e]]:
+                    if parent[y] == -2:
+                        parent[y] = e
+                        queue.append(y)
+        self.expanded = x
+        z = sink[j]
         if z < 0:
             return None
-        witness = set(self.rooted.edges)
-        witness.remove(self.a)
+        witness = bytearray(inside)
         while z >= 0:
-            witness.add(z)
-            y = self.parent[z]
+            witness[z] = 1
+            y = parent[z]
             if y < 0:
                 break
-            witness.remove(y)
-            z = self.parent[y]
-        return sorted(witness)
+            witness[y] = 0
+            z = parent[y]
+        return list(compress(range(len(witness)), witness))
 
 
 def translate_offset(set_a, set_b):

@@ -132,7 +132,7 @@ class ConfigurationGraph:
     ``diagrams``, a sequence in ``enumerate_chord_diagrams`` order whose
     items are built when first read. ``vertex(i)`` builds its
     ``Configuration`` when read; building the graph makes one only for
-    each tree-hugging probe.
+    each component's representative, to check that it hugs a tree.
     """
 
     trinity: object = field(compare=False)
@@ -371,9 +371,12 @@ def _one_face_groups(choices, sizes):
 def _label_components(graph, count, used):
     """Each component's Euler vector, hypertree and tree-hugging representative.
 
-    Disc Euler contributions are read through ``dividing.disc_euler`` once
-    per (face, diagram index) that some vertex uses, listed per face in
-    ``used``, and every member's Euler tuple is compared.
+    Once per (face, diagram index) that some vertex uses, listed per face
+    in ``used``, ``dividing.disc_euler`` and ``dividing.disc_profile`` read
+    the disc's Euler contribution and hug flag, both from one region pass.
+    Every member's Euler tuple is compared. The representative is the
+    first member, in vertex order, whose every disc hugs, and
+    ``dividing.is_tree_hugging`` then checks it and rebuilds its witness.
     """
     trinity, diagrams, choices = graph.trinity, graph.diagrams, graph.choices
     faces = trinity.red
@@ -381,9 +384,12 @@ def _label_components(graph, count, used):
     for idx, c in enumerate(graph.component_of):
         members[c].append(idx)
     table = [[None] * len(d) for d in diagrams]
+    hugs = [bytearray(len(d)) for d in diagrams]
     for axis, keep in enumerate(used):
         for k in keep:
-            table[axis][k] = dividing.disc_euler(trinity, faces[axis], diagrams[axis][k])
+            diagram = diagrams[axis][k]
+            table[axis][k] = dividing.disc_euler(trinity, faces[axis], diagram)
+            hugs[axis][k] = dividing.disc_profile(trinity, faces[axis], diagram)[1]
 
     def euler(choice):
         return tuple(map(getitem, table, choice))
@@ -399,13 +405,8 @@ def _label_components(graph, count, used):
             if f2 % 2:
                 raise EulerNotConstant(f"odd Euler offset on face {fid}")
             hypertree[fid] = f2 // 2
-        rep = None
-        for i in members[cid]:
-            hugging, _tree = dividing.is_tree_hugging(graph.vertex(i))
-            if hugging:
-                rep = i
-                break
-        if rep is None:
+        rep = next((i for i in members[cid] if all(map(getitem, hugs, choices[i]))), None)
+        if rep is None or not dividing.is_tree_hugging(graph.vertex(rep))[0]:
             raise NotTreeHuggingReachable(f"component {cid} has no tree-hugging vertex")
         components.append(
             Component(cid, tuple(members[cid]), dict(zip(faces, first)), hypertree, rep)

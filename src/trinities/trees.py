@@ -9,6 +9,7 @@ anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .limits import DEFAULT_CAP, CapExceeded, check_cap
 
@@ -55,21 +56,36 @@ def bareiss_determinant(rows):
 
 def spanning_tree_count(graph):
     """Kirchhoff count of spanning trees (loops ignored, parallels kept)."""
-    verts = sorted(graph.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    lap = [[0] * n for _ in range(n)]
-    for eid in graph.edges:
-        u, v = graph.endpoints(eid)
-        if u == v:
-            continue
-        i, j = index[u], index[v]
-        lap[i][j] -= 1
-        lap[j][i] -= 1
-        lap[i][i] += 1
-        lap[j][j] += 1
-    minor = [row[:-1] for row in lap[:-1]]
-    return bareiss_determinant(minor)
+    return GraphIndex(graph).tree_count
+
+
+class GraphIndex:
+    """A graph by position, vertices and edges in sorted id order, with its Kirchhoff count.
+
+    ``tail[e]`` and ``head[e]`` are the positions of edge e's ends.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.vertex_ids = sorted(graph.vertices)
+        position = {v: x for x, v in enumerate(self.vertex_ids)}
+        self.edge_ids = sorted(graph.edges)
+        self.edge_index = {eid: e for e, eid in enumerate(self.edge_ids)}
+        ends = [graph.endpoints(eid) for eid in self.edge_ids]
+        self.tail = [position[u] for u, _ in ends]
+        self.head = [position[v] for _, v in ends]
+
+    @cached_property
+    def tree_count(self):
+        n = len(self.vertex_ids)
+        lap = [[0] * n for _ in range(n)]
+        for i, j in zip(self.tail, self.head):
+            if i != j:
+                lap[i][j] -= 1
+                lap[j][i] -= 1
+                lap[i][i] += 1
+                lap[j][j] += 1
+        return bareiss_determinant([row[:-1] for row in lap[:-1]])
 
 
 # -- spanning trees ------------------------------------------------------------
@@ -113,17 +129,14 @@ def enumerate_spanning_trees(graph, record_colour=None, cap=DEFAULT_CAP):
     class label per vertex, and an explicit stack replaces recursion, so
     the interpreter's stack depth does not grow with the graph.
     """
+    index = GraphIndex(graph)
     if cap is not None:
-        check_cap(spanning_tree_count(graph), cap, "spanning tree enumeration")
-    verts = sorted(graph.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    edge_ids = sorted(e for e in graph.edges if not graph.is_loop(e))
-    tails, heads = [], []
-    for eid in edge_ids:
-        u, v = graph.endpoints(eid)
-        tails.append(index[u])
-        heads.append(index[v])
-    n, m = len(verts), len(edge_ids)
+        check_cap(index.tree_count, cap, "spanning tree enumeration")
+    # a loop is never in a tree
+    live = [e for e, (u, v) in enumerate(zip(index.tail, index.head)) if u != v]
+    edge_ids = [index.edge_ids[e] for e in live]
+    tails, heads = [index.tail[e] for e in live], [index.head[e] for e in live]
+    n, m = len(index.vertex_ids), len(live)
     target = n - 1
 
     def joins(label, pos, classes):
@@ -210,9 +223,11 @@ def enumerate_arborescences(dual, root, cap=DEFAULT_CAP):
     Depth-first over the non-root vertices in id order, trying each one's
     in-arcs in id order; an explicit choice array replaces recursion, so the
     interpreter's stack depth does not grow with the number of vertices.
+    The matrix-tree count is taken up front and checked against the cap;
+    with ``cap=None`` it is not taken.
     """
-    count = count_arborescences(dual, root)
-    check_cap(count, cap, "arborescence enumeration")
+    if cap is not None or root not in dual.vertices:  # the count refuses an unknown root
+        check_cap(count_arborescences(dual, root), cap, "arborescence enumeration")
     others = [v for v in sorted(dual.vertices) if v != root]
     in_arcs = [
         sorted((a for a in dual.arcs if a.head == v and a.tail != v), key=lambda a: a.id)
@@ -291,8 +306,9 @@ def magic_number(trinity):
     hypergraphs; the verdict passes iff every populated count agrees.
 
     Duals and hypertree sets come from the trinity's memoised copies, and
-    a count over the trinity's cap is left out (``None``);
-    ``Trinity.magic_report`` memoises the report itself.
+    a count over the trinity's cap is left out (``None``). Each dual's
+    determinant serves as its enumeration's cap check, so a dual costs one
+    Bareiss elimination; ``Trinity.magic_report`` memoises the report.
     """
     from .hypertrees import HYPERGRAPH_LABELS
 
@@ -304,7 +320,7 @@ def magic_number(trinity):
         root = min(dual.vertices)
         det[colour] = count_arborescences(dual, root)
         if cap is None or det[colour] <= cap:
-            enum[colour] = len(enumerate_arborescences(dual, root, cap))
+            enum[colour] = len(enumerate_arborescences(dual, root, None))
         else:
             enum[colour] = None
 
@@ -347,17 +363,17 @@ def tree_exchange_path(graph, tree_a, tree_b, cap=DEFAULT_CAP):
             sorted(v for v in graph.endpoints(eid) if colour is None or graph.colour_of(v) == colour)
         )
 
+    index = GraphIndex(graph)
+
     def neighbours(edges):
         out = []
         for removed in sorted(edges):
-            comp = components(graph, edges - {removed})
-            for added in sorted(graph.edges):
-                if added in edges or graph.is_loop(added):
+            comp = components(index, [index.edge_index[e] for e in edges - {removed}])
+            for x, added in enumerate(index.edge_ids):
+                # a loop has both ends in one component
+                if added in edges or record_key(added) != record_key(removed):
                     continue
-                if record_key(added) != record_key(removed):
-                    continue
-                u, v = graph.endpoints(added)
-                if comp[u] != comp[v]:
+                if comp[index.tail[x]] != comp[index.head[x]]:
                     out.append(edges - {removed} | {added})
         return out
 
@@ -385,23 +401,25 @@ def tree_exchange_path(graph, tree_a, tree_b, cap=DEFAULT_CAP):
     raise NoPath("fixed-degree exchange graph is disconnected")
 
 
-def components(graph, edge_ids):
-    """Component representative of every vertex of the graph on these edges.
+def components(index, edges):
+    """Root of every vertex, by position, in the graph on these edge positions.
 
     The one check that an edge set spans: with |V| - 1 edges it is a
-    spanning tree exactly when every vertex gets the same representative.
+    spanning tree exactly when every vertex gets the same root. A union
+    hangs the larger root under the smaller, so one forward pass flattens.
     """
-    comp = {v: v for v in graph.vertices}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for eid in edge_ids:
-        u, v = graph.endpoints(eid)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            comp[ru] = rv
-    return {v: find(v) for v in graph.vertices}
+    tail, head = index.tail, index.head
+    root = list(range(len(index.vertex_ids)))
+    for e in edges:
+        a, b = tail[e], head[e]
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    for v, r in enumerate(root):
+        root[v] = root[r]
+    return root

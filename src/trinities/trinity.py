@@ -17,10 +17,10 @@ is read off the two triangles flanking it, from that colour's corner of the
 black one to its corner of the white one.
 
 A ``Trinity`` owns the products computed from it: the directed duals, the
-six hypertree sets, the magic-number report, the disc charts, the global
-numbering of boundary points and their glue across edges, and each disc's
-Euler contribution are built at most once per trinity and shared by every
-caller. The enumeration cap is fixed when the trinity is built, so every
+colour graphs' index arrays, the six hypertree sets, the magic-number
+report, the disc charts, the global numbering of boundary points and their
+glue across edges, and each disc's Euler contribution and hug flag are
+built at most once per trinity and shared by every caller. The enumeration cap is fixed when the trinity is built, so every
 product is a plain memo.
 """
 
@@ -101,9 +101,10 @@ class Trinity:
         }
         self.triangles = self._build_triangles()
         self._duals = {}
+        self._indexes = {}
         self._hypertrees = {}
-        # (face, diagram) -> Euler contribution, filled by dividing.disc_euler
-        self.disc_eulers = {}
+        # (face, diagram) -> (Euler contribution, hug flag), filled by dividing
+        self.discs = {}
 
     def _build_triangles(self):
         g = self.graph
@@ -178,6 +179,13 @@ class Trinity:
             for fid, i, _ in corners
         ]
         return RotationGraph(vertices, edges)
+
+    def graph_index(self, colour):
+        """``trees.GraphIndex`` of the colour graph (memoised), for its spanning
+        checks and for the Kirchhoff cap check of both hypergraphs it hosts."""
+        if colour not in self._indexes:
+            self._indexes[colour] = trees.GraphIndex(getattr(self, f"{colour}_graph"))
+        return self._indexes[colour]
 
     # -- directed duals ------------------------------------------------------
 

@@ -365,6 +365,21 @@ def test_verify_enumerates_each_tree_family_once(graphs, monkeypatch):
     assert calls["arborescence"] <= 3
 
 
+def test_verify_takes_each_determinant_once(graphs, monkeypatch):
+    orders = []
+    real = trees.bareiss_determinant
+
+    def counted(rows):
+        orders.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(trees, "bareiss_determinant", counted)
+    suite = cli.run_verification(graphs["grid2"])
+    assert suite.ok
+    # one per directed dual and one per colour graph, which hosts two hypergraphs
+    assert len(orders) == 6
+
+
 def test_finished_verification_releases_its_trinity(graphs, monkeypatch):
     built = []
     real_build = trinity.build_trinity

@@ -339,3 +339,68 @@ def test_a_witness_with_another_record_is_refused(trinities):
     vector = tuple(f for _, f in second.vector)
     with pytest.raises(ht.BadWitness, match=r"VE: witness for \(1, 0\) realizes \(0, 1\)"):
         host.certify(edges, vector, "VE")
+
+
+def _parts(graph, edge_ids):
+    """Oracle: the number of components of the graph on these edges, by depth-first search."""
+    adjacent = {v: [] for v in graph.vertices}
+    for eid in edge_ids:
+        u, v = graph.endpoints(eid)
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen, parts = set(), 0
+    for v in graph.vertices:
+        if v not in seen:
+            parts += 1
+            seen.add(v)
+            stack = [v]
+            while stack:
+                for y in adjacent[stack.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+    return parts
+
+
+def test_a_witness_with_a_cycle_is_refused(trinities):
+    hypergraph = ht.trinity_hypergraph_by_label(trinities["grid2"], "VE")
+    bip = hypergraph.bip
+    host = ht._Host(bip, hypergraph.hyperedge_ids())
+    first = ht.enumerate_hypertrees(hypergraph)[0]
+    tree = {host.edge_index[eid] for eid in first.witness.edges}
+    vector = tuple(f for _, f in first.vector)
+    n = len(bip.vertices)
+    extra = min(set(range(len(host.edge_ids))) - tree)
+    # a tree edge off the cycle that the extra edge closes: dropping it
+    # leaves |V| - 1 edges with a cycle, so two components
+    for dropped in sorted(tree):
+        edges = sorted(tree - {dropped} | {extra})
+        if _parts(bip, [host.edge_ids[e] for e in edges]) == 2:
+            break
+    else:
+        pytest.fail("every tree edge lies on the cycle")
+    with pytest.raises(ht.BadWitness) as refused:
+        host.certify(edges, vector, "VE")
+    assert str(refused.value) == (
+        f"VE: witness for {vector} has {n - 1} edges and 2 components on {n} vertices"
+    )
+
+
+def test_witnesses_are_built_when_read(graphs):
+    for name, graph in graphs.items():
+        t = trinity_mod.build_trinity(graph)
+        for label in ht.HYPERGRAPH_LABELS:
+            colour = ht.trinity_hypergraph_by_label(t, label).hyperedge_colour
+            for h in t.hypertree_set(label):
+                assert "witness" not in vars(h), (name, label)
+                assert ht.hypertree_of(h.witness, colour).vector == h.vector, (name, label)
+                assert h.witness is h.witness
+
+
+def test_the_two_hypergraphs_of_a_host_share_its_index(trinities):
+    t = trinities["grid2"]
+    for pair, host in ((("VE", "EV"), "red"), (("ER", "RE"), "violet"), (("VR", "RV"), "emerald")):
+        for label in pair:
+            hypergraph = ht.trinity_hypergraph_by_label(t, label)
+            assert hypergraph.index is t.graph_index(host)
+            assert hypergraph.bip is t.graph_index(host).graph

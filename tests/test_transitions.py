@@ -300,6 +300,41 @@ def test_components_have_tree_hugging_representatives(trinities):
             assert {f: d - 1 for f, d in witness.degrees("red").items()} == component.hypertree
 
 
+def _first_hugging_member(graph, component):
+    """The representative as the probe loop chose it: the first member that hugs a tree."""
+    for i in component.members:
+        if dv.is_tree_hugging(graph.vertex(i))[0]:
+            return i
+    return None
+
+
+def test_representatives_match_the_probe_loop(trinities):
+    for name, t in trinities.items():
+        cg = tx.build_configuration_graph(t)
+        for component in cg.components:
+            assert component.representative == _first_hugging_member(cg, component), name
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_map_representatives_match_the_probe_loop(doc):
+    t = trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+    assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
+    cg = tx.build_configuration_graph(t)
+    for component in cg.components:
+        assert component.representative == _first_hugging_member(cg, component)
+
+
+def test_hug_flags_follow_the_signed_regions_rule(trinities):
+    for t in trinities.values():
+        for fid in t.red:
+            for diagram in dv.enumerate_chord_diagrams(t.n_r[fid]):
+                euler, hugs = dv.disc_profile(t, fid, diagram)
+                regions = dv.signed_regions(t, fid, diagram)
+                assert hugs == regions.hugs()
+                assert euler == len(regions.positives()) - len(regions.negatives())
+
+
 def test_euler_constant_on_components(trinities):
     for t in trinities.values():
         cg = tx.build_configuration_graph(t)

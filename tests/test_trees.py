@@ -1,5 +1,6 @@
 """Exact counting and enumeration of spanning trees and arborescences."""
 
+import random
 import sys
 from itertools import combinations, permutations
 
@@ -363,3 +364,63 @@ def test_random_map_determinants_match_arborescence_counts(doc):
         root = min(dual.vertices)
         count = trees.count_arborescences(dual, root)
         assert count == len(trees.enumerate_arborescences(dual, root, cap=None)), colour
+
+
+def bfs_components(graph, edge_ids):
+    """Oracle: each vertex's component by breadth-first search, named by its first vertex."""
+    adjacent = {v: [] for v in graph.vertices}
+    for eid in edge_ids:
+        u, v = graph.endpoints(eid)
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    name = {}
+    for v in sorted(graph.vertices):
+        if v in name:
+            continue
+        name[v] = v
+        queue = [v]
+        for x in queue:
+            for y in adjacent[x]:
+                if y not in name:
+                    name[y] = v
+                    queue.append(y)
+    return name
+
+
+def test_components_match_breadth_first_search(trinities):
+    rng = random.Random(16)
+    for name, t in trinities.items():
+        for colour in ("violet", "emerald", "red"):
+            index = t.graph_index(colour)
+            m, n = len(index.edge_ids), len(index.vertex_ids)
+            for size in [0, m, min(n - 1, m)] + [rng.randint(0, m) for _ in range(30)]:
+                chosen = rng.sample(range(m), size)
+                roots = trees.components(index, chosen)
+                oracle = bfs_components(index.graph, [index.edge_ids[e] for e in chosen])
+                assert [index.vertex_ids[r] for r in roots] == [
+                    oracle[v] for v in index.vertex_ids
+                ], (name, colour, sorted(chosen))
+
+
+def test_graph_index_counts_like_kirchhoff(trinities):
+    for t in trinities.values():
+        for colour in ("violet", "emerald", "red"):
+            index = t.graph_index(colour)
+            assert t.graph_index(colour) is index
+            found = trees.enumerate_spanning_trees(index.graph, cap=None)
+            assert index.tree_count == len(list(found))
+
+
+def test_cap_messages_name_the_refused_enumeration(graphs):
+    t = trinity_mod.build_trinity(graphs["grid2"], cap=3)
+    count = trees.spanning_tree_count(t.violet_graph)
+    refused = rf"^spanning tree enumeration: {count} objects exceed cap 3$"
+    with pytest.raises(CapExceeded, match=refused):
+        t.hypertree_set("ER")
+    dual = t.directed_dual("violet")
+    with pytest.raises(CapExceeded, match=r"^arborescence enumeration: 15 objects exceed cap 3$"):
+        trees.enumerate_arborescences(dual, min(dual.vertices), cap=3)
+    # the report leaves the refused counts out and keeps the determinants
+    report = t.magic_report
+    assert report.det == {"violet": 15, "emerald": 15, "red": 15}
+    assert set(report.enum.values()) == {None}
