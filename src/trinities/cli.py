@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -39,15 +40,10 @@ def generate_corpus(family, size):
         raise UnknownFamily(f"unknown family {family!r}; choose from {GEN_FAMILIES}")
     if not 1 <= size <= MAX_GEN_SIZE:
         raise SizeOutOfRange(f"corpus size {size} is out of range 1-{MAX_GEN_SIZE}")
-    if family == "path":
-        return [_path_document(size)]
-    if family == "even_cycle":
-        return [_cycle_document(size)]
-    if family == "theta":
-        return [_theta_document(size)]
-    if family == "grid":
-        return [_grid_document(size, size)]
-    return [_grid_document(size, 1)]  # ladder
+    build = {"path": _path_document, "even_cycle": _cycle_document, "theta": _theta_document}
+    if family in build:
+        return [build[family](size)]
+    return [_grid_document(size, size if family == "grid" else 1)]  # a ladder is 1 high
 
 
 def _colour(i):
@@ -63,19 +59,17 @@ def _path_document(k):
         if i < k:
             rotation.append(f"p{i}.0")
         vertices.append({"id": f"v{i}", "colour": _colour(i), "rotation": rotation})
-    edges = [{"id": f"p{i}", "darts": [f"p{i}.0", f"p{i}.1"]} for i in range(k)]
+    edges = plane_graph.edge_records([f"p{i}" for i in range(k)])
     return {"vertices": vertices, "edges": edges}
 
 
 def _cycle_document(k):
     m = 2 * k
-    vertices = []
-    for i in range(m):
-        prev = (i - 1) % m
-        vertices.append(
-            {"id": f"c{i}", "colour": _colour(i), "rotation": [f"e{prev}.1", f"e{i}.0"]}
-        )
-    edges = [{"id": f"e{i}", "darts": [f"e{i}.0", f"e{i}.1"]} for i in range(m)]
+    vertices = [
+        {"id": f"c{i}", "colour": _colour(i), "rotation": [f"e{(i - 1) % m}.1", f"e{i}.0"]}
+        for i in range(m)
+    ]
+    edges = plane_graph.edge_records([f"e{i}" for i in range(m)])
     return {"vertices": vertices, "edges": edges}
 
 
@@ -86,14 +80,10 @@ def _theta_document(m):
         {"id": "h0", "colour": "violet", "rotation": [f"a{i}.0" for i in reversed(range(m))]},
         {"id": "h1", "colour": "violet", "rotation": [f"b{i}.1" for i in range(m)]},
     ]
-    for i in range(m):
-        vertices.append(
-            {"id": f"s{i}", "colour": "emerald", "rotation": [f"a{i}.1", f"b{i}.0"]}
-        )
-    edges = []
-    for i in range(m):
-        edges.append({"id": f"a{i}", "darts": [f"a{i}.0", f"a{i}.1"]})
-        edges.append({"id": f"b{i}", "darts": [f"b{i}.0", f"b{i}.1"]})
+    vertices += [
+        {"id": f"s{i}", "colour": "emerald", "rotation": [f"a{i}.1", f"b{i}.0"]} for i in range(m)
+    ]
+    edges = plane_graph.edge_records([e for i in range(m) for e in (f"a{i}", f"b{i}")])
     return {"vertices": vertices, "edges": edges}
 
 
@@ -105,13 +95,15 @@ def _grid_document(kx, ky):
         return f"v{x}_{y}"
 
     vertices = []
-    edges = []
+    edges = []  # edge ids, each owning darts id.0 and id.1
     for x in range(kx + 1):
         for y in range(ky + 1):
             rotation = []
             if x < kx:
+                edges.append(h(x, y))
                 rotation.append(h(x, y) + ".0")  # east
             if y < ky:
+                edges.append(v(x, y))
                 rotation.append(v(x, y) + ".0")  # north
             if x > 0:
                 rotation.append(h(x - 1, y) + ".1")  # west
@@ -120,13 +112,7 @@ def _grid_document(kx, ky):
             vertices.append(
                 {"id": f"g{x}_{y}", "colour": _colour(x + y), "rotation": rotation}
             )
-    for x in range(kx + 1):
-        for y in range(ky + 1):
-            if x < kx:
-                edges.append({"id": h(x, y), "darts": [h(x, y) + ".0", h(x, y) + ".1"]})
-            if y < ky:
-                edges.append({"id": v(x, y), "darts": [v(x, y) + ".0", v(x, y) + ".1"]})
-    return {"vertices": vertices, "edges": edges}
+    return {"vertices": vertices, "edges": plane_graph.edge_records(edges)}
 
 
 # -- verification suite ----------------------------------------------------------------
@@ -316,8 +302,7 @@ def _cmd_verify(args):
     graph = _load_graph(args)
     suite = run_verification(graph, args.graph, args.cap)
     lines = [
-        f"{name}: {'pass' if stage.get('ok') else 'FAIL'}"
-        + f"  ({suite.seconds[name]:.3f}s)"
+        f"{name}: {'pass' if stage.get('ok') else 'FAIL'}  ({suite.seconds[name]:.3f}s)"
         for name, stage in suite.stages.items()
     ]
     lines.append(f"verdict: {'pass' if suite.ok else 'FAIL'}")
@@ -375,8 +360,6 @@ def _cmd_gen(args):
             )
         name = f"{args.family}_{args.size}.json"
         if args.out:
-            import os
-
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, name)
             with open(path, "w") as fh:

@@ -314,13 +314,19 @@ class SignedRegions:
         return [r for r in self.regions if r.sign < 0]
 
     def hugs(self):
-        """The tree-hugging rule, stated once in ``_hugs``."""
-        return _hugs((r.sign, r.arcs) for r in self.regions)
+        """The tree-hugging rule, stated once in ``_euler_and_hug``."""
+        return _euler_and_hug((r.sign, r.arcs) for r in self.regions)[1]
 
 
-def _hugs(signs):
-    """The tree-hugging rule: at most one negative region of valence above one."""
-    return sum(1 for sign, arcs in signs if sign < 0 and len(arcs) > 1) <= 1
+def _euler_and_hug(signs):
+    """A disc's Euler contribution, positive minus negative region count,
+    and the tree-hugging rule: at most one negative region of valence above one."""
+    euler = spread = 0
+    for sign, arcs in signs:
+        euler += sign
+        if sign < 0 and len(arcs) > 1:
+            spread += 1
+    return euler, spread <= 1
 
 
 def signed_regions(trinity, face, diagram):
@@ -337,15 +343,12 @@ def disc_euler(trinity, face, diagram):
 
 
 def disc_profile(trinity, face, diagram):
-    """A disc's Euler contribution and whether it hugs, by ``SignedRegions.hugs``'s rule.
-
-    One ``_region_signs`` pass, memoised per (face, diagram) in ``trinity.discs``.
-    """
+    """A disc's Euler contribution and hug flag from one ``_region_signs`` pass,
+    memoised per (face, diagram) in ``trinity.discs``."""
     key = (face, diagram)
     disc = trinity.discs.get(key)
     if disc is None:
-        signs = _region_signs(trinity, face, diagram)
-        disc = trinity.discs[key] = (sum(sign for sign, _ in signs), _hugs(signs))
+        disc = trinity.discs[key] = _euler_and_hug(_region_signs(trinity, face, diagram))
     return disc
 
 
@@ -401,7 +404,6 @@ def tree_hugging(trinity, tree):
         for k, arc in enumerate(in_tree):
             nxt = in_tree[(k + 1) % len(in_tree)]
             pairs.append(((arc + 1) % m, nxt))
-        pairs = [tuple(sorted(p)) for p in pairs]
         diagrams[fid] = ChordDiagram.from_pairs(chart.n, pairs)
     return Configuration.from_diagrams(trinity, diagrams)
 
@@ -421,7 +423,7 @@ def is_tree_hugging(config):
     edges = set()
     for fid, diagram in config.entries:
         signs = _region_signs(trinity, fid, diagram)
-        if not _hugs(signs):
+        if not _euler_and_hug(signs)[1]:
             return False, None
         negatives = (arcs for sign, arcs in signs if sign < 0)
         central = max(negatives, key=lambda arcs: (len(arcs), -arcs[0]))

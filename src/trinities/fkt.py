@@ -267,11 +267,9 @@ def splitting_loops(graph, parities):
         loop = []
         d = start
         while True:
-            loop.append(d)
-            seen.add(d)
             e = graph.reverse(d)  # run along the edge
-            loop.append(e)
-            seen.add(e)
+            loop += (d, e)
+            seen.update((d, e))
             d = join[e]  # cross the split vertex
             if d == start:
                 break
@@ -384,9 +382,7 @@ def clock_report(outs):
         "unique_source": len(sources) == 1,
         "unique_sink": len(sinks) == 1,
     }
-    report["ok"] = all(
-        report[k] for k in ("weakly_connected", "acyclic", "unique_source", "unique_sink")
-    )
+    report["ok"] = connected and acyclic and len(sources) == 1 and len(sinks) == 1
     return report
 
 
@@ -442,10 +438,8 @@ def state_configuration(universe, dual, trin, state):
         boundary = dual.faces[fid].boundary
         x = _dual_face_vertex(universe, dual, fid)
         point_of = {g.reverse(t): i for i, t in enumerate(boundary)}
-        pairs = []
-        for pair in split_pairs(g, x, markers[x] % 2):
-            a, b = pair
-            pairs.append(tuple(sorted((point_of[a], point_of[b]))))
+        split = split_pairs(g, x, markers[x] % 2)
+        pairs = [sorted(map(point_of.__getitem__, pair)) for pair in split]
         diagrams[fid] = dividing.ChordDiagram.from_pairs(2, pairs)
     return dividing.Configuration.from_diagrams(trin, diagrams)
 
@@ -493,10 +487,7 @@ def curl_universe():
                 "rotation": ["L.1", "L.0", "B.0", "B.1"],
             }
         ],
-        "edges": [
-            {"id": "L", "darts": ["L.0", "L.1"]},
-            {"id": "B", "darts": ["B.0", "B.1"]},
-        ],
+        "edges": plane_graph.edge_records(["L", "B"]),
     }
     graph = parse_graph(doc)
     # star the small-loop face and its neighbour between the loops
@@ -513,12 +504,7 @@ def hopf_universe():
             {"id": "t", "colour": None, "rotation": ["eR.0", "eL.0", "em2.0", "em1.0"]},
             {"id": "b", "colour": None, "rotation": ["em1.1", "em2.1", "eL.1", "eR.1"]},
         ],
-        "edges": [
-            {"id": "eL", "darts": ["eL.0", "eL.1"]},
-            {"id": "em1", "darts": ["em1.0", "em1.1"]},
-            {"id": "em2", "darts": ["em2.0", "em2.1"]},
-            {"id": "eR", "darts": ["eR.0", "eR.1"]},
-        ],
+        "edges": plane_graph.edge_records(["eL", "em1", "em2", "eR"]),
     }
     graph = parse_graph(doc)
     outer = graph.face_of("eL.1")  # left of the left-outer arc running up
@@ -536,16 +522,7 @@ def figure_eight_universe():
             {"id": "l", "colour": None, "rotation": ["e2.1", "e6.0", "e3.0", "e5.1"]},
             {"id": "r", "colour": None, "rotation": ["e6.1", "e2.0", "e7.0", "e1.1"]},
         ],
-        "edges": [
-            {"id": "e1", "darts": ["e1.0", "e1.1"]},
-            {"id": "e2", "darts": ["e2.0", "e2.1"]},
-            {"id": "e3", "darts": ["e3.0", "e3.1"]},
-            {"id": "e4", "darts": ["e4.0", "e4.1"]},
-            {"id": "e5", "darts": ["e5.0", "e5.1"]},
-            {"id": "e6", "darts": ["e6.0", "e6.1"]},
-            {"id": "e7", "darts": ["e7.0", "e7.1"]},
-            {"id": "e8", "darts": ["e8.0", "e8.1"]},
-        ],
+        "edges": plane_graph.edge_records([f"e{i}" for i in range(1, 9)]),
     }
     graph = parse_graph(doc)
     # the two faces flanking the long south-east edge

@@ -19,8 +19,8 @@ from functools import cached_property
 from itertools import compress
 from operator import getitem, mul
 
-from .limits import DEFAULT_CAP, check_cap
-from .trees import GraphIndex, SpanningTree, components, enumerate_spanning_trees
+from .limits import DEFAULT_CAP
+from .trees import SpanningTree, components, enumerate_spanning_trees
 
 
 class WrongClass(ValueError):
@@ -46,9 +46,9 @@ class Hypergraph:
     vertex_colour: str
     hyperedge_colour: str
     bip: object = field(compare=False)
-    hyperedges: tuple = ()
+    hyperedges: tuple
     # the host's trees.GraphIndex, shared by the two hypergraphs it hosts
-    index: object = field(compare=False, default=None)
+    index: object = field(compare=False)
 
     def hyperedge_ids(self):
         return tuple(h for h, _ in self.hyperedges)
@@ -138,15 +138,11 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
     The cap bounds the host's Kirchhoff count, checked before the first
     tree is drawn; with ``cap=None`` it is not taken.
     """
-    bip, colour = hypergraph.bip, hypergraph.hyperedge_colour
-    classes = bip.colour_classes
-    if colour not in classes:
+    colour = hypergraph.hyperedge_colour
+    if colour not in hypergraph.bip.colour_classes:
         raise WrongClass(f"host graph has no {colour!r} class")
-    ids = classes[colour]  # sorted, as in every vector
-    host = _Host(bip, ids, hypergraph.index)
-    if cap is not None:
-        check_cap(host.index.tree_count, cap, "spanning tree enumeration")
-    seed = next(enumerate_spanning_trees(bip, record_colour=colour, cap=None))
+    host = _Host(hypergraph)
+    seed = next(enumerate_spanning_trees(hypergraph.index, record_colour=colour, cap=cap))
     tree = sorted(host.edge_index[eid] for eid in seed.edges)
     k, degree = host.k, host.degree
     stride = [1] * k
@@ -189,6 +185,7 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
                     host.certify(witness, move, hypergraph.label)
                     found.append((base + stride[j], move))
     # one (hyperedge, value) pair object per value, shared by every vector
+    ids = hypergraph.hyperedge_ids()  # sorted, as in every vector
     pairs = [[(h, f) for f in range(d)] for h, d in zip(ids, degree)]
     return tuple(
         Hypertree(tuple(map(getitem, pairs, vector)), (host, decided[code]))
@@ -197,12 +194,13 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
 
 
 class _Host:
-    """The host graph by index, as its ``trees.GraphIndex``, and the
+    """A hypergraph's host by index, as its ``trees.GraphIndex``, and the
     hyperedge slot of every edge."""
 
-    def __init__(self, bip, ids, index=None):
-        self.index = index = index if index is not None else GraphIndex(bip)
-        self.colour = bip.colour_of(ids[0])
+    def __init__(self, hypergraph):
+        self.index = index = hypergraph.index
+        self.colour = hypergraph.hyperedge_colour
+        ids = hypergraph.hyperedge_ids()
         self.edge_ids, self.edge_index = index.edge_ids, index.edge_index
         self.tail, self.head = index.tail, index.head
         slot_of = {h: s for s, h in enumerate(ids)}

@@ -184,9 +184,7 @@ class RotationGraph:
     def _trace_faces(self):
         # next dart after d: arrive at target(d), leave along the rotation
         # predecessor of reverse(d); the face stays on the left.
-        nxt = {}
-        for d in self._dart_edge:
-            nxt[d] = self.rotation_predecessor(self._reverse[d])
+        nxt = {d: self.rotation_predecessor(self._reverse[d]) for d in self._dart_edge}
         orbits = []
         seen = set()
         for start in sorted(self._dart_edge):
@@ -266,6 +264,11 @@ def to_document(graph):
     }
 
 
+def edge_records(ids):
+    """Edge records of a graph document, edge e owning darts e.0 and e.1."""
+    return [{"id": e, "darts": [f"{e}.0", f"{e}.1"]} for e in ids]
+
+
 # -- operations --------------------------------------------------------------
 
 
@@ -319,11 +322,8 @@ def two_colouring(graph):
 
 def with_colours(graph, colouring):
     """Copy of the graph with the given vertex colouring applied."""
-    vertices = [
-        Vertex(v.id, colouring.get(v.id), v.rotation) for v in graph.vertices.values()
-    ]
-    edges = list(graph.edges.values())
-    return RotationGraph(vertices, edges)
+    vertices = [Vertex(v.id, colouring.get(v.id), v.rotation) for v in graph.vertices.values()]
+    return RotationGraph(vertices, graph.edges.values())
 
 
 @dataclass(frozen=True)
@@ -417,13 +417,11 @@ def canonical_form(graph, use_colours=False):
                 if nb not in label:
                     label[nb] = len(order)
                     order.append(nb)
-        rows = []
-        for d in order:
-            row = (label[graph.reverse(d)], label[graph.rotation_successor(d)])
-            if use_colours:
-                row += (graph.colour_of(graph.vertex_of(d)),)
-            rows.append(row)
-        enc = tuple(rows)
+        enc = tuple(
+            (label[graph.reverse(d)], label[graph.rotation_successor(d)])
+            + ((graph.colour_of(graph.vertex_of(d)),) if use_colours else ())
+            for d in order
+        )
         if best is None or enc < best:
             best = enc
     return best

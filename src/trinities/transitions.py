@@ -54,13 +54,6 @@ _ROTATION_PATTERNS = (
 )
 
 
-def _rotate_pattern(pattern, step):
-    out = [0] * 6
-    for i in range(6):
-        out[(i + step) % 6] = (pattern[i] + step) % 6
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BypassMove:
     face: str | None
@@ -84,12 +77,10 @@ def diagram_moves(diagram):
         if induced not in _ROTATION_PATTERNS:
             continue
         for step in (1, -1):
-            new_local = _rotate_pattern(induced, step)
+            # the induced matching turned by one step: point i goes to i + step
+            turned = [(induced[(i - step) % 6] + step) % 6 for i in range(6)]
             new_pairs = [p for p in pairs if p not in triple]
-            for i in range(6):
-                j = new_local[i]
-                if i < j:
-                    new_pairs.append(tuple(sorted((points[i], points[j]))))
+            new_pairs += [(points[i], points[j]) for i, j in enumerate(turned) if i < j]
             if dividing.first_crossing(new_pairs) is None:
                 target = ChordDiagram.from_pairs(diagram.n, new_pairs)
                 moves.append(BypassMove(None, points, step, diagram, target))

@@ -101,13 +101,10 @@ class SpanningTree:
 
     def degrees(self, colour=None):
         colour = colour if colour is not None else self.record_colour
-        degs = {
-            v: 0
-            for v in self.graph.vertices
-            if colour is None or self.graph.colour_of(v) == colour
-        }
+        graph = self.graph
+        degs = {v: 0 for v in graph.vertices if colour is None or graph.colour_of(v) == colour}
         for eid in self.edges:
-            for v in self.graph.endpoints(eid):
+            for v in graph.endpoints(eid):
                 if v in degs:
                     degs[v] += 1
         return degs
@@ -116,8 +113,9 @@ class SpanningTree:
         return tuple(sorted(self.degrees().items()))
 
 
-def enumerate_spanning_trees(graph, record_colour=None, cap=DEFAULT_CAP):
-    """Yield every spanning tree exactly once, in a deterministic order.
+def enumerate_spanning_trees(index, record_colour=None, cap=DEFAULT_CAP):
+    """Yield every spanning tree of the graph of a ``GraphIndex`` exactly
+    once, in a deterministic order.
 
     Contraction/deletion over edges in id order: the branch including the
     smallest live edge is explored first, and the branch excluding it only
@@ -129,14 +127,10 @@ def enumerate_spanning_trees(graph, record_colour=None, cap=DEFAULT_CAP):
     class label per vertex, and an explicit stack replaces recursion, so
     the interpreter's stack depth does not grow with the graph.
     """
-    index = GraphIndex(graph)
     if cap is not None:
         check_cap(index.tree_count, cap, "spanning tree enumeration")
-    # a loop is never in a tree
-    live = [e for e, (u, v) in enumerate(zip(index.tail, index.head)) if u != v]
-    edge_ids = [index.edge_ids[e] for e in live]
-    tails, heads = [index.tail[e] for e in live], [index.head[e] for e in live]
-    n, m = len(index.vertex_ids), len(live)
+    edge_ids, tails, heads = index.edge_ids, index.tail, index.head
+    n, m = len(index.vertex_ids), len(edge_ids)
     target = n - 1
 
     def joins(label, pos, classes):
@@ -168,11 +162,11 @@ def enumerate_spanning_trees(graph, record_colour=None, cap=DEFAULT_CAP):
             continue
         if depth == target:
             yield SpanningTree(
-                graph, frozenset([edge_ids[i] for i in chosen]), record_colour
+                index.graph, frozenset([edge_ids[i] for i in chosen]), record_colour
             )
             continue
         while pos < m and label[tails[pos]] == label[heads[pos]]:
-            pos += 1  # contracted loop, never in a tree
+            pos += 1  # a loop, or contracted to one: never in a tree
         if pos == m:
             continue
         keep, merge = label[heads[pos]], label[tails[pos]]
@@ -199,8 +193,7 @@ def count_arborescences(dual, root):
     Matrix-tree count: determinant of the in-degree Laplacian with the
     root's row and column removed. Exact integer arithmetic throughout.
     """
-    if root not in dual.vertices:
-        raise UnknownRoot(f"{root!r} is not a vertex of the {dual.colour} dual")
+    _require_root(dual, root)
     verts = sorted(dual.vertices)
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
@@ -209,12 +202,12 @@ def count_arborescences(dual, root):
         lap[index[arc.head]][index[arc.head]] += 1
         lap[index[arc.tail]][index[arc.head]] -= 1
     r = index[root]
-    minor = [
-        [lap[i][j] for j in range(n) if j != r]
-        for i in range(n)
-        if i != r
-    ]
-    return bareiss_determinant(minor)
+    return bareiss_determinant([row[:r] + row[r + 1:] for row in lap[:r] + lap[r + 1:]])
+
+
+def _require_root(dual, root):
+    if root not in dual.vertices:
+        raise UnknownRoot(f"{root!r} is not a vertex of the {dual.colour} dual")
 
 
 def enumerate_arborescences(dual, root, cap=DEFAULT_CAP):
@@ -226,7 +219,8 @@ def enumerate_arborescences(dual, root, cap=DEFAULT_CAP):
     The matrix-tree count is taken up front and checked against the cap;
     with ``cap=None`` it is not taken.
     """
-    if cap is not None or root not in dual.vertices:  # the count refuses an unknown root
+    _require_root(dual, root)
+    if cap is not None:
         check_cap(count_arborescences(dual, root), cap, "arborescence enumeration")
     others = [v for v in sorted(dual.vertices) if v != root]
     in_arcs = [
@@ -319,10 +313,8 @@ def magic_number(trinity):
         dual = trinity.directed_dual(colour)
         root = min(dual.vertices)
         det[colour] = count_arborescences(dual, root)
-        if cap is None or det[colour] <= cap:
-            enum[colour] = len(enumerate_arborescences(dual, root, None))
-        else:
-            enum[colour] = None
+        fits = cap is None or det[colour] <= cap
+        enum[colour] = len(enumerate_arborescences(dual, root, None)) if fits else None
 
     hyper = {}
     for label in HYPERGRAPH_LABELS:
@@ -341,13 +333,15 @@ def magic_number(trinity):
 # -- fixed-degree exchange paths --------------------------------------------------
 
 
-def tree_exchange_path(graph, tree_a, tree_b, cap=DEFAULT_CAP):
-    """Breadth-first path between spanning trees with one edge swapped per
-    step, every intermediate tree keeping the same degree record.
+def tree_exchange_path(index, tree_a, tree_b, cap=DEFAULT_CAP):
+    """Breadth-first path between spanning trees of the graph of a
+    ``GraphIndex``, with one edge swapped per step, every intermediate tree
+    keeping the same degree record.
 
     The returned sequence includes both endpoints; equal trees yield a
     single-element path. No claim of minimality beyond BFS shortness.
     """
+    graph = index.graph
     for tree in (tree_a, tree_b):
         if tree.graph is not graph and tree.graph.edges.keys() != graph.edges.keys():
             raise ValueError("trees must span the given graph")
@@ -362,8 +356,6 @@ def tree_exchange_path(graph, tree_a, tree_b, cap=DEFAULT_CAP):
         return tuple(
             sorted(v for v in graph.endpoints(eid) if colour is None or graph.colour_of(v) == colour)
         )
-
-    index = GraphIndex(graph)
 
     def neighbours(edges):
         out = []

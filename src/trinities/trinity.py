@@ -20,8 +20,8 @@ A ``Trinity`` owns the products computed from it: the directed duals, the
 colour graphs' index arrays, the six hypertree sets, the magic-number
 report, the disc charts, the global numbering of boundary points and their
 glue across edges, and each disc's Euler contribution and hug flag are
-built at most once per trinity and shared by every caller. The enumeration cap is fixed when the trinity is built, so every
-product is a plain memo.
+built at most once per trinity and shared by every caller. The enumeration
+cap is fixed when the trinity is built, so every product is a plain memo.
 """
 
 from __future__ import annotations
@@ -203,10 +203,7 @@ class Trinity:
         of_dart = {x.dart: x for x in self.triangles}
         if colour == "red":
             # the triangles of the edge's two darts
-            flanks = []
-            for eid in sorted(g.edges):
-                a, b = g.edges[eid].darts
-                flanks.append((eid, of_dart[a], of_dart[b]))
+            flanks = [(eid, *map(of_dart.__getitem__, g.edges[eid].darts)) for eid in sorted(g.edges)]
             vertices = self.red
         elif colour in ("violet", "emerald"):
             # the triangles of the darts entering and leaving the corner

@@ -211,7 +211,7 @@ def test_glued_loops_walks_on_past_a_short_first_curve(trinities, name, loops):
 
 def test_running_example_tree_hugging_tight(trinities):
     t = trinities["running11"]
-    for tree in trees.enumerate_spanning_trees(t.violet_graph, record_colour="red"):
+    for tree in trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red"):
         assert dv.is_tight(dv.tree_hugging(t, tree)).tight
 
 
@@ -291,7 +291,7 @@ def test_disc_euler_tree_hugging_formula(trinities):
     for t in trinities.values():
         if t.n > 11:
             continue
-        for tree in trees.enumerate_spanning_trees(t.violet_graph, record_colour="red"):
+        for tree in trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red"):
             degrees = tree.degrees("red")
             config = dv.tree_hugging(t, tree)
             for fid, diagram in config.entries:
@@ -324,7 +324,7 @@ def test_euler_sum_identity_all_tight(trinities):
 
 def test_tree_hugging_single_edge(trinities):
     t = trinities["path1"]
-    tree = next(iter(trees.enumerate_spanning_trees(t.violet_graph, record_colour="red")))
+    tree = next(iter(trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red")))
     config = dv.tree_hugging(t, tree)
     assert dv.is_tight(config).tight
     (fid,) = t.red
@@ -344,7 +344,7 @@ def test_is_tree_hugging_round_trip(trinities):
     for name, t in trinities.items():
         if t.n > 11:
             continue
-        for tree in trees.enumerate_spanning_trees(t.violet_graph, record_colour="red"):
+        for tree in trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red"):
             config = dv.tree_hugging(t, tree)
             hugging, witness = dv.is_tree_hugging(config)
             assert hugging

@@ -60,13 +60,13 @@ def test_star_tree_hypertree():
         ],
     }
     g = pg.parse_graph(doc)
-    tree = next(iter(trees.enumerate_spanning_trees(g, record_colour="emerald")))
+    tree = next(iter(trees.enumerate_spanning_trees(trees.GraphIndex(g), record_colour="emerald")))
     vector = ht.hypertree_of(tree, "emerald")
     assert vector.as_dict() == {"c": 2}
 
 
 def test_hypertree_of_wrong_class(trinities):
-    gv = trinities["cycle4"].violet_graph
+    gv = trinities["cycle4"].graph_index("violet")
     tree = next(iter(trees.enumerate_spanning_trees(gv, record_colour="red")))
     with pytest.raises(ht.WrongClass):
         ht.hypertree_of(tree, "violet")  # violet graph has no violet class
@@ -201,7 +201,7 @@ def realization_oracle(hypergraph):
     """First realizing tree per vector, by ``hypertree_of`` on every spanning tree."""
     first = {}
     for tree in trees.enumerate_spanning_trees(
-        hypergraph.bip, record_colour=hypergraph.hyperedge_colour, cap=None
+        hypergraph.index, record_colour=hypergraph.hyperedge_colour, cap=None
     ):
         first.setdefault(ht.hypertree_of(tree, hypergraph.hyperedge_colour).vector, tree)
     return first
@@ -334,7 +334,7 @@ def test_each_hypertree_set_draws_one_spanning_tree(graphs, monkeypatch):
 def test_a_witness_with_another_record_is_refused(trinities):
     hypergraph = ht.trinity_hypergraph_by_label(trinities["cycle4"], "VE")
     first, second = ht.enumerate_hypertrees(hypergraph)
-    host = ht._Host(hypergraph.bip, hypergraph.hyperedge_ids())
+    host = ht._Host(hypergraph)
     edges = sorted(host.edge_index[eid] for eid in first.witness.edges)
     vector = tuple(f for _, f in second.vector)
     with pytest.raises(ht.BadWitness, match=r"VE: witness for \(1, 0\) realizes \(0, 1\)"):
@@ -365,7 +365,7 @@ def _parts(graph, edge_ids):
 def test_a_witness_with_a_cycle_is_refused(trinities):
     hypergraph = ht.trinity_hypergraph_by_label(trinities["grid2"], "VE")
     bip = hypergraph.bip
-    host = ht._Host(bip, hypergraph.hyperedge_ids())
+    host = ht._Host(hypergraph)
     first = ht.enumerate_hypertrees(hypergraph)[0]
     tree = {host.edge_index[eid] for eid in first.witness.edges}
     vector = tuple(f for _, f in first.vector)

@@ -369,7 +369,7 @@ def test_random_map_classification(doc):
 
 def test_valence_concentration_already_hugging(trinities):
     t = trinities["cycle4"]
-    tree = next(iter(trees.enumerate_spanning_trees(t.violet_graph, record_colour="red")))
+    tree = next(iter(trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red")))
     config = dv.tree_hugging(t, tree)
     path = tx.valence_concentration_path(config)
     assert path == [config]
@@ -395,7 +395,7 @@ def test_valence_concentration_terminates_tree_hugging(trinities):
 
 def test_valence_concentration_that_ends_off_a_tree_is_stuck(trinities, monkeypatch):
     t = trinities["cycle4"]
-    tree = next(iter(trees.enumerate_spanning_trees(t.violet_graph, record_colour="red")))
+    tree = next(iter(trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red")))
     config = dv.tree_hugging(t, tree)
     monkeypatch.setattr(dv, "is_tree_hugging", lambda config: (False, None))
     with pytest.raises(tx.Stuck, match="hugs no tree"):

@@ -78,7 +78,7 @@ def test_spanning_tree_counts_trivial(graphs):
 
 def test_enumeration_matches_kirchhoff(graphs):
     for name, g in graphs.items():
-        found = list(trees.enumerate_spanning_trees(g))
+        found = list(trees.enumerate_spanning_trees(trees.GraphIndex(g)))
         assert len(found) == trees.spanning_tree_count(g), name
         assert len({t.edges for t in found}) == len(found)
         n_vertices = len(g.vertices)
@@ -88,13 +88,13 @@ def test_enumeration_matches_kirchhoff(graphs):
 
 def test_enumeration_deterministic(graphs):
     g = graphs["cycle6"]
-    a = [t.edges for t in trees.enumerate_spanning_trees(g)]
-    b = [t.edges for t in trees.enumerate_spanning_trees(g)]
+    a = [t.edges for t in trees.enumerate_spanning_trees(trees.GraphIndex(g))]
+    b = [t.edges for t in trees.enumerate_spanning_trees(trees.GraphIndex(g))]
     assert a == b
 
 
 def test_four_cycle_violet_graph_trees_and_records(trinities):
-    gv = trinities["cycle4"].violet_graph
+    gv = trinities["cycle4"].graph_index("violet")
     found = list(trees.enumerate_spanning_trees(gv, record_colour="red"))
     assert len(found) == 4
     records = sorted(tuple(sorted(t.degrees().values())) for t in found)
@@ -106,7 +106,7 @@ def test_four_cycle_violet_graph_trees_and_records(trinities):
 
 def test_enumeration_cap(graphs):
     with pytest.raises(CapExceeded):
-        list(trees.enumerate_spanning_trees(graphs["grid2"], cap=10))
+        list(trees.enumerate_spanning_trees(trees.GraphIndex(graphs["grid2"]), cap=10))
 
 
 def brute_force_spanning_trees(graph):
@@ -137,11 +137,11 @@ def test_enumeration_equals_subset_oracle(graphs, trinities):
             host = getattr(t, f"{colour}_graph")
             if len(host.edges) > 12:
                 continue
-            found = [tree.edges for tree in trees.enumerate_spanning_trees(host)]
+            found = [tree.edges for tree in trees.enumerate_spanning_trees(trees.GraphIndex(host))]
             assert len(found) == len(set(found)), (name, colour)
             assert set(found) == brute_force_spanning_trees(host), (name, colour)
     for name, g in graphs.items():
-        found = [tree.edges for tree in trees.enumerate_spanning_trees(g)]
+        found = [tree.edges for tree in trees.enumerate_spanning_trees(trees.GraphIndex(g))]
         assert set(found) == brute_force_spanning_trees(g), name
 
 
@@ -164,7 +164,7 @@ GRID2_PREFIX = (
 def test_enumeration_order_frozen_on_grid2(graphs):
     g = graphs["grid2"]
     prefix = []
-    for tree in trees.enumerate_spanning_trees(g):
+    for tree in trees.enumerate_spanning_trees(trees.GraphIndex(g)):
         prefix.append(tuple(sorted(set(g.edges) - tree.edges)))
         if len(prefix) == len(GRID2_PREFIX):
             break
@@ -185,7 +185,7 @@ def test_enumeration_depth_does_not_grow_with_the_graph():
         ],
         "edges": [{"id": f"p{i}", "darts": [f"p{i}.0", f"p{i}.1"]} for i in range(k)],
     }
-    (tree,) = trees.enumerate_spanning_trees(plane_graph.parse_graph(doc), cap=None)
+    (tree,) = trees.enumerate_spanning_trees(trees.GraphIndex(plane_graph.parse_graph(doc)), cap=None)
     assert len(tree.edges) == k
 
 
@@ -310,14 +310,14 @@ def test_magic_report_json(trinities):
 
 
 def test_exchange_path_identity(trinities):
-    gv = trinities["cycle4"].violet_graph
+    gv = trinities["cycle4"].graph_index("violet")
     t = next(iter(trees.enumerate_spanning_trees(gv, record_colour="red")))
     path = trees.tree_exchange_path(gv, t, t)
     assert len(path) == 1 and path[0].edges == t.edges
 
 
 def test_exchange_path_four_cycle_one_step(trinities):
-    gv = trinities["cycle4"].violet_graph
+    gv = trinities["cycle4"].graph_index("violet")
     all_trees = list(trees.enumerate_spanning_trees(gv, record_colour="red"))
     groups = {}
     for t in all_trees:
@@ -331,7 +331,7 @@ def test_exchange_path_four_cycle_one_step(trinities):
 
 
 def test_exchange_path_requires_same_record(trinities):
-    gv = trinities["cycle4"].violet_graph
+    gv = trinities["cycle4"].graph_index("violet")
     all_trees = list(trees.enumerate_spanning_trees(gv, record_colour="red"))
     a = all_trees[0]
     b = next(t for t in all_trees if t.record() != a.record())
@@ -343,7 +343,7 @@ def test_exchange_paths_exist_for_all_same_record_pairs(trinities):
     for name, t in trinities.items():
         if t.n > 12:
             continue
-        gv = t.violet_graph
+        gv = t.graph_index("violet")
         groups = {}
         for tree in trees.enumerate_spanning_trees(gv, record_colour="red"):
             groups.setdefault(tree.record(), []).append(tree)
@@ -407,7 +407,7 @@ def test_graph_index_counts_like_kirchhoff(trinities):
         for colour in ("violet", "emerald", "red"):
             index = t.graph_index(colour)
             assert t.graph_index(colour) is index
-            found = trees.enumerate_spanning_trees(index.graph, cap=None)
+            found = trees.enumerate_spanning_trees(index, cap=None)
             assert index.tree_count == len(list(found))
 
 
