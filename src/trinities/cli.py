@@ -447,6 +447,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cap < 0:
+            parser.error(f"argument --cap: {args.cap} is negative")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

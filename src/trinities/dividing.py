@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .limits import DEFAULT_CAP, check_cap
 from .trees import SpanningTree, components
@@ -162,21 +163,6 @@ def chord_trie(n):
     return (a, b, child, sibling, leaf), partners
 
 
-def _region_arcs(partner):
-    """Arc index sets of the complementary regions, root region last."""
-    m = len(partner)
-    regions = []
-    stack = [[]]
-    for p in range(m):
-        if partner[p] > p:
-            stack.append([])
-        else:
-            regions.append(stack.pop())
-        stack[-1].append(p)
-    regions.append(stack.pop())
-    return regions
-
-
 # -- per-face charts -----------------------------------------------------------
 
 
@@ -196,6 +182,11 @@ class DiscChart:
     @property
     def points(self):
         return 2 * self.n
+
+    @cached_property
+    def sign(self):
+        """Each arc's sign: +1 when positive, -1 when negative."""
+        return tuple(1 if c is None else -1 for c in self.emerald_corner)
 
 
 # -- configurations --------------------------------------------------------------
@@ -343,13 +334,8 @@ def disc_euler(trinity, face, diagram):
 
 
 def disc_profile(trinity, face, diagram):
-    """A disc's Euler contribution and hug flag from one ``_region_signs`` pass,
-    memoised per (face, diagram) in ``trinity.discs``."""
-    key = (face, diagram)
-    disc = trinity.discs.get(key)
-    if disc is None:
-        disc = trinity.discs[key] = _euler_and_hug(_region_signs(trinity, face, diagram))
-    return disc
+    """A disc's Euler contribution and hug flag from one ``_region_signs`` pass."""
+    return _euler_and_hug(_region_signs(trinity, face, diagram))
 
 
 def _region_signs(trinity, face, diagram):
@@ -357,13 +343,35 @@ def _region_signs(trinity, face, diagram):
     chart = trinity.charts[face]
     if diagram.n != chart.n:
         raise SizeMismatch(f"diagram size {diagram.n} != n_r {chart.n}")
-    corner = chart.emerald_corner
+    return _regions(face, diagram.partner, chart.sign)
+
+
+def _regions(face, partner, sign):
+    """Each complementary region's sign and arcs, in closing order, root region last.
+
+    One stack pass over the partner tuple: arc p, between points p and
+    p + 1, lies in the region a chord opened at p encloses, and after a
+    chord closes at p in the region around that chord. A region takes the
+    sign of its first arc, the root region that of the last arc, and 0 once
+    an arc of the other sign joins it; the first region of sign 0 is named.
+    """
     out = []
-    for arcs in _region_arcs(diagram.partner):
-        signs = {1 if corner[a] is None else -1 for a in arcs}
-        if len(signs) != 1:
+    stack = []
+    s, arcs = sign[-1], []
+    for p, q in enumerate(partner):
+        if q > p:
+            stack.append((s, arcs))
+            s, arcs = sign[p], [p]
+            continue
+        out.append((s, arcs))
+        s, arcs = stack.pop()
+        arcs.append(p)
+        if sign[p] != s:
+            s = 0
+    out.append((s, arcs))
+    for s, arcs in out:
+        if not s:
             raise MixedRegion(f"face {face}: region on arcs {arcs} has mixed signs")
-        out.append((signs.pop(), arcs))
     return out
 
 

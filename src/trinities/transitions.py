@@ -152,8 +152,12 @@ class ConfigurationGraph:
         large instances they far outnumber the vertices.
         """
         pairs = []
-        for group in _one_face_groups(self.choices, tuple(map(len, self.diagrams))):
-            pairs.extend(itertools.combinations(group, 2))
+        for keys in _one_face_keys(self.choices, tuple(map(len, self.diagrams))):
+            groups = {}
+            for i, key in enumerate(keys):
+                groups.setdefault(key, []).append(i)
+            for group in groups.values():
+                pairs.extend(itertools.combinations(group, 2))
         return tuple(sorted(pairs))
 
 
@@ -178,11 +182,14 @@ def build_configuration_graph(trinity):
 
     The tight configurations are built chord by chord, by walking the
     faces' chord tries, not filtered out of the Catalan product; faces of
-    one half-length share one ``dividing.chord_trie``. Each one is checked
-    with ``dividing.glued_loops`` on its chords, concatenated from per-face
-    tables of offset partner tuples, made only for the diagrams some tight
-    configuration uses. Vertices come in the product's order: lexicographic
-    in ``choices``.
+    one half-length share one ``dividing.chord_trie``. Per face, each
+    diagram some tight configuration uses gets, from its partner tuple and
+    with no ``ChordDiagram`` built, its partner tuple offset to the global
+    point numbering and, from one region pass, its Euler contribution and
+    hug flag. Each tight configuration is checked with
+    ``dividing.glued_loops`` on its chords, concatenated from the offset
+    tuples. Vertices come in the product's order: lexicographic in
+    ``choices``.
     """
     total = configuration_count(trinity)
     faces = trinity.red
@@ -192,15 +199,17 @@ def build_configuration_graph(trinity):
     shared = {n: _Diagrams(partners) for n, (_trie, partners) in tries.items()}
     del tries
     diagrams = tuple(shared[trinity.n_r[fid]] for fid in faces)
-    # per face, the diagram indices some tight configuration uses
-    used = [set(map(itemgetter(axis), choices)) for axis in range(len(faces))]
-    tables = []
-    for fid, face_diagrams, keep in zip(faces, diagrams, used):
-        lo = trinity.offset[fid]
-        table = [None] * len(face_diagrams)
-        for k in keep:
-            table[k] = tuple(map(lo.__add__, face_diagrams.partners[k]))
+    tables, eulers, hugs = [], [], []
+    for axis, fid in enumerate(faces):
+        partners, lo, sign = diagrams[axis].partners, trinity.offset[fid], trinity.charts[fid].sign
+        table, euler_of, hug_of = {}, {}, {}
+        column = list(map(itemgetter(axis), choices))
+        for k in set(column):
+            table[k] = tuple(map(lo.__add__, partners[k]))
+            euler_of[k], hug_of[k] = dividing._euler_and_hug(dividing._regions(fid, partners[k], sign))
         tables.append(table)
+        eulers.append(map(euler_of.__getitem__, column))
+        hugs.append(map(hug_of.__getitem__, column))
     glue, walk = trinity.glue, dividing.glued_loops
     for choice in choices:
         chord = []
@@ -208,32 +217,37 @@ def build_configuration_graph(trinity):
             chord += table[k]
         loops = walk(chord, glue)
         if loops != 1:
-            raise BuiltNotTight(
-                f"diagrams {dict(zip(faces, choice))} close into {loops} curves"
-            )
-
+            raise BuiltNotTight(f"diagrams {dict(zip(faces, choice))} close into {loops} curves")
+    # union-find with path halving; the smaller root wins, so each root is
+    # its component's smallest member and parents never exceed their children
     parent = list(range(len(choices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for group in _one_face_groups(choices, tuple(map(len, diagrams))):
-        root = find(group[0])
-        for i in group[1:]:
-            r = find(i)
-            if r != root:
-                parent[r] = root
-
-    # one pass in vertex order numbers components by their smallest member
-    number = {}
-    component_of = tuple(
-        number.setdefault(find(i), len(number)) for i in range(len(choices))
-    )
-    graph = ConfigurationGraph(trinity, diagrams, choices, component_of, (), total)
-    return replace(graph, components=_label_components(graph, len(number), used))
+    for keys in _one_face_keys(choices, tuple(map(len, diagrams))):
+        first_of = {}
+        for i, key in enumerate(keys):
+            x, y = first_of.setdefault(key, i), i
+            if x == y:
+                continue
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            else:
+                parent[x] = y
+    # one pass in vertex order numbers components by their smallest member:
+    # a parent's number is written before its children read it
+    count = 0
+    for i, p in enumerate(parent):
+        if p == i:
+            parent[i] = count
+            count += 1
+        else:
+            parent[i] = parent[p]
+    graph = ConfigurationGraph(trinity, diagrams, choices, tuple(parent), (), total)
+    # per vertex: its Euler tuple, and whether its every disc hugs
+    euler, hugging = list(zip(*eulers)), list(map(all, zip(*hugs)))
+    return replace(graph, components=_label_components(graph, count, euler, hugging))
 
 
 class _Diagrams(Sequence):
@@ -268,7 +282,7 @@ def _chord_tries(trinity, tries):
     Face f's part is ``tries[f]``, the trie of a ``dividing.chord_trie``,
     with its points offset by ``trinity.offset`` and its nodes by the sizes
     of the parts before it, so a leaf's child is the first node of the next
-    face's part (past the end for the last face, whose leaves end the walk).
+    face's part (past the end for the last face, whose leaves are read off).
     """
     a, b, child, sibling, leaf = [], [], [], [], []
     for fid, (ta, tb, tchild, tsibling, tleaf) in zip(trinity.red, tries):
@@ -287,57 +301,62 @@ def _tight_choices(trinity, tries):
     Walks the faces' chord tries depth first on a copy of ``trinity.glue``,
     read as ``end``: ``end[p]`` is the far end of the open path ending at
     point p. A chord (p, q) joins the paths ending at p and q; when
-    ``end[p] == q`` it would close a curve, and only the last chord may, so
-    every leaf of the last face is a single curve. Per depth, ``node`` holds
-    the chord applied there (else the next one to try) and ``far_p``,
+    ``end[p] == q`` it would close a curve, and only the last chord may.
+    Its node is the only child of the second-to-last chord's, and it joins
+    the two ends of the one path left, so the walk stops one chord short
+    and reads it off. ``x`` is the next chord to try at ``depth``; per
+    shallower depth, ``path`` holds the chord applied there and ``far_p``,
     ``far_q`` the two path ends it joined.
     """
     a, b, child, sibling, leaf = _chord_tries(trinity, tries)
     end = list(trinity.glue)
-    last = len(end) // 2 - 1
+    last = len(end) // 2 - 2
+    if last < 0:
+        # a single chord, on a face of half-length one
+        yield (leaf[0],)
+        return
     face_at = [f for f, fid in enumerate(trinity.red) for _ in range(trinity.n_r[fid])]
-    node = [0] * (last + 1)
-    far_p = [0] * last
-    far_q = [0] * last
+    path, far_p, far_q = [0] * last, [0] * last, [0] * last
     choice = [0] * len(trinity.red)
-    depth = 0
-    while depth >= 0:
-        x = node[depth]
+    depth = x = 0
+    while True:
         if x < 0:
             depth -= 1
-            if depth >= 0:
-                x = node[depth]
-                end[far_p[depth]] = a[x]
-                end[far_q[depth]] = b[x]
-                node[depth] = sibling[x]
-            continue
-        node[depth] = sibling[x]
-        if depth == last:
-            choice[-1] = leaf[x]
-            yield tuple(choice)
+            if depth < 0:
+                return
+            x = path[depth]
+            end[far_p[depth]] = a[x]
+            end[far_q[depth]] = b[x]
+            x = sibling[x]
             continue
         ep = end[a[x]]
         q = b[x]
         if ep == q:
+            x = sibling[x]
+            continue
+        if leaf[x] >= 0:
+            choice[face_at[depth]] = leaf[x]
+        if depth == last:
+            choice[-1] = leaf[child[x]]
+            yield tuple(choice)
+            x = sibling[x]
             continue
         eq = end[q]
         end[ep] = eq
         end[eq] = ep
         far_p[depth] = ep
         far_q[depth] = eq
-        if leaf[x] >= 0:
-            choice[face_at[depth]] = leaf[x]
-        node[depth] = x
+        path[depth] = x
         depth += 1
-        node[depth] = child[x]
+        x = child[x]
 
 
-def _one_face_groups(choices, sizes):
-    """Index groups of two or more choices equal off one axis, each in vertex order.
+def _one_face_keys(choices, sizes):
+    """Per axis, each choice's key off that axis, in vertex order.
 
-    A choice's key off axis a is its mixed-radix code, with radices
-    ``sizes``, less its term for a: ``code - choice[a] * stride[a]``. Each
-    group is listed under its first member, so a lone choice costs no list.
+    Two choices are equal off axis a exactly when their keys off a are: a
+    choice's key off a is its mixed-radix code, with radices ``sizes``,
+    less its term for a: ``code - choice[a] * stride[a]``.
     """
     strides = [1] * len(sizes)
     for axis in range(len(sizes) - 1, 0, -1):
@@ -345,63 +364,36 @@ def _one_face_groups(choices, sizes):
     # a machine word per code, not an int object: codes stay below the product
     codes = array("q", (sum(map(mul, choice, strides)) for choice in choices))
     for axis, stride in enumerate(strides):
-        terms = map(mul, map(itemgetter(axis), choices), itertools.repeat(stride))
-        first_of = {}
-        groups = {}
-        for idx, key in enumerate(map(sub, codes, terms)):
-            first = first_of.setdefault(key, idx)
-            if first == idx:
-                continue
-            if first in groups:
-                groups[first].append(idx)
-            else:
-                groups[first] = [first, idx]
-        yield from groups.values()
+        yield map(sub, codes, map(mul, map(itemgetter(axis), choices), itertools.repeat(stride)))
 
 
-def _label_components(graph, count, used):
+def _label_components(graph, count, euler, hugging):
     """Each component's Euler vector, hypertree and tree-hugging representative.
 
-    Once per (face, diagram index) that some vertex uses, listed per face
-    in ``used``, ``dividing.disc_euler`` and ``dividing.disc_profile`` read
-    the disc's Euler contribution and hug flag, both from one region pass.
-    Every member's Euler tuple is compared. The representative is the
-    first member, in vertex order, whose every disc hugs, and
-    ``dividing.is_tree_hugging`` then checks it and rebuilds its witness.
+    ``euler[i]`` is vertex i's Euler tuple and ``hugging[i]`` whether its
+    every disc hugs. Every member's Euler tuple is compared. The
+    representative, the first member in vertex order whose every disc hugs,
+    is checked by ``dividing.is_tree_hugging``, which rebuilds its witness.
     """
-    trinity, diagrams, choices = graph.trinity, graph.diagrams, graph.choices
-    faces = trinity.red
+    faces, n_r = graph.trinity.red, graph.trinity.n_r
     members = [[] for _ in range(count)]
     for idx, c in enumerate(graph.component_of):
         members[c].append(idx)
-    table = [[None] * len(d) for d in diagrams]
-    hugs = [bytearray(len(d)) for d in diagrams]
-    for axis, keep in enumerate(used):
-        for k in keep:
-            diagram = diagrams[axis][k]
-            table[axis][k] = dividing.disc_euler(trinity, faces[axis], diagram)
-            hugs[axis][k] = dividing.disc_profile(trinity, faces[axis], diagram)[1]
-
-    def euler(choice):
-        return tuple(map(getitem, table, choice))
-
     components = []
-    for cid in range(count):
-        first = euler(choices[members[cid][0]])
-        if any(euler(choices[i]) != first for i in members[cid][1:]):
+    for cid, ids in enumerate(members):
+        first = euler[ids[0]]
+        if any(map(first.__ne__, map(euler.__getitem__, ids))):
             raise EulerNotConstant(f"component {cid} mixes Euler vectors")
         hypertree = {}
         for fid, e in zip(faces, first):
-            f2 = e + trinity.n_r[fid] - 1
+            f2 = e + n_r[fid] - 1
             if f2 % 2:
                 raise EulerNotConstant(f"odd Euler offset on face {fid}")
             hypertree[fid] = f2 // 2
-        rep = next((i for i in members[cid] if all(map(getitem, hugs, choices[i]))), None)
+        rep = next(itertools.compress(ids, map(hugging.__getitem__, ids)), None)
         if rep is None or not dividing.is_tree_hugging(graph.vertex(rep))[0]:
             raise NotTreeHuggingReachable(f"component {cid} has no tree-hugging vertex")
-        components.append(
-            Component(cid, tuple(members[cid]), dict(zip(faces, first)), hypertree, rep)
-        )
+        components.append(Component(cid, tuple(ids), dict(zip(faces, first)), hypertree, rep))
     return tuple(components)
 
 

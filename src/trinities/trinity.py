@@ -18,10 +18,10 @@ black one to its corner of the white one.
 
 A ``Trinity`` owns the products computed from it: the directed duals, the
 colour graphs' index arrays, the six hypertree sets, the magic-number
-report, the disc charts, the global numbering of boundary points and their
-glue across edges, and each disc's Euler contribution and hug flag are
-built at most once per trinity and shared by every caller. The enumeration
-cap is fixed when the trinity is built, so every product is a plain memo.
+report, the disc charts and the global numbering of boundary points and
+their glue across edges are built at most once per trinity and shared by
+every caller. The enumeration cap is fixed when the trinity is built, so
+every product is a plain memo.
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ class Trinity:
         self._duals = {}
         self._indexes = {}
         self._hypertrees = {}
-        # (face, diagram) -> (Euler contribution, hug flag), filled by dividing
-        self.discs = {}
 
     def _build_triangles(self):
         g = self.graph

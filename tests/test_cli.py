@@ -229,6 +229,15 @@ def test_gen_size_out_of_range_is_a_usage_error(capsys, size):
         cli.generate_corpus("path", size)
 
 
+def test_a_negative_cap_is_refused_when_parsed(capsys, c4_file, monkeypatch):
+    monkeypatch.setattr(trinity, "build_trinity", _raise(AssertionError("a command ran")))
+    code, out, err = run(capsys, "--cap", "-5", "verify", "--graph", c4_file)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: trinities")
+    assert err.endswith("trinities: error: argument --cap: -5 is negative\n")
+
+
 def test_verify_refuses_the_configuration_cap_before_any_tree_work(capsys, tmp_path, monkeypatch):
     # even_cycle 10 has two faces of half-length 10: Catalan(10)^2 > 10^6
     path = write_json(tmp_path, "c20.json", cli.generate_corpus("even_cycle", 10)[0])
@@ -251,12 +260,22 @@ def _raise(exc):
     return fail
 
 
+_real_regions = dividing._regions
+
+
+def _flip_end_arcs(face, partner, sign):
+    # with n >= 2 the chord (0, q) leaves arcs 0 and q - 1 in one region
+    # when q > 1, and arcs 1 and 2n - 1 in the root region when q = 1, so
+    # flipping arcs 0 and 2n - 1 mixes a region of every diagram
+    return _real_regions(face, partner, (-sign[0],) + sign[1:-1] + (-sign[-1],))
+
+
 MODEL_FAILURE_CASES = [
     (transitions, "classify_components", _raise(transitions.NotBijective("components 1 vs hypertrees 2")), "NotBijective"),
     (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
-    (dividing, "disc_euler", lambda trinity, face, diagram: 0, "EulerNotConstant"),
+    (dividing, "_euler_and_hug", lambda signs: (0, True), "EulerNotConstant"),
     (dividing, "glued_loops", lambda chord, glue: 2, "BuiltNotTight"),
-    (dividing, "_region_arcs", lambda partner: [list(range(len(partner)))], "MixedRegion"),
+    (dividing, "_regions", _flip_end_arcs, "MixedRegion"),
     (dividing, "tree_hugging", lambda trinity, tree: None, "NoHugBack"),
     (dividing, "_require_spanning", _raise(dividing.NotSpanning("edge set contains a cycle")), "NotSpanning"),
 ]

@@ -263,12 +263,72 @@ def test_disc_euler_is_positives_minus_negatives(graphs):
                 assert dv.disc_euler(t, fid, diagram) == len(sr.positives()) - len(sr.negatives())
 
 
+def _region_arcs(partner):
+    """Arc index sets of the complementary regions, in closing order, root region last."""
+    regions = []
+    stack = [[]]
+    for p in range(len(partner)):
+        if partner[p] > p:
+            stack.append([])
+        else:
+            regions.append(stack.pop())
+        stack[-1].append(p)
+    regions.append(stack.pop())
+    return regions
+
+
+def _two_pass_regions(face, partner, sign):
+    """Reference for ``dividing._regions``: the regions' arcs first, then one set of signs per region."""
+    out = []
+    for arcs in _region_arcs(partner):
+        signs = {sign[a] for a in arcs}
+        if len(signs) != 1:
+            raise dv.MixedRegion(f"face {face}: region on arcs {arcs} has mixed signs")
+        out.append((signs.pop(), arcs))
+    return out
+
+
+def _outcome(regions, face, partner, sign):
+    try:
+        return regions(face, partner, sign)
+    except dv.MixedRegion as exc:
+        return str(exc)
+
+
+def test_the_region_pass_matches_the_two_pass_rule(trinities):
+    # the corpus charts have n <= 4; the 10- and 12-cycles add n = 5 and 6
+    charts = [c for t in trinities.values() for c in t.charts.values()]
+    for size in (5, 6):
+        doc = generate_corpus("even_cycle", size)[0]
+        t = trinity_mod.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+        charts += t.charts.values()
+    assert {c.n for c in charts} == set(range(1, 7))
+    for chart in charts:
+        for diagram in dv.enumerate_chord_diagrams(chart.n):
+            expected = _two_pass_regions(chart.face, diagram.partner, chart.sign)
+            assert dv._regions(chart.face, diagram.partner, chart.sign) == expected
+
+
+def test_the_region_pass_names_a_mixed_region_as_the_two_pass_rule_does(trinities):
+    # one arc's sign flipped at a time mixes some regions of some diagrams
+    chart = trinities["cycle6"].charts["f0"]
+    mixed = 0
+    for arc in range(chart.points):
+        sign = list(chart.sign)
+        sign[arc] = -sign[arc]
+        for diagram in dv.enumerate_chord_diagrams(chart.n):
+            expected = _outcome(_two_pass_regions, chart.face, diagram.partner, sign)
+            assert _outcome(dv._regions, chart.face, diagram.partner, sign) == expected
+            mixed += isinstance(expected, str)
+    assert mixed > 0
+
+
 def test_a_flipped_arc_sign_mixes_a_region(graphs):
     t = trinity_mod.build_trinity(graphs["cycle4"])
     fid = sorted(t.red)[0]
     chart = t.charts[fid]
     diagram = dv.enumerate_chord_diagrams(chart.n)[0]
-    arc = next(a for arcs in dv._region_arcs(diagram.partner) if len(arcs) > 1 for a in arcs)
+    arc = next(a for arcs in _region_arcs(diagram.partner) if len(arcs) > 1 for a in arcs)
     corners = list(chart.emerald_corner)
     corners[arc] = "flipped" if corners[arc] is None else None
     t.charts[fid] = replace(chart, emerald_corner=tuple(corners))

@@ -104,9 +104,13 @@ def test_building_reads_only_the_diagrams_of_tight_choices(monkeypatch):
     real = dv.ChordDiagram
     monkeypatch.setattr(tx, "ChordDiagram", lambda partner: built.append(partner) or real(partner))
     cg = tx.build_configuration_graph(t)
-    used = sorted({k for (k,) in cg.choices})
-    assert (len(cg.choices), len(used)) == (174, 174)
-    assert sorted(built) == sorted(cg.diagrams[0].partners[k] for k in used)
+    assert len({k for (k,) in cg.choices}) == len(cg.choices) == 174
+    # the Euler and hug tables read partner tuples: only the components'
+    # representatives, checked by is_tree_hugging, need diagrams; a path
+    # has one component
+    representatives = {cg.choices[c.representative] for c in cg.components}
+    assert len(representatives) == cg.component_count() == 1
+    assert sorted(built) == sorted(cg.diagrams[0].partners[k] for (k,) in representatives)
     expected = dv.enumerate_chord_diagrams(8)
     assert len(cg.diagrams[0]) == len(expected) == 1430
     assert all(cg.diagrams[0][k] == expected[k] for k in range(len(expected)))
@@ -212,27 +216,32 @@ def test_component_count_equals_magic(trinities):
         assert cg.component_count() == trees.magic_number(t).value, name
 
 
+def _search_components(cg):
+    """Component ids of the graph on ``cg.edges``, found by a search from
+    each unseen vertex in vertex order, so numbered by smallest member."""
+    adjacent = {i: set() for i in range(len(cg.choices))}
+    for i, j in cg.edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    seen = {}
+    count = 0
+    for start in range(len(cg.choices)):
+        if start in seen:
+            continue
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen[v] = count
+                stack.extend(adjacent[v])
+        count += 1
+    return tuple(seen[i] for i in range(len(cg.choices)))
+
+
 def test_components_are_numbered_by_smallest_member(trinities):
     for name, t in trinities.items():
         cg = tx.build_configuration_graph(t)
-        adjacent = {i: set() for i in range(len(cg.vertices))}
-        for i, j in cg.edges:
-            adjacent[i].add(j)
-            adjacent[j].add(i)
-        seen = {}
-        count = 0
-        for start in range(len(cg.vertices)):
-            if start in seen:
-                continue
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                if v not in seen:
-                    seen[v] = count
-                    stack.extend(adjacent[v])
-            count += 1
-        # ids follow first appearance in vertex order, i.e. smallest member
-        assert cg.component_of == tuple(seen[i] for i in range(len(cg.vertices))), name
+        assert cg.component_of == _search_components(cg), name
 
 
 def test_edges_join_single_face_differences(trinities):
@@ -435,6 +444,40 @@ def test_builder_matches_the_product_filter(trinities, name):
     assert cg.edges == _bucket_pair_edges(choices)
 
 
+def _doubled_edge_cycle(k):
+    """The 2k-cycle v0 ... v(2k-1) with its edge v0 v1 doubled.
+
+    The two copies, y and z, have the last darts in sorted order, so the
+    digon between them, a face of half-length 1, is the last face.
+    """
+    ids = ["y"] + [f"e{i}" for i in range(1, 2 * k)]
+    rotations = [[f"{ids[i]}.0", f"{ids[i - 1]}.1"] for i in range(2 * k)]
+    rotations[0].insert(1, "z.0")
+    rotations[1].insert(1, "z.1")
+    doc = {
+        "vertices": [{"id": f"v{i}", "colour": None, "rotation": r} for i, r in enumerate(rotations)],
+        "edges": [{"id": e, "darts": [f"{e}.0", f"{e}.1"]} for e in ids + ["z"]],
+    }
+    return trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+
+
+DOUBLED_EDGE_CYCLES = {"doubled2": 1, "doubled6": 3}
+
+
+@pytest.mark.parametrize(
+    "name, chords, last_n",
+    [("path1", 1, 1), ("doubled2", 3, 1), ("doubled6", 7, 1), ("cycle6", 6, 3), ("ladder3", 10, 2)],
+)
+def test_the_forced_last_chord_keeps_the_product_filter(trinities, name, chords, last_n):
+    # the walk reads the last chord off its parent: a single chord, a last
+    # face of half-length 1 and one of half-length at least 2
+    k = DOUBLED_EDGE_CYCLES.get(name)
+    t = _doubled_edge_cycle(k) if k else trinities[name]
+    assert (sum(t.n_r.values()), t.n_r[t.red[-1]]) == (chords, last_n)
+    choices, _ = _product_oracle(t)
+    assert tx.build_configuration_graph(t).choices == tuple(choices)
+
+
 # closed meander numbers M_1..M_7 (OEIS A005315; Lando and Zvonkin 1993):
 # both faces of the 2k-cycle are discs of half-length k, and a tight
 # configuration is a pair of arch systems that close into one curve
@@ -457,6 +500,7 @@ def test_random_map_builder_matches_the_product_filter(doc):
     # the oracle lists the product in order, and the builder sorts nothing
     assert cg.choices == tuple(choices)
     assert cg.edges == _bucket_pair_edges(choices)
+    assert cg.component_of == _search_components(cg)
 
 
 def test_builder_checks_each_tight_configuration_once(monkeypatch):
@@ -531,11 +575,15 @@ def test_a_late_member_euler_mismatch_is_caught(trinities, monkeypatch):
         if all(len({cg.choices[i][a] == k for i in c.members[:2]}) == 1 for c in cg.components)
         and cg.choices[component.members[0]][a] != k
     )
-    target = cg.vertex(component.members[-1]).entries[axis]
-    real = dv.disc_euler
-    monkeypatch.setattr(
-        dv, "disc_euler", lambda trinity, face, diagram: real(trinity, face, diagram) + 2 * ((face, diagram) == target)
-    )
+    fid, diagram = cg.vertex(component.members[-1]).entries[axis]
+    real = dv._regions
+
+    def regions(face, partner, sign):
+        out = real(face, partner, sign)
+        # two more positive regions raise the disc's Euler contribution by 2
+        return out + [(1, [])] * 2 if (face, partner) == (fid, diagram.partner) else out
+
+    monkeypatch.setattr(dv, "_regions", regions)
     with pytest.raises(tx.EulerNotConstant, match="mixes Euler vectors"):
         tx.build_configuration_graph(t)
 
