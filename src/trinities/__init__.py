@@ -32,11 +32,9 @@ from .hypertrees import enumerate_hypertrees, hypertree_of, translate_offset, tr
 from .dividing import (
     ChordDiagram,
     Configuration,
-    disc_euler,
     enumerate_chord_diagrams,
     is_tight,
     is_tree_hugging,
-    signed_regions,
     tree_hugging,
 )
 from .transitions import (

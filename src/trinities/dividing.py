@@ -101,12 +101,7 @@ def enumerate_chord_diagrams(n, cap=DEFAULT_CAP):
     if n < 1:
         raise ValueError("need n >= 1")
     check_cap(catalan(n), cap, "chord diagram enumeration")
-    return tuple(map(ChordDiagram, noncrossing_matchings(n)))
-
-
-def noncrossing_matchings(n):
-    """Non-crossing perfect matchings of 2n points on a circle, in partner order."""
-    return chord_trie(n)[1]
+    return tuple(map(ChordDiagram, chord_trie(n)[1]))
 
 
 def chord_trie(n):
@@ -286,67 +281,26 @@ def is_tight(config):
 # -- signed regions and Euler classes ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Region:
-    sign: int
-    valence: int
-    arcs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SignedRegions:
-    face: str
-    regions: tuple
-
-    def positives(self):
-        return [r for r in self.regions if r.sign > 0]
-
-    def negatives(self):
-        return [r for r in self.regions if r.sign < 0]
-
-    def hugs(self):
-        """The tree-hugging rule, stated once in ``_euler_and_hug``."""
-        return _euler_and_hug((r.sign, r.arcs) for r in self.regions)[1]
-
-
-def _euler_and_hug(signs):
+def euler_and_hug(regions):
     """A disc's Euler contribution, positive minus negative region count,
     and the tree-hugging rule: at most one negative region of valence above one."""
     euler = spread = 0
-    for sign, arcs in signs:
+    for sign, arcs in regions:
         euler += sign
         if sign < 0 and len(arcs) > 1:
             spread += 1
     return euler, spread <= 1
 
 
-def signed_regions(trinity, face, diagram):
-    """Complementary regions of the diagram with their signs and valences."""
-    regions = tuple(
-        Region(sign, len(arcs), tuple(arcs)) for sign, arcs in _region_signs(trinity, face, diagram)
-    )
-    return SignedRegions(face, regions)
-
-
-def disc_euler(trinity, face, diagram):
-    """Euler contribution of one disc: positive minus negative region count."""
-    return disc_profile(trinity, face, diagram)[0]
-
-
-def disc_profile(trinity, face, diagram):
-    """A disc's Euler contribution and hug flag from one ``_region_signs`` pass."""
-    return _euler_and_hug(_region_signs(trinity, face, diagram))
-
-
-def _region_signs(trinity, face, diagram):
+def disc_regions(trinity, face, diagram):
     """Each complementary region's sign and arcs, root region last."""
     chart = trinity.charts[face]
     if diagram.n != chart.n:
         raise SizeMismatch(f"diagram size {diagram.n} != n_r {chart.n}")
-    return _regions(face, diagram.partner, chart.sign)
+    return regions(face, diagram.partner, chart.sign)
 
 
-def _regions(face, partner, sign):
+def regions(face, partner, sign):
     """Each complementary region's sign and arcs, in closing order, root region last.
 
     One stack pass over the partner tuple: arc p, between points p and
@@ -377,7 +331,8 @@ def _regions(face, partner, sign):
 
 def euler_vector(config):
     return {
-        fid: disc_euler(config.trinity, fid, diagram) for fid, diagram in config.entries
+        fid: euler_and_hug(disc_regions(config.trinity, fid, diagram))[0]
+        for fid, diagram in config.entries
     }
 
 
@@ -430,10 +385,10 @@ def is_tree_hugging(config):
     ch = trinity.charts
     edges = set()
     for fid, diagram in config.entries:
-        signs = _region_signs(trinity, fid, diagram)
-        if not _euler_and_hug(signs)[1]:
+        found = disc_regions(trinity, fid, diagram)
+        if not euler_and_hug(found)[1]:
             return False, None
-        negatives = (arcs for sign, arcs in signs if sign < 0)
+        negatives = (arcs for sign, arcs in found if sign < 0)
         central = max(negatives, key=lambda arcs: (len(arcs), -arcs[0]))
         edges.update(map(ch[fid].emerald_corner.__getitem__, central))
     tree = SpanningTree(trinity.violet_graph, frozenset(edges), "red")

@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import dividing, plane_graph, transitions, trinity as trinity_mod
+from . import plane_graph, transitions, trinity as trinity_mod
 from .limits import DEFAULT_CAP, check_cap
 from .plane_graph import RotationGraph, parse_graph, planar_dual, two_colouring, with_colours
 
@@ -425,51 +425,58 @@ class CorrespondenceReport:
         }
 
 
-def state_configuration(universe, dual, trin, state):
-    """Tight configuration carried by a state's trail.
+def _split_choices(universe, dual, graph):
+    """Per face of the dual, in sorted order: the code shift of its universe
+    vertex's quadrant digit, and the index in ``graph.diagrams`` of the chord
+    diagram the vertex's split makes at parity 0 and at parity 1.
 
     Splitting pairs of universe darts become chords joining the matching
     boundary points of the dual face at that vertex.
     """
     g = universe.graph
-    markers = dict(state.markers)
-    diagrams = {}
-    for fid in trin.red:
-        boundary = dual.faces[fid].boundary
+    n = len(universe.vertex_ids)
+    table = []
+    for fid, diagrams in zip(graph.trinity.red, graph.diagrams):
         x = _dual_face_vertex(universe, dual, fid)
-        point_of = {g.reverse(t): i for i, t in enumerate(boundary)}
-        split = split_pairs(g, x, markers[x] % 2)
-        pairs = [sorted(map(point_of.__getitem__, pair)) for pair in split]
-        diagrams[fid] = dividing.ChordDiagram.from_pairs(2, pairs)
-    return dividing.Configuration.from_diagrams(trin, diagrams)
+        point_of = {g.reverse(t): i for i, t in enumerate(dual.faces[fid].boundary)}
+        index = {partner: k for k, partner in enumerate(diagrams.partners)}
+        ks = []
+        for parity in (0, 1):
+            partner = [0] * len(point_of)
+            for pair in split_pairs(g, x, parity):
+                a, b = map(point_of.__getitem__, pair)
+                partner[a], partner[b] = b, a
+            k = index.get(tuple(partner))
+            if k is None:
+                raise MappingFailure(f"face {fid}: split {parity} at {x} makes no chord diagram")
+            ks.append(k)
+        table.append((2 * (n - 1 - universe.vertex_ids.index(x)), tuple(ks)))
+    return table
 
 
 def states_vs_configurations(universe, cap=DEFAULT_CAP):
     """Verify that states biject with tight configurations of the dual.
 
-    Also checks the state count against the magic number of the dual's
-    trinity.
+    Each state code is read, through ``_split_choices``, as the choice
+    tuple of the configuration its trail carries; the set of these must be
+    the configuration graph's ``choices``, one state per choice. Also
+    checks the state count against the magic number of the dual's trinity.
     """
     dual = universe_dual_graph(universe)
     trin = trinity_mod.build_trinity(dual, cap)
     if any(n != 2 for n in trin.n_r.values()):
         raise MappingFailure("dual faces must be quadrilaterals")
-    states = enumerate_states(universe, cap)
     graph = transitions.build_configuration_graph(trin)
-    tight = set(graph.vertices)
-    image = set()
-    for s in states:
-        config = state_configuration(universe, dual, trin, s)
-        if not dividing.is_tight(config).tight:
-            raise MappingFailure("state mapped to a non-tight configuration")
-        image.add(config)
-    bijective = len(image) == len(states) and image == tight
-    if not bijective:
+    table = _split_choices(universe, dual, graph)
+    codes = [code for code, _moves in _search(universe, cap)]
+    # a marker's parity is the low bit of its quadrant digit
+    image = {tuple(ks[code >> shift & 1] for shift, ks in table) for code in codes}
+    if len(image) != len(codes) or image != set(graph.choices):
         raise MappingFailure("states do not biject with tight configurations")
     magic = trin.magic_report
-    if not magic.agree or magic.value != len(states):
+    if not magic.agree or magic.value != len(codes):
         raise MappingFailure("state count disagrees with the magic number")
-    return CorrespondenceReport(len(states), len(tight), magic.value, True)
+    return CorrespondenceReport(len(codes), len(graph.choices), magic.value, True)
 
 
 # -- built-in universes ------------------------------------------------------------------

@@ -185,11 +185,11 @@ def build_configuration_graph(trinity):
     one half-length share one ``dividing.chord_trie``. Per face, each
     diagram some tight configuration uses gets, from its partner tuple and
     with no ``ChordDiagram`` built, its partner tuple offset to the global
-    point numbering and, from one region pass, its Euler contribution and
-    hug flag. Each tight configuration is checked with
-    ``dividing.glued_loops`` on its chords, concatenated from the offset
-    tuples. Vertices come in the product's order: lexicographic in
-    ``choices``.
+    point numbering and its Euler contribution and hug flag, read by
+    ``dividing.euler_and_hug`` off one ``dividing.regions`` pass. Each
+    tight configuration is checked with ``dividing.glued_loops`` on its
+    chords, concatenated from the offset tuples. Vertices come in the
+    product's order: lexicographic in ``choices``.
     """
     total = configuration_count(trinity)
     faces = trinity.red
@@ -206,7 +206,7 @@ def build_configuration_graph(trinity):
         column = list(map(itemgetter(axis), choices))
         for k in set(column):
             table[k] = tuple(map(lo.__add__, partners[k]))
-            euler_of[k], hug_of[k] = dividing._euler_and_hug(dividing._regions(fid, partners[k], sign))
+            euler_of[k], hug_of[k] = dividing.euler_and_hug(dividing.regions(fid, partners[k], sign))
         tables.append(table)
         eulers.append(map(euler_of.__getitem__, column))
         hugs.append(map(hug_of.__getitem__, column))
@@ -437,8 +437,7 @@ def classify_components(config_graph):
 
 
 def _max_negative_valence(trinity, face, diagram):
-    sr = dividing.signed_regions(trinity, face, diagram)
-    return max(r.valence for r in sr.negatives())
+    return max(len(arcs) for sign, arcs in dividing.disc_regions(trinity, face, diagram) if sign < 0)
 
 
 def valence_concentration_path(config):
@@ -454,7 +453,7 @@ def valence_concentration_path(config):
     path = [config]
     current = config
     for fid in sorted(trinity.red):
-        while not dividing.signed_regions(trinity, fid, current.diagram(fid)).hugs():
+        while not dividing.euler_and_hug(dividing.disc_regions(trinity, fid, current.diagram(fid)))[1]:
             best = None
             top = _max_negative_valence(trinity, fid, current.diagram(fid))
             for alt in dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap):

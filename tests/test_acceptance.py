@@ -169,9 +169,9 @@ def test_criterion_10_bypass_soundness(trinities, config_graphs):
             if t.n_r[fid] > 4:
                 continue
             for d in dv.enumerate_chord_diagrams(t.n_r[fid]):
-                e0 = dv.disc_euler(t, fid, d)
+                e0 = dv.euler_and_hug(dv.disc_regions(t, fid, d))[0]
                 for d2 in tx.bypass_moves(d):
-                    ok = ok and dv.disc_euler(t, fid, d2) == e0
+                    ok = ok and dv.euler_and_hug(dv.disc_regions(t, fid, d2))[0] == e0
         cg = config_graphs[name]
         index = {v: i for i, v in enumerate(cg.vertices)}
         for v in cg.vertices:

@@ -260,7 +260,7 @@ def _raise(exc):
     return fail
 
 
-_real_regions = dividing._regions
+_real_regions = dividing.regions
 
 
 def _flip_end_arcs(face, partner, sign):
@@ -273,9 +273,9 @@ def _flip_end_arcs(face, partner, sign):
 MODEL_FAILURE_CASES = [
     (transitions, "classify_components", _raise(transitions.NotBijective("components 1 vs hypertrees 2")), "NotBijective"),
     (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
-    (dividing, "_euler_and_hug", lambda signs: (0, True), "EulerNotConstant"),
+    (dividing, "euler_and_hug", lambda regions: (0, True), "EulerNotConstant"),
     (dividing, "glued_loops", lambda chord, glue: 2, "BuiltNotTight"),
-    (dividing, "_regions", _flip_end_arcs, "MixedRegion"),
+    (dividing, "regions", _flip_end_arcs, "MixedRegion"),
     (dividing, "tree_hugging", lambda trinity, tree: None, "NoHugBack"),
     (dividing, "_require_spanning", _raise(dividing.NotSpanning("edge set contains a cycle")), "NotSpanning"),
 ]
@@ -306,14 +306,40 @@ def test_model_failures_fail_classify(capsys, c4_file, monkeypatch, owner, name,
     assert "classify: FAIL (" + reason in err
 
 
+def _assert_correspond_fails(capsys, fig8_file, reason):
+    code, out, err = run(capsys, "correspond", "--universe", fig8_file)
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "reason": "MappingFailure: " + reason}
+    assert "correspond: FAIL (MappingFailure" in err
+
+
 def test_mapping_failure_fails_correspond(capsys, fig8_file, monkeypatch):
-    real_states = fkt.enumerate_states
-    monkeypatch.setattr(fkt, "enumerate_states", lambda universe, cap: real_states(universe, cap)[1:])
+    # a missing state leaves a tight configuration without a state
+    real_search = fkt._search
+    monkeypatch.setattr(fkt, "_search", lambda universe, cap: list(real_search(universe, cap))[1:])
+    _assert_correspond_fails(capsys, fig8_file, "states do not biject with tight configurations")
+
+
+def test_two_states_on_one_configuration_fail_correspond(capsys, fig8_file, monkeypatch):
+    # a repeated state code gives an image smaller than the states
+    real_search = fkt._search
+    monkeypatch.setattr(fkt, "_search", lambda universe, cap: [*real_search(universe, cap)] * 2)
+    _assert_correspond_fails(capsys, fig8_file, "states do not biject with tight configurations")
+
+
+def test_a_crossing_split_fails_correspond(capsys, fig8_file, monkeypatch):
+    # pairing rotation darts 0 with 2 and 1 with 3 makes two crossing chords
+    def split_pairs(graph, v, parity):
+        rot = graph.vertices[v].rotation
+        return frozenset((rot[0], rot[2])), frozenset((rot[1], rot[3]))
+
+    monkeypatch.setattr(fkt, "split_pairs", split_pairs)
     code, out, err = run(capsys, "correspond", "--universe", fig8_file)
     assert code == 1
     doc = json.loads(out)
     assert doc["ok"] is False
-    assert doc["reason"].startswith("MappingFailure: ")
+    assert doc["reason"].startswith("MappingFailure: face ")
+    assert "makes no chord diagram" in doc["reason"]
     assert "correspond: FAIL (MappingFailure" in err
 
 

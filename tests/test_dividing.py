@@ -219,11 +219,11 @@ def test_signed_regions_minimal_disc(trinities):
     t = trinities["path1"]
     (fid,) = t.red
     (diagram,) = dv.enumerate_chord_diagrams(1)
-    sr = dv.signed_regions(t, fid, diagram)
-    assert len(sr.regions) == 2
-    assert sorted(r.sign for r in sr.regions) == [-1, 1]
-    assert all(r.valence == 1 for r in sr.regions)
-    assert dv.disc_euler(t, fid, diagram) == 0
+    found = dv.disc_regions(t, fid, diagram)
+    assert len(found) == 2
+    assert sorted(sign for sign, _arcs in found) == [-1, 1]
+    assert all(len(arcs) == 1 for _sign, arcs in found)
+    assert dv.euler_and_hug(found)[0] == 0
 
 
 def test_signed_regions_isolating_diagram(trinities):
@@ -238,20 +238,20 @@ def test_signed_regions_isolating_diagram(trinities):
         if chart.emerald_corner[i] is not None
     ]
     diagram = dv.ChordDiagram.from_pairs(chart.n, pairs)
-    sr = dv.signed_regions(t, fid, diagram)
-    assert sorted(r.valence for r in sr.negatives()) == [1, 1]
-    assert [r.valence for r in sr.positives()] == [2]
-    assert len(sr.regions) == chart.n + 1
+    found = dv.disc_regions(t, fid, diagram)
+    assert sorted(len(arcs) for sign, arcs in found if sign < 0) == [1, 1]
+    assert [len(arcs) for sign, arcs in found if sign > 0] == [2]
+    assert len(found) == chart.n + 1
 
 
 def test_valence_sums(trinities):
     for t in trinities.values():
         for fid in t.red:
             for diagram in dv.enumerate_chord_diagrams(t.n_r[fid]):
-                sr = dv.signed_regions(t, fid, diagram)
-                assert sum(r.valence for r in sr.negatives()) == t.n_r[fid]
-                assert sum(r.valence for r in sr.positives()) == t.n_r[fid]
-                assert len(sr.regions) == t.n_r[fid] + 1
+                found = dv.disc_regions(t, fid, diagram)
+                assert sum(len(arcs) for sign, arcs in found if sign < 0) == t.n_r[fid]
+                assert sum(len(arcs) for sign, arcs in found if sign > 0) == t.n_r[fid]
+                assert len(found) == t.n_r[fid] + 1
 
 
 def test_disc_euler_is_positives_minus_negatives(graphs):
@@ -259,8 +259,10 @@ def test_disc_euler_is_positives_minus_negatives(graphs):
         t = trinity_mod.build_trinity(g)
         for fid in t.red:
             for diagram in dv.enumerate_chord_diagrams(t.n_r[fid]):
-                sr = dv.signed_regions(t, fid, diagram)
-                assert dv.disc_euler(t, fid, diagram) == len(sr.positives()) - len(sr.negatives())
+                signs = [sign for sign, _arcs in dv.disc_regions(t, fid, diagram)]
+                assert set(signs) <= {-1, 1}
+                euler, _hugs = dv.euler_and_hug(dv.disc_regions(t, fid, diagram))
+                assert euler == signs.count(1) - signs.count(-1)
 
 
 def _region_arcs(partner):
@@ -278,7 +280,7 @@ def _region_arcs(partner):
 
 
 def _two_pass_regions(face, partner, sign):
-    """Reference for ``dividing._regions``: the regions' arcs first, then one set of signs per region."""
+    """Reference for ``dividing.regions``: the regions' arcs first, then one set of signs per region."""
     out = []
     for arcs in _region_arcs(partner):
         signs = {sign[a] for a in arcs}
@@ -306,7 +308,7 @@ def test_the_region_pass_matches_the_two_pass_rule(trinities):
     for chart in charts:
         for diagram in dv.enumerate_chord_diagrams(chart.n):
             expected = _two_pass_regions(chart.face, diagram.partner, chart.sign)
-            assert dv._regions(chart.face, diagram.partner, chart.sign) == expected
+            assert dv.regions(chart.face, diagram.partner, chart.sign) == expected
 
 
 def test_the_region_pass_names_a_mixed_region_as_the_two_pass_rule_does(trinities):
@@ -318,7 +320,7 @@ def test_the_region_pass_names_a_mixed_region_as_the_two_pass_rule_does(trinitie
         sign[arc] = -sign[arc]
         for diagram in dv.enumerate_chord_diagrams(chart.n):
             expected = _outcome(_two_pass_regions, chart.face, diagram.partner, sign)
-            assert _outcome(dv._regions, chart.face, diagram.partner, sign) == expected
+            assert _outcome(dv.regions, chart.face, diagram.partner, sign) == expected
             mixed += isinstance(expected, str)
     assert mixed > 0
 
@@ -333,9 +335,10 @@ def test_a_flipped_arc_sign_mixes_a_region(graphs):
     corners[arc] = "flipped" if corners[arc] is None else None
     t.charts[fid] = replace(chart, emerald_corner=tuple(corners))
     with pytest.raises(dv.MixedRegion, match="mixed signs"):
-        dv.signed_regions(t, fid, diagram)
+        dv.disc_regions(t, fid, diagram)
+    config = dv.Configuration.from_diagrams(t, {f: dv.enumerate_chord_diagrams(t.n_r[f])[0] for f in t.red})
     with pytest.raises(dv.MixedRegion, match="mixed signs"):
-        dv.disc_euler(t, fid, diagram)
+        dv.euler_vector(config)
 
 
 def test_size_mismatch(trinities):
@@ -343,7 +346,7 @@ def test_size_mismatch(trinities):
     fid = sorted(t.red)[0]
     (wrong,) = dv.enumerate_chord_diagrams(1)
     with pytest.raises(dv.SizeMismatch):
-        dv.signed_regions(t, fid, wrong)
+        dv.disc_regions(t, fid, wrong)
 
 
 def test_disc_euler_tree_hugging_formula(trinities):
@@ -354,9 +357,9 @@ def test_disc_euler_tree_hugging_formula(trinities):
         for tree in trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red"):
             degrees = tree.degrees("red")
             config = dv.tree_hugging(t, tree)
-            for fid, diagram in config.entries:
+            for fid, euler in dv.euler_vector(config).items():
                 f = degrees[fid] - 1
-                assert dv.disc_euler(t, fid, diagram) == 2 * f - t.n_r[fid] + 1
+                assert euler == 2 * f - t.n_r[fid] + 1
 
 
 def test_four_cycle_euler_vectors(trinities):
@@ -429,8 +432,8 @@ def test_two_exceptional_components_refused(trinities):
         if not dv.is_tight(c).tight:
             continue
         for fid, diagram in c.entries:
-            sr = dv.signed_regions(t, fid, diagram)
-            if sum(1 for r in sr.negatives() if r.valence > 1) >= 2:
+            spread = [arcs for sign, arcs in dv.disc_regions(t, fid, diagram) if sign < 0 and len(arcs) > 1]
+            if len(spread) >= 2:
                 found = c
                 break
         if found:

@@ -88,7 +88,7 @@ def test_search_trie_matches_the_prefix_trie(n):
     assert trie == _prefix_trie([(0, dv.enumerate_chord_diagrams(n))])
     leaves = [k for k in trie[4] if k >= 0]
     assert leaves == list(range(dv.catalan(n)))
-    assert [partners[k] for k in leaves] == list(dv.noncrossing_matchings(n))
+    assert [partners[k] for k in leaves] == [d.partner for d in dv.enumerate_chord_diagrams(n)]
 
 
 def test_concatenated_tries_match_the_prefix_tries(trinities):
@@ -175,6 +175,10 @@ def test_moves_are_symmetric():
                 assert d in tx.bypass_moves(d2)
 
 
+def _disc_euler(t, fid, diagram):
+    return dv.euler_and_hug(dv.disc_regions(t, fid, diagram))[0]
+
+
 def test_bypass_moves_preserve_disc_euler(trinities):
     checked = 0
     for t in trinities.values():
@@ -182,9 +186,9 @@ def test_bypass_moves_preserve_disc_euler(trinities):
             if t.n_r[fid] > 4:
                 continue
             for d in dv.enumerate_chord_diagrams(t.n_r[fid]):
-                e0 = dv.disc_euler(t, fid, d)
+                e0 = _disc_euler(t, fid, d)
                 for d2 in tx.bypass_moves(d):
-                    assert dv.disc_euler(t, fid, d2) == e0
+                    assert _disc_euler(t, fid, d2) == e0
                     checked += 1
     assert checked > 100
 
@@ -335,13 +339,21 @@ def test_random_map_representatives_match_the_probe_loop(doc):
 
 
 def test_hug_flags_follow_the_signed_regions_rule(trinities):
+    # the oracle reads the region list: positives minus negatives, and at
+    # most one negative region with more than one arc
+    hugging = spread = 0
     for t in trinities.values():
         for fid in t.red:
             for diagram in dv.enumerate_chord_diagrams(t.n_r[fid]):
-                euler, hugs = dv.disc_profile(t, fid, diagram)
-                regions = dv.signed_regions(t, fid, diagram)
-                assert hugs == regions.hugs()
-                assert euler == len(regions.positives()) - len(regions.negatives())
+                found = dv.disc_regions(t, fid, diagram)
+                positives = [arcs for sign, arcs in found if sign == 1]
+                negatives = [arcs for sign, arcs in found if sign == -1]
+                assert len(positives) + len(negatives) == len(found)
+                hugs = sum(len(arcs) > 1 for arcs in negatives) <= 1
+                assert dv.euler_and_hug(found) == (len(positives) - len(negatives), hugs)
+                hugging += hugs
+                spread += not hugs
+    assert hugging > 0 and spread > 0
 
 
 def test_euler_constant_on_components(trinities):
@@ -576,14 +588,14 @@ def test_a_late_member_euler_mismatch_is_caught(trinities, monkeypatch):
         and cg.choices[component.members[0]][a] != k
     )
     fid, diagram = cg.vertex(component.members[-1]).entries[axis]
-    real = dv._regions
+    real = dv.regions
 
     def regions(face, partner, sign):
         out = real(face, partner, sign)
         # two more positive regions raise the disc's Euler contribution by 2
         return out + [(1, [])] * 2 if (face, partner) == (fid, diagram.partner) else out
 
-    monkeypatch.setattr(dv, "_regions", regions)
+    monkeypatch.setattr(dv, "regions", regions)
     with pytest.raises(tx.EulerNotConstant, match="mixes Euler vectors"):
         tx.build_configuration_graph(t)
 
