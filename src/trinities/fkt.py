@@ -17,6 +17,8 @@ is lexicographic. The one move rule is the universe's swap table, giving
 the code delta of each clockwise move; counterclockwise moves are clockwise
 moves read backwards. One search yields each state's code and moves, and
 drops a branch once it places a face's last vertex with the face unmarked.
+Where it pays (``Universe.cut``), each subtree below the middle vertex is
+walked once per key of what it reads of the prefix and replayed after.
 The clock graph runs on codes and decodes states only when they are read.
 """
 
@@ -104,6 +106,26 @@ class Universe:
             for j, q in enumerate(quads)
         )
 
+    @cached_property
+    def cut(self):
+        """The search's memo cut ``(m, faces, reads)`` at m = n // 2, or None.
+
+        Below vertex m the search reads only the used bits of ``faces``, the
+        unstarred faces with quadrants on both sides of m, and the choices
+        at ``reads``, the vertices below m that the swap table at vertices
+        m and up looks at. Memoizing pays only if these keys are fewer than
+        the prefixes: 2^|faces| * 4^|reads| < 4^m.
+        """
+        quads, n = self.quadrants, len(self.quadrants)
+        m = n // 2
+        starred = {self.face_index[f] for f in self.stars}
+        faces = sorted(set().union(*quads[:m]) & set().union(*quads[m:]) - starred)
+        partners = {i for row in self.swaps[m:] for pairs in row for i, _k, _d in pairs}
+        reads = sorted(i for i in partners if i < m)
+        if len(faces) + 2 * len(reads) >= 2 * m:
+            return None
+        return m, tuple(faces), tuple(reads)
+
 
 def parse_universe(document):
     """Validate a universe document: graph schema plus a ``stars`` pair."""
@@ -177,6 +199,10 @@ def _search(universe, cap):
     Depth-first over the vertices, trying quadrants 0..3 at each, with
     explicit arrays instead of recursion; a move is recorded when the later
     vertex of its pair is placed, and no state lies below a dropped branch.
+    With a ``universe.cut`` at vertex m, the subtree below m is walked once
+    per key (the used bits of the cut's faces and the choices at its reads):
+    the first walk records each leaf's code digits from m on with the moves
+    found from m on, and later prefixes with that key join those pairs.
     """
     quads, swaps = universe.quadrants, universe.swaps
     n = len(quads)
@@ -191,6 +217,11 @@ def _search(universe, cap):
     code = [0] * (n + 1)  # code[i]: the code of the choices at vertices below i
     marks = [0] * n  # len(moves) before vertex i was placed
     moves = []
+    m, faces, reads = universe.cut or (n, (), ())  # no cut: split past the last vertex
+    shift = 2 * (n - m)
+    low = (1 << shift) - 1
+    memo = {}  # key at vertex m -> [(low code digits, moves from m on)]
+    leaves = None  # the memo entry of the subtree being walked
     i = 0
     while i >= 0:
         q = quads[i]
@@ -222,9 +253,21 @@ def _search(universe, cap):
             if choice[h] == kh:
                 moves.append(d)
         if i + 1 == n:
+            if leaves is not None:
+                leaves.append((code[n] & low, tuple(moves[marks[m]:])))
             yield code[n], tuple(moves)
-        else:
+        elif i + 1 != m:
             i += 1
+        else:
+            key = bytes(map(used.__getitem__, faces)) + bytes(map(choice.__getitem__, reads))
+            known = memo.get(key)
+            if known is None:
+                memo[key] = leaves = []
+                i += 1
+            else:
+                head, prefix = code[m] << shift, tuple(moves)
+                for tail_code, tail in known:
+                    yield head | tail_code, prefix + tail
 
 
 # -- trails ----------------------------------------------------------------------
@@ -325,43 +368,33 @@ def clock_graph(universe, cap=DEFAULT_CAP):
     found = list(_search(universe, cap))
     codes = tuple(c for c, _moves in found)
     index = {c: i for i, c in enumerate(codes)}
-    outs = []
-    for i, (c, deltas) in enumerate(found):
-        out = []
-        for d in deltas:
-            j = index.get(c + d)
-            if j is None:
-                source, target = _as_states(universe, (c, c + d))
-                v, w = (x for (x, a), (_x, b) in zip(source.markers, target.markers) if a != b)
-                raise MoveLeavesStates(f"state {i}: the move at {v} and {w} leaves the states")
-            out.append(j)
-        out.sort()
-        outs.append(out)
-    del found, index  # before the structure checks build their in-lists
+    try:
+        outs = [sorted(map(index.__getitem__, map(c.__add__, deltas))) for c, deltas in found]
+    except KeyError as miss:
+        # the first state with a move to the missing code is the one that raised
+        target = miss.args[0]
+        i, c = next((i, c) for i, (c, deltas) in enumerate(found) if target - c in deltas)
+        source, dest = _as_states(universe, (c, target))
+        v, w = (x for (x, a), (_x, b) in zip(source.markers, dest.markers) if a != b)
+        raise MoveLeavesStates(f"state {i}: the move at {v} and {w} leaves the states") from None
+    del found, index  # before the structure checks count in-degrees
     return ClockGraph(universe, codes, tuple(outs), clock_report(outs))
 
 
 def clock_report(outs):
-    """Counts and the four structure checks of a graph given by its out-lists."""
+    """Counts and the four structure checks of a graph given by its out-lists.
+
+    Kahn's algorithm on in-degree counts decides acyclicity: the graph is
+    acyclic iff it removes every state. Every state of a finite acyclic
+    graph lies below a source, so one source there means weakly connected;
+    otherwise an undirected search decides.
+    """
     n = len(outs)
-    ins = [[] for _ in range(n)]
-    for i, out in enumerate(outs):
-        for j in out:
-            ins[j].append(i)
-
-    seen = {0} if n else set()
-    stack = [0] if n else []
-    while stack:
-        x = stack.pop()
-        for y in outs[x] + ins[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    connected = len(seen) == n
-
-    # Kahn's algorithm: the graph is acyclic iff every state gets removed
-    remaining = [len(p) for p in ins]
+    remaining = [0] * n  # in-degrees, less the arcs from removed states
+    for j in itertools.chain.from_iterable(outs):
+        remaining[j] += 1
     ready = [i for i in range(n) if remaining[i] == 0]
+    sources = len(ready)
     removed = 0
     while ready:
         x = ready.pop()
@@ -372,17 +405,31 @@ def clock_report(outs):
                 ready.append(y)
     acyclic = removed == n
 
-    sources = [i for i in range(n) if not ins[i]]
-    sinks = [i for i in range(n) if not outs[i]]
+    connected = acyclic and sources == 1
+    if not connected:
+        adjacent = [list(out) for out in outs]
+        for i, out in enumerate(outs):
+            for j in out:
+                adjacent[j].append(i)
+        seen = {0} if n else set()
+        stack = list(seen)
+        while stack:
+            for y in adjacent[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        connected = len(seen) == n
+
+    sinks = sum(not out for out in outs)
     report = {
         "states": n,
         "arcs": sum(map(len, outs)),
         "weakly_connected": connected,
         "acyclic": acyclic,
-        "unique_source": len(sources) == 1,
-        "unique_sink": len(sinks) == 1,
+        "unique_source": sources == 1,
+        "unique_sink": sinks == 1,
     }
-    report["ok"] = connected and acyclic and len(sources) == 1 and len(sinks) == 1
+    report["ok"] = connected and acyclic and sources == 1 and sinks == 1
     return report
 
 

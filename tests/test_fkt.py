@@ -1,6 +1,7 @@
 """Universes, states, trails, transpositions, the clock graph and the
 state/configuration correspondence."""
 
+import random
 import sys
 from itertools import product
 
@@ -215,6 +216,123 @@ def test_pruned_search_matches_plain_search_on_ladder7():
     choices = fkt.clock_graph(u, cap=None).choices
     assert len(choices) == trees.spanning_tree_count(pg.parse_graph(doc))
     assert list(choices) == plain_search_choices(u)
+
+
+def unmemoized_search(universe):
+    """The state search without the memo at ``universe.cut``: each state's
+    code with its clockwise moves, every subtree walked in full."""
+    quads, swaps = universe.quadrants, universe.swaps
+    n = len(quads)
+    used = bytearray(len(universe.face_index))
+    for f in universe.stars:
+        used[universe.face_index[f]] = 1
+    closing = [[] for _ in range(n)]
+    for f, i in {f: i for i, q in enumerate(quads) for f in q if not used[f]}.items():
+        closing[i].append(f)
+    choice = [-1] * n
+    code = [0] * (n + 1)
+    marks = [0] * n
+    moves = []
+    i = 0
+    while i >= 0:
+        q = quads[i]
+        k = choice[i]
+        if k >= 0:
+            used[q[k]] = 0
+            del moves[marks[i]:]
+        shut = closing[i]
+        k += 1
+        while k < 4:
+            f = q[k]
+            if not used[f]:
+                for g in shut:
+                    if g != f and not used[g]:
+                        break
+                else:
+                    break
+            k += 1
+        if k == 4:
+            choice[i] = -1
+            i -= 1
+            continue
+        choice[i] = k
+        used[f] = 1
+        code[i + 1] = 4 * code[i] + k
+        marks[i] = len(moves)
+        for h, kh, d in swaps[i][k]:
+            if choice[h] == kh:
+                moves.append(d)
+        if i + 1 == n:
+            yield code[n], tuple(moves)
+        else:
+            i += 1
+
+
+def shuffled_crossings(document, seed):
+    """The universe document with its crossing ids permuted, so that the
+    search visits its crossings in a scrambled order."""
+    ids = [v["id"] for v in document["vertices"]]
+    new = random.Random(seed).sample(ids, len(ids))
+    rename = dict(zip(ids, new))
+    vertices = [{**v, "id": rename[v["id"]]} for v in document["vertices"]]
+    return {**document, "vertices": vertices}
+
+
+def unguarded_cut(universe):
+    """The cut at n // 2 from face ids and quadrant pairs, whatever the guard
+    says: the unstarred faces on both sides, and each vertex below n // 2
+    whose marker can swap with a marker of a vertex at or above it."""
+    g, verts = universe.graph, universe.vertex_ids
+    m = len(verts) // 2
+    quads = [[fkt.quadrant_face(g, v, k) for k in range(4)] for v in verts]
+    shared = set().union(*quads[:m]) & set().union(*quads[m:]) - set(universe.stars)
+    reads = {
+        i
+        for i, j in product(range(m), range(m, len(verts)))
+        for ki, kj in product(range(4), repeat=2)
+        if (quads[i][ki - 1], quads[i][ki]) == (quads[j][kj], quads[j][kj - 1])
+    }
+    return m, tuple(sorted(universe.face_index[f] for f in shared)), tuple(sorted(reads))
+
+
+def test_memoized_search_matches_the_full_search_on_ladder7():
+    (doc,) = generate_corpus("ladder", 7)
+    u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
+    assert u.cut == unguarded_cut(u)
+    m, faces, reads = u.cut
+    assert m == 11 and len(faces) + 2 * len(reads) < 2 * m
+    assert list(fkt._search(u, None)) == list(unmemoized_search(u))
+
+
+@pytest.mark.parametrize(
+    "family,size", [("ladder", 4), ("grid", 2), ("theta", 4), ("even_cycle", 4)]
+)
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_forced_memo_matches_the_full_search(family, size, seed):
+    # the memo is exact whatever the guard decides; the guard only saves time
+    (doc,) = generate_corpus(family, size)
+    medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
+    u = fkt.parse_universe(medial if seed is None else shuffled_crossings(medial, seed))
+    u.__dict__["cut"] = unguarded_cut(u)  # the cached property's slot
+    assert list(fkt._search(u, None)) == list(unmemoized_search(u))
+
+
+def test_search_without_a_cut_matches_the_full_search_on_shuffled_ladder5():
+    (doc,) = generate_corpus("ladder", 5)
+    medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
+    u = fkt.parse_universe(shuffled_crossings(medial, 5))
+    m, faces, reads = unguarded_cut(u)
+    assert len(faces) + 2 * len(reads) >= 2 * m and u.cut is None
+    found = list(fkt._search(u, None))
+    assert len(found) == trees.spanning_tree_count(pg.parse_graph(doc))
+    assert found == list(unmemoized_search(u))
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_random_medial_searches_match_the_full_search(doc):
+    u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
+    assert list(fkt._search(u, None)) == list(unmemoized_search(u))
 
 
 def test_state_search_needs_no_recursion():
@@ -457,6 +575,88 @@ def test_clock_graph_reports_a_cycle():
     report = fkt.clock_report([[(s + 1) % 3] for s in range(3)])
     assert report["acyclic"] is False
     assert report["ok"] is False
+
+
+def in_list_clock_report(outs):
+    """The clock report from explicit in-lists, always with an undirected
+    search for connectivity."""
+    n = len(outs)
+    ins = [[] for _ in range(n)]
+    for i, out in enumerate(outs):
+        for j in out:
+            ins[j].append(i)
+
+    seen = {0} if n else set()
+    stack = [0] if n else []
+    while stack:
+        x = stack.pop()
+        for y in outs[x] + ins[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    connected = len(seen) == n
+
+    remaining = [len(p) for p in ins]
+    ready = [i for i in range(n) if remaining[i] == 0]
+    removed = 0
+    while ready:
+        x = ready.pop()
+        removed += 1
+        for y in outs[x]:
+            remaining[y] -= 1
+            if remaining[y] == 0:
+                ready.append(y)
+    acyclic = removed == n
+
+    sources = [i for i in range(n) if not ins[i]]
+    sinks = [i for i in range(n) if not outs[i]]
+    report = {
+        "states": n,
+        "arcs": sum(map(len, outs)),
+        "weakly_connected": connected,
+        "acyclic": acyclic,
+        "unique_source": len(sources) == 1,
+        "unique_sink": len(sinks) == 1,
+    }
+    report["ok"] = connected and acyclic and len(sources) == 1 and len(sinks) == 1
+    return report
+
+
+HAND_DIGRAPHS = {
+    "empty": [],
+    "one vertex": [[]],
+    "two-source disconnected dag": [[1], [], [3], []],
+    "one-source dag with two sinks": [[1, 2], [], []],
+    "3-cycle and an isolated vertex": [[1], [2], [0], []],
+    "source feeding a 3-cycle": [[1], [2], [3], [1]],
+}
+
+
+@pytest.mark.parametrize("name", HAND_DIGRAPHS)
+def test_clock_report_matches_in_list_report_on_hand_digraphs(name):
+    outs = HAND_DIGRAPHS[name]
+    assert fkt.clock_report(outs) == in_list_clock_report(outs)
+
+
+def random_digraphs(max_vertices=8):
+    """Out-lists on up to ``max_vertices`` vertices; with ``forward`` every
+    arc rises, so the graph is acyclic."""
+
+    def outs(n):
+        targets = st.lists(st.integers(0, n - 1), max_size=3).map(sorted) if n else st.nothing()
+        return st.tuples(st.lists(targets, min_size=n, max_size=n), st.booleans())
+
+    def build(drawn):
+        lists, forward = drawn
+        return [[j for j in out if j > i or not forward] for i, out in enumerate(lists)]
+
+    return st.integers(0, max_vertices).flatmap(outs).map(build)
+
+
+@given(random_digraphs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_clock_report_matches_in_list_report_on_random_digraphs(outs):
+    assert fkt.clock_report(outs) == in_list_clock_report(outs)
 
 
 def test_universe_dual_hopf_is_four_cycle(universes, graphs):
