@@ -17,7 +17,6 @@ from .plane_graph import (
     canonical_form,
     parse_graph,
     planar_dual,
-    trace_faces,
     validate_bipartite_plane,
 )
 from .trinity import Trinity, build_trinity
@@ -26,7 +25,6 @@ from .trees import (
     enumerate_arborescences,
     enumerate_spanning_trees,
     magic_number,
-    tree_exchange_path,
 )
 from .hypertrees import enumerate_hypertrees, hypertree_of, translate_offset, trinity_hypergraph
 from .dividing import (
@@ -39,16 +37,13 @@ from .dividing import (
 )
 from .transitions import (
     build_configuration_graph,
-    bypass_moves,
     classify_components,
-    valence_concentration_path,
 )
 from .fkt import (
     Universe,
     clock_graph,
     enumerate_states,
     parse_universe,
-    state_to_trail,
     states_vs_configurations,
     transpositions,
     universe_dual_graph,

@@ -210,11 +210,6 @@ class Configuration:
     def diagram(self, face):
         return dict(self.entries)[face]
 
-    def replace(self, face, diagram):
-        items = dict(self.entries)
-        items[face] = diagram
-        return Configuration.from_diagrams(self.trinity, items)
-
     def to_json(self):
         verdict = is_tight(self)
         return {
@@ -406,15 +401,3 @@ def _require_spanning(index, tree):
     # with |V| - 1 edges, a cycle is the same as a second component
     if len(set(components(index, map(index.edge_index.__getitem__, tree.edges)))) != 1:
         raise NotSpanning("edge set contains a cycle")
-
-
-# -- serialization ---------------------------------------------------------------------
-
-
-def configuration_from_json(trinity, doc):
-    diagrams = {}
-    for fid, rec in doc["faces"].items():
-        diagrams[fid] = ChordDiagram.from_pairs(
-            trinity.n_r[fid], [tuple(p) for p in rec["matching"]]
-        )
-    return Configuration.from_diagrams(trinity, diagrams)

@@ -1,12 +1,10 @@
-"""Universes, states, trails and the clock graph.
+"""Universes, states and the clock graph.
 
 A universe is a connected 4-regular plane graph with two adjacent starred
 faces. Quadrant k at a vertex lies between rotation darts k and k+1
 (counterclockwise) and belongs to the face on the left of dart k. A state
 places one marker per vertex so that unstarred faces are covered exactly
-once; splitting every vertex according to its marker closes the markers'
-quadrants' two neighbours off and yields the single-loop trail of the
-state. A clockwise transposition retreats the markers of two vertices one
+once. A clockwise transposition retreats the markers of two vertices one
 quadrant clockwise so that their faces swap; the direction convention is
 pinned by a regression fixture, since only its consistency matters here.
 
@@ -46,10 +44,6 @@ class CountMismatch(ValueError):
     """Vertex count must equal the number of unstarred faces."""
 
 
-class NotSingleLoop(RuntimeError):
-    """A state's splitting must close into one loop (model bug otherwise)."""
-
-
 class MappingFailure(RuntimeError):
     """The state-to-configuration correspondence failed (model bug)."""
 
@@ -62,10 +56,6 @@ class MoveLeavesStates(RuntimeError):
 class Universe:
     graph: RotationGraph = field(compare=False)
     stars: tuple[str, str] = ()
-
-    @property
-    def unstarred(self):
-        return tuple(f for f in sorted(self.graph.faces) if f not in self.stars)
 
     @cached_property
     def vertex_ids(self):
@@ -270,13 +260,7 @@ def _search(universe, cap):
                     yield head | tail_code, prefix + tail
 
 
-# -- trails ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Trail:
-    splitting: tuple  # sorted (vertex id, split parity) pairs
-    loop: tuple  # dart sequence of the single closed curve
+# -- splittings -------------------------------------------------------------------
 
 
 def split_pairs(graph, v, parity):
@@ -292,41 +276,6 @@ def split_pairs(graph, v, parity):
         frozenset((rot[k], rot[k - 1])),
         frozenset((rot[(k + 1) % 4], rot[(k + 2) % 4])),
     )
-
-
-def splitting_loops(graph, parities):
-    """Closed curves of a full splitting, as dart sequences."""
-    join = {}
-    for v, parity in parities.items():
-        for pair in split_pairs(graph, v, parity):
-            a, b = sorted(pair)
-            join[a] = b
-            join[b] = a
-    loops = []
-    seen = set()
-    for start in graph.darts():
-        if start in seen:
-            continue
-        loop = []
-        d = start
-        while True:
-            e = graph.reverse(d)  # run along the edge
-            loop += (d, e)
-            seen.update((d, e))
-            d = join[e]  # cross the split vertex
-            if d == start:
-                break
-        loops.append(tuple(loop))
-    return loops
-
-
-def state_to_trail(universe, state):
-    """Split every vertex by its marker; the result must be a single loop."""
-    parities = {v: k % 2 for v, k in state.markers}
-    loops = splitting_loops(universe.graph, parities)
-    if len(loops) != 1:
-        raise NotSingleLoop(f"state splits into {len(loops)} loops")
-    return Trail(tuple(sorted(parities.items())), loops[0])
 
 
 # -- transpositions and the clock graph ----------------------------------------------
@@ -452,7 +401,7 @@ def universe_dual_graph(universe):
 def _dual_face_vertex(universe, dual, face_id):
     """Universe vertex sitting inside a face of the dual."""
     t = dual.faces[face_id].boundary[0]
-    return universe.graph.vertex_of(universe.graph.reverse(t))
+    return universe.graph.origin(universe.graph.reverse(t))
 
 
 @dataclass(frozen=True)
@@ -505,7 +454,7 @@ def states_vs_configurations(universe, cap=DEFAULT_CAP):
     """Verify that states biject with tight configurations of the dual.
 
     Each state code is read, through ``_split_choices``, as the choice
-    tuple of the configuration its trail carries; the set of these must be
+    tuple of the configuration its splitting makes; the set of these must be
     the configuration graph's ``choices``, one state per choice. Also
     checks the state count against the magic number of the dual's trinity.
     """

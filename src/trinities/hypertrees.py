@@ -95,9 +95,6 @@ class Hypertree:
         ids = frozenset(map(host.edge_ids.__getitem__, edges))
         return SpanningTree(host.index.graph, ids, host.colour)
 
-    def as_dict(self):
-        return dict(self.vector)
-
 
 def hypertree_of(tree, hyperedge_colour):
     """Hypertree realized by a spanning tree: f(e) = deg(e) - 1 at hyperedge nodes."""

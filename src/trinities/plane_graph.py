@@ -112,9 +112,6 @@ class RotationGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def vertex_of(self, dart):
-        return self._dart_vertex[dart]
-
     def reverse(self, dart):
         return self._reverse[dart]
 
@@ -127,9 +124,6 @@ class RotationGraph:
 
     def colour_of(self, vertex_id):
         return self.vertices[vertex_id].colour
-
-    def degree(self, vertex_id):
-        return len(self.vertices[vertex_id].rotation)
 
     def face_of(self, dart):
         """Face lying to the left of the dart."""
@@ -270,11 +264,6 @@ def edge_records(ids):
 
 
 # -- operations --------------------------------------------------------------
-
-
-def trace_faces(graph):
-    """Faces of the embedding as cyclic dart sequences."""
-    return [graph.faces[fid] for fid in sorted(graph.faces)]
 
 
 def planar_dual(graph):
@@ -419,7 +408,7 @@ def canonical_form(graph, use_colours=False):
                     order.append(nb)
         enc = tuple(
             (label[graph.reverse(d)], label[graph.rotation_successor(d)])
-            + ((graph.colour_of(graph.vertex_of(d)),) if use_colours else ())
+            + ((graph.colour_of(graph.origin(d)),) if use_colours else ())
             for d in order
         )
         if best is None or enc < best:

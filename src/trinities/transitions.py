@@ -1,13 +1,9 @@
-"""Bypass moves and the configuration graph over tight configurations.
+"""The configuration graph over tight configurations, and its classification.
 
 Two tight configurations are adjacent when they differ on exactly one face
 disc; transitions confined to a single disc connect any two tight variants
 of that disc, so this edge relation yields the same component partition as
-explicit bypass surgery while avoiding attaching-arc bookkeeping. Bypass
-moves themselves (re-matching three chords by rotating their six endpoints
-one step around the hexagon) are generated for cross-checks only; the
-valence-concentration walk scans ``dividing.enumerate_chord_diagrams``
-instead.
+explicit bypass surgery while avoiding attaching-arc bookkeeping.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from functools import cached_property
 from operator import getitem, itemgetter, mul, sub
 
 from . import dividing
-from .dividing import ChordDiagram, Configuration, NotTight
+from .dividing import ChordDiagram, Configuration
 from .limits import check_cap
 
 
@@ -38,68 +34,6 @@ class BuiltNotTight(RuntimeError):
 
 class NotBijective(RuntimeError):
     """Components do not biject onto the hypertrees of (E,R) (model bug)."""
-
-
-class Stuck(RuntimeError):
-    """No valence-increasing neighbour exists (firing falsifies the model)."""
-
-
-# The three matchings of six points closed under the one-step rotation
-# i -> i+1; a triple of chords admits a bypass exactly when its induced
-# matching is one of these (the middle chord separates the other two).
-_ROTATION_PATTERNS = (
-    (5, 4, 3, 2, 1, 0),  # {05, 14, 23}
-    (1, 0, 5, 4, 3, 2),  # {01, 25, 34}
-    (3, 2, 1, 0, 5, 4),  # {03, 12, 45}
-)
-
-
-@dataclass(frozen=True)
-class BypassMove:
-    face: str | None
-    points: tuple[int, ...]
-    direction: int
-    source: ChordDiagram = field(compare=False)
-    target: ChordDiagram = field(compare=False)
-
-
-def diagram_moves(diagram):
-    """Every bypass move available on one diagram, duplicates included."""
-    pairs = diagram.pairs()
-    if len(pairs) < 3:
-        return []
-    moves = []
-    for triple in itertools.combinations(pairs, 3):
-        points = tuple(sorted(p for pair in triple for p in pair))
-        local = {points.index(a): points.index(b) for a, b in triple}
-        local.update({b: a for a, b in local.items()})
-        induced = tuple(local[i] for i in range(6))
-        if induced not in _ROTATION_PATTERNS:
-            continue
-        for step in (1, -1):
-            # the induced matching turned by one step: point i goes to i + step
-            turned = [(induced[(i - step) % 6] + step) % 6 for i in range(6)]
-            new_pairs = [p for p in pairs if p not in triple]
-            new_pairs += [(points[i], points[j]) for i, j in enumerate(turned) if i < j]
-            if dividing.first_crossing(new_pairs) is None:
-                target = ChordDiagram.from_pairs(diagram.n, new_pairs)
-                moves.append(BypassMove(None, points, step, diagram, target))
-    return moves
-
-
-def bypass_moves(diagram):
-    """Set of diagrams one bypass move away."""
-    return {m.target for m in diagram_moves(diagram)}
-
-
-def config_bypass_moves(config):
-    """Bypass moves of a configuration, lifted face by face."""
-    out = []
-    for fid, diagram in config.entries:
-        for move in diagram_moves(diagram):
-            lifted = BypassMove(fid, move.points, move.direction, move.source, move.target)
-            out.append((config.replace(fid, move.target), lifted))
-    return out
 
 
 # -- the configuration graph ----------------------------------------------------
@@ -431,45 +365,3 @@ def classify_components(config_graph):
             f"components {sorted(set(got))} vs hypertrees {sorted(expected)}"
         )
     return ClassificationReport(config_graph, True)
-
-
-# -- valence concentration -----------------------------------------------------------
-
-
-def _max_negative_valence(trinity, face, diagram):
-    return max(len(arcs) for sign, arcs in dividing.disc_regions(trinity, face, diagram) if sign < 0)
-
-
-def valence_concentration_path(config):
-    """Walk to a tree-hugging configuration through tight neighbours.
-
-    Face by face, while a disc has two negative regions of valence above
-    one, replace its diagram with a tight alternative of strictly larger
-    maximum negative valence. Valence sums bound the walk, so it stops.
-    """
-    trinity = config.trinity
-    if not dividing.is_tight(config).tight:
-        raise NotTight("valence concentration starts from a tight configuration")
-    path = [config]
-    current = config
-    for fid in sorted(trinity.red):
-        while not dividing.euler_and_hug(dividing.disc_regions(trinity, fid, current.diagram(fid)))[1]:
-            best = None
-            top = _max_negative_valence(trinity, fid, current.diagram(fid))
-            for alt in dividing.enumerate_chord_diagrams(trinity.n_r[fid], trinity.cap):
-                if alt == current.diagram(fid):
-                    continue
-                if _max_negative_valence(trinity, fid, alt) <= top:
-                    continue
-                candidate = current.replace(fid, alt)
-                if dividing.is_tight(candidate).tight:
-                    best = candidate
-                    break
-            if best is None:
-                raise Stuck(f"no valence-increasing tight move on face {fid}")
-            current = best
-            path.append(current)
-    hugging, _ = dividing.is_tree_hugging(current)
-    if not hugging:
-        raise Stuck("concentration ended on a configuration that hugs no tree")
-    return path

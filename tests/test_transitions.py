@@ -5,8 +5,9 @@ import math
 
 import pytest
 from hypothesis import assume, given, settings
-from random_maps import plane_bipartite_maps
 
+import oracles
+from random_maps import plane_bipartite_maps
 from trinities import dividing as dv
 from trinities import hypertrees as ht
 from trinities import plane_graph, trinity
@@ -135,12 +136,12 @@ def test_building_leaves_the_glue_unchanged(trinities, monkeypatch):
 
 def test_no_moves_with_two_chords():
     for d in dv.enumerate_chord_diagrams(2):
-        assert tx.bypass_moves(d) == set()
+        assert oracles.bypass_moves(d) == set()
 
 
 def test_three_nested_chords_rotate_both_ways():
     d = dv.ChordDiagram.from_pairs(3, [(0, 5), (1, 4), (2, 3)])
-    targets = tx.bypass_moves(d)
+    targets = oracles.bypass_moves(d)
     assert targets == {
         dv.ChordDiagram.from_pairs(3, [(0, 1), (2, 5), (3, 4)]),
         dv.ChordDiagram.from_pairs(3, [(0, 3), (1, 2), (4, 5)]),
@@ -151,28 +152,28 @@ def test_rotation_cycle_closes():
     a = dv.ChordDiagram.from_pairs(3, [(0, 5), (1, 4), (2, 3)])
     b = dv.ChordDiagram.from_pairs(3, [(0, 1), (2, 5), (3, 4)])
     c = dv.ChordDiagram.from_pairs(3, [(0, 3), (1, 2), (4, 5)])
-    assert tx.bypass_moves(b) == {a, c}
-    assert tx.bypass_moves(c) == {a, b}
+    assert oracles.bypass_moves(b) == {a, c}
+    assert oracles.bypass_moves(c) == {a, b}
 
 
 def test_side_by_side_chords_admit_no_move():
     # no chord separates the other two, so no attaching arc crosses them
     d = dv.ChordDiagram.from_pairs(3, [(0, 1), (2, 3), (4, 5)])
-    assert tx.bypass_moves(d) == set()
+    assert oracles.bypass_moves(d) == set()
 
 
 def test_moves_preserve_matching_validity():
     for n in (3, 4):
         for d in dv.enumerate_chord_diagrams(n):
-            for d2 in tx.bypass_moves(d):
+            for d2 in oracles.bypass_moves(d):
                 assert d2.n == n  # construction re-validates non-crossing
 
 
 def test_moves_are_symmetric():
     for n in (3, 4):
         for d in dv.enumerate_chord_diagrams(n):
-            for d2 in tx.bypass_moves(d):
-                assert d in tx.bypass_moves(d2)
+            for d2 in oracles.bypass_moves(d):
+                assert d in oracles.bypass_moves(d2)
 
 
 def _disc_euler(t, fid, diagram):
@@ -187,7 +188,7 @@ def test_bypass_moves_preserve_disc_euler(trinities):
                 continue
             for d in dv.enumerate_chord_diagrams(t.n_r[fid]):
                 e0 = _disc_euler(t, fid, d)
-                for d2 in tx.bypass_moves(d):
+                for d2 in oracles.bypass_moves(d):
                     assert _disc_euler(t, fid, d2) == e0
                     checked += 1
     assert checked > 100
@@ -263,12 +264,43 @@ def test_bypass_edges_stay_in_component(trinities):
         cg = tx.build_configuration_graph(t)
         index = {v: i for i, v in enumerate(cg.vertices)}
         for v in cg.vertices:
-            for target, move in tx.config_bypass_moves(v):
+            for target in oracles.config_bypass_moves(v):
                 if target in index:
                     assert cg.component_of[index[target]] == cg.component_of[index[v]]
                     # a lifted move is also a single-face edge of the graph
                     pair = tuple(sorted((index[v], index[target])))
                     assert pair in set(cg.edges)
+
+
+def _bypass_partition(cg):
+    """Component ids of the tight configurations joined by bypass moves,
+    numbered by smallest member."""
+    index = {v: i for i, v in enumerate(cg.vertices)}
+    pairs = [
+        (i, index[target])
+        for i, v in enumerate(cg.vertices)
+        for target in oracles.config_bypass_moves(v)
+        if target in index
+    ]
+    return oracles.partition(len(cg.vertices), pairs)
+
+
+def test_bypass_moves_give_the_component_partition(trinities):
+    # the converse of test_bypass_edges_stay_in_component: bypass moves
+    # alone join every component of the one-face graph
+    for name, t in trinities.items():
+        cg = tx.build_configuration_graph(t)
+        assert _bypass_partition(cg) == cg.component_of, name
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_random_map_bypass_moves_give_the_component_partition(doc):
+    t = trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+    assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
+    cg = tx.build_configuration_graph(t)
+    assume(len(cg.choices) <= 300)
+    assert _bypass_partition(cg) == cg.component_of
 
 
 def test_classification_single_edge(trinities):
@@ -392,7 +424,7 @@ def test_valence_concentration_already_hugging(trinities):
     t = trinities["cycle4"]
     tree = next(iter(trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red")))
     config = dv.tree_hugging(t, tree)
-    path = tx.valence_concentration_path(config)
+    path = oracles.valence_concentration_path(config)
     assert path == [config]
 
 
@@ -404,7 +436,7 @@ def test_valence_concentration_terminates_tree_hugging(trinities):
         cg = tx.build_configuration_graph(t)
         budget = 1 + sum(t.n_r.values())
         for v in cg.vertices:
-            path = tx.valence_concentration_path(v)
+            path = oracles.valence_concentration_path(v)
             assert len(path) <= budget
             hugging, _ = dv.is_tree_hugging(path[-1])
             assert hugging
@@ -412,27 +444,6 @@ def test_valence_concentration_terminates_tree_hugging(trinities):
                 differing = [f for f in t.red if a.diagram(f) != b.diagram(f)]
                 assert len(differing) == 1
                 assert dv.is_tight(b).tight
-
-
-def test_valence_concentration_that_ends_off_a_tree_is_stuck(trinities, monkeypatch):
-    t = trinities["cycle4"]
-    tree = next(iter(trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red")))
-    config = dv.tree_hugging(t, tree)
-    monkeypatch.setattr(dv, "is_tree_hugging", lambda config: (False, None))
-    with pytest.raises(tx.Stuck, match="hugs no tree"):
-        tx.valence_concentration_path(config)
-
-
-def test_valence_concentration_requires_tight(trinities):
-    t = trinities["cycle4"]
-    faces = sorted(t.red)
-    diagrams = dv.enumerate_chord_diagrams(2)
-    loose = dv.Configuration.from_diagrams(
-        t, {faces[0]: diagrams[0], faces[1]: diagrams[1]}
-    )
-    assert not dv.is_tight(loose).tight
-    with pytest.raises(dv.NotTight):
-        tx.valence_concentration_path(loose)
 
 
 BEYOND_CORPUS = {"even_cycle5": ("even_cycle", 5), "even_cycle6": ("even_cycle", 6), "ladder5": ("ladder", 5)}

