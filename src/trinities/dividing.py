@@ -211,13 +211,11 @@ class Configuration:
         return dict(self.entries)[face]
 
     def to_json(self):
-        verdict = is_tight(self)
         return {
             "faces": {
                 fid: {"matching": [list(p) for p in diagram.pairs()]}
                 for fid, diagram in self.entries
             },
-            "tight": verdict.tight,
             "euler": euler_vector(self),
         }
 

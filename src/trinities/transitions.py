@@ -334,34 +334,25 @@ def _label_components(graph, count, euler, hugging):
 # -- classification ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    graph: ConfigurationGraph
-    bijection_ok: bool
-
-    def to_json(self):
-        return {
-            "components": [
-                {
-                    "id": c.id,
-                    "size": len(c.members),
-                    "euler": dict(sorted(c.euler.items())),
-                    "hypertree": dict(sorted(c.hypertree.items())),
-                    "tree_hugging_rep": self.graph.vertex(c.representative).to_json(),
-                }
-                for c in self.graph.components
-            ],
-            "bijection_ok": self.bijection_ok,
-        }
-
-
 def classify_components(config_graph):
-    """Check that components biject onto the hypertrees of (E,R)."""
+    """Raise ``NotBijective`` unless the components biject onto the hypertrees of (E,R)."""
     expected = {h.vector for h in config_graph.trinity.hypertree_set("ER")}
     got = [tuple(sorted(c.hypertree.items())) for c in config_graph.components]
-    ok = len(got) == len(set(got)) and set(got) == expected
-    if not ok:
-        raise NotBijective(
-            f"components {sorted(set(got))} vs hypertrees {sorted(expected)}"
-        )
-    return ClassificationReport(config_graph, True)
+    if len(got) != len(set(got)) or set(got) != expected:
+        raise NotBijective(f"components {sorted(set(got))} vs hypertrees {sorted(expected)}")
+
+
+def classification_json(config_graph):
+    """The ``classify`` report: each component with its tree-hugging representative."""
+    return {
+        "components": [
+            {
+                "id": c.id,
+                "size": len(c.members),
+                "euler": dict(sorted(c.euler.items())),
+                "hypertree": dict(sorted(c.hypertree.items())),
+                "tree_hugging_rep": config_graph.vertex(c.representative).to_json(),
+            }
+            for c in config_graph.components
+        ],
+    }

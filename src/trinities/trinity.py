@@ -265,17 +265,15 @@ class Trinity:
     # -- census ---------------------------------------------------------------
 
     def census(self):
-        euler_ok = (
-            len(self.violet) + len(self.emerald) + len(self.red) == self.n + 2
-            and sum(self.n_r.values()) == self.n
-        )
+        """Colour class, face and edge counts. V + E + R = n + 2 and the n_r
+        sum to n by construction: ``RotationGraph`` enforces V - E + F = 2,
+        and every face of a bipartite map has even length."""
         return {
             "V": len(self.violet),
             "E": len(self.emerald),
             "R": len(self.red),
             "n": self.n,
             "n_r": dict(sorted(self.n_r.items())),
-            "euler_ok": euler_ok,
         }
 
 

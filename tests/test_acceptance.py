@@ -112,13 +112,16 @@ def test_criterion_6_running_example(trinities, config_graphs):
     t = trinities["running11"]
     cg = config_graphs["running11"]
     magic = trees.magic_number(t)
-    classification = tx.classify_components(cg)
+    tx.classify_components(cg)  # raises NotBijective unless components biject onto ER
+    census = t.census()
     ok = (
         magic.value == 11  # golden value frozen from the arc-subset oracle
         and magic.agree
         and cg.component_count() == 11
-        and classification.bijection_ok
-        and t.census()["euler_ok"]
+        and {tuple(sorted(c.hypertree.items())) for c in cg.components}
+        == {h.vector for h in t.hypertree_set("ER")}
+        and census["V"] + census["E"] + census["R"] == census["n"] + 2
+        and sum(census["n_r"].values()) == census["n"]
     )
     elapsed = time.perf_counter() - t0
     report(6, ok and elapsed < 10, f"eleven-edge example: all identity suites pass at magic 11 ({elapsed:.2f}s)")

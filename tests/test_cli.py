@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import weakref
 
 import pytest
@@ -165,7 +166,9 @@ def test_configs_and_classify(capsys, c4_file):
     assert doc["total"] == "4" and doc["tight"] == "2"
     code, out, _err = run(capsys, "classify", "--graph", c4_file)
     assert code == 0
-    assert json.loads(out)["bijection_ok"] is True
+    doc = json.loads(out)
+    assert set(doc) == {"components"}
+    assert [comp["size"] for comp in doc["components"]] == [1, 1]
 
 
 def test_reports_byte_stable(capsys, c4_file):
@@ -178,6 +181,30 @@ def test_summary_format(capsys, c4_file):
     code, out, _err = run(capsys, "--format", "summary", "magic", "--graph", c4_file)
     assert code == 0
     assert "magic number: 2" in out
+
+
+# the summary lines that print a verdict, by command; each reads a boolean
+# key that a fault case in tests/test_golden.py makes false
+SUMMARY_VERDICTS = {
+    "magic": ["all counts agree"],
+    "verify": ["magic", "hypertrees", "classification", "verdict"],
+    "clock": ["structure checks"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, "--graph") for c in ("census", "magic", "hypertrees", "configs", "classify", "verify", "dual")]
+    + [(c, "--universe") for c in ("states", "clock", "dual", "correspond")],
+)
+def test_summary_format_of_every_command(capsys, c4_file, fig8_file, command, option):
+    path = c4_file if option == "--graph" else fig8_file
+    json_code, _out, _err = run(capsys, command, option, path)
+    code, out, err = run(capsys, "--format", "summary", command, option, path)
+    assert code == json_code == 0
+    assert out and err == ""
+    verdicts = re.findall(r"^(.+): (?:pass|FAIL)\b", out, re.MULTILINE)
+    assert verdicts == SUMMARY_VERDICTS.get(command, [])
 
 
 def test_gen_families(tmp_path, capsys):
@@ -275,6 +302,8 @@ MODEL_FAILURE_CASES = [
     (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
     (dividing, "euler_and_hug", lambda regions: (0, True), "EulerNotConstant"),
     (dividing, "glued_loops", lambda chord, glue: 2, "BuiltNotTight"),
+    # stands in for a fault in loop_count's own chord assembly
+    (dividing, "is_tight", lambda config: dividing.TightVerdict(False, 2), "NotTight"),
     (dividing, "regions", _flip_end_arcs, "MixedRegion"),
     (dividing, "tree_hugging", lambda trinity, tree: None, "NoHugBack"),
     (dividing, "_require_spanning", _raise(dividing.NotSpanning("edge set contains a cycle")), "NotSpanning"),
@@ -291,7 +320,7 @@ def test_model_failures_fail_the_classification_stage(capsys, c4_file, monkeypat
     stage = doc["stages"]["classification"]
     assert stage["ok"] is False
     assert stage["reason"].startswith(reason + ": ")
-    assert all(doc["stages"][s]["ok"] for s in ("census", "magic", "hypertrees"))
+    assert all(doc["stages"][s]["ok"] for s in ("magic", "hypertrees"))
     assert "classification: FAIL" in err
 
 
@@ -386,6 +415,18 @@ def test_bad_witness_fails_with_a_reason(capsys, c4_file, monkeypatch, command):
         "BadWitness: VE: witness for (0, 1) has 2 edges and 2 components on 4 vertices"
     )
     assert f"{command}: FAIL (BadWitness: " in err
+
+
+def test_hypertree_sets_on_different_hyperedges_fail_verify(capsys, c4_file, monkeypatch):
+    mismatch = hypertrees.IndexMismatch("hypertree sets indexed by different hyperedges")
+    monkeypatch.setattr(hypertrees, "translate_offset", _raise(mismatch))
+    code, out, err = run(capsys, "verify", "--graph", c4_file)
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False,
+        "reason": "IndexMismatch: hypertree sets indexed by different hyperedges",
+    }
+    assert "verify: FAIL (IndexMismatch: " in err
 
 
 def test_verify_enumerates_each_tree_family_once(graphs, monkeypatch):

@@ -4,17 +4,22 @@ Each case runs ``cli.main`` in-process from a fixed working directory (the
 ``verify`` report names its input file) and compares the sha256 of stdout
 and the exit status with the values frozen in ``GOLDEN``. A refactor that
 changes any report, including the ``--cap 5`` refusals, fails here.
+
+Every boolean key these reports print is a verdict that a named fault can
+make false, with exit 1; ``KEY_FAULTS`` lists them.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import operator
 
 import pytest
 
 from corpus import corpus_documents, medial_universe_document
-from trinities import cli, fkt
+from trinities import cli, fkt, hypertrees, trees
 
 GRAPH_COMMANDS = ("census", "magic", "hypertrees", "configs", "classify", "verify", "dual")
 UNIVERSE_COMMANDS = ("states", "clock", "correspond", "dual")
@@ -66,123 +71,128 @@ def write_inputs(directory):
         (directory / f"{name}.json").write_text(json.dumps(medial))
 
 
-def digest(argv):
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+    return out.getvalue(), code
+
+
+def digest(argv):
+    out, code = run(argv)
+    return hashlib.sha256(out.encode()).hexdigest(), code
 
 
 GOLDEN = {
-    "census --graph path1.json": ("de45fe46dd43a1b7421d472b6312387f98fba170b4301ed75623df8f3aa8ea61", 0),
-    "--cap 5 census --graph path1.json": ("de45fe46dd43a1b7421d472b6312387f98fba170b4301ed75623df8f3aa8ea61", 0),
+    "census --graph path1.json": ("4855db6402dbbaacd497b77d1310dc67a986af768eec71ba1727df86d40afd33", 0),
+    "--cap 5 census --graph path1.json": ("4855db6402dbbaacd497b77d1310dc67a986af768eec71ba1727df86d40afd33", 0),
     "magic --graph path1.json": ("1ca8e6b6d61aa8ebcb2b2e1c855add46c4aeeca25b74be6b3d93fb712fe945df", 0),
     "--cap 5 magic --graph path1.json": ("1ca8e6b6d61aa8ebcb2b2e1c855add46c4aeeca25b74be6b3d93fb712fe945df", 0),
     "hypertrees --graph path1.json": ("ac87832b5ddc909ae88db1b0f5f679d20e0bcec2e21c5f86b1b393467101aee8", 0),
     "--cap 5 hypertrees --graph path1.json": ("ac87832b5ddc909ae88db1b0f5f679d20e0bcec2e21c5f86b1b393467101aee8", 0),
-    "configs --graph path1.json": ("4165554f72eee71ceab92bb3cf1b9cb719367b535f0cb47d1745c59e47b3e4d8", 0),
-    "--cap 5 configs --graph path1.json": ("4165554f72eee71ceab92bb3cf1b9cb719367b535f0cb47d1745c59e47b3e4d8", 0),
-    "classify --graph path1.json": ("6ac6dbc3ab5398df2fcf969dfd7d5c95ef2c3adbd28b6c0d0fc20d48b6e9b365", 0),
-    "--cap 5 classify --graph path1.json": ("6ac6dbc3ab5398df2fcf969dfd7d5c95ef2c3adbd28b6c0d0fc20d48b6e9b365", 0),
-    "verify --graph path1.json": ("fe779c895a74cc4ccbbd4dba035a5cdb3469e58fbb69a5fdd47d35c7f640e1d0", 0),
-    "--cap 5 verify --graph path1.json": ("fe779c895a74cc4ccbbd4dba035a5cdb3469e58fbb69a5fdd47d35c7f640e1d0", 0),
+    "configs --graph path1.json": ("ccbc19bcf650d30f25912281df071f1b24f7ef4aa9417778f67ba945aeb6678c", 0),
+    "--cap 5 configs --graph path1.json": ("ccbc19bcf650d30f25912281df071f1b24f7ef4aa9417778f67ba945aeb6678c", 0),
+    "classify --graph path1.json": ("37f34acf79a8ee5cf889bbc33765a84bd03cb07b808a203ed758d5aa8c517a80", 0),
+    "--cap 5 classify --graph path1.json": ("37f34acf79a8ee5cf889bbc33765a84bd03cb07b808a203ed758d5aa8c517a80", 0),
+    "verify --graph path1.json": ("fc552abb1c09ec152e6bcaf5bda5eeb48e2f3d3f485203bccfead8ff7e0abebb", 0),
+    "--cap 5 verify --graph path1.json": ("fc552abb1c09ec152e6bcaf5bda5eeb48e2f3d3f485203bccfead8ff7e0abebb", 0),
     "dual --graph path1.json": ("8646b5993a47d787bab9059f2a593a88118fe27c91e23e11c2d1346fd2b15ab3", 0),
     "--cap 5 dual --graph path1.json": ("8646b5993a47d787bab9059f2a593a88118fe27c91e23e11c2d1346fd2b15ab3", 0),
-    "census --graph path2.json": ("6e6ef135edc5fd1e770e011567e083760fc702e07e83d6ddc87533980df951de", 0),
-    "--cap 5 census --graph path2.json": ("6e6ef135edc5fd1e770e011567e083760fc702e07e83d6ddc87533980df951de", 0),
+    "census --graph path2.json": ("4253fbd6331694643add4c9a2844b515c861afe6e3302de5b827bccb799aff6b", 0),
+    "--cap 5 census --graph path2.json": ("4253fbd6331694643add4c9a2844b515c861afe6e3302de5b827bccb799aff6b", 0),
     "magic --graph path2.json": ("1ca8e6b6d61aa8ebcb2b2e1c855add46c4aeeca25b74be6b3d93fb712fe945df", 0),
     "--cap 5 magic --graph path2.json": ("1ca8e6b6d61aa8ebcb2b2e1c855add46c4aeeca25b74be6b3d93fb712fe945df", 0),
     "hypertrees --graph path2.json": ("f5bb3257ba5f97ce9866f3ff935aa2d6521d3e502e6407f34fd1049e16f0554b", 0),
     "--cap 5 hypertrees --graph path2.json": ("f5bb3257ba5f97ce9866f3ff935aa2d6521d3e502e6407f34fd1049e16f0554b", 0),
-    "configs --graph path2.json": ("fb8bf5c6f6b3d3dc3c98f1179201c4c0964893f88a1359ac3404f9433abdbf87", 0),
-    "--cap 5 configs --graph path2.json": ("fb8bf5c6f6b3d3dc3c98f1179201c4c0964893f88a1359ac3404f9433abdbf87", 0),
-    "classify --graph path2.json": ("347189c894f99aa1043668c26b4d1cd91a5bc538a05022a1542ee06f73672a29", 0),
-    "--cap 5 classify --graph path2.json": ("347189c894f99aa1043668c26b4d1cd91a5bc538a05022a1542ee06f73672a29", 0),
-    "verify --graph path2.json": ("7feadac4550f46d8120714f6588489826ecc97a4289ff3d205a6175c131ec16d", 0),
-    "--cap 5 verify --graph path2.json": ("7feadac4550f46d8120714f6588489826ecc97a4289ff3d205a6175c131ec16d", 0),
+    "configs --graph path2.json": ("fd38bc3b5b79931d23852e96ea63fe35b56228769f20f8139ea0c73ddb8bc07e", 0),
+    "--cap 5 configs --graph path2.json": ("fd38bc3b5b79931d23852e96ea63fe35b56228769f20f8139ea0c73ddb8bc07e", 0),
+    "classify --graph path2.json": ("d06f0d5308c491255807979010d9d13416da8a27dd888be08efd0265ad450940", 0),
+    "--cap 5 classify --graph path2.json": ("d06f0d5308c491255807979010d9d13416da8a27dd888be08efd0265ad450940", 0),
+    "verify --graph path2.json": ("f7a65266a1cea898af287905ef60f0a51edeabfa2d9843a572fb0bf3e68a8ada", 0),
+    "--cap 5 verify --graph path2.json": ("f7a65266a1cea898af287905ef60f0a51edeabfa2d9843a572fb0bf3e68a8ada", 0),
     "dual --graph path2.json": ("75cc768c6d4c173b815224dc0022686d501f62349caedea774d5365e1833766b", 0),
     "--cap 5 dual --graph path2.json": ("75cc768c6d4c173b815224dc0022686d501f62349caedea774d5365e1833766b", 0),
-    "census --graph cycle4.json": ("70a8653af7ccb5d0eed11c7e5fb8c3f786689d515e0ac193f6e1b76d49e4defd", 0),
-    "--cap 5 census --graph cycle4.json": ("70a8653af7ccb5d0eed11c7e5fb8c3f786689d515e0ac193f6e1b76d49e4defd", 0),
+    "census --graph cycle4.json": ("09d17cb9b98437f87d041e9cd81cdfc4e85d5d8aac5f1d4d9892560b76b26786", 0),
+    "--cap 5 census --graph cycle4.json": ("09d17cb9b98437f87d041e9cd81cdfc4e85d5d8aac5f1d4d9892560b76b26786", 0),
     "magic --graph cycle4.json": ("1c95e79752d6dd19ce7b2f4867386774f15c33b408ec0fac3c30fd029b994137", 0),
     "--cap 5 magic --graph cycle4.json": ("1c95e79752d6dd19ce7b2f4867386774f15c33b408ec0fac3c30fd029b994137", 0),
     "hypertrees --graph cycle4.json": ("f3c13470e61a49ab8073eed4757a494151b23d7c1cfe4c8ddebf19afb9c1cd7e", 0),
     "--cap 5 hypertrees --graph cycle4.json": ("f3c13470e61a49ab8073eed4757a494151b23d7c1cfe4c8ddebf19afb9c1cd7e", 0),
-    "configs --graph cycle4.json": ("1e1e1e2d23997a06fc0fcb695b5c81d65944d7564244e68b35e3db37142d8da7", 0),
-    "--cap 5 configs --graph cycle4.json": ("1e1e1e2d23997a06fc0fcb695b5c81d65944d7564244e68b35e3db37142d8da7", 0),
-    "classify --graph cycle4.json": ("03eacb5517b81a9dc170b7643a128adf0a2687b4cd04bb5bd987edae23f681dd", 0),
-    "--cap 5 classify --graph cycle4.json": ("03eacb5517b81a9dc170b7643a128adf0a2687b4cd04bb5bd987edae23f681dd", 0),
-    "verify --graph cycle4.json": ("fdb1e55c3736904ad332c97d206bf62030534a22af123f97ff55c9e06cb33b5b", 0),
-    "--cap 5 verify --graph cycle4.json": ("fdb1e55c3736904ad332c97d206bf62030534a22af123f97ff55c9e06cb33b5b", 0),
+    "configs --graph cycle4.json": ("ad070106f4368c5465ebdb67496f93160fa1efc7af53a2c521cece15c69f4651", 0),
+    "--cap 5 configs --graph cycle4.json": ("ad070106f4368c5465ebdb67496f93160fa1efc7af53a2c521cece15c69f4651", 0),
+    "classify --graph cycle4.json": ("8c219cf118d02f08d3230e5aa8b27f90f225c2eb2aabf96b15a692da35a94c87", 0),
+    "--cap 5 classify --graph cycle4.json": ("8c219cf118d02f08d3230e5aa8b27f90f225c2eb2aabf96b15a692da35a94c87", 0),
+    "verify --graph cycle4.json": ("f48461c3bf27ab81c38ccd76de0912538f2da48d439c24b1c0d33f3e496cd44e", 0),
+    "--cap 5 verify --graph cycle4.json": ("f48461c3bf27ab81c38ccd76de0912538f2da48d439c24b1c0d33f3e496cd44e", 0),
     "dual --graph cycle4.json": ("75047139a68bd26e372d42b5faf76ddd3ecdb0ce922609ddc50b22e23c3d09ff", 0),
     "--cap 5 dual --graph cycle4.json": ("75047139a68bd26e372d42b5faf76ddd3ecdb0ce922609ddc50b22e23c3d09ff", 0),
-    "census --graph cycle6.json": ("e9f9b5b0e97230bac4ffe35f4ff94b73db9a68234c796333a5eec7814d51b188", 0),
-    "--cap 5 census --graph cycle6.json": ("e9f9b5b0e97230bac4ffe35f4ff94b73db9a68234c796333a5eec7814d51b188", 0),
+    "census --graph cycle6.json": ("2b012b7126274d67a6666052386c04fc30c2f835b9db0134ee85fdf16aed481e", 0),
+    "--cap 5 census --graph cycle6.json": ("2b012b7126274d67a6666052386c04fc30c2f835b9db0134ee85fdf16aed481e", 0),
     "magic --graph cycle6.json": ("cb2b18c7720c2e7055fb194e6adc79814f9466556abe3b073c6023b919ae0ba3", 0),
     "--cap 5 magic --graph cycle6.json": ("2c3dc3039664470b5846feedf465fdcc7480b3fa7de07d90aa51fb93ced6d3dd", 0),
     "hypertrees --graph cycle6.json": ("af16424349f9a898d19e919f1ed537de5df4c807b3bd3bbef1059393b48193f9", 0),
     "--cap 5 hypertrees --graph cycle6.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "configs --graph cycle6.json": ("7b13ac088ce6a08a45ead20a95dc77eb7a80471f9563f5ef953a56a8abadbaef", 0),
+    "configs --graph cycle6.json": ("0070447881a7d2f63f94b84f7ef4e6efd60d2099cd545316e92e471333f3610c", 0),
     "--cap 5 configs --graph cycle6.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "classify --graph cycle6.json": ("70e802ce20c224dd7d626837d8435d06184d7c46312d3b997e83427bf31ab59b", 0),
+    "classify --graph cycle6.json": ("eb8a061b042501b2ec9fff90d9c4eab89f4b269cbbf82c3e5feeb348048715b9", 0),
     "--cap 5 classify --graph cycle6.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "verify --graph cycle6.json": ("55598c0b8070eea16fbe36462c72166bcd3a2230b2bdea35f8ff355a1512738d", 0),
+    "verify --graph cycle6.json": ("b8929fb97fdc04b6d78ff12cf8418132ad479516cb270f28997976626542f9e8", 0),
     "--cap 5 verify --graph cycle6.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "dual --graph cycle6.json": ("24cfd88ffcf694279a1dc9564aa6fad0497b1c6faa15c6440868b9881af1fc1e", 0),
     "--cap 5 dual --graph cycle6.json": ("24cfd88ffcf694279a1dc9564aa6fad0497b1c6faa15c6440868b9881af1fc1e", 0),
-    "census --graph theta3.json": ("0fceb6559b03e45fedc92bf947c2aeae4b9cf2b5787f64384d8f3a27c2b177c9", 0),
-    "--cap 5 census --graph theta3.json": ("0fceb6559b03e45fedc92bf947c2aeae4b9cf2b5787f64384d8f3a27c2b177c9", 0),
+    "census --graph theta3.json": ("59173f3d8c74f63b3a99da3593fdf9ba9d9294cf613b4bd2c97b74048ccb8ef3", 0),
+    "--cap 5 census --graph theta3.json": ("59173f3d8c74f63b3a99da3593fdf9ba9d9294cf613b4bd2c97b74048ccb8ef3", 0),
     "magic --graph theta3.json": ("cb2b18c7720c2e7055fb194e6adc79814f9466556abe3b073c6023b919ae0ba3", 0),
     "--cap 5 magic --graph theta3.json": ("2c3dc3039664470b5846feedf465fdcc7480b3fa7de07d90aa51fb93ced6d3dd", 0),
     "hypertrees --graph theta3.json": ("bca7d3054cfcb645aa00dfa26225bbf9c063f717511e7fcd995513d15e198943", 0),
     "--cap 5 hypertrees --graph theta3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "configs --graph theta3.json": ("53ff4416640833c25482a40dda3bd16c1714bed1523b0a1754d5d3b9ae67d700", 0),
+    "configs --graph theta3.json": ("ccd1717feccdbbe01e2422cafe2b05b754fc28b993ee64e430a3653beebb3633", 0),
     "--cap 5 configs --graph theta3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "classify --graph theta3.json": ("3f9155e3ef5f4dd5edca8b25c1251163ac989a72261e38dd7b587657cf178fcf", 0),
+    "classify --graph theta3.json": ("1387295e5ca3fa0868c0ab85fce2fc1594a9860e857d079d59c5451b158bddc6", 0),
     "--cap 5 classify --graph theta3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "verify --graph theta3.json": ("42fc5ec894eba56525bed85cce75a8449de6e28699af507d6eb745a60df0d9cc", 0),
+    "verify --graph theta3.json": ("23e35bbf229471a6473cd20022d8f9af77964d2449ed6b4cc42369806be0c575", 0),
     "--cap 5 verify --graph theta3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "dual --graph theta3.json": ("c5adce1b01d079444da5da6c6e0431522d0a1ac3dd88df928062ae5d9bb78bfb", 0),
     "--cap 5 dual --graph theta3.json": ("c5adce1b01d079444da5da6c6e0431522d0a1ac3dd88df928062ae5d9bb78bfb", 0),
-    "census --graph ladder3.json": ("484eedab4d2d14127ac4b79824273e3ab0b08a5aa13f76f636002f60561ff323", 0),
-    "--cap 5 census --graph ladder3.json": ("484eedab4d2d14127ac4b79824273e3ab0b08a5aa13f76f636002f60561ff323", 0),
+    "census --graph ladder3.json": ("c5470005ae5ad290cc707ca888b6a83b32ead68d39187a40afee833210ee690f", 0),
+    "--cap 5 census --graph ladder3.json": ("c5470005ae5ad290cc707ca888b6a83b32ead68d39187a40afee833210ee690f", 0),
     "magic --graph ladder3.json": ("e397fb610d763832bafe107ff6684a4e777813f868b191c4385a698191012d6f", 0),
     "--cap 5 magic --graph ladder3.json": ("48dd741193a7a7b7f92645f0b77b4a8075829830c2a8de7e18eb6240c599c304", 0),
     "hypertrees --graph ladder3.json": ("90beba86cf95af54cf660f3836c1ff9bf5662dd1483d823f54c145d96ca295d9", 0),
     "--cap 5 hypertrees --graph ladder3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "configs --graph ladder3.json": ("6f3e1b30d755b0e3eeecb79551c013a4386effa53b38c1b5a4683d26ef9e634b", 0),
+    "configs --graph ladder3.json": ("58634fdf318953ccb51503356f20bb93100ffeb932367d29bb07925789a6c94f", 0),
     "--cap 5 configs --graph ladder3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "classify --graph ladder3.json": ("7222299103ced251bd40613c56d4a4d4316e8676964e19db2296bc2a8fdecc6b", 0),
+    "classify --graph ladder3.json": ("6f193fbe17ca9562e6c538a30de99748d2a6fd3fc04b6b4dbc405bb23d2671a3", 0),
     "--cap 5 classify --graph ladder3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "verify --graph ladder3.json": ("83b1e94ed762644dd771f20a0dac070f3f56ec9208e8dcaed313b5d7c8012f16", 0),
+    "verify --graph ladder3.json": ("d47dca35a2f839682cd81b397de4c30a61b67341a067d9b76344a06cf373ee9d", 0),
     "--cap 5 verify --graph ladder3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "dual --graph ladder3.json": ("4d8f4be0e0a788ef609c3555c6fb30c41294b0ea8ecc66c1faf3d135ecf435a1", 0),
     "--cap 5 dual --graph ladder3.json": ("4d8f4be0e0a788ef609c3555c6fb30c41294b0ea8ecc66c1faf3d135ecf435a1", 0),
-    "census --graph grid2.json": ("582a63cc82bde63d576beeebbe390e57c828204305d6bb4eb4c293cfa98a5c31", 0),
-    "--cap 5 census --graph grid2.json": ("582a63cc82bde63d576beeebbe390e57c828204305d6bb4eb4c293cfa98a5c31", 0),
+    "census --graph grid2.json": ("207faa649d1920e8fdb7b541feeb62623d8f4bf1fd5e812db2d2ef1b6c69217a", 0),
+    "--cap 5 census --graph grid2.json": ("207faa649d1920e8fdb7b541feeb62623d8f4bf1fd5e812db2d2ef1b6c69217a", 0),
     "magic --graph grid2.json": ("0c8061d70ae90d9aeaef553815dbacbd653c48d02741d95aa52ba8cd51d14a86", 0),
     "--cap 5 magic --graph grid2.json": ("613a9c94f23074ecfa9e506f0bd341fa30804b3b3ee2162a6bf323862a0f1734", 0),
     "hypertrees --graph grid2.json": ("2b5795544a3afc34db2f950ea43461cb91d515a6313da420f6312e59cacb495e", 0),
     "--cap 5 hypertrees --graph grid2.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "configs --graph grid2.json": ("e9ed24db0f16f9cde9d8caba9178c029e750795ac835686a09f1aad025f44110", 0),
+    "configs --graph grid2.json": ("4f65f378374144e3013c480610db012a8a058ac04ff830b9ed2325426cc7548a", 0),
     "--cap 5 configs --graph grid2.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "classify --graph grid2.json": ("6d45fbba57b84fe10bb300154142165aefba83a12ed828001805e04089275976", 0),
+    "classify --graph grid2.json": ("4c6920454514366785ddbe4618d64cd6f9188407cda2d6a25a02612dc381623f", 0),
     "--cap 5 classify --graph grid2.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "verify --graph grid2.json": ("14411d80171c8f45574c2c5f81981fa09c9898ddd27f5f7d1adb406c59119bbe", 0),
+    "verify --graph grid2.json": ("2c7606322504e7e7b8471c972bd13df52f2368f06d42356d94738af28e6704c9", 0),
     "--cap 5 verify --graph grid2.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "dual --graph grid2.json": ("43cdac0cdb554aeeba691a9503ffbcca3d13b24f57568ac4f343d042657d021b", 0),
     "--cap 5 dual --graph grid2.json": ("43cdac0cdb554aeeba691a9503ffbcca3d13b24f57568ac4f343d042657d021b", 0),
-    "census --graph running11.json": ("7df54c83f26a3144749194111b800929eeb2cf40c9542e7e984b3f1c47166ee5", 0),
-    "--cap 5 census --graph running11.json": ("7df54c83f26a3144749194111b800929eeb2cf40c9542e7e984b3f1c47166ee5", 0),
+    "census --graph running11.json": ("55993c6d39e05a624dd491f99c5174d0146c160b80b73ee0d4179513764cdb10", 0),
+    "--cap 5 census --graph running11.json": ("55993c6d39e05a624dd491f99c5174d0146c160b80b73ee0d4179513764cdb10", 0),
     "magic --graph running11.json": ("4417114048e86b28fb47badb22a491f9189ec3d9bd67afb012abfaf51ab2a1a7", 0),
     "--cap 5 magic --graph running11.json": ("affbb5a2604a37e94b5dafda3efeedf8ba758aa651c98b938ff8095c9499e0fd", 0),
     "hypertrees --graph running11.json": ("4c919b2ef8cccfb181c836e402405f1a1ad278d3ccb3287cbc3eebef01b01600", 0),
     "--cap 5 hypertrees --graph running11.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "configs --graph running11.json": ("41cc93f068952f816dd5ef13a656ef74a4a4b5a257c457b934be1ba75ac6877b", 0),
+    "configs --graph running11.json": ("bc97a67b9afc35269f0181e091fbd69e7fbe3c0ea1ccb1b69daae7e5d1069e96", 0),
     "--cap 5 configs --graph running11.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "classify --graph running11.json": ("14a59a5c38d70f7f6a5c2ca5d872290e639d1a00763188b45b6c52bfba290122", 0),
+    "classify --graph running11.json": ("b4ae34e4f0f71007adefc3a0897fd3dc1468c0cecc090803c41da6f715956eac", 0),
     "--cap 5 classify --graph running11.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "verify --graph running11.json": ("b21f2360c19851b8b20479bf5964b53938df47269d9d00c57f9cb1799f811a50", 0),
+    "verify --graph running11.json": ("b673ba5ad28b528ac0297876e71157924be212c5ab23833fbb7378511021e558", 0),
     "--cap 5 verify --graph running11.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "dual --graph running11.json": ("07e40c1b067a227a5417bd481d9fa5a97a7a8fdc4e3f53ebd8896b495ca5e974", 0),
     "--cap 5 dual --graph running11.json": ("07e40c1b067a227a5417bd481d9fa5a97a7a8fdc4e3f53ebd8896b495ca5e974", 0),
@@ -228,3 +238,89 @@ def test_golden_table_covers_every_case():
 def test_stdout_and_exit_status_are_frozen(inputs, monkeypatch, key, argv):
     monkeypatch.chdir(inputs)
     assert digest(argv) == GOLDEN[key]
+
+
+# -- every boolean key can come out false --------------------------------------------
+
+_real_count_arborescences = trees.count_arborescences
+_real_determinant = trees.bareiss_determinant
+_real_search = fkt._search
+
+
+def _a_clock_move_reversed(universe, cap):
+    # the first move also runs back from its target: a two-cycle
+    found = list(_real_search(universe, cap))
+    code, deltas = next((c, d) for c, d in found if d)
+    return [(c, d + (-deltas[0],) if c == code + deltas[0] else d) for c, d in found]
+
+
+# named faults, each a monkeypatch (owner, name, replacement) in the style of
+# MODEL_FAILURE_CASES in tests/test_cli.py
+FAULTS = {
+    "an arborescence too many": (
+        trees, "count_arborescences", lambda dual, root: _real_count_arborescences(dual, root) + 1
+    ),
+    "every determinant one too large": (
+        trees, "bareiss_determinant", lambda rows: _real_determinant(rows) + 1
+    ),
+    "no planar dual translate": (hypertrees, "translate_offset", lambda set_a, set_b: None),
+    "a clock move reversed": (fkt, "_search", _a_clock_move_reversed),
+    "no clock moves": (
+        fkt, "_search", lambda universe, cap: [(c, ()) for c, _d in _real_search(universe, cap)]
+    ),
+}
+
+# each boolean key of the golden reports, as (command, dotted path), with the
+# fault that makes it false on the four-cycle or the figure-eight universe
+KEY_FAULTS = {
+    ("magic", "agree"): "an arborescence too many",
+    ("verify", "pass"): "an arborescence too many",
+    ("verify", "stages.magic.agree"): "an arborescence too many",
+    ("verify", "stages.magic.ok"): "an arborescence too many",
+    ("verify", "stages.hypertrees.planar_dual_translates"): "no planar dual translate",
+    ("verify", "stages.hypertrees.ok"): "no planar dual translate",
+    ("verify", "stages.classification.matches_magic"): "every determinant one too large",
+    ("verify", "stages.classification.ok"): "every determinant one too large",
+    ("clock", "acyclic"): "a clock move reversed",
+    ("clock", "ok"): "a clock move reversed",
+    ("clock", "weakly_connected"): "no clock moves",
+    ("clock", "unique_source"): "no clock moves",
+    ("clock", "unique_sink"): "no clock moves",
+}
+
+# always true, since states_vs_configurations raises MappingFailure first;
+# kept while perfbench's check_report reads them (ROADMAP item 6)
+CONSTANT_KEYS = {("correspond", "bijective"), ("correspond", "ok")}
+
+
+def boolean_paths(doc, path=""):
+    """Dotted paths of the booleans in a JSON document; list items add "[]"."""
+    if isinstance(doc, bool):
+        yield path
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from boolean_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from boolean_paths(value, path + "[]")
+
+
+def test_every_boolean_key_has_a_fault_that_makes_it_false(inputs, monkeypatch):
+    monkeypatch.chdir(inputs)
+    found = set()
+    for _key, argv in CASES:
+        out, _code = run(argv)
+        if out:
+            command = argv[-3]
+            found.update((command, path) for path in boolean_paths(json.loads(out)))
+    assert sorted(found - CONSTANT_KEYS - KEY_FAULTS.keys()) == [], "keys with no fault case"
+    assert sorted((KEY_FAULTS.keys() | CONSTANT_KEYS) - found) == [], "listed keys never printed"
+    for (command, path), fault in KEY_FAULTS.items():
+        owner, name, replacement = FAULTS[fault]
+        option = ["--universe", "figure_eight.json"] if command == "clock" else ["--graph", "cycle4.json"]
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, replacement)
+            out, code = run([command, *option])
+        assert code == 1, (command, path, fault)
+        doc = json.loads(out)
+        assert functools.reduce(operator.getitem, path.split("."), doc) is False, (command, path, fault)

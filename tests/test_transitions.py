@@ -305,8 +305,7 @@ def test_random_map_bypass_moves_give_the_component_partition(doc):
 
 def test_classification_single_edge(trinities):
     cg = tx.build_configuration_graph(trinities["path1"])
-    report = tx.classify_components(cg)
-    assert report.bijection_ok
+    tx.classify_components(cg)
     (component,) = cg.components
     assert set(component.hypertree.values()) == {0}
 
@@ -314,8 +313,7 @@ def test_classification_single_edge(trinities):
 def test_classification_four_cycle(trinities):
     t = trinities["cycle4"]
     cg = tx.build_configuration_graph(t)
-    report = tx.classify_components(cg)
-    assert report.bijection_ok
+    tx.classify_components(cg)
     faces = sorted(t.red)
     eulers = {tuple(c.euler[f] for f in faces) for c in cg.components}
     assert eulers == {(1, -1), (-1, 1)}
@@ -326,8 +324,7 @@ def test_classification_four_cycle(trinities):
 def test_classification_bijection_everywhere(trinities):
     for name, t in trinities.items():
         cg = tx.build_configuration_graph(t)
-        report = tx.classify_components(cg)
-        assert report.bijection_ok, name
+        tx.classify_components(cg)
         expected = {
             h.vector for h in ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "emerald", "red"))
         }
@@ -398,12 +395,13 @@ def test_euler_constant_on_components(trinities):
 
 def test_classification_json(trinities):
     cg = tx.build_configuration_graph(trinities["cycle4"])
-    doc = tx.classify_components(cg).to_json()
-    assert doc["bijection_ok"] is True
+    doc = tx.classification_json(cg)
+    assert set(doc) == {"components"}
     assert len(doc["components"]) == 2
-    for comp in doc["components"]:
+    for comp, component in zip(doc["components"], cg.components):
         assert set(comp) == {"id", "size", "euler", "hypertree", "tree_hugging_rep"}
-        assert comp["tree_hugging_rep"]["tight"] is True
+        assert set(comp["tree_hugging_rep"]) == {"faces", "euler"}
+        assert dv.is_tight(cg.vertex(component.representative)).tight
 
 
 @given(plane_bipartite_maps())
@@ -412,8 +410,9 @@ def test_random_map_classification(doc):
     t = trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
     assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
     cg = tx.build_configuration_graph(t)
-    # also checks Euler constancy, tree-hugging reachability and the bijection
-    assert tx.classify_components(cg).bijection_ok
+    # the builder checks Euler constancy and tree-hugging reachability, and
+    # classify_components raises unless the components biject onto the ER hypertrees
+    tx.classify_components(cg)
     dual = t.directed_dual("violet")
     assert cg.component_count() == trees.count_arborescences(dual, min(dual.vertices))
     for component in cg.components:
