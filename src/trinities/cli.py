@@ -265,12 +265,13 @@ def _cmd_hypertrees(args):
 def _cmd_configs(args):
     trin = trinity.build_trinity(_load_graph(args), args.cap)
     graph_c = transitions.build_configuration_graph(trin)
+    tight = len(graph_c.choices)
     payload = {
         "total": str(graph_c.total_configurations),
-        "tight": str(len(graph_c.vertices)),
-        "configurations": [v.to_json() for v in graph_c.vertices],
+        "tight": str(tight),
+        "configurations": list(map(graph_c.vertex_json, range(tight))),
     }
-    lines = [f"configurations: {graph_c.total_configurations} total, {len(graph_c.vertices)} tight"]
+    lines = [f"configurations: {graph_c.total_configurations} total, {tight} tight"]
     return _emit(args, payload, lines)
 
 
@@ -401,7 +402,6 @@ def _build_parser():
 MODEL_FAILURES = (
     hypertrees.BadWitness,
     hypertrees.IndexMismatch,
-    dividing.NotTight,
     dividing.MixedRegion,
     dividing.NoHugBack,
     dividing.NotSpanning,

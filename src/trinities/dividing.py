@@ -210,15 +210,6 @@ class Configuration:
     def diagram(self, face):
         return dict(self.entries)[face]
 
-    def to_json(self):
-        return {
-            "faces": {
-                fid: {"matching": [list(p) for p in diagram.pairs()]}
-                for fid, diagram in self.entries
-            },
-            "euler": euler_vector(self),
-        }
-
 
 @dataclass(frozen=True)
 class TightVerdict:

@@ -17,15 +17,18 @@ moves read backwards. One search yields each state's code and moves, and
 drops a branch once it places a face's last vertex with the face unmarked.
 Where it pays (``Universe.cut``), each subtree below the middle vertex is
 walked once per key of what it reads of the prefix and replayed after.
-The clock graph runs on codes and decodes states only when they are read.
+The clock graph runs on codes and keeps its arcs in one flat out-list,
+per-state offsets into one list of target indices; it builds per-state
+out-lists and decodes states only when they are read.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, eq, itemgetter
 
 from . import plane_graph, transitions, trinity as trinity_mod
 from .limits import DEFAULT_CAP, check_cap
@@ -294,14 +297,27 @@ def transpositions(universe, state):
 
 @dataclass(frozen=True)
 class ClockGraph:
+    """States with their clockwise moves as one flat out-list.
+
+    State i's move targets, as state indices, are ``targets[ends[i]:ends[i + 1]]``
+    in the order the search found the moves.
+    """
+
     universe: Universe = field(compare=False)
     codes: tuple  # each state's code, in enumerate_states' order
-    outs: tuple  # per state, the sorted indices of its clockwise moves' targets
+    ends: list
+    targets: list
     report: dict
 
     @cached_property
     def choices(self):
         return tuple(_decode(c, len(self.universe.vertex_ids)) for c in self.codes)
+
+    @cached_property
+    def outs(self):
+        """Per state, the sorted indices of its moves' targets."""
+        ends, targets = self.ends, self.targets
+        return tuple(tuple(sorted(targets[a:b])) for a, b in zip(ends, ends[1:]))
 
     @cached_property
     def arcs(self):
@@ -313,52 +329,61 @@ class ClockGraph:
 
 
 def clock_graph(universe, cap=DEFAULT_CAP):
-    """States with clockwise transpositions as arcs, plus structure checks."""
+    """States with clockwise transpositions as arcs, plus structure checks.
+
+    Each move's target is its source code plus the move's delta, looked up
+    in one code -> index dict by one pass over all moves.
+    """
     found = list(_search(universe, cap))
-    codes = tuple(c for c, _moves in found)
+    codes = tuple(map(itemgetter(0), found))
+    moves = list(map(itemgetter(1), found))
+    del found
+    counts = list(map(len, moves))
     index = {c: i for i, c in enumerate(codes)}
+    sources = itertools.chain.from_iterable(map(itertools.repeat, codes, counts))
+    deltas = itertools.chain.from_iterable(moves)
     try:
-        outs = [sorted(map(index.__getitem__, map(c.__add__, deltas))) for c, deltas in found]
+        targets = list(map(index.__getitem__, map(add, sources, deltas)))
     except KeyError as miss:
         # the first state with a move to the missing code is the one that raised
         target = miss.args[0]
-        i, c = next((i, c) for i, (c, deltas) in enumerate(found) if target - c in deltas)
+        i, c = next((i, c) for i, (c, own) in enumerate(zip(codes, moves)) if target - c in own)
         source, dest = _as_states(universe, (c, target))
         v, w = (x for (x, a), (_x, b) in zip(source.markers, dest.markers) if a != b)
         raise MoveLeavesStates(f"state {i}: the move at {v} and {w} leaves the states") from None
-    del found, index  # before the structure checks count in-degrees
-    return ClockGraph(universe, codes, tuple(outs), clock_report(outs))
+    del moves, index  # before the structure checks count in-degrees
+    ends = list(itertools.accumulate(counts, initial=0))
+    return ClockGraph(universe, codes, ends, targets, clock_report(ends, targets))
 
 
-def clock_report(outs):
-    """Counts and the four structure checks of a graph given by its out-lists.
+def clock_report(ends, targets):
+    """Counts and the four structure checks of a graph given as one flat
+    out-list: state i's targets are ``targets[ends[i]:ends[i + 1]]``.
 
     Kahn's algorithm on in-degree counts decides acyclicity: the graph is
     acyclic iff it removes every state. Every state of a finite acyclic
     graph lies below a source, so one source there means weakly connected;
     otherwise an undirected search decides.
     """
-    n = len(outs)
-    remaining = [0] * n  # in-degrees, less the arcs from removed states
-    for j in itertools.chain.from_iterable(outs):
-        remaining[j] += 1
-    ready = [i for i in range(n) if remaining[i] == 0]
-    sources = len(ready)
-    removed = 0
-    while ready:
-        x = ready.pop()
-        removed += 1
-        for y in outs[x]:
-            remaining[y] -= 1
-            if remaining[y] == 0:
-                ready.append(y)
-    acyclic = removed == n
+    n = len(ends) - 1
+    indegree = Counter(targets)
+    remaining = list(map(indegree.get, range(n), itertools.repeat(0)))
+    # the removal order, appended to while it is read
+    order = [i for i, r in enumerate(remaining) if not r]
+    sources = len(order)
+    for x in order:
+        for y in targets[ends[x]:ends[x + 1]]:
+            r = remaining[y] - 1
+            remaining[y] = r
+            if not r:
+                order.append(y)
+    acyclic = len(order) == n
 
     connected = acyclic and sources == 1
     if not connected:
-        adjacent = [list(out) for out in outs]
-        for i, out in enumerate(outs):
-            for j in out:
+        adjacent = [targets[a:b] for a, b in zip(ends, ends[1:])]
+        for i, (a, b) in enumerate(zip(ends, ends[1:])):
+            for j in targets[a:b]:
                 adjacent[j].append(i)
         seen = {0} if n else set()
         stack = list(seen)
@@ -369,10 +394,10 @@ def clock_report(outs):
                     stack.append(y)
         connected = len(seen) == n
 
-    sinks = sum(not out for out in outs)
+    sinks = sum(map(eq, ends, ends[1:]))
     report = {
         "states": n,
-        "arcs": sum(map(len, outs)),
+        "arcs": len(targets),
         "weakly_connected": connected,
         "acyclic": acyclic,
         "unique_source": sources == 1,

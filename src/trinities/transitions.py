@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import getitem, itemgetter, mul, sub
 
-from . import dividing
+from . import dividing, trees
 from .dividing import ChordDiagram, Configuration
 from .limits import check_cap
 
@@ -55,9 +55,10 @@ class ConfigurationGraph:
     A vertex is its choice tuple: ``choices[i]`` holds, face by face in
     sorted order, the index of vertex i's diagram in that face's
     ``diagrams``, a sequence in ``enumerate_chord_diagrams`` order whose
-    items are built when first read. ``vertex(i)`` builds its
-    ``Configuration`` when read; building the graph makes one only for
-    each component's representative, to check that it hugs a tree.
+    items are built when first read. ``disc_euler`` holds, face by face,
+    the Euler contribution of each diagram index some vertex uses.
+    ``vertex(i)`` builds its ``Configuration`` when read; building the
+    graph makes none.
     """
 
     trinity: object = field(compare=False)
@@ -66,6 +67,7 @@ class ConfigurationGraph:
     component_of: tuple = ()
     components: tuple = ()
     total_configurations: int = 0
+    disc_euler: tuple = ()
 
     def component_count(self):
         return len(self.components)
@@ -77,6 +79,23 @@ class ConfigurationGraph:
     @cached_property
     def vertices(self):
         return tuple(map(self.vertex, range(len(self.choices))))
+
+    @cached_property
+    def corners(self):
+        """Per face, the violet edge position of the emerald corner under
+        each arc, -1 under a positive arc."""
+        edge_index = self.trinity.graph_index("violet").edge_index
+        corners = (self.trinity.charts[fid].emerald_corner for fid in self.trinity.red)
+        return tuple(tuple(-1 if c is None else edge_index[c] for c in cs) for cs in corners)
+
+    def vertex_json(self, i):
+        """Vertex i's matchings and Euler vector, the latter read off ``disc_euler``."""
+        faces, choice = self.trinity.red, self.choices[i]
+        pairs = (d.pairs() for d in map(getitem, self.diagrams, choice))
+        return {
+            "faces": {fid: {"matching": list(map(list, p))} for fid, p in zip(faces, pairs)},
+            "euler": dict(zip(faces, map(getitem, self.disc_euler, choice))),
+        }
 
     @cached_property
     def edges(self):
@@ -133,7 +152,7 @@ def build_configuration_graph(trinity):
     shared = {n: _Diagrams(partners) for n, (_trie, partners) in tries.items()}
     del tries
     diagrams = tuple(shared[trinity.n_r[fid]] for fid in faces)
-    tables, eulers, hugs = [], [], []
+    tables, disc_euler, eulers, hugs = [], [], [], []
     for axis, fid in enumerate(faces):
         partners, lo, sign = diagrams[axis].partners, trinity.offset[fid], trinity.charts[fid].sign
         table, euler_of, hug_of = {}, {}, {}
@@ -142,6 +161,7 @@ def build_configuration_graph(trinity):
             table[k] = tuple(map(lo.__add__, partners[k]))
             euler_of[k], hug_of[k] = dividing.euler_and_hug(dividing.regions(fid, partners[k], sign))
         tables.append(table)
+        disc_euler.append(euler_of)
         eulers.append(map(euler_of.__getitem__, column))
         hugs.append(map(hug_of.__getitem__, column))
     glue, walk = trinity.glue, dividing.glued_loops
@@ -178,7 +198,9 @@ def build_configuration_graph(trinity):
             count += 1
         else:
             parent[i] = parent[p]
-    graph = ConfigurationGraph(trinity, diagrams, choices, tuple(parent), (), total)
+    graph = ConfigurationGraph(
+        trinity, diagrams, choices, tuple(parent), (), total, disc_euler=tuple(disc_euler)
+    )
     # per vertex: its Euler tuple, and whether its every disc hugs
     euler, hugging = list(zip(*eulers)), list(map(all, zip(*hugs)))
     return replace(graph, components=_label_components(graph, count, euler, hugging))
@@ -306,10 +328,15 @@ def _label_components(graph, count, euler, hugging):
 
     ``euler[i]`` is vertex i's Euler tuple and ``hugging[i]`` whether its
     every disc hugs. Every member's Euler tuple is compared. The
-    representative, the first member in vertex order whose every disc hugs,
-    is checked by ``dividing.is_tree_hugging``, which rebuilds its witness.
+    representative, the first member in vertex order whose every disc
+    hugs, is checked by ``_hugged_tree``, which rebuilds its witness.
     """
     faces, n_r = graph.trinity.red, graph.trinity.n_r
+    # the region passes of the diagrams representatives use, per face; the
+    # builder's table pass keeps none, since holding one per diagram used
+    # (thousands of small lists on large faces) costs more in collections
+    # than the few passes the representatives repeat
+    regions = [{} for _ in faces]
     members = [[] for _ in range(count)]
     for idx, c in enumerate(graph.component_of):
         members[c].append(idx)
@@ -325,10 +352,70 @@ def _label_components(graph, count, euler, hugging):
                 raise EulerNotConstant(f"odd Euler offset on face {fid}")
             hypertree[fid] = f2 // 2
         rep = next(itertools.compress(ids, map(hugging.__getitem__, ids)), None)
-        if rep is None or not dividing.is_tree_hugging(graph.vertex(rep))[0]:
+        if rep is None or not _hugged_tree(graph, regions, rep)[0]:
             raise NotTreeHuggingReachable(f"component {cid} has no tree-hugging vertex")
         components.append(Component(cid, tuple(ids), dict(zip(faces, first)), hypertree, rep))
     return tuple(components)
+
+
+def _hugged_tree(graph, regions, i):
+    """``dividing.is_tree_hugging`` on vertex i's region passes, on integers.
+
+    ``regions[axis]`` caches, by diagram index, the ``dividing.regions``
+    passes on that face; a missing one is made and kept. The verdict is
+    the disc hug rule of ``dividing.euler_and_hug``; the witness, as violet
+    edge positions, is the emerald corners of each disc's central negative
+    region, chosen as ``is_tree_hugging`` chooses it. Raises
+    ``dividing.NotSpanning`` unless the witness spans the violet graph,
+    and ``dividing.NoHugBack`` unless every disc's diagram is the one
+    ``_hugging_partner`` rebuilds from the witness.
+    """
+    trinity, choice = graph.trinity, graph.choices[i]
+    index = trinity.graph_index("violet")
+    witness = set()
+    rows = zip(trinity.red, graph.corners, graph.diagrams, regions, choice)
+    for fid, corner, diagrams, cache, k in rows:
+        found = cache.get(k)
+        if found is None:
+            found = cache[k] = dividing.regions(fid, diagrams.partners[k], trinity.charts[fid].sign)
+        if not dividing.euler_and_hug(found)[1]:
+            return False, None
+        negatives = (arcs for sign, arcs in found if sign < 0)
+        central = max(negatives, key=lambda arcs: (len(arcs), -arcs[0]))
+        witness.update(map(corner.__getitem__, central))
+    if len(witness) != len(index.vertex_ids) - 1:
+        raise dividing.NotSpanning("wrong edge count for a spanning tree")
+    # with |V| - 1 edges, a cycle is the same as a second component
+    if len(set(trees.components(index, witness))) != 1:
+        raise dividing.NotSpanning("edge set contains a cycle")
+    for corner, diagrams, k in zip(graph.corners, graph.diagrams, choice):
+        if _hugging_partner(corner, witness) != diagrams.partners[k]:
+            edges = sorted(map(index.edge_ids.__getitem__, witness))
+            raise dividing.NoHugBack(f"witness {edges} hugs another configuration")
+    return True, witness
+
+
+def _hugging_partner(corner, tree):
+    """The partner tuple ``dividing.tree_hugging`` gives a disc, on integers.
+
+    ``corner`` is the violet edge position under each arc, -1 under a
+    positive arc, and ``tree`` a set of edge positions. A minimal chord cuts
+    off each negative arc whose corner is outside the tree; one chord per
+    gap between consecutive in-tree corners bounds the central region.
+    """
+    m = len(corner)
+    partner = [-1] * m
+    in_tree = []
+    for arc, c in enumerate(corner):
+        if c < 0:
+            continue
+        if c in tree:
+            in_tree.append(arc)
+        else:
+            partner[arc], partner[(arc + 1) % m] = (arc + 1) % m, arc
+    for arc, nxt in zip(in_tree, in_tree[1:] + in_tree[:1]):
+        partner[(arc + 1) % m], partner[nxt] = nxt, (arc + 1) % m
+    return tuple(partner)
 
 
 # -- classification ----------------------------------------------------------------
@@ -351,7 +438,7 @@ def classification_json(config_graph):
                 "size": len(c.members),
                 "euler": dict(sorted(c.euler.items())),
                 "hypertree": dict(sorted(c.hypertree.items())),
-                "tree_hugging_rep": config_graph.vertex(c.representative).to_json(),
+                "tree_hugging_rep": config_graph.vertex_json(c.representative),
             }
             for c in config_graph.components
         ],

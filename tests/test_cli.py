@@ -299,14 +299,13 @@ def _flip_end_arcs(face, partner, sign):
 
 MODEL_FAILURE_CASES = [
     (transitions, "classify_components", _raise(transitions.NotBijective("components 1 vs hypertrees 2")), "NotBijective"),
-    (dividing, "is_tree_hugging", lambda config: (False, None), "NotTreeHuggingReachable"),
+    (transitions, "_hugged_tree", lambda graph, regions, i: (False, None), "NotTreeHuggingReachable"),
     (dividing, "euler_and_hug", lambda regions: (0, True), "EulerNotConstant"),
     (dividing, "glued_loops", lambda chord, glue: 2, "BuiltNotTight"),
-    # stands in for a fault in loop_count's own chord assembly
-    (dividing, "is_tight", lambda config: dividing.TightVerdict(False, 2), "NotTight"),
     (dividing, "regions", _flip_end_arcs, "MixedRegion"),
-    (dividing, "tree_hugging", lambda trinity, tree: None, "NoHugBack"),
-    (dividing, "_require_spanning", _raise(dividing.NotSpanning("edge set contains a cycle")), "NotSpanning"),
+    (transitions, "_hugging_partner", lambda corner, tree: (), "NoHugBack"),
+    # two roots: the witness leaves a vertex out
+    (trees, "components", lambda index, edges: [0, 1], "NotSpanning"),
 ]
 
 

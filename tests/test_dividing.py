@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from trinities import dividing as dv
 from trinities import plane_graph, trees
+from trinities import transitions as tx
 from trinities import trinity as trinity_mod
 from trinities.cli import generate_corpus
 from trinities.limits import CapExceeded
@@ -451,10 +452,13 @@ def test_is_tree_hugging_requires_tight(trinities):
 
 
 def test_configuration_json_round_trip(trinities):
-    t = trinities["cycle4"]
-    config = next(full_configurations(t))
-    doc = config.to_json()
-    assert set(doc) == {"faces", "euler"}
-    assert doc["euler"] == dv.euler_vector(config)
-    matchings = {fid: tuple(map(tuple, rec["matching"])) for fid, rec in doc["faces"].items()}
-    assert matchings == {fid: diagram.pairs() for fid, diagram in config.entries}
+    for name, t in trinities.items():
+        cg = tx.build_configuration_graph(t)
+        for i in range(len(cg.choices)):
+            config = cg.vertex(i)
+            doc = cg.vertex_json(i)
+            assert set(doc) == {"faces", "euler"}
+            # the builder's Euler table agrees with a fresh region pass
+            assert doc["euler"] == dv.euler_vector(config), (name, i)
+            matchings = {fid: tuple(map(tuple, rec["matching"])) for fid, rec in doc["faces"].items()}
+            assert matchings == {fid: diagram.pairs() for fid, diagram in config.entries}

@@ -3,7 +3,7 @@ state/configuration correspondence."""
 
 import random
 import sys
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -568,16 +568,21 @@ def test_clock_graph_hopf_shape(universes):
     assert clock.report["arcs"] == 1
 
 
+def flat(outs):
+    """A graph's out-lists as ``clock_report``'s one flat out-list ``(ends, targets)``."""
+    return list(accumulate(map(len, outs), initial=0)), [j for out in outs for j in out]
+
+
 def test_clock_graph_long_chain_needs_no_recursion():
     # a chain deeper than the interpreter's recursion limit
     n = 5000
-    report = fkt.clock_report([[s + 1] if s + 1 < n else [] for s in range(n)])
+    report = fkt.clock_report(*flat([[s + 1] if s + 1 < n else [] for s in range(n)]))
     assert report["states"] == n and report["arcs"] == n - 1
     assert report["acyclic"] and report["ok"]
 
 
 def test_clock_graph_reports_a_cycle():
-    report = fkt.clock_report([[(s + 1) % 3] for s in range(3)])
+    report = fkt.clock_report(*flat([[(s + 1) % 3] for s in range(3)]))
     assert report["acyclic"] is False
     assert report["ok"] is False
 
@@ -640,7 +645,7 @@ HAND_DIGRAPHS = {
 @pytest.mark.parametrize("name", HAND_DIGRAPHS)
 def test_clock_report_matches_in_list_report_on_hand_digraphs(name):
     outs = HAND_DIGRAPHS[name]
-    assert fkt.clock_report(outs) == in_list_clock_report(outs)
+    assert fkt.clock_report(*flat(outs)) == in_list_clock_report(outs)
 
 
 def random_digraphs(max_vertices=8):
@@ -661,7 +666,55 @@ def random_digraphs(max_vertices=8):
 @given(random_digraphs())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_clock_report_matches_in_list_report_on_random_digraphs(outs):
-    assert fkt.clock_report(outs) == in_list_clock_report(outs)
+    assert fkt.clock_report(*flat(outs)) == in_list_clock_report(outs)
+
+
+def per_state_out_lists(universe):
+    """The clock graph's sorted out-lists, built state by state as before
+    the flat out-list: one dict lookup per move, one sort per state."""
+    found = list(fkt._search(universe, None))
+    index = {c: i for i, (c, _deltas) in enumerate(found)}
+    return [sorted(index[c + d] for d in deltas) for c, deltas in found]
+
+
+def check_flat_clock_graph(universe):
+    clock = fkt.clock_graph(universe, cap=None)
+    outs = per_state_out_lists(universe)
+    ends, targets = clock.ends, clock.targets
+    assert ends[0] == 0 and ends[-1] == len(targets) and len(ends) == len(outs) + 1
+    assert [sorted(targets[a:b]) for a, b in zip(ends, ends[1:])] == outs
+    assert list(map(list, clock.outs)) == outs
+    assert clock.report == in_list_clock_report(outs)
+
+
+# the medial universes of tests/test_golden.py
+GOLDEN_MEDIAL_SPECS = {
+    "medial_ladder3": ("ladder", 3),
+    "medial_grid2": ("grid", 2),
+    "medial_ladder4": ("ladder", 4),
+    "medial_theta3": ("theta", 3),
+    "medial_even_cycle3": ("even_cycle", 3),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_MEDIAL_SPECS)
+def test_flat_out_list_matches_per_state_out_lists_on_golden_universes(name):
+    (doc,) = generate_corpus(*GOLDEN_MEDIAL_SPECS[name])
+    check_flat_clock_graph(fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0])))
+
+
+def test_flat_out_list_matches_per_state_out_lists_on_shuffled_ladder5():
+    (doc,) = generate_corpus("ladder", 5)
+    medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
+    u = fkt.parse_universe(shuffled_crossings(medial, 5))
+    assert u.cut is None  # the memo declines
+    check_flat_clock_graph(u)
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_random_medial_flat_out_lists_match_per_state_out_lists(doc):
+    check_flat_clock_graph(fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0])))
 
 
 def test_universe_dual_hopf_is_four_cycle(universes, graphs):

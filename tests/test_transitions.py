@@ -106,12 +106,10 @@ def test_building_reads_only_the_diagrams_of_tight_choices(monkeypatch):
     monkeypatch.setattr(tx, "ChordDiagram", lambda partner: built.append(partner) or real(partner))
     cg = tx.build_configuration_graph(t)
     assert len({k for (k,) in cg.choices}) == len(cg.choices) == 174
-    # the Euler and hug tables read partner tuples: only the components'
-    # representatives, checked by is_tree_hugging, need diagrams; a path
-    # has one component
-    representatives = {cg.choices[c.representative] for c in cg.components}
-    assert len(representatives) == cg.component_count() == 1
-    assert sorted(built) == sorted(cg.diagrams[0].partners[k] for (k,) in representatives)
+    # the region, Euler and hug tables read partner tuples, and each
+    # component's representative is checked on them: no diagram is built
+    assert cg.component_count() == 1
+    assert built == []
     expected = dv.enumerate_chord_diagrams(8)
     assert len(cg.diagrams[0]) == len(expected) == 1430
     assert all(cg.diagrams[0][k] == expected[k] for k in range(len(expected)))
@@ -527,52 +525,76 @@ def test_random_map_builder_matches_the_product_filter(doc):
 
 def test_builder_checks_each_tight_configuration_once(monkeypatch):
     t = _generated("even_cycle", 6)
-    calls = {"glued_loops": 0, "is_tree_hugging": 0}
-    real_glued_loops, real_is_tree_hugging = dv.glued_loops, dv.is_tree_hugging
+    calls = {"glued_loops": 0}
+    real_glued_loops = dv.glued_loops
 
     def glued_loops(chord, glue):
         calls["glued_loops"] += 1
         return real_glued_loops(chord, glue)
 
-    def is_tree_hugging(config):
-        calls["is_tree_hugging"] += 1
-        return real_is_tree_hugging(config)
-
     monkeypatch.setattr(dv, "glued_loops", glued_loops)
-    monkeypatch.setattr(dv, "is_tree_hugging", is_tree_hugging)
     cg = tx.build_configuration_graph(t)
     assert cg.total_configurations == 17424
     assert len(cg.choices) == 1828
-    # one walk per vertex; each tree-hugging probe walks its input once more
-    assert calls["glued_loops"] == len(cg.choices) + calls["is_tree_hugging"]
+    # one walk per vertex, and none for the representatives' checks
+    assert calls["glued_loops"] == len(cg.choices)
 
 
-def test_building_makes_configurations_for_the_tree_hugging_probes_only(monkeypatch):
+def test_building_makes_no_configuration(monkeypatch):
     t = _generated("even_cycle", 6)
-    calls = {"post_init": 0, "is_tree_hugging": 0, "tree_hugging": 0}
+    made = []
     real_post_init = dv.Configuration.__post_init__
-    real_is_tree_hugging, real_tree_hugging = dv.is_tree_hugging, dv.tree_hugging
-
-    def post_init(config):
-        calls["post_init"] += 1
-        real_post_init(config)
-
-    def is_tree_hugging(config):
-        calls["is_tree_hugging"] += 1
-        return real_is_tree_hugging(config)
-
-    def tree_hugging(trinity, tree):
-        calls["tree_hugging"] += 1
-        return real_tree_hugging(trinity, tree)
-
-    monkeypatch.setattr(dv.Configuration, "__post_init__", post_init)
-    monkeypatch.setattr(dv, "is_tree_hugging", is_tree_hugging)
-    monkeypatch.setattr(dv, "tree_hugging", tree_hugging)
+    monkeypatch.setattr(dv.Configuration, "__post_init__", lambda config: made.append(config) or real_post_init(config))
+    monkeypatch.setattr(tx, "ChordDiagram", lambda partner: made.append(partner) or dv.ChordDiagram(partner))
+    # the integer check stands in for these, which build a Configuration,
+    # a ChordDiagram per face and a SpanningTree
+    for name in ("is_tree_hugging", "tree_hugging", "SpanningTree"):
+        monkeypatch.setattr(dv, name, _raise(AssertionError(f"the build called {name}")))
     cg = tx.build_configuration_graph(t)
-    assert len(cg.choices) == 1828
-    # one per probe, plus the configuration each found witness hugs
-    assert calls["tree_hugging"] == cg.component_count()
-    assert calls["post_init"] == calls["is_tree_hugging"] + calls["tree_hugging"]
+    assert len(cg.choices) == 1828 and cg.component_count() == 6
+    assert made == []
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def _check_hugged_tree(cg, regions, i):
+    """Check that the integer check on vertex i gives ``is_tree_hugging``'s
+    verdict and witness; return the verdict."""
+    hugging, witness = dv.is_tree_hugging(cg.vertex(i))
+    verdict, positions = tx._hugged_tree(cg, regions, i)
+    assert verdict == hugging, i
+    if hugging:
+        edge_ids = cg.trinity.graph_index("violet").edge_ids
+        assert {edge_ids[e] for e in positions} == witness.edges, i
+    else:
+        assert positions is None, i
+    return hugging
+
+
+def test_hugged_tree_matches_is_tree_hugging_on_every_member(trinities):
+    # every member of every corpus graph, representatives among them
+    verdicts = []
+    for t in trinities.values():
+        cg = tx.build_configuration_graph(t)
+        regions = [{} for _ in cg.diagrams]  # filled as the checks read them
+        verdicts += [_check_hugged_tree(cg, regions, i) for i in range(len(cg.choices))]
+    assert True in verdicts and False in verdicts
+
+
+@given(plane_bipartite_maps())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_map_hugged_tree_matches_is_tree_hugging(doc):
+    t = trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
+    assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
+    cg = tx.build_configuration_graph(t)
+    regions = [{} for _ in cg.diagrams]
+    for i in range(len(cg.choices)):
+        _check_hugged_tree(cg, regions, i)
 
 
 def test_vertex_builds_the_listed_configuration(trinities):
