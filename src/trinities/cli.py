@@ -196,19 +196,28 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
 # -- command implementations ---------------------------------------------------------------
 
 
+def _read_document(path, flag):
+    """The JSON document in the file named by ``flag``.
+
+    Raises ``SchemaError`` when the flag is missing, or when the file is
+    not UTF-8 JSON that the decoder can nest.
+    """
+    if not path:
+        raise plane_graph.SchemaError(f"this command needs {flag} FILE")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.loads(fh.read())
+        except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+            raise plane_graph.SchemaError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def _load_graph(args):
-    if not args.graph:
-        raise plane_graph.SchemaError("this command needs --graph FILE")
-    with open(args.graph) as fh:
-        graph = plane_graph.parse_graph(fh.read())
+    graph = plane_graph.parse_graph(_read_document(args.graph, "--graph"))
     return plane_graph.ensure_bicoloured(graph)
 
 
 def _load_universe(args):
-    if not args.universe:
-        raise plane_graph.SchemaError("this command needs --universe FILE")
-    with open(args.universe) as fh:
-        return fkt.parse_universe(json.loads(fh.read()))
+    return fkt.parse_universe(_read_document(args.universe, "--universe"))
 
 
 def _reason(exc):
@@ -424,7 +433,6 @@ USAGE_ERRORS = (
     SizeOutOfRange,
     CapExceeded,
     OSError,
-    json.JSONDecodeError,
 )
 
 

@@ -375,7 +375,7 @@ def is_tree_hugging(config):
         negatives = (arcs for sign, arcs in found if sign < 0)
         central = max(negatives, key=lambda arcs: (len(arcs), -arcs[0]))
         edges.update(map(ch[fid].emerald_corner.__getitem__, central))
-    tree = SpanningTree(trinity.violet_graph, frozenset(edges), "red")
+    tree = SpanningTree(trinity.violet_graph, frozenset(edges))
     if tree_hugging(trinity, tree) != config:
         raise NoHugBack(f"witness {sorted(tree.edges)} hugs another configuration")
     return True, tree

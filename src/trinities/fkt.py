@@ -457,10 +457,10 @@ def _split_choices(universe, dual, graph):
     g = universe.graph
     n = len(universe.vertex_ids)
     table = []
-    for fid, diagrams in zip(graph.trinity.red, graph.diagrams):
+    for fid, partners in zip(graph.trinity.red, graph.diagrams):
         x = _dual_face_vertex(universe, dual, fid)
         point_of = {g.reverse(t): i for i, t in enumerate(dual.faces[fid].boundary)}
-        index = {partner: k for k, partner in enumerate(diagrams.partners)}
+        index = {partner: k for k, partner in enumerate(partners)}
         ks = []
         for parity in (0, 1):
             partner = [0] * len(point_of)

@@ -2,13 +2,14 @@
 
 A trinity carries six hypergraphs: for each unordered pair of colour
 classes, either class may serve as the hyperedge set, with the matching
-colour graph as incidence structure. A hypertree is a non-negative vector
-indexed by hyperedges that occurs as (degree - 1) of some spanning tree at
-the hyperedge nodes. Hypertree sets are found by exchange moves from the
-hypertree of one spanning tree, each candidate decided by one
-matroid-intersection augmentation that also yields its witness tree; the
-sets are neither read off every spanning tree nor cut out by polytope
-inequalities.
+colour graph as incidence structure. A ``Hypergraph`` is that colour
+graph's index arrays (``trees.GraphIndex``) and the hyperedge slot of each
+of its edges. A hypertree is a non-negative vector indexed by hyperedges
+that occurs as (degree - 1) of some spanning tree at the hyperedge nodes.
+Hypertree sets are found by exchange moves from the hypertree of one
+spanning tree, each candidate decided by one matroid-intersection
+augmentation that also yields its witness tree; the sets are neither read
+off every spanning tree nor cut out by polytope inequalities.
 """
 
 from __future__ import annotations
@@ -40,39 +41,56 @@ HYPERGRAPH_LABELS = ("VE", "EV", "ER", "RE", "VR", "RV")
 _COLOUR_OF_LETTER = {"V": "violet", "E": "emerald", "R": "red"}
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    label: str
-    vertex_colour: str
-    hyperedge_colour: str
-    bip: object = field(compare=False)
-    hyperedges: tuple
-    # the host's trees.GraphIndex, shared by the two hypergraphs it hosts
-    index: object = field(compare=False)
+    """One hypergraph, by the index arrays of its host.
 
-    def hyperedge_ids(self):
-        return tuple(h for h, _ in self.hyperedges)
+    ``index`` is the host's ``trees.GraphIndex``, shared by the two
+    hypergraphs it hosts, and ``colour`` the hyperedge class. ``ids`` lists
+    the hyperedges in sorted order, as every vector does; ``slot[e]`` is
+    the position in ``ids`` of host edge e's hyperedge end, and
+    ``degree[s]`` the number of host edges at hyperedge s.
+    """
+
+    def __init__(self, label, colour, index):
+        self.label = label
+        self.colour = colour
+        self.index = index
+        self.ids = index.graph.colour_classes[colour]
+        slot_of = {h: s for s, h in enumerate(self.ids)}
+        # bipartite: exactly one end of each edge lies in the hyperedge class
+        at = [slot_of.get(v, -1) for v in index.vertex_ids]
+        self.slot = [max(at[u], at[v]) for u, v in zip(index.tail, index.head)]
+        self.degree = [self.slot.count(s) for s in range(len(self.ids))]
+
+    def record(self, edges):
+        counts = [-1] * len(self.ids)
+        for e in edges:
+            counts[self.slot[e]] += 1
+        return tuple(counts)
+
+    def certify(self, edges, vector):
+        """Raise ``BadWitness`` unless the edges form a spanning tree with this record."""
+        n = len(self.index.vertex_ids)
+        parts = len(set(components(self.index, edges)))
+        if len(edges) != n - 1 or parts != 1:
+            raise BadWitness(
+                f"{self.label}: witness for {vector} has {len(edges)} edges and "
+                f"{parts} components on {n} vertices"
+            )
+        record = self.record(edges)
+        if record != vector:
+            raise BadWitness(f"{self.label}: witness for {vector} realizes {record}")
 
 
-def trinity_hypergraph(trinity, vertex_colour, hyperedge_colour):
-    """One of the six hypergraphs of a trinity, hosted by the third colour's graph."""
-    rest = set(_COLOUR_OF_LETTER.values()) - {vertex_colour, hyperedge_colour}
-    if len(rest) != 1:
-        raise ValueError(f"bad colour pair {vertex_colour!r}/{hyperedge_colour!r}")
-    (third,) = rest
-    bip = getattr(trinity, f"{third}_graph")
-    hyperedges = tuple(
-        (h, frozenset(bip.target(d) for d in bip.vertices[h].rotation))
-        for h in bip.colour_classes[hyperedge_colour]
+def trinity_hypergraph(trinity, label):
+    """Hypergraph ``label`` of a trinity (vertex class letter, then hyperedge
+    class letter), hosted by the third colour's graph."""
+    if label not in HYPERGRAPH_LABELS:
+        raise ValueError(f"bad hypergraph label {label!r}")
+    (third,) = set(_COLOUR_OF_LETTER) - set(label)
+    return Hypergraph(
+        label, _COLOUR_OF_LETTER[label[1]], trinity.graph_index(_COLOUR_OF_LETTER[third])
     )
-    label = (vertex_colour[0] + hyperedge_colour[0]).upper()
-    index = trinity.graph_index(third)
-    return Hypergraph(label, vertex_colour, hyperedge_colour, bip, hyperedges, index)
-
-
-def trinity_hypergraph_by_label(trinity, label):
-    v, h = label
-    return trinity_hypergraph(trinity, _COLOUR_OF_LETTER[v], _COLOUR_OF_LETTER[h])
 
 
 @dataclass(frozen=True)
@@ -80,8 +98,8 @@ class Hypertree:
     """Degree record of a realizing spanning tree, minus one per hyperedge.
 
     The tree is ``witness``. ``source`` is either that tree or, for a
-    searched hypertree, its search host and edge positions, from which the
-    tree is built when first read.
+    searched hypertree, its hypergraph and the tree's edge positions in the
+    host, from which the tree is built when first read.
     """
 
     vector: tuple
@@ -91,9 +109,9 @@ class Hypertree:
     def witness(self):
         if not isinstance(self.source, tuple):
             return self.source
-        host, edges = self.source
-        ids = frozenset(map(host.edge_ids.__getitem__, edges))
-        return SpanningTree(host.index.graph, ids, host.colour)
+        hypergraph, edges = self.source
+        index = hypergraph.index
+        return SpanningTree(index.graph, frozenset(map(index.edge_ids.__getitem__, edges)))
 
 
 def hypertree_of(tree, hyperedge_colour):
@@ -135,17 +153,13 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
     The cap bounds the host's Kirchhoff count, checked before the first
     tree is drawn; with ``cap=None`` it is not taken.
     """
-    colour = hypergraph.hyperedge_colour
-    if colour not in hypergraph.bip.colour_classes:
-        raise WrongClass(f"host graph has no {colour!r} class")
-    host = _Host(hypergraph)
-    seed = next(enumerate_spanning_trees(hypergraph.index, record_colour=colour, cap=cap))
-    tree = sorted(host.edge_index[eid] for eid in seed.edges)
-    k, degree = host.k, host.degree
+    seed = next(enumerate_spanning_trees(hypergraph.index, cap=cap))
+    tree = sorted(map(hypergraph.index.edge_index.__getitem__, seed.edges))
+    k, degree = len(hypergraph.ids), hypergraph.degree
     stride = [1] * k
     for i in range(k - 1, 0, -1):
         stride[i - 1] = stride[i] * degree[i]
-    vector = host.record(tree)
+    vector = hypergraph.record(tree)
     code = sum(map(mul, vector, stride))
     # decided[code] is the witness of a hypertree, or None for a code that
     # is not one; found lists each hypertree's code and vector
@@ -170,8 +184,8 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
             if not fresh:
                 continue
             if rooted is None:
-                rooted = _RootedTree(host, decided[code])
-            exchange = _ExchangeGraph(host, rooted, i)
+                rooted = _RootedTree(hypergraph, decided[code])
+            exchange = _ExchangeGraph(hypergraph, rooted, i)
             for j in fresh:
                 witness = decided[base + stride[j]] = exchange.augment(j)
                 if witness is not None:
@@ -179,52 +193,14 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
                     move[i] -= 1
                     move[j] += 1
                     move = tuple(move)
-                    host.certify(witness, move, hypergraph.label)
+                    hypergraph.certify(witness, move)
                     found.append((base + stride[j], move))
     # one (hyperedge, value) pair object per value, shared by every vector
-    ids = hypergraph.hyperedge_ids()  # sorted, as in every vector
-    pairs = [[(h, f) for f in range(d)] for h, d in zip(ids, degree)]
+    pairs = [[(h, f) for f in range(d)] for h, d in zip(hypergraph.ids, degree)]
     return tuple(
-        Hypertree(tuple(map(getitem, pairs, vector)), (host, decided[code]))
+        Hypertree(tuple(map(getitem, pairs, vector)), (hypergraph, decided[code]))
         for code, vector in sorted(found)
     )
-
-
-class _Host:
-    """A hypergraph's host by index, as its ``trees.GraphIndex``, and the
-    hyperedge slot of every edge."""
-
-    def __init__(self, hypergraph):
-        self.index = index = hypergraph.index
-        self.colour = hypergraph.hyperedge_colour
-        ids = hypergraph.hyperedge_ids()
-        self.edge_ids, self.edge_index = index.edge_ids, index.edge_index
-        self.tail, self.head = index.tail, index.head
-        slot_of = {h: s for s, h in enumerate(ids)}
-        # bipartite: exactly one end of each edge lies in the hyperedge class
-        at = [slot_of.get(v, -1) for v in index.vertex_ids]
-        self.slot = [max(at[u], at[v]) for u, v in zip(self.tail, self.head)]
-        self.n = len(index.vertex_ids)
-        self.k = len(ids)
-        self.degree = [self.slot.count(s) for s in range(self.k)]
-
-    def record(self, edges):
-        counts = [-1] * self.k
-        for e in edges:
-            counts[self.slot[e]] += 1
-        return tuple(counts)
-
-    def certify(self, edges, vector, label):
-        """Raise ``BadWitness`` unless the edges form a spanning tree with this record."""
-        parts = len(set(components(self.index, edges)))
-        if len(edges) != self.n - 1 or parts != 1:
-            raise BadWitness(
-                f"{label}: witness for {vector} has {len(edges)} edges and "
-                f"{parts} components on {self.n} vertices"
-            )
-        record = self.record(edges)
-        if record != vector:
-            raise BadWitness(f"{label}: witness for {vector} realizes {record}")
 
 
 class _RootedTree:
@@ -236,9 +212,10 @@ class _RootedTree:
     order, with the preorder positions of its two ends.
     """
 
-    def __init__(self, host, edges):
-        tail, head, slot = host.tail, host.head, host.slot
-        n, m = host.n, len(tail)
+    def __init__(self, hypergraph, edges):
+        index, slot = hypergraph.index, hypergraph.slot
+        tail, head = index.tail, index.head
+        n, m = len(index.vertex_ids), len(tail)
         incident = [[] for _ in range(n)]
         for e in edges:
             incident[tail[e]].append(e)
@@ -268,7 +245,7 @@ class _RootedTree:
                 size[tail[e] + head[e] - v] += size[v]
                 below[e] = (first[v], first[v] + size[v])
         self.inside = inside = bytearray(m)
-        self.at_slot = at_slot = [[] for _ in range(host.k)]
+        self.at_slot = at_slot = [[] for _ in hypergraph.ids]
         for e in edges:  # sorted, so each list is in index order
             inside[e] = 1
             at_slot[slot[e]].append(e)
@@ -295,26 +272,27 @@ class _ExchangeGraph:
     j is its shortest augmenting path.
     """
 
-    def __init__(self, host, rooted, i):
-        self.host = host
+    def __init__(self, hypergraph, rooted, i):
+        self.slot = hypergraph.slot
         self.rooted = rooted
         a = rooted.at_slot[i][0]
         self.inside = bytearray(rooted.inside)
         self.inside[a] = 0
         first = rooted.first
         self.ends = rooted.ends[:]
-        insort(self.ends, (a, first[host.tail[a]], first[host.head[a]]))
+        tail, head = hypergraph.index.tail, hypergraph.index.head
+        insort(self.ends, (a, first[tail[a]], first[head[a]]))
         self.at_slot = rooted.at_slot[:]
         self.at_slot[i] = self.at_slot[i][1:]
-        self.parent = [-2] * len(host.tail)  # -2 unseen, -1 source
-        self.sink = [-1] * host.k  # first edge outside I seen at each hyperedge
+        self.parent = [-2] * len(tail)  # -2 unseen, -1 source
+        self.sink = [-1] * len(hypergraph.ids)  # first edge outside I seen at each hyperedge
         self.queue = []
         self.expanded = 0
         self._cross(a, -1)
 
     def _cross(self, e, mark):
         """Queue, marked ``mark``, each unseen edge outside I with exactly one end below e."""
-        parent, queue, sink, slot = self.parent, self.queue, self.sink, self.host.slot
+        parent, queue, sink, slot = self.parent, self.queue, self.sink, self.slot
         lo, hi = self.rooted.below[e]
         for z, p, q in self.ends:
             if parent[z] == -2 and (lo <= p < hi) != (lo <= q < hi):
@@ -326,7 +304,7 @@ class _ExchangeGraph:
     def augment(self, j):
         """Witness edges of the move to hyperedge j, or None when there is none."""
         sink, parent, queue = self.sink, self.parent, self.queue
-        inside, at_slot, slot = self.inside, self.at_slot, self.host.slot
+        inside, at_slot, slot = self.inside, self.at_slot, self.slot
         x = self.expanded
         while sink[j] < 0 and x < len(queue):
             e = queue[x]
@@ -355,8 +333,8 @@ class _ExchangeGraph:
 
 def translate_offset(set_a, set_b):
     """Constant vector c with A = c - B, or None when no such translate exists."""
-    vecs_a = [dict(h.vector) if isinstance(h, Hypertree) else dict(h) for h in set_a]
-    vecs_b = [dict(h.vector) if isinstance(h, Hypertree) else dict(h) for h in set_b]
+    vecs_a = [dict(h.vector) for h in set_a]
+    vecs_b = [dict(h.vector) for h in set_b]
     if not vecs_a or not vecs_b:
         raise IndexMismatch("empty hypertree set")
     keys = set(vecs_a[0])

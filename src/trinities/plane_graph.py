@@ -12,7 +12,6 @@ All objects are immutable after construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,12 +207,7 @@ class RotationGraph:
 
 
 def parse_graph(document):
-    """Build a validated RotationGraph from a JSON document (text or dict)."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+    """Build a validated RotationGraph from a decoded JSON document."""
     if not isinstance(document, dict):
         raise SchemaError("document must be a JSON object")
     for key in ("vertices", "edges"):
@@ -317,9 +311,6 @@ def with_colours(graph, colouring):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    bipartite: bool
-    loop_free: bool
-    colour_classes: dict
     failures: tuple[str, ...]
     colouring: dict | None
 
@@ -335,13 +326,11 @@ def validate_bipartite_plane(graph):
     Colours are checked when present and computed otherwise.
     """
     failures = []
-    loop_free = not any(graph.is_loop(e) for e in graph.edges)
-    if not loop_free:
+    if any(graph.is_loop(e) for e in graph.edges):
         failures.append("graph has a loop edge")
 
     given = {v.id: v.colour for v in graph.vertices.values() if v.colour is not None}
     colouring = None
-    bipartite = False
     if given:
         bad = [c for c in given.values() if c not in ("violet", "emerald")]
         if bad or len(given) != len(graph.vertices):
@@ -352,7 +341,6 @@ def validate_bipartite_plane(graph):
                 for u, v in (graph.endpoints(e) for e in graph.edges)
             )
             if proper:
-                bipartite = True
                 colouring = given
             else:
                 failures.append("an edge joins two vertices of the same colour")
@@ -360,15 +348,7 @@ def validate_bipartite_plane(graph):
         colouring = two_colouring(graph)
         if colouring is None:
             failures.append("not bipartite: odd cycle or loop")
-        else:
-            bipartite = True
-
-    classes = {}
-    if colouring:
-        for v, c in colouring.items():
-            classes.setdefault(c, []).append(v)
-    classes = {c: tuple(sorted(vs)) for c, vs in classes.items()}
-    return ValidationReport(bipartite, loop_free, classes, tuple(failures), colouring)
+    return ValidationReport(tuple(failures), colouring)
 
 
 def ensure_bicoloured(graph):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import getitem, itemgetter, mul, sub
@@ -54,11 +53,11 @@ class ConfigurationGraph:
 
     A vertex is its choice tuple: ``choices[i]`` holds, face by face in
     sorted order, the index of vertex i's diagram in that face's
-    ``diagrams``, a sequence in ``enumerate_chord_diagrams`` order whose
-    items are built when first read. ``disc_euler`` holds, face by face,
+    ``diagrams``, the face's tuple of partner tuples in
+    ``enumerate_chord_diagrams`` order. ``disc_euler`` holds, face by face,
     the Euler contribution of each diagram index some vertex uses.
-    ``vertex(i)`` builds its ``Configuration`` when read; building the
-    graph makes none.
+    ``vertex(i)`` builds its ``Configuration`` and ``ChordDiagram``s when
+    read; building the graph and ``vertex_json`` make none.
     """
 
     trinity: object = field(compare=False)
@@ -73,8 +72,8 @@ class ConfigurationGraph:
         return len(self.components)
 
     def vertex(self, i):
-        entries = zip(self.trinity.red, map(getitem, self.diagrams, self.choices[i]))
-        return Configuration(self.trinity, tuple(entries))
+        diagrams = map(ChordDiagram, map(getitem, self.diagrams, self.choices[i]))
+        return Configuration(self.trinity, tuple(zip(self.trinity.red, diagrams)))
 
     @cached_property
     def vertices(self):
@@ -91,9 +90,12 @@ class ConfigurationGraph:
     def vertex_json(self, i):
         """Vertex i's matchings and Euler vector, the latter read off ``disc_euler``."""
         faces, choice = self.trinity.red, self.choices[i]
-        pairs = (d.pairs() for d in map(getitem, self.diagrams, choice))
+        partners = map(getitem, self.diagrams, choice)
         return {
-            "faces": {fid: {"matching": list(map(list, p))} for fid, p in zip(faces, pairs)},
+            "faces": {
+                fid: {"matching": [[x, y] for x, y in enumerate(partner) if x < y]}
+                for fid, partner in zip(faces, partners)
+            },
             "euler": dict(zip(faces, map(getitem, self.disc_euler, choice))),
         }
 
@@ -149,12 +151,12 @@ def build_configuration_graph(trinity):
     tries = {n: dividing.chord_trie(n) for n in set(trinity.n_r.values())}
     choices = tuple(_tight_choices(trinity, [tries[trinity.n_r[fid]][0] for fid in faces]))
     # past the walk only the partner tuples are read
-    shared = {n: _Diagrams(partners) for n, (_trie, partners) in tries.items()}
+    shared = {n: tuple(partners) for n, (_trie, partners) in tries.items()}
     del tries
     diagrams = tuple(shared[trinity.n_r[fid]] for fid in faces)
     tables, disc_euler, eulers, hugs = [], [], [], []
     for axis, fid in enumerate(faces):
-        partners, lo, sign = diagrams[axis].partners, trinity.offset[fid], trinity.charts[fid].sign
+        partners, lo, sign = diagrams[axis], trinity.offset[fid], trinity.charts[fid].sign
         table, euler_of, hug_of = {}, {}, {}
         column = list(map(itemgetter(axis), choices))
         for k in set(column):
@@ -204,32 +206,6 @@ def build_configuration_graph(trinity):
     # per vertex: its Euler tuple, and whether its every disc hugs
     euler, hugging = list(zip(*eulers)), list(map(all, zip(*hugs)))
     return replace(graph, components=_label_components(graph, count, euler, hugging))
-
-
-class _Diagrams(Sequence):
-    """One half-length's chord diagrams in matcher order, each built when first read.
-
-    Item k equals ``dividing.enumerate_chord_diagrams(n)[k]``, and like it
-    is validated by ``ChordDiagram`` when built.
-    """
-
-    def __init__(self, partners):
-        self.partners = partners
-        self.built = [None] * len(partners)
-
-    def __len__(self):
-        return len(self.partners)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(len(self))[k]))
-        diagram = self.built[k]
-        if diagram is None:
-            diagram = self.built[k] = ChordDiagram(self.partners[k])
-        return diagram
-
-    def __eq__(self, other):
-        return isinstance(other, _Diagrams) and self.partners == other.partners
 
 
 def _chord_tries(trinity, tries):
@@ -374,10 +350,10 @@ def _hugged_tree(graph, regions, i):
     index = trinity.graph_index("violet")
     witness = set()
     rows = zip(trinity.red, graph.corners, graph.diagrams, regions, choice)
-    for fid, corner, diagrams, cache, k in rows:
+    for fid, corner, partners, cache, k in rows:
         found = cache.get(k)
         if found is None:
-            found = cache[k] = dividing.regions(fid, diagrams.partners[k], trinity.charts[fid].sign)
+            found = cache[k] = dividing.regions(fid, partners[k], trinity.charts[fid].sign)
         if not dividing.euler_and_hug(found)[1]:
             return False, None
         negatives = (arcs for sign, arcs in found if sign < 0)
@@ -388,8 +364,8 @@ def _hugged_tree(graph, regions, i):
     # with |V| - 1 edges, a cycle is the same as a second component
     if len(set(trees.components(index, witness))) != 1:
         raise dividing.NotSpanning("edge set contains a cycle")
-    for corner, diagrams, k in zip(graph.corners, graph.diagrams, choice):
-        if _hugging_partner(corner, witness) != diagrams.partners[k]:
+    for corner, partners, k in zip(graph.corners, graph.diagrams, choice):
+        if _hugging_partner(corner, witness) != partners[k]:
             edges = sorted(map(index.edge_ids.__getitem__, witness))
             raise dividing.NoHugBack(f"witness {edges} hugs another configuration")
     return True, witness

@@ -85,16 +85,15 @@ class GraphIndex:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Edge subset spanning the host graph, with an optional degree-record class."""
+    """Edge subset spanning the host graph."""
 
     graph: object = field(compare=False)
     edges: frozenset
-    record_colour: str | None = field(default=None, compare=False)
 
-    def degrees(self, colour=None):
-        colour = colour if colour is not None else self.record_colour
+    def degrees(self, colour):
+        """Tree degree of each host vertex of this colour."""
         graph = self.graph
-        degs = {v: 0 for v in graph.vertices if colour is None or graph.colour_of(v) == colour}
+        degs = {v: 0 for v in graph.vertices if graph.colour_of(v) == colour}
         for eid in self.edges:
             for v in graph.endpoints(eid):
                 if v in degs:
@@ -102,7 +101,7 @@ class SpanningTree:
         return degs
 
 
-def enumerate_spanning_trees(index, record_colour=None, cap=DEFAULT_CAP):
+def enumerate_spanning_trees(index, cap=DEFAULT_CAP):
     """Yield every spanning tree of the graph of a ``GraphIndex`` exactly
     once, in a deterministic order.
 
@@ -150,9 +149,7 @@ def enumerate_spanning_trees(index, record_colour=None, cap=DEFAULT_CAP):
         if excluded and not joins(label, pos, n - depth):
             continue
         if depth == target:
-            yield SpanningTree(
-                index.graph, frozenset([edge_ids[i] for i in chosen]), record_colour
-            )
+            yield SpanningTree(index.graph, frozenset([edge_ids[i] for i in chosen]))
             continue
         while pos < m and label[tails[pos]] == label[heads[pos]]:
             pos += 1  # a loop, or contracted to one: never in a tree
@@ -199,18 +196,15 @@ def _require_root(dual, root):
         raise UnknownRoot(f"{root!r} is not a vertex of the {dual.colour} dual")
 
 
-def enumerate_arborescences(dual, root, cap=DEFAULT_CAP):
+def enumerate_arborescences(dual, root):
     """All arborescences away from the root, duplicate-free, deterministic order.
 
     Depth-first over the non-root vertices in id order, trying each one's
     in-arcs in id order; an explicit choice array replaces recursion, so the
     interpreter's stack depth does not grow with the number of vertices.
-    The matrix-tree count is taken up front and checked against the cap;
-    with ``cap=None`` it is not taken.
+    Takes no cap: ``magic_number`` checks the matrix-tree count first.
     """
     _require_root(dual, root)
-    if cap is not None:
-        check_cap(count_arborescences(dual, root), cap, "arborescence enumeration")
     others = [v for v in sorted(dual.vertices) if v != root]
     in_arcs = [
         sorted((a for a in dual.arcs if a.head == v and a.tail != v), key=lambda a: a.id)
@@ -303,7 +297,7 @@ def magic_number(trinity):
         root = min(dual.vertices)
         det[colour] = count_arborescences(dual, root)
         fits = cap is None or det[colour] <= cap
-        enum[colour] = len(enumerate_arborescences(dual, root, None)) if fits else None
+        enum[colour] = len(enumerate_arborescences(dual, root)) if fits else None
 
     hyper = {}
     for label in HYPERGRAPH_LABELS:

@@ -217,7 +217,7 @@ class Trinity:
         """Hypertrees of the hypergraph ``label`` with one witness tree each (memoised)."""
         found = self._hypertrees.get(label)
         if found is None:
-            hypergraph = hypertrees.trinity_hypergraph_by_label(self, label)
+            hypergraph = hypertrees.trinity_hypergraph(self, label)
             found = self._hypertrees[label] = hypertrees.enumerate_hypertrees(
                 hypergraph, self.cap
             )

@@ -146,9 +146,9 @@ def state_trail(universe, state):
 # -- spanning-tree exchanges -------------------------------------------------------
 
 
-def exchange_classes(trees):
-    """Per tree, its class under one-edge exchanges that keep the degree record."""
-    records = [t.degrees() for t in trees]
+def exchange_classes(trees, colour):
+    """Per tree, its class under one-edge exchanges that keep the degree record at this colour."""
+    records = [t.degrees(colour) for t in trees]
     pairs = [
         (i, j)
         for i, j in itertools.combinations(range(len(trees)), 2)

@@ -40,8 +40,8 @@ def test_criterion_1_component_count_identity(trinities, config_graphs):
     for name, t in trinities.items():
         assert t.n <= 12
         components = config_graphs[name].component_count()
-        b_er = len(ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "emerald", "red")))
-        b_vr = len(ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "violet", "red")))
+        b_er = len(ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "ER")))
+        b_vr = len(ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "VR")))
         magic = trees.magic_number(t).value
         ok = ok and components == b_er == b_vr == magic
     elapsed = time.perf_counter() - t0

@@ -69,6 +69,22 @@ def test_unreadable_path_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv", [("census", "--graph"), ("states", "--universe")], ids=["graph", "universe"]
+)
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "too-deep"]
+)
+def test_unreadable_json_is_usage_error(capsys, tmp_path, argv, content):
+    # a UnicodeDecodeError or the decoder's RecursionError is a usage error, not a traceback
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+
+
 @pytest.mark.parametrize("stars", [None, 5, "ab"], ids=["null", "number", "string"])
 def test_stars_of_the_wrong_type_are_a_usage_error(capsys, tmp_path, stars):
     doc = {**fkt.figure_eight_universe(), "stars": stars}

@@ -212,7 +212,7 @@ def test_glued_loops_walks_on_past_a_short_first_curve(trinities, name, loops):
 
 def test_running_example_tree_hugging_tight(trinities):
     t = trinities["running11"]
-    for tree in trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red"):
+    for tree in trees.enumerate_spanning_trees(t.graph_index("violet")):
         assert dv.is_tight(dv.tree_hugging(t, tree)).tight
 
 
@@ -355,7 +355,7 @@ def test_disc_euler_tree_hugging_formula(trinities):
     for t in trinities.values():
         if t.n > 11:
             continue
-        for tree in trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red"):
+        for tree in trees.enumerate_spanning_trees(t.graph_index("violet")):
             degrees = tree.degrees("red")
             config = dv.tree_hugging(t, tree)
             for fid, euler in dv.euler_vector(config).items():
@@ -388,7 +388,7 @@ def test_euler_sum_identity_all_tight(trinities):
 
 def test_tree_hugging_single_edge(trinities):
     t = trinities["path1"]
-    tree = next(iter(trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red")))
+    tree = next(iter(trees.enumerate_spanning_trees(t.graph_index("violet"))))
     config = dv.tree_hugging(t, tree)
     assert dv.is_tight(config).tight
     (fid,) = t.red
@@ -399,7 +399,7 @@ def test_tree_hugging_not_spanning(trinities):
     t = trinities["cycle4"]
     gv = t.violet_graph
     some = sorted(gv.edges)[:2]
-    bogus = trees.SpanningTree(gv, frozenset(some), "red")
+    bogus = trees.SpanningTree(gv, frozenset(some))
     with pytest.raises(dv.NotSpanning):
         dv.tree_hugging(t, bogus)
 
@@ -408,12 +408,12 @@ def test_is_tree_hugging_round_trip(trinities):
     for name, t in trinities.items():
         if t.n > 11:
             continue
-        for tree in trees.enumerate_spanning_trees(t.graph_index("violet"), record_colour="red"):
+        for tree in trees.enumerate_spanning_trees(t.graph_index("violet")):
             config = dv.tree_hugging(t, tree)
             hugging, witness = dv.is_tree_hugging(config)
             assert hugging
             # the witness realizes the same hypertree as the source tree
-            assert witness.degrees() == tree.degrees(), name
+            assert witness.degrees("red") == tree.degrees("red"), name
 
 
 def test_four_cycle_all_tight_are_tree_hugging(trinities):

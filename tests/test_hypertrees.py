@@ -60,27 +60,27 @@ def test_star_tree_hypertree():
         ],
     }
     g = pg.parse_graph(doc)
-    tree = next(iter(trees.enumerate_spanning_trees(trees.GraphIndex(g), record_colour="emerald")))
+    tree = next(iter(trees.enumerate_spanning_trees(trees.GraphIndex(g))))
     vector = ht.hypertree_of(tree, "emerald")
     assert dict(vector.vector) == {"c": 2}
 
 
 def test_hypertree_of_wrong_class(trinities):
     gv = trinities["cycle4"].graph_index("violet")
-    tree = next(iter(trees.enumerate_spanning_trees(gv, record_colour="red")))
+    tree = next(iter(trees.enumerate_spanning_trees(gv)))
     with pytest.raises(ht.WrongClass):
         ht.hypertree_of(tree, "violet")  # violet graph has no violet class
 
 
 def test_single_edge_er_hypertrees(trinities):
-    hg = ht.trinity_hypergraph(trinities["path1"], "emerald", "red")
+    hg = ht.trinity_hypergraph(trinities["path1"], "ER")
     found = ht.enumerate_hypertrees(hg)
     assert [dict(h.vector) for h in found] == [{"f0": 0}]
 
 
 def test_four_cycle_er_hypertrees_match_oracle(trinities):
     t = trinities["cycle4"]
-    hg = ht.trinity_hypergraph(t, "emerald", "red")
+    hg = ht.trinity_hypergraph(t, "ER")
     found = {h.vector for h in ht.enumerate_hypertrees(hg)}
     assert found == brute_force_degree_vectors(t.violet_graph, "red")
     values = sorted(tuple(v for _, v in h) for h in found)
@@ -89,8 +89,9 @@ def test_four_cycle_er_hypertrees_match_oracle(trinities):
 
 def test_hypertree_bounds_and_sum(trinities):
     for t in trinities.values():
-        hg = ht.trinity_hypergraph(t, "emerald", "red")
-        sizes = {h: len(m) for h, m in hg.hyperedges}
+        hg = ht.trinity_hypergraph(t, "ER")
+        host = hg.index.graph
+        sizes = {h: len({host.target(d) for d in host.vertices[h].rotation}) for h in hg.ids}
         for tree in ht.enumerate_hypertrees(hg):
             vec = dict(tree.vector)
             assert sum(vec.values()) == len(t.emerald) - 1
@@ -100,7 +101,7 @@ def test_hypertree_bounds_and_sum(trinities):
 
 def test_witnesses_realize_their_vectors(trinities):
     for t in trinities.values():
-        hg = ht.trinity_hypergraph(t, "emerald", "red")
+        hg = ht.trinity_hypergraph(t, "ER")
         for tree in ht.enumerate_hypertrees(hg):
             again = ht.hypertree_of(tree.witness, "red")
             assert again.vector == tree.vector
@@ -110,53 +111,59 @@ def test_all_six_counts_equal_magic(trinities):
     for name, t in trinities.items():
         magic = trees.magic_number(t).value
         for label in ht.HYPERGRAPH_LABELS:
-            hg = ht.trinity_hypergraph_by_label(t, label)
+            hg = ht.trinity_hypergraph(t, label)
             assert len(ht.enumerate_hypertrees(hg)) == magic, (name, label)
 
 
 def test_abstract_dual_pairs_equinumerous(trinities):
     for t in trinities.values():
         for a, b in (("VE", "EV"), ("ER", "RE"), ("VR", "RV")):
-            ha = ht.enumerate_hypertrees(ht.trinity_hypergraph_by_label(t, a))
-            hb = ht.enumerate_hypertrees(ht.trinity_hypergraph_by_label(t, b))
+            ha = ht.enumerate_hypertrees(ht.trinity_hypergraph(t, a))
+            hb = ht.enumerate_hypertrees(ht.trinity_hypergraph(t, b))
             assert len(ha) == len(hb)
 
 
 def test_hypertree_enumeration_cap(trinities):
     from trinities.limits import CapExceeded
 
-    hg = ht.trinity_hypergraph(trinities["grid2"], "emerald", "red")
+    hg = ht.trinity_hypergraph(trinities["grid2"], "ER")
     with pytest.raises(CapExceeded):
         ht.enumerate_hypertrees(hg, cap=3)
 
 
+def _hypertrees(*vectors):
+    return [ht.Hypertree(tuple(sorted(v.items()))) for v in vectors]
+
+
 def test_translate_offset_trivial():
-    assert ht.translate_offset([{"a": 0}], [{"a": 0}]) == {"a": 0}
+    assert ht.translate_offset(_hypertrees({"a": 0}), _hypertrees({"a": 0})) == {"a": 0}
 
 
 def test_translate_offset_engineered_failure():
-    assert ht.translate_offset([{"x": 0, "y": 0}], [{"x": 0, "y": 0}, {"x": 1, "y": 1}]) is None
+    set_a = _hypertrees({"x": 0, "y": 0})
+    set_b = _hypertrees({"x": 0, "y": 0}, {"x": 1, "y": 1})
+    assert ht.translate_offset(set_a, set_b) is None
 
 
 def test_translate_offset_index_mismatch():
     with pytest.raises(ht.IndexMismatch):
-        ht.translate_offset([{"a": 0}], [{"b": 0}])
+        ht.translate_offset(_hypertrees({"a": 0}), _hypertrees({"b": 0}))
 
 
 def test_planar_dual_pairs_are_translates(trinities):
     # pairs sharing a hyperedge set: (V,E)/(R,E), (E,R)/(V,R), (R,V)/(E,V)
     for name, t in trinities.items():
         for a, b in (("VE", "RE"), ("ER", "VR"), ("RV", "EV")):
-            ha = ht.enumerate_hypertrees(ht.trinity_hypergraph_by_label(t, a))
-            hb = ht.enumerate_hypertrees(ht.trinity_hypergraph_by_label(t, b))
+            ha = ht.enumerate_hypertrees(ht.trinity_hypergraph(t, a))
+            hb = ht.enumerate_hypertrees(ht.trinity_hypergraph(t, b))
             offset = ht.translate_offset(ha, hb)
             assert offset is not None, (name, a, b)
 
 
 def test_four_cycle_ve_vs_re_offset(trinities):
     t = trinities["cycle4"]
-    ha = ht.enumerate_hypertrees(ht.trinity_hypergraph_by_label(t, "VE"))
-    hb = ht.enumerate_hypertrees(ht.trinity_hypergraph_by_label(t, "RE"))
+    ha = ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "VE"))
+    hb = ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "RE"))
     offset = ht.translate_offset(ha, hb)
     # verified exhaustively: every b-vector reflects onto an a-vector
     assert offset is not None
@@ -169,13 +176,18 @@ def test_four_cycle_ve_vs_re_offset(trinities):
 
 
 def test_hypergraph_reproduces_adjacency(trinities):
-    for t in trinities.values():
-        hg = ht.trinity_hypergraph(t, "emerald", "red")
-        bip = hg.bip
-        for h, members in hg.hyperedges:
-            neighbours = {bip.target(d) for d in bip.vertices[h].rotation}
-            assert members == neighbours
-            assert members  # hyperedges are non-empty
+    for name, t in trinities.items():
+        for label in ht.HYPERGRAPH_LABELS:
+            hg = ht.trinity_hypergraph(t, label)
+            host = hg.index.graph
+            in_class = sorted(v for v in host.vertices if host.colour_of(v) == hg.colour)
+            assert hg.ids == tuple(in_class), (name, label)
+            # each edge's slot names its one end in the hyperedge class
+            for e, eid in enumerate(hg.index.edge_ids):
+                ends = [v for v in host.endpoints(eid) if host.colour_of(v) == hg.colour]
+                assert ends == [hg.ids[hg.slot[e]]], (name, label, eid)
+            for h, degree in zip(hg.ids, hg.degree):
+                assert degree == len(host.vertices[h].rotation) > 0, (name, label, h)
 
 
 def test_hypergraph_host_is_the_third_colour_graph(trinities):
@@ -189,27 +201,25 @@ def test_hypergraph_host_is_the_third_colour_graph(trinities):
         "RV": t.emerald_graph,
     }
     for label, host in hosts.items():
-        hg = ht.trinity_hypergraph_by_label(t, label)
+        hg = ht.trinity_hypergraph(t, label)
         assert hg.label == label
-        assert hg.bip is host
-    for pair in (("violet", "violet"), ("red", "blue")):
-        with pytest.raises(ValueError, match="bad colour pair"):
-            ht.trinity_hypergraph(t, *pair)
+        assert hg.index.graph is host
+    for label in ("VV", "RB", "V"):
+        with pytest.raises(ValueError, match="bad hypergraph label"):
+            ht.trinity_hypergraph(t, label)
 
 
 def realization_oracle(hypergraph):
     """First realizing tree per vector, by ``hypertree_of`` on every spanning tree."""
     first = {}
-    for tree in trees.enumerate_spanning_trees(
-        hypergraph.index, record_colour=hypergraph.hyperedge_colour, cap=None
-    ):
-        first.setdefault(ht.hypertree_of(tree, hypergraph.hyperedge_colour).vector, tree)
+    for tree in trees.enumerate_spanning_trees(hypergraph.index, cap=None):
+        first.setdefault(ht.hypertree_of(tree, hypergraph.colour).vector, tree)
     return first
 
 
 def assert_witness_spans_and_realizes(hypergraph, hypertree):
     """The witness is a spanning tree of the host whose record is the vector."""
-    bip = hypergraph.bip
+    bip = hypergraph.index.graph
     witness = hypertree.witness
     assert witness.graph is bip
     assert witness.edges <= bip.edges.keys()
@@ -225,13 +235,13 @@ def assert_witness_spans_and_realizes(hypergraph, hypertree):
         u, v = (find(x) for x in bip.endpoints(eid))
         assert u != v, ("cycle through", eid)
         root[u] = v
-    assert ht.hypertree_of(witness, hypergraph.hyperedge_colour).vector == hypertree.vector
+    assert ht.hypertree_of(witness, hypergraph.colour).vector == hypertree.vector
 
 
 @pytest.mark.parametrize("label", ht.HYPERGRAPH_LABELS)
 def test_hypertree_sets_match_per_tree_realization(trinities, label):
     for name, t in trinities.items():
-        hypergraph = ht.trinity_hypergraph_by_label(t, label)
+        hypergraph = ht.trinity_hypergraph(t, label)
         first = realization_oracle(hypergraph)
         found = t.hypertree_set(label)
         assert [h.vector for h in found] == sorted(first), (name, label)
@@ -246,7 +256,7 @@ def test_random_map_hypertrees_match_per_tree_realization(doc):
     dual = t.directed_dual("violet")
     magic = trees.count_arborescences(dual, min(dual.vertices))
     for label in ht.HYPERGRAPH_LABELS:
-        hypergraph = ht.trinity_hypergraph_by_label(t, label)
+        hypergraph = ht.trinity_hypergraph(t, label)
         found = t.hypertree_set(label)
         assert [h.vector for h in found] == sorted(realization_oracle(hypergraph)), label
         assert len(found) == magic, label
@@ -262,8 +272,9 @@ def polytope_oracle(hypergraph):
     c(S) counts the components of the bipartite graph on S and its union.
     Since mu({e}) = |e| - 1, the search runs over that box.
     """
-    ids = hypergraph.hyperedge_ids()
-    members = [sorted(m) for _, m in hypergraph.hyperedges]
+    ids = hypergraph.ids
+    host = hypergraph.index.graph
+    members = [sorted({host.target(d) for d in host.vertices[h].rotation}) for h in ids]
     k = len(members)
     mu = [0] * (1 << k)
     for mask in range(1, 1 << k):
@@ -309,7 +320,7 @@ def polytope_trinities(trinities):
 @pytest.mark.parametrize("label", ht.HYPERGRAPH_LABELS)
 def test_hypertree_sets_are_the_polytope_lattice_points(polytope_trinities, label):
     for name, t in polytope_trinities.items():
-        hypergraph = ht.trinity_hypergraph_by_label(t, label)
+        hypergraph = ht.trinity_hypergraph(t, label)
         found = [h.vector for h in t.hypertree_set(label)]
         assert found == sorted(polytope_oracle(hypergraph)), (name, label)
 
@@ -332,13 +343,12 @@ def test_each_hypertree_set_draws_one_spanning_tree(graphs, monkeypatch):
 
 
 def test_a_witness_with_another_record_is_refused(trinities):
-    hypergraph = ht.trinity_hypergraph_by_label(trinities["cycle4"], "VE")
+    hypergraph = ht.trinity_hypergraph(trinities["cycle4"], "VE")
     first, second = ht.enumerate_hypertrees(hypergraph)
-    host = ht._Host(hypergraph)
-    edges = sorted(host.edge_index[eid] for eid in first.witness.edges)
+    edges = sorted(hypergraph.index.edge_index[eid] for eid in first.witness.edges)
     vector = tuple(f for _, f in second.vector)
     with pytest.raises(ht.BadWitness, match=r"VE: witness for \(1, 0\) realizes \(0, 1\)"):
-        host.certify(edges, vector, "VE")
+        hypergraph.certify(edges, vector)
 
 
 def _parts(graph, edge_ids):
@@ -363,24 +373,24 @@ def _parts(graph, edge_ids):
 
 
 def test_a_witness_with_a_cycle_is_refused(trinities):
-    hypergraph = ht.trinity_hypergraph_by_label(trinities["grid2"], "VE")
-    bip = hypergraph.bip
-    host = ht._Host(hypergraph)
+    hypergraph = ht.trinity_hypergraph(trinities["grid2"], "VE")
+    index = hypergraph.index
+    bip = index.graph
     first = ht.enumerate_hypertrees(hypergraph)[0]
-    tree = {host.edge_index[eid] for eid in first.witness.edges}
+    tree = {index.edge_index[eid] for eid in first.witness.edges}
     vector = tuple(f for _, f in first.vector)
     n = len(bip.vertices)
-    extra = min(set(range(len(host.edge_ids))) - tree)
+    extra = min(set(range(len(index.edge_ids))) - tree)
     # a tree edge off the cycle that the extra edge closes: dropping it
     # leaves |V| - 1 edges with a cycle, so two components
     for dropped in sorted(tree):
         edges = sorted(tree - {dropped} | {extra})
-        if _parts(bip, [host.edge_ids[e] for e in edges]) == 2:
+        if _parts(bip, [index.edge_ids[e] for e in edges]) == 2:
             break
     else:
         pytest.fail("every tree edge lies on the cycle")
     with pytest.raises(ht.BadWitness) as refused:
-        host.certify(edges, vector, "VE")
+        hypergraph.certify(edges, vector)
     assert str(refused.value) == (
         f"VE: witness for {vector} has {n - 1} edges and 2 components on {n} vertices"
     )
@@ -390,7 +400,7 @@ def test_witnesses_are_built_when_read(graphs):
     for name, graph in graphs.items():
         t = trinity_mod.build_trinity(graph)
         for label in ht.HYPERGRAPH_LABELS:
-            colour = ht.trinity_hypergraph_by_label(t, label).hyperedge_colour
+            colour = ht.trinity_hypergraph(t, label).colour
             for h in t.hypertree_set(label):
                 assert "witness" not in vars(h), (name, label)
                 assert ht.hypertree_of(h.witness, colour).vector == h.vector, (name, label)
@@ -401,6 +411,5 @@ def test_the_two_hypergraphs_of_a_host_share_its_index(trinities):
     t = trinities["grid2"]
     for pair, host in ((("VE", "EV"), "red"), (("ER", "RE"), "violet"), (("VR", "RV"), "emerald")):
         for label in pair:
-            hypergraph = ht.trinity_hypergraph_by_label(t, label)
+            hypergraph = ht.trinity_hypergraph(t, label)
             assert hypergraph.index is t.graph_index(host)
-            assert hypergraph.bip is t.graph_index(host).graph

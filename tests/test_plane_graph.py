@@ -1,5 +1,7 @@
 """Rotation systems, face tracing, duals and bipartite validation."""
 
+from collections import Counter
+
 import pytest
 
 from corpus import corpus_documents, running_example_document, triangle_document
@@ -147,21 +149,20 @@ def test_primal_and_dual_spanning_tree_counts_agree(graphs):
 def test_validate_four_cycle_passes(graphs):
     report = pg.validate_bipartite_plane(graphs["cycle4"])
     assert report.ok
-    assert {len(v) for v in report.colour_classes.values()} == {2}
+    assert sorted(Counter(report.colouring.values()).values()) == [2, 2]
 
 
 def test_validate_triangle_fails():
     g = parse(triangle_document())
     report = pg.validate_bipartite_plane(g)
-    assert not report.ok
-    assert not report.bipartite
+    assert report.failures == ("not bipartite: odd cycle or loop",)
+    assert report.colouring is None
 
 
 def test_validate_running_example(graphs):
     report = pg.validate_bipartite_plane(graphs["running11"])
     assert report.ok
-    sizes = sorted(len(v) for v in report.colour_classes.values())
-    assert sizes == [4, 5]
+    assert sorted(Counter(report.colouring.values()).values()) == [4, 5]
 
 
 def test_validate_rejects_loop():
@@ -173,8 +174,7 @@ def test_validate_rejects_loop():
     }
     g = parse(doc)
     report = pg.validate_bipartite_plane(g)
-    assert not report.loop_free
-    assert not report.ok
+    assert "graph has a loop edge" in report.failures
 
 
 def test_colour_check_when_colours_present():
