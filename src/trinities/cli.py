@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import dividing, fkt, hypertrees, plane_graph, transitions, trinity
 from .limits import DEFAULT_CAP, CapExceeded
@@ -118,11 +117,20 @@ def _grid_document(kx, ky):
 # -- verification suite ----------------------------------------------------------------
 
 
-@dataclass
 class VerificationSuite:
-    instance: str
-    stages: dict
-    seconds: dict
+    __slots__ = ("instance", "stages", "seconds")
+
+    def __init__(self, instance: str, stages: dict, seconds: dict):
+        self.instance = instance
+        self.stages = stages
+        self.seconds = seconds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.instance, self.stages, self.seconds) == (
+            other.instance, other.stages, other.seconds
+        )
 
     @property
     def ok(self):

@@ -13,7 +13,6 @@ into a single closed curve.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .limits import DEFAULT_CAP, check_cap
@@ -40,14 +39,13 @@ class NoHugBack(RuntimeError):
     """A tree-hugging witness hugs another configuration (model bug)."""
 
 
-@dataclass(frozen=True)
 class ChordDiagram:
     """Non-crossing perfect matching of 2n cyclically ordered points."""
 
-    partner: tuple[int, ...]
+    __slots__ = ("partner",)
 
-    def __post_init__(self):
-        p = self.partner
+    def __init__(self, partner: tuple[int, ...]):
+        self.partner = p = partner
         m = len(p)
         if m % 2 or m == 0:
             raise ValueError("need an even, positive number of points")
@@ -64,6 +62,14 @@ class ChordDiagram:
         if not nested:
             (a, b), (c, d) = first_crossing(self.pairs())
             raise ValueError(f"chords ({a},{b}) and ({c},{d}) cross")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.partner == other.partner
+
+    def __hash__(self):
+        return hash((self.partner,))
 
     @property
     def n(self):
@@ -161,7 +167,6 @@ def chord_trie(n):
 # -- per-face charts -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DiscChart:
     """Boundary bookkeeping of one face disc.
 
@@ -170,9 +175,20 @@ class DiscChart:
     is positive.
     """
 
-    face: str
-    n: int
-    emerald_corner: tuple
+    def __init__(self, face: str, n: int, emerald_corner: tuple):
+        self.face = face
+        self.n = n
+        self.emerald_corner = emerald_corner
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.face, self.n, self.emerald_corner) == (
+            other.face, other.n, other.emerald_corner
+        )
+
+    def __hash__(self):
+        return hash((self.face, self.n, self.emerald_corner))
 
     @property
     def points(self):
@@ -187,21 +203,29 @@ class DiscChart:
 # -- configurations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Configuration:
-    """One chord diagram per face disc."""
+    """One chord diagram per face disc; equal configurations have equal entries."""
 
-    trinity: object = field(compare=False)
-    entries: tuple = ()
+    __slots__ = ("trinity", "entries")
 
-    def __post_init__(self):
-        for fid, diagram in self.entries:
-            if diagram.n != self.trinity.n_r[fid]:
+    def __init__(self, trinity, entries: tuple = ()):
+        self.trinity = trinity
+        self.entries = entries
+        for fid, diagram in entries:
+            if diagram.n != trinity.n_r[fid]:
                 raise SizeMismatch(
-                    f"face {fid}: diagram size {diagram.n} != n_r {self.trinity.n_r[fid]}"
+                    f"face {fid}: diagram size {diagram.n} != n_r {trinity.n_r[fid]}"
                 )
-        if tuple(sorted(f for f, _ in self.entries)) != tuple(sorted(self.trinity.red)):
+        if tuple(sorted(f for f, _ in entries)) != tuple(sorted(trinity.red)):
             raise ValueError("configuration must cover every face exactly once")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @classmethod
     def from_diagrams(cls, trinity, diagrams):
@@ -211,10 +235,20 @@ class Configuration:
         return dict(self.entries)[face]
 
 
-@dataclass(frozen=True)
 class TightVerdict:
-    tight: bool
-    loops: int
+    __slots__ = ("tight", "loops")
+
+    def __init__(self, tight: bool, loops: int):
+        self.tight = tight
+        self.loops = loops
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tight, self.loops) == (other.tight, other.loops)
+
+    def __hash__(self):
+        return hash((self.tight, self.loops))
 
 
 def loop_count(config):

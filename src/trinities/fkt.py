@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, eq, itemgetter
 
@@ -55,10 +54,20 @@ class MoveLeavesStates(RuntimeError):
     """A clockwise move must lead to a listed state (model bug otherwise)."""
 
 
-@dataclass(frozen=True)
 class Universe:
-    graph: RotationGraph = field(compare=False)
-    stars: tuple[str, str] = ()
+    """A universe graph and its two starred faces; equal universes have equal stars."""
+
+    def __init__(self, graph: RotationGraph, stars: tuple[str, str] = ()):
+        self.graph = graph
+        self.stars = stars
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.stars == other.stars
+
+    def __hash__(self):
+        return hash((self.stars,))
 
     @cached_property
     def vertex_ids(self):
@@ -152,9 +161,19 @@ def parse_universe(document):
 # -- states ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class UniverseState:
-    markers: tuple  # sorted (vertex id, quadrant index) pairs
+    __slots__ = ("markers",)
+
+    def __init__(self, markers: tuple):
+        self.markers = markers  # sorted (vertex id, quadrant index) pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.markers == other.markers
+
+    def __hash__(self):
+        return hash((self.markers,))
 
     def to_json(self):
         return {"markers": {v: k for v, k in self.markers}}
@@ -295,19 +314,27 @@ def transpositions(universe, state):
     return list(_as_states(universe, [code + d for _i, d in moves]))
 
 
-@dataclass(frozen=True)
 class ClockGraph:
     """States with their clockwise moves as one flat out-list.
 
     State i's move targets, as state indices, are ``targets[ends[i]:ends[i + 1]]``
-    in the order the search found the moves.
+    in the order the search found the moves. Equal clock graphs agree on
+    every field but ``universe``.
     """
 
-    universe: Universe = field(compare=False)
-    codes: tuple  # each state's code, in enumerate_states' order
-    ends: list
-    targets: list
-    report: dict
+    def __init__(self, universe: Universe, codes: tuple, ends: list, targets: list, report: dict):
+        self.universe = universe
+        self.codes = codes  # each state's code, in enumerate_states' order
+        self.ends = ends
+        self.targets = targets
+        self.report = report
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.codes, self.ends, self.targets, self.report) == (
+            other.codes, other.ends, other.targets, other.report
+        )
 
     @cached_property
     def choices(self):
@@ -429,12 +456,24 @@ def _dual_face_vertex(universe, dual, face_id):
     return universe.graph.origin(universe.graph.reverse(t))
 
 
-@dataclass(frozen=True)
 class CorrespondenceReport:
-    states: int
-    tight: int
-    magic: int
-    bijective: bool
+    __slots__ = ("states", "tight", "magic", "bijective")
+
+    def __init__(self, states: int, tight: int, magic: int, bijective: bool):
+        self.states = states
+        self.tight = tight
+        self.magic = magic
+        self.bijective = bijective
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.states, self.tight, self.magic, self.bijective) == (
+            other.states, other.tight, other.magic, other.bijective
+        )
+
+    def __hash__(self):
+        return hash((self.states, self.tight, self.magic, self.bijective))
 
     def to_json(self):
         return {

@@ -15,7 +15,6 @@ off every spanning tree nor cut out by polytope inequalities.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import getitem, mul
@@ -93,17 +92,26 @@ def trinity_hypergraph(trinity, label):
     )
 
 
-@dataclass(frozen=True)
 class Hypertree:
     """Degree record of a realizing spanning tree, minus one per hyperedge.
 
     The tree is ``witness``. ``source`` is either that tree or, for a
     searched hypertree, its hypergraph and the tree's edge positions in the
-    host, from which the tree is built when first read.
+    host, from which the tree is built when first read. Equal hypertrees
+    have equal vectors.
     """
 
-    vector: tuple
-    source: object = field(compare=False, default=None, repr=False)
+    def __init__(self, vector: tuple, source=None):
+        self.vector = vector
+        self.source = source
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vector == other.vector
+
+    def __hash__(self):
+        return hash((self.vector,))
 
     @cached_property
     def witness(self):

@@ -7,12 +7,11 @@ convention that the face lies to the left of each boundary dart: from a
 dart arriving at a vertex, the trace continues with the rotation
 predecessor of its reverse.
 
-All objects are immutable after construction.
+No object is changed after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 COLOURS = ("violet", "emerald", "red")
@@ -30,23 +29,53 @@ class NotPlanarConsistent(ValueError):
     """The rotation system does not close up into a sphere embedding."""
 
 
-@dataclass(frozen=True)
 class Vertex:
-    id: str
-    colour: str | None
-    rotation: tuple[str, ...]
+    __slots__ = ("id", "colour", "rotation")
+
+    def __init__(self, id: str, colour: str | None, rotation: tuple[str, ...]):
+        self.id = id
+        self.colour = colour
+        self.rotation = rotation
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.colour, self.rotation) == (other.id, other.colour, other.rotation)
+
+    def __hash__(self):
+        return hash((self.id, self.colour, self.rotation))
 
 
-@dataclass(frozen=True)
 class Edge:
-    id: str
-    darts: tuple[str, str]
+    __slots__ = ("id", "darts")
+
+    def __init__(self, id: str, darts: tuple[str, str]):
+        self.id = id
+        self.darts = darts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.darts) == (other.id, other.darts)
+
+    def __hash__(self):
+        return hash((self.id, self.darts))
 
 
-@dataclass(frozen=True)
 class Face:
-    id: str
-    boundary: tuple[str, ...]
+    __slots__ = ("id", "boundary")
+
+    def __init__(self, id: str, boundary: tuple[str, ...]):
+        self.id = id
+        self.boundary = boundary
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.boundary) == (other.id, other.boundary)
+
+    def __hash__(self):
+        return hash((self.id, self.boundary))
 
 
 class RotationGraph:
@@ -218,22 +247,28 @@ def parse_graph(document):
     for rec in document["vertices"]:
         if not isinstance(rec, dict) or "id" not in rec or "rotation" not in rec:
             raise SchemaError(f"bad vertex record: {rec!r}")
+        if not isinstance(rec["id"], str):
+            raise SchemaError(f"vertex id {rec['id']!r} is not a string")
         colour = rec.get("colour")
         if colour is not None and colour not in COLOURS:
             raise SchemaError(f"bad colour {colour!r} on vertex {rec['id']!r}")
         rotation = rec["rotation"]
         if not isinstance(rotation, list) or not all(isinstance(d, str) for d in rotation):
             raise SchemaError(f"bad rotation on vertex {rec['id']!r}")
-        vertices.append(Vertex(str(rec["id"]), colour, tuple(rotation)))
+        vertices.append(Vertex(rec["id"], colour, tuple(rotation)))
 
     edges = []
     for rec in document["edges"]:
         if not isinstance(rec, dict) or "id" not in rec or "darts" not in rec:
             raise SchemaError(f"bad edge record: {rec!r}")
+        if not isinstance(rec["id"], str):
+            raise SchemaError(f"edge id {rec['id']!r} is not a string")
         darts = rec["darts"]
         if not isinstance(darts, list) or len(darts) != 2:
             raise SchemaError(f"edge {rec['id']!r} must list two darts")
-        edges.append(Edge(str(rec["id"]), (str(darts[0]), str(darts[1]))))
+        if not all(isinstance(d, str) for d in darts):
+            raise SchemaError(f"darts of edge {rec['id']!r} are not strings")
+        edges.append(Edge(rec["id"], tuple(darts)))
 
     return RotationGraph(vertices, edges)
 
@@ -309,10 +344,17 @@ def with_colours(graph, colouring):
     return RotationGraph(vertices, graph.edges.values())
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    failures: tuple[str, ...]
-    colouring: dict | None
+    __slots__ = ("failures", "colouring")
+
+    def __init__(self, failures: tuple[str, ...], colouring: dict | None):
+        self.failures = failures
+        self.colouring = colouring
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.failures, self.colouring) == (other.failures, other.colouring)
 
     @property
     def ok(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import getitem, itemgetter, mul, sub
 
@@ -38,16 +37,26 @@ class NotBijective(RuntimeError):
 # -- the configuration graph ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Component:
-    id: int
-    members: tuple[int, ...]
-    euler: dict
-    hypertree: dict
-    representative: int  # index of a tree-hugging vertex
+    __slots__ = ("id", "members", "euler", "hypertree", "representative")
+
+    def __init__(
+        self, id: int, members: tuple[int, ...], euler: dict, hypertree: dict, representative: int
+    ):
+        self.id = id
+        self.members = members
+        self.euler = euler
+        self.hypertree = hypertree
+        self.representative = representative  # index of a tree-hugging vertex
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.members, self.euler, self.hypertree, self.representative) == (
+            other.id, other.members, other.euler, other.hypertree, other.representative
+        )
 
 
-@dataclass(frozen=True)
 class ConfigurationGraph:
     """Tight configurations and the partition of their one-face graph.
 
@@ -57,16 +66,46 @@ class ConfigurationGraph:
     ``enumerate_chord_diagrams`` order. ``disc_euler`` holds, face by face,
     the Euler contribution of each diagram index some vertex uses.
     ``vertex(i)`` builds its ``Configuration`` and ``ChordDiagram``s when
-    read; building the graph and ``vertex_json`` make none.
+    read; building the graph and ``vertex_json`` make none. Equal graphs
+    agree on every field but ``trinity``.
     """
 
-    trinity: object = field(compare=False)
-    diagrams: tuple = ()
-    choices: tuple = ()
-    component_of: tuple = ()
-    components: tuple = ()
-    total_configurations: int = 0
-    disc_euler: tuple = ()
+    def __init__(
+        self,
+        trinity,
+        diagrams: tuple = (),
+        choices: tuple = (),
+        component_of: tuple = (),
+        components: tuple = (),
+        total_configurations: int = 0,
+        disc_euler: tuple = (),
+    ):
+        self.trinity = trinity
+        self.diagrams = diagrams
+        self.choices = choices
+        self.component_of = component_of
+        self.components = components
+        self.total_configurations = total_configurations
+        self.disc_euler = disc_euler
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.diagrams,
+            self.choices,
+            self.component_of,
+            self.components,
+            self.total_configurations,
+            self.disc_euler,
+        ) == (
+            other.diagrams,
+            other.choices,
+            other.component_of,
+            other.components,
+            other.total_configurations,
+            other.disc_euler,
+        )
 
     def component_count(self):
         return len(self.components)
@@ -178,6 +217,9 @@ def build_configuration_graph(trinity):
     # its component's smallest member and parents never exceed their children
     parent = list(range(len(choices)))
     for keys in _one_face_keys(choices, tuple(map(len, diagrams))):
+        keys = list(keys)
+        if len(set(keys)) == len(keys):
+            continue  # no two vertices agree off this face: nothing to join
         first_of = {}
         for i, key in enumerate(keys):
             x, y = first_of.setdefault(key, i), i
@@ -205,7 +247,8 @@ def build_configuration_graph(trinity):
     )
     # per vertex: its Euler tuple, and whether its every disc hugs
     euler, hugging = list(zip(*eulers)), list(map(all, zip(*hugs)))
-    return replace(graph, components=_label_components(graph, count, euler, hugging))
+    graph.components = _label_components(graph, count, euler, hugging)
+    return graph
 
 
 def _chord_tries(trinity, tries):

@@ -8,7 +8,6 @@ anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .limits import DEFAULT_CAP, CapExceeded, check_cap
@@ -83,12 +82,22 @@ class GraphIndex:
 # -- spanning trees ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpanningTree:
-    """Edge subset spanning the host graph."""
+    """Edge subset spanning the host graph; equal trees have equal edges."""
 
-    graph: object = field(compare=False)
-    edges: frozenset
+    __slots__ = ("graph", "edges")
+
+    def __init__(self, graph, edges: frozenset):
+        self.graph = graph
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.edges,))
 
     def degrees(self, colour):
         """Tree degree of each host vertex of this colour."""
@@ -166,11 +175,24 @@ def enumerate_spanning_trees(index, cap=DEFAULT_CAP):
 # -- arborescences -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Arborescence:
-    dual: object = field(compare=False)
-    root: str = field(compare=False)
-    arcs: frozenset = field(default_factory=frozenset)
+    """Arc ids of an arborescence of ``dual`` away from ``root``; equal
+    arborescences have equal arcs."""
+
+    __slots__ = ("dual", "root", "arcs")
+
+    def __init__(self, dual, root: str, arcs: frozenset = frozenset()):
+        self.dual = dual
+        self.root = root
+        self.arcs = arcs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arcs == other.arcs
+
+    def __hash__(self):
+        return hash((self.arcs,))
 
 
 def count_arborescences(dual, root):
@@ -253,12 +275,21 @@ def enumerate_arborescences(dual, root):
 # -- the magic number -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MagicReport:
-    det: dict
-    enum: dict
-    hypertrees: dict
-    agree: bool
+    __slots__ = ("det", "enum", "hypertrees", "agree")
+
+    def __init__(self, det: dict, enum: dict, hypertrees: dict, agree: bool):
+        self.det = det
+        self.enum = enum
+        self.hypertrees = hypertrees
+        self.agree = agree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.det, self.enum, self.hypertrees, self.agree) == (
+            other.det, other.enum, other.hypertrees, other.agree
+        )
 
     @property
     def value(self):

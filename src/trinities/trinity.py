@@ -26,7 +26,6 @@ every product is a plain memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import hypertrees, trees
@@ -38,16 +37,28 @@ BLACK = "black"
 WHITE = "white"
 
 
-@dataclass(frozen=True)
 class Triangle:
     """Corner incidence of a face: one triangle per boundary dart."""
 
-    face: str
-    index: int
-    dart: str
-    shade: str
-    violet: str
-    emerald: str
+    __slots__ = ("face", "index", "dart", "shade", "violet", "emerald")
+
+    def __init__(self, face: str, index: int, dart: str, shade: str, violet: str, emerald: str):
+        self.face = face
+        self.index = index
+        self.dart = dart
+        self.shade = shade
+        self.violet = violet
+        self.emerald = emerald
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.face, self.index, self.dart, self.shade, self.violet, self.emerald) == (
+            other.face, other.index, other.dart, other.shade, other.violet, other.emerald
+        )
+
+    def __hash__(self):
+        return hash((self.face, self.index, self.dart, self.shade, self.violet, self.emerald))
 
     @property
     def red(self):
@@ -55,20 +66,40 @@ class Triangle:
         return self.face
 
 
-@dataclass(frozen=True)
 class Arc:
-    id: str
-    tail: str
-    head: str
+    __slots__ = ("id", "tail", "head")
+
+    def __init__(self, id: str, tail: str, head: str):
+        self.id = id
+        self.tail = tail
+        self.head = head
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.tail, self.head) == (other.id, other.tail, other.head)
+
+    def __hash__(self):
+        return hash((self.id, self.tail, self.head))
 
 
-@dataclass(frozen=True)
 class DirectedDual:
     """Planar dual of one colour graph, arcs directed black-to-white."""
 
-    colour: str
-    vertices: tuple[str, ...]
-    arcs: tuple[Arc, ...]
+    __slots__ = ("colour", "vertices", "arcs")
+
+    def __init__(self, colour: str, vertices: tuple[str, ...], arcs: tuple[Arc, ...]):
+        self.colour = colour
+        self.vertices = vertices
+        self.arcs = arcs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.colour, self.vertices, self.arcs) == (other.colour, other.vertices, other.arcs)
+
+    def __hash__(self):
+        return hash((self.colour, self.vertices, self.arcs))
 
 
 class Trinity:

@@ -95,6 +95,52 @@ def test_stars_of_the_wrong_type_are_a_usage_error(capsys, tmp_path, stars):
     assert err.startswith("error: stars must be a list of two face ids")
 
 
+def _vertex_id(doc, value):
+    doc["vertices"][0]["id"] = value
+
+
+def _edge_id(doc, value):
+    doc["edges"][0]["id"] = value
+
+
+def _dart(doc, value):
+    # the rotation names the dart as its string form, which coercion would match
+    (dart, _other) = doc["edges"][0]["darts"]
+    for v in doc["vertices"]:
+        v["rotation"] = [str(value) if d == dart else d for d in v["rotation"]]
+    doc["edges"][0]["darts"][0] = value
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (("verify", "--graph"), lambda: cli.generate_corpus("even_cycle", 2)[0]),
+        (("states", "--universe"), fkt.figure_eight_universe),
+    ],
+    ids=["graph", "universe"],
+)
+@pytest.mark.parametrize(
+    "mutate, value, message",
+    [
+        (_vertex_id, None, "vertex id None is not a string"),
+        (_vertex_id, [1], "vertex id [1] is not a string"),
+        (_edge_id, 5, "edge id 5 is not a string"),
+        (_dart, 7, "are not strings"),
+        (_dart, ["e1.0"], "are not strings"),
+    ],
+    ids=["vertex-null", "vertex-list", "edge-number", "dart-number", "dart-list"],
+)
+def test_an_id_that_is_not_a_string_is_a_usage_error(
+    capsys, tmp_path, argv, document, mutate, value, message
+):
+    doc = document()
+    mutate(doc, value)
+    code, out, err = run(capsys, *argv, write_json(tmp_path, "input.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_one_parser_serves_a_sequence_of_calls(capsys, c4_file, fig8_file):
     # the cached parser's ``fn`` defaults pin the ``_cmd_*`` functions as
     # they were when it was built; no test monkeypatches those functions

@@ -1,7 +1,6 @@
 """Chord diagrams, tightness, signed regions, Euler classes, tree-hugging."""
 
 import sys
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -334,7 +333,7 @@ def test_a_flipped_arc_sign_mixes_a_region(graphs):
     arc = next(a for arcs in _region_arcs(diagram.partner) if len(arcs) > 1 for a in arcs)
     corners = list(chart.emerald_corner)
     corners[arc] = "flipped" if corners[arc] is None else None
-    t.charts[fid] = replace(chart, emerald_corner=tuple(corners))
+    t.charts[fid] = dv.DiscChart(chart.face, chart.n, tuple(corners))
     with pytest.raises(dv.MixedRegion, match="mixed signs"):
         dv.disc_regions(t, fid, diagram)
     config = dv.Configuration.from_diagrams(t, {f: dv.enumerate_chord_diagrams(t.n_r[f])[0] for f in t.red})

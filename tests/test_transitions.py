@@ -547,8 +547,10 @@ def test_builder_checks_each_tight_configuration_once(monkeypatch):
 def test_building_makes_no_configuration(monkeypatch):
     t = _generated("even_cycle", 6)
     made = []
-    real_post_init = dv.Configuration.__post_init__
-    monkeypatch.setattr(dv.Configuration, "__post_init__", lambda config: made.append(config) or real_post_init(config))
+    real_init = dv.Configuration.__init__
+    monkeypatch.setattr(
+        dv.Configuration, "__init__", lambda config, *args: made.append(config) or real_init(config, *args)
+    )
     monkeypatch.setattr(tx, "ChordDiagram", lambda partner: made.append(partner) or dv.ChordDiagram(partner))
     # the integer check stands in for these, which build a Configuration,
     # a ChordDiagram per face and a SpanningTree
