@@ -8,10 +8,11 @@ explicit bypass surgery while avoiding attaching-arc bookkeeping.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from array import array
 from functools import cached_property
-from operator import getitem, itemgetter, mul, sub
+from operator import and_, getitem, itemgetter, mul, ne, sub
 
 from . import dividing, trees
 from .dividing import ChordDiagram, Configuration
@@ -65,9 +66,11 @@ class ConfigurationGraph:
     ``diagrams``, the face's tuple of partner tuples in
     ``enumerate_chord_diagrams`` order. ``disc_euler`` holds, face by face,
     the Euler contribution of each diagram index some vertex uses.
-    ``vertex(i)`` builds its ``Configuration`` and ``ChordDiagram``s when
-    read; building the graph and ``vertex_json`` make none. Equal graphs
-    agree on every field but ``trinity``.
+    ``codes`` holds each vertex's mixed-radix code, with radices the faces'
+    diagram counts, as the walk gave it. ``vertex(i)`` builds its
+    ``Configuration`` and ``ChordDiagram``s when read; building the graph
+    and ``vertex_json`` make none. Equal graphs agree on every field but
+    ``trinity`` and ``codes``, which the choices fix.
     """
 
     def __init__(
@@ -79,6 +82,7 @@ class ConfigurationGraph:
         components: tuple = (),
         total_configurations: int = 0,
         disc_euler: tuple = (),
+        codes: array = (),
     ):
         self.trinity = trinity
         self.diagrams = diagrams
@@ -87,6 +91,7 @@ class ConfigurationGraph:
         self.components = components
         self.total_configurations = total_configurations
         self.disc_euler = disc_euler
+        self.codes = codes
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -146,9 +151,10 @@ class ConfigurationGraph:
         large instances they far outnumber the vertices.
         """
         pairs = []
-        for keys in _one_face_keys(self.choices, tuple(map(len, self.diagrams))):
+        strides = _strides(tuple(map(len, self.diagrams)))
+        for axis, stride in enumerate(strides):
             groups = {}
-            for i, key in enumerate(keys):
+            for i, key in enumerate(_face_keys(self.codes, self.choices, stride, axis)):
                 groups.setdefault(key, []).append(i)
             for group in groups.values():
                 pairs.extend(itertools.combinations(group, 2))
@@ -176,79 +182,176 @@ def build_configuration_graph(trinity):
 
     The tight configurations are built chord by chord, by walking the
     faces' chord tries, not filtered out of the Catalan product; faces of
-    one half-length share one ``dividing.chord_trie``. Per face, each
-    diagram some tight configuration uses gets, from its partner tuple and
-    with no ``ChordDiagram`` built, its partner tuple offset to the global
-    point numbering and its Euler contribution and hug flag, read by
-    ``dividing.euler_and_hug`` off one ``dividing.regions`` pass. Each
-    tight configuration is checked with ``dividing.glued_loops`` on its
-    chords, concatenated from the offset tuples. Vertices come in the
+    one half-length share one ``dividing.chord_trie``. The walk gives each
+    vertex's choice tuple and its mixed-radix code. Vertices come in the
     product's order: lexicographic in ``choices``.
+
+    The big face is the face with the most diagrams, ties to the last.
+    Vertices that agree off it form a group. Per group, ``_group_matches``
+    writes the other faces' chords once and follows them from each
+    big-face point back to the big face: a curve closed off it is a
+    non-tight group, and each member is checked by ``dividing.glued_loops``
+    on its big-face partner tuple and the matching they induce there. The
+    union-find starts from each vertex's group's first member, so only
+    the other faces' keys enter its loop. Per face, each diagram some
+    vertex uses gets its Euler contribution and hug flag, read by
+    ``dividing.euler_and_hug`` off one ``dividing.regions`` pass; Euler
+    constancy on components is checked face by face.
     """
     total = configuration_count(trinity)
     faces = trinity.red
     tries = {n: dividing.chord_trie(n) for n in set(trinity.n_r.values())}
-    choices = tuple(_tight_choices(trinity, [tries[trinity.n_r[fid]][0] for fid in faces]))
     # past the walk only the partner tuples are read
     shared = {n: tuple(partners) for n, (_trie, partners) in tries.items()}
-    del tries
     diagrams = tuple(shared[trinity.n_r[fid]] for fid in faces)
-    tables, disc_euler, eulers, hugs = [], [], [], []
-    for axis, fid in enumerate(faces):
-        partners, lo, sign = diagrams[axis], trinity.offset[fid], trinity.charts[fid].sign
-        table, euler_of, hug_of = {}, {}, {}
-        column = list(map(itemgetter(axis), choices))
-        for k in set(column):
-            table[k] = tuple(map(lo.__add__, partners[k]))
-            euler_of[k], hug_of[k] = dividing.euler_and_hug(dividing.regions(fid, partners[k], sign))
-        tables.append(table)
-        disc_euler.append(euler_of)
-        eulers.append(map(euler_of.__getitem__, column))
-        hugs.append(map(hug_of.__getitem__, column))
-    glue, walk = trinity.glue, dividing.glued_loops
-    for choice in choices:
-        chord = []
-        for table, k in zip(tables, choice):
-            chord += table[k]
-        loops = walk(chord, glue)
+    strides = _strides(tuple(map(len, diagrams)))
+    choices, codes = _tight_choices(trinity, [tries[trinity.n_r[fid]][0] for fid in faces], strides)
+    del tries, shared
+    big = max(range(len(faces)), key=lambda axis: (len(diagrams[axis]), axis))
+    # a group is named by its first member, where its members' parents start
+    keys = array("q", _face_keys(codes, choices, strides[big], big))
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    parent = list(map(first.__getitem__, keys))
+    del keys
+    # each group's first member, key and choice tuple
+    firsts, group_keys = list(first.values()), list(first)
+    heads = list(map(choices.__getitem__, firsts))
+    match_of = dict(zip(firsts, _group_matches(trinity, diagrams, heads, big)))
+    partners, walk = diagrams[big], dividing.glued_loops
+    for choice, g in zip(choices, parent):
+        loops = walk(partners[choice[big]], match_of[g])
         if loops != 1:
             raise BuiltNotTight(f"diagrams {dict(zip(faces, choice))} close into {loops} curves")
-    # union-find with path halving; the smaller root wins, so each root is
-    # its component's smallest member and parents never exceed their children
-    parent = list(range(len(choices)))
-    for keys in _one_face_keys(choices, tuple(map(len, diagrams))):
-        keys = list(keys)
-        if len(set(keys)) == len(keys):
-            continue  # no two vertices agree off this face: nothing to join
-        first_of = {}
-        for i, key in enumerate(keys):
-            x, y = first_of.setdefault(key, i), i
-            if x == y:
-                continue
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x < y:
-                parent[y] = x
-            else:
-                parent[x] = y
+    # per face, the Euler contribution and hug flag of each diagram used;
+    # off the big face a group's first member stands for its members
+    column = list(map(itemgetter(big), choices))
+    disc_euler, group_hug = [], [1] * len(heads)
+    for axis, fid in enumerate(faces):
+        indices = column if axis == big else list(map(itemgetter(axis), heads))
+        partners, sign = diagrams[axis], trinity.charts[fid].sign
+        euler_of, hug_of = {}, {}
+        for k in set(indices):
+            euler_of[k], hug_of[k] = dividing.euler_and_hug(dividing.regions(fid, partners[k], sign))
+        disc_euler.append(euler_of)
+        if axis == big:
+            big_hug = hug_of
+        else:
+            group_hug = list(map(and_, group_hug, map(hug_of.__getitem__, indices)))
+    # per vertex, 1 when its every disc hugs
+    hug_of_group = dict(zip(firsts, group_hug))
+    hugging = bytes(map(and_, map(hug_of_group.__getitem__, parent), map(big_hug.__getitem__, column)))
+    # two vertices agree off another face when they share a big-face
+    # diagram and their groups agree off that face: a face joins nothing
+    # when the groups that agree off it use disjoint big-face diagrams
+    big_used = {g: set() for g in firsts}
+    for g, k in zip(parent, column):
+        big_used[g].add(k)
+    for axis, stride in enumerate(strides):
+        if axis == big:
+            continue
+        keys = list(_face_keys(group_keys, heads, stride, axis))
+        sharers = collections.Counter(keys)
+        buckets = {}
+        # only the groups whose key off this face another group shares
+        shared_keys = map((1).__lt__, map(sharers.__getitem__, keys))
+        for g, key in itertools.compress(zip(firsts, keys), shared_keys):
+            buckets.setdefault(key, []).append(big_used[g])
+        if any(len(set().union(*sets)) < sum(map(len, sets)) for sets in buckets.values()):
+            _join(parent, list(_face_keys(codes, choices, stride, axis)))
+    del big_used
     # one pass in vertex order numbers components by their smallest member:
     # a parent's number is written before its children read it
-    count = 0
+    leaders = []
     for i, p in enumerate(parent):
         if p == i:
-            parent[i] = count
-            count += 1
+            parent[i] = len(leaders)
+            leaders.append(choices[i])
         else:
             parent[i] = parent[p]
+    count = len(leaders)
+    # per face, each member's Euler contribution is its component's first
+    # member's; off the big face a group's members share their first's
+    group_component = list(map(parent.__getitem__, firsts))
+    for axis, euler_of in enumerate(disc_euler):
+        lead = list(map(euler_of.__getitem__, map(itemgetter(axis), leaders)))
+        if axis == big:
+            members, ks = parent, column
+        else:
+            members, ks = group_component, map(itemgetter(axis), heads)
+        differs = list(map(ne, map(lead.__getitem__, members), map(euler_of.__getitem__, ks)))
+        if any(differs):
+            mixed = min(itertools.compress(members, differs))
+            raise EulerNotConstant(f"component {mixed} mixes Euler vectors")
+    del column
     graph = ConfigurationGraph(
-        trinity, diagrams, choices, tuple(parent), (), total, disc_euler=tuple(disc_euler)
+        trinity, diagrams, choices, tuple(parent), (), total, tuple(disc_euler), codes
     )
-    # per vertex: its Euler tuple, and whether its every disc hugs
-    euler, hugging = list(zip(*eulers)), list(map(all, zip(*hugs)))
-    graph.components = _label_components(graph, count, euler, hugging)
+    graph.components = _label_components(graph, count, hugging)
     return graph
+
+
+def _join(parent, keys):
+    """Join each vertex to the first vertex with its key, in ``parent``.
+
+    Union-find with path halving; the smaller root wins, so each root is
+    its component's smallest member and parents never exceed their children.
+    """
+    first_of = {}
+    for i, key in enumerate(keys):
+        x, y = first_of.setdefault(key, i), i
+        if x == y:
+            continue
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        else:
+            parent[x] = y
+
+
+def _group_matches(trinity, diagrams, heads, big):
+    """Per group, given by its first member's choice tuple in ``heads``,
+    the matching its chords induce on the big face.
+
+    Each group's chords off the big face are laid end to end once into
+    one chord array, over the global point numbering, with the big face's
+    points left 0. The path from each big-face point runs along glued
+    pairs and those chords until it returns to the big face, and pairs
+    the two big-face points it joins. When the paths cross fewer chords
+    than lie off the big face, the others close a curve there and the
+    group is not tight: ``BuiltNotTight`` names its first member with its
+    curve count, from one ``dividing.glued_loops`` over all its chords.
+    """
+    faces, offset, glue = trinity.red, trinity.offset, trinity.glue
+    lo, m = offset[faces[big]], 2 * trinity.n_r[faces[big]]
+    # per face, each diagram's partner tuple shifted to the global numbering;
+    # the big face's points stay 0
+    shifted = [
+        [(0,) * m] * len(partners) if axis == big else [tuple(map(at.__add__, p)) for p in partners]
+        for axis, (at, partners) in enumerate(zip(map(offset.__getitem__, faces), diagrams))
+    ]
+    on_big = bytearray(len(glue))
+    on_big[lo:lo + m] = b"\x01" * m
+    matches = []
+    for choice in heads:
+        chord = list(itertools.chain.from_iterable(map(getitem, shifted, choice)))
+        match = [-1] * m
+        crossed = 0
+        for i in range(m):
+            if match[i] < 0:
+                p = glue[lo + i]
+                while not on_big[p]:
+                    p = glue[chord[p]]
+                    crossed += 1
+                match[i], match[p - lo] = p - lo, i
+        if 2 * crossed != len(glue) - m:
+            chord[lo:lo + m] = map(lo.__add__, diagrams[big][choice[big]])
+            loops = dividing.glued_loops(chord, glue)
+            raise BuiltNotTight(f"diagrams {dict(zip(faces, choice))} close into {loops} curves")
+        matches.append(match)
+    return matches
 
 
 def _chord_tries(trinity, tries):
@@ -270,8 +373,10 @@ def _chord_tries(trinity, tries):
     return a, b, child, sibling, leaf
 
 
-def _tight_choices(trinity, tries):
-    """Diagram index tuples of the tight configurations, in lexicographic order.
+def _tight_choices(trinity, tries, strides):
+    """Diagram index tuples of the tight configurations, in lexicographic
+    order, and their mixed-radix codes, with radices the faces' diagram
+    counts and place values ``strides``, in an ``array('q')``.
 
     Walks the faces' chord tries depth first on a copy of ``trinity.glue``,
     read as ``end``: ``end[p]`` is the far end of the open path ending at
@@ -281,24 +386,27 @@ def _tight_choices(trinity, tries):
     the two ends of the one path left, so the walk stops one chord short
     and reads it off. ``x`` is the next chord to try at ``depth``; per
     shallower depth, ``path`` holds the chord applied there and ``far_p``,
-    ``far_q`` the two path ends it joined.
+    ``far_q`` the two path ends it joined. ``prefix[f]`` is the code of
+    the faces before face f, set as each face's last chord is placed.
     """
     a, b, child, sibling, leaf = _chord_tries(trinity, tries)
     end = list(trinity.glue)
     last = len(end) // 2 - 2
     if last < 0:
         # a single chord, on a face of half-length one
-        yield (leaf[0],)
-        return
+        return ((leaf[0],),), array("q", leaf[:1])
+    # a machine word per code, not an int object: codes stay below the product
+    out, codes = [], array("q")
     face_at = [f for f, fid in enumerate(trinity.red) for _ in range(trinity.n_r[fid])]
     path, far_p, far_q = [0] * last, [0] * last, [0] * last
     choice = [0] * len(trinity.red)
+    prefix = [0] * len(trinity.red)
     depth = x = 0
     while True:
         if x < 0:
             depth -= 1
             if depth < 0:
-                return
+                return tuple(out), codes
             x = path[depth]
             end[far_p[depth]] = a[x]
             end[far_q[depth]] = b[x]
@@ -310,10 +418,14 @@ def _tight_choices(trinity, tries):
             x = sibling[x]
             continue
         if leaf[x] >= 0:
-            choice[face_at[depth]] = leaf[x]
+            f = face_at[depth]
+            choice[f] = leaf[x]
+            prefix[f + 1] = prefix[f] + leaf[x] * strides[f]
         if depth == last:
-            choice[-1] = leaf[child[x]]
-            yield tuple(choice)
+            # the last face's place value is 1
+            k = choice[-1] = leaf[child[x]]
+            out.append(tuple(choice))
+            codes.append(prefix[-1] + k)
             x = sibling[x]
             continue
         eq = end[q]
@@ -326,29 +438,32 @@ def _tight_choices(trinity, tries):
         x = child[x]
 
 
-def _one_face_keys(choices, sizes):
-    """Per axis, each choice's key off that axis, in vertex order.
-
-    Two choices are equal off axis a exactly when their keys off a are: a
-    choice's key off a is its mixed-radix code, with radices ``sizes``,
-    less its term for a: ``code - choice[a] * stride[a]``.
-    """
+def _strides(sizes):
+    """Place values of the mixed-radix codes with radices ``sizes``."""
     strides = [1] * len(sizes)
     for axis in range(len(sizes) - 1, 0, -1):
         strides[axis - 1] = strides[axis] * sizes[axis]
-    # a machine word per code, not an int object: codes stay below the product
-    codes = array("q", (sum(map(mul, choice, strides)) for choice in choices))
-    for axis, stride in enumerate(strides):
-        yield map(sub, codes, map(mul, map(itemgetter(axis), choices), itertools.repeat(stride)))
+    return strides
 
 
-def _label_components(graph, count, euler, hugging):
+def _face_keys(codes, choices, stride, axis):
+    """Each choice's key off ``axis``, in vertex order.
+
+    Two choices are equal off the axis exactly when their keys are: a
+    choice's key is its mixed-radix code less its term for the axis,
+    ``code - choice[axis] * stride``.
+    """
+    return map(sub, codes, map(mul, map(itemgetter(axis), choices), itertools.repeat(stride)))
+
+
+def _label_components(graph, count, hugging):
     """Each component's Euler vector, hypertree and tree-hugging representative.
 
-    ``euler[i]`` is vertex i's Euler tuple and ``hugging[i]`` whether its
-    every disc hugs. Every member's Euler tuple is compared. The
-    representative, the first member in vertex order whose every disc
-    hugs, is checked by ``_hugged_tree``, which rebuilds its witness.
+    ``hugging[i]`` is 1 when vertex i's every disc hugs. The Euler vector
+    is the first member's, read off ``disc_euler``; the builder has checked
+    that every member's is the same. The representative, the first member
+    in vertex order whose every disc hugs, is checked by ``_hugged_tree``,
+    which rebuilds its witness.
     """
     faces, n_r = graph.trinity.red, graph.trinity.n_r
     # the region passes of the diagrams representatives use, per face; the
@@ -361,9 +476,7 @@ def _label_components(graph, count, euler, hugging):
         members[c].append(idx)
     components = []
     for cid, ids in enumerate(members):
-        first = euler[ids[0]]
-        if any(map(first.__ne__, map(euler.__getitem__, ids))):
-            raise EulerNotConstant(f"component {cid} mixes Euler vectors")
+        first = tuple(map(getitem, graph.disc_euler, graph.choices[ids[0]]))
         hypertree = {}
         for fid, e in zip(faces, first):
             f2 = e + n_r[fid] - 1

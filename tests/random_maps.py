@@ -1,11 +1,14 @@
 """Random connected plane bipartite maps, as graph documents.
 
-A map grows from the single edge by two moves, each of which keeps the
+A map grows from the single edge by three moves, each of which keeps the
 rotation system on the sphere and the colouring proper:
 
 - split an edge into three: the path u-x-y-v replaces the edge u-v;
 - add an odd-length path across a face, between two of its corners of
-  opposite colour. A path of length one may add a parallel edge.
+  opposite colour. A path of length one may add a parallel edge;
+- add a pendant edge: a new vertex joined to any corner. Only this move
+  makes a vertex of degree one, so without it no map has more than two
+  leaves.
 
 Corners follow the face-tracing convention of ``plane_graph``: arriving
 at w along dart d, the face leaves along the rotation predecessor of d's
@@ -74,6 +77,15 @@ class Map:
         self.rotation[x] = [at_x, middle[0]]
         self.rotation[y] = [middle[1], last[0]]
 
+    def add_pendant(self, corner):
+        """Join a new vertex, of the other colour, to the corner left by the dart ``corner``."""
+        u = self._owner(corner)
+        x = self._vertex(OTHER[self.colour[u]])
+        at_u, at_x = self._edge()
+        rot = self.rotation[u]
+        rot.insert(rot.index(corner) + 1, at_u)
+        self.rotation[x] = [at_x]
+
     def add_path(self, corner_u, corner_w, length):
         """Join two corners of one face by a new path of odd length.
 
@@ -99,8 +111,9 @@ def plane_bipartite_maps(draw, max_edges=14):
     """A connected plane bipartite map document with at most ``max_edges`` edges.
 
     Each step draws its move in at most two choices from lists that no
-    other step offers: first a site, an edge to split or a face to cross,
-    then for a face the two corners and the path length together.
+    other step offers: first a site, an edge to split, a face to cross or
+    a corner to hang a pendant edge at, then for a face the two corners
+    and the path length together.
     Hypothesis labels a ``sampled_from`` draw by its elements, so its
     mutator finds no two draws of one label to copy between; a copied
     ``booleans()`` draw would switch one step's move and misread every
@@ -113,9 +126,13 @@ def plane_bipartite_maps(draw, max_edges=14):
         graph = plane_graph.parse_graph(grown.document())
         sites = [("split", eid) for eid in sorted(grown.edges) if room >= 2]
         sites += [("cross", fid) for fid in sorted(graph.faces)]
+        sites += [("pendant", d) for fid in sorted(graph.faces) for d in graph.faces[fid].boundary]
         move, site = draw(st.sampled_from(sites))
         if move == "split":
             grown.split_edge(site)
+            continue
+        if move == "pendant":
+            grown.add_pendant(site)
             continue
         boundary = graph.faces[site].boundary
         colour = {d: graph.colour_of(graph.origin(d)) for d in boundary}

@@ -9,6 +9,7 @@ ignored, and a hash that agrees with equality where records are hashed.
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -119,6 +120,7 @@ SPECS = [
             ("components", (COMPONENT,), ()),
             ("total_configurations", 1, 0),
             ("disc_euler", ({0: 0},), ()),
+            ("codes", array("q", [0]), array("q")),
         ),
         defaults={
             "diagrams": (),
@@ -127,8 +129,10 @@ SPECS = [
             "components": (),
             "total_configurations": 0,
             "disc_euler": (),
+            "codes": (),
         },
-        ignored=("trinity",),
+        # the codes are fixed by the choices and the diagram counts
+        ignored=("trinity", "codes"),
         hashable=False,
     ),
     Spec(

@@ -1,7 +1,11 @@
 """Bypass moves, the configuration graph and its classification."""
 
+import collections
 import itertools
+import json
 import math
+import operator
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +14,7 @@ import oracles
 from random_maps import plane_bipartite_maps
 from trinities import dividing as dv
 from trinities import hypertrees as ht
-from trinities import plane_graph, trinity
+from trinities import cli, plane_graph, trinity
 from trinities import transitions as tx
 from trinities import trees
 from trinities.cli import generate_corpus
@@ -636,6 +640,89 @@ def test_a_late_member_euler_mismatch_is_caught(trinities, monkeypatch):
     monkeypatch.setattr(dv, "regions", regions)
     with pytest.raises(tx.EulerNotConstant, match="mixes Euler vectors"):
         tx.build_configuration_graph(t)
+
+
+def test_a_single_member_euler_fault_names_its_component(tmp_path, capsys, monkeypatch):
+    # a disc diagram that one vertex alone uses, in a component of more
+    # than one member: raising its Euler value mixes that component only
+    doc = generate_corpus("ladder", 3)[0]
+    t = _generated("ladder", 3)
+    cg = tx.build_configuration_graph(t)
+    used = collections.Counter((a, k) for choice in cg.choices for a, k in enumerate(choice))
+    axis, k, i = next(
+        (a, k, i)
+        for i, choice in enumerate(cg.choices)
+        for a, k in enumerate(choice)
+        if used[a, k] == 1 and len(cg.components[cg.component_of[i]].members) > 1
+    )
+    cid = cg.component_of[i]
+    assert cid > 0
+    fid, partner = t.red[axis], cg.diagrams[axis][k]
+    real = dv.regions
+
+    def regions(face, partners, sign):
+        out = real(face, partners, sign)
+        # two more positive regions raise the disc's Euler contribution by 2
+        return out + [(1, [])] * 2 if (face, partners) == (fid, partner) else out
+
+    monkeypatch.setattr(dv, "regions", regions)
+    reason = f"component {cid} mixes Euler vectors"
+    with pytest.raises(tx.EulerNotConstant) as caught:
+        tx.build_configuration_graph(t)
+    assert str(caught.value) == reason
+    path = tmp_path / "ladder3.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--graph", str(path)]) == 1
+    stage = json.loads(capsys.readouterr().out)["stages"]["classification"]
+    assert stage == {"ok": False, "reason": "EulerNotConstant: " + reason}
+
+
+def _curves(t, config):
+    """The point sets of the closed curves of a configuration, walked on the glue."""
+    chord = {}
+    for fid, diagram in config.entries:
+        lo = t.offset[fid]
+        chord.update((lo + x, lo + y) for x, y in enumerate(diagram.partner))
+    curves, seen = [], set()
+    for start in range(len(t.glue)):
+        curve, p = set(), start
+        while p not in seen:
+            curve.update((p, chord[p]))
+            seen.update((p, chord[p]))
+            p = t.glue[chord[p]]
+        if curve:
+            curves.append(curve)
+    return curves
+
+
+def test_non_tight_configurations_are_caught_with_their_curve_count(monkeypatch):
+    # each non-tight configuration in turn joins the walk's output, in
+    # order; the build names it with its curve count
+    through = collections.Counter()  # by family and whether every curve meets the big face
+    for family in ("ladder", "grid"):
+        t = _generated(family, 2)
+        tight, per_face = _product_oracle(t)
+        faces, sizes = sorted(t.red), [len(d) for d in per_face]
+        strides = [math.prod(sizes[a + 1:]) for a in range(len(sizes))]
+        big = max(range(len(faces)), key=lambda a: (sizes[a], a))
+        assert big != len(faces) - 1  # so the groups are not runs of the vertex order
+        lo, hi = t.offset[faces[big]], t.offset[faces[big]] + 2 * t.n_r[faces[big]]
+        for bad in itertools.product(*map(range, sizes)):
+            if bad in tight:
+                continue
+            emitted = tuple(sorted([*tight, bad]))
+            codes = array("q", (sum(map(operator.mul, choice, strides)) for choice in emitted))
+            monkeypatch.setattr(tx, "_tight_choices", lambda trinity, tries, strides: (emitted, codes))
+            config = dv.Configuration.from_diagrams(t, {f: d[k] for f, d, k in zip(faces, per_face, bad)})
+            with pytest.raises(tx.BuiltNotTight) as caught:
+                tx.build_configuration_graph(t)
+            loops = dv.loop_count(config)
+            assert str(caught.value) == f"diagrams {dict(zip(faces, bad))} close into {loops} curves"
+            curves = _curves(t, config)
+            assert len(curves) == loops > 1
+            through[family, all(any(lo <= p < hi for p in curve) for curve in curves)] += 1
+    # a curve closed off the big face, and extra curves that all run through it
+    assert through[("grid", False)] and through[("ladder", True)], through
 
 
 @given(plane_bipartite_maps())
