@@ -125,13 +125,6 @@ class VerificationSuite:
         self.stages = stages
         self.seconds = seconds
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.instance, self.stages, self.seconds) == (
-            other.instance, other.stages, other.seconds
-        )
-
     @property
     def ok(self):
         # the census reports counts and carries no verdict

@@ -180,16 +180,6 @@ class DiscChart:
         self.n = n
         self.emerald_corner = emerald_corner
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.face, self.n, self.emerald_corner) == (
-            other.face, other.n, other.emerald_corner
-        )
-
-    def __hash__(self):
-        return hash((self.face, self.n, self.emerald_corner))
-
     @property
     def points(self):
         return 2 * self.n
@@ -208,7 +198,7 @@ class Configuration:
 
     __slots__ = ("trinity", "entries")
 
-    def __init__(self, trinity, entries: tuple = ()):
+    def __init__(self, trinity, entries: tuple):
         self.trinity = trinity
         self.entries = entries
         for fid, diagram in entries:
@@ -241,14 +231,6 @@ class TightVerdict:
     def __init__(self, tight: bool, loops: int):
         self.tight = tight
         self.loops = loops
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tight, self.loops) == (other.tight, other.loops)
-
-    def __hash__(self):
-        return hash((self.tight, self.loops))
 
 
 def loop_count(config):

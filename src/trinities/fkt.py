@@ -55,19 +55,11 @@ class MoveLeavesStates(RuntimeError):
 
 
 class Universe:
-    """A universe graph and its two starred faces; equal universes have equal stars."""
+    """A universe graph and its two starred faces."""
 
-    def __init__(self, graph: RotationGraph, stars: tuple[str, str] = ()):
+    def __init__(self, graph: RotationGraph, stars: tuple[str, str]):
         self.graph = graph
         self.stars = stars
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.stars == other.stars
-
-    def __hash__(self):
-        return hash((self.stars,))
 
     @cached_property
     def vertex_ids(self):
@@ -318,8 +310,7 @@ class ClockGraph:
     """States with their clockwise moves as one flat out-list.
 
     State i's move targets, as state indices, are ``targets[ends[i]:ends[i + 1]]``
-    in the order the search found the moves. Equal clock graphs agree on
-    every field but ``universe``.
+    in the order the search found the moves.
     """
 
     def __init__(self, universe: Universe, codes: tuple, ends: list, targets: list, report: dict):
@@ -328,13 +319,6 @@ class ClockGraph:
         self.ends = ends
         self.targets = targets
         self.report = report
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.codes, self.ends, self.targets, self.report) == (
-            other.codes, other.ends, other.targets, other.report
-        )
 
     @cached_property
     def choices(self):
@@ -464,16 +448,6 @@ class CorrespondenceReport:
         self.tight = tight
         self.magic = magic
         self.bijective = bijective
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.states, self.tight, self.magic, self.bijective) == (
-            other.states, other.tight, other.magic, other.bijective
-        )
-
-    def __hash__(self):
-        return hash((self.states, self.tight, self.magic, self.bijective))
 
     def to_json(self):
         return {

@@ -97,21 +97,12 @@ class Hypertree:
 
     The tree is ``witness``. ``source`` is either that tree or, for a
     searched hypertree, its hypergraph and the tree's edge positions in the
-    host, from which the tree is built when first read. Equal hypertrees
-    have equal vectors.
+    host, from which the tree is built when first read.
     """
 
-    def __init__(self, vector: tuple, source=None):
+    def __init__(self, vector: tuple, source):
         self.vector = vector
         self.source = source
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vector == other.vector
-
-    def __hash__(self):
-        return hash((self.vector,))
 
     @cached_property
     def witness(self):

@@ -37,14 +37,6 @@ class Vertex:
         self.colour = colour
         self.rotation = rotation
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.colour, self.rotation) == (other.id, other.colour, other.rotation)
-
-    def __hash__(self):
-        return hash((self.id, self.colour, self.rotation))
-
 
 class Edge:
     __slots__ = ("id", "darts")
@@ -53,14 +45,6 @@ class Edge:
         self.id = id
         self.darts = darts
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.darts) == (other.id, other.darts)
-
-    def __hash__(self):
-        return hash((self.id, self.darts))
-
 
 class Face:
     __slots__ = ("id", "boundary")
@@ -68,14 +52,6 @@ class Face:
     def __init__(self, id: str, boundary: tuple[str, ...]):
         self.id = id
         self.boundary = boundary
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.boundary) == (other.id, other.boundary)
-
-    def __hash__(self):
-        return hash((self.id, self.boundary))
 
 
 class RotationGraph:
@@ -350,11 +326,6 @@ class ValidationReport:
     def __init__(self, failures: tuple[str, ...], colouring: dict | None):
         self.failures = failures
         self.colouring = colouring
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.failures, self.colouring) == (other.failures, other.colouring)
 
     @property
     def ok(self):

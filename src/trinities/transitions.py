@@ -50,13 +50,6 @@ class Component:
         self.hypertree = hypertree
         self.representative = representative  # index of a tree-hugging vertex
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.members, self.euler, self.hypertree, self.representative) == (
-            other.id, other.members, other.euler, other.hypertree, other.representative
-        )
-
 
 class ConfigurationGraph:
     """Tight configurations and the partition of their one-face graph.
@@ -69,20 +62,19 @@ class ConfigurationGraph:
     ``codes`` holds each vertex's mixed-radix code, with radices the faces'
     diagram counts, as the walk gave it. ``vertex(i)`` builds its
     ``Configuration`` and ``ChordDiagram``s when read; building the graph
-    and ``vertex_json`` make none. Equal graphs agree on every field but
-    ``trinity`` and ``codes``, which the choices fix.
+    and ``vertex_json`` make none.
     """
 
     def __init__(
         self,
         trinity,
-        diagrams: tuple = (),
-        choices: tuple = (),
-        component_of: tuple = (),
-        components: tuple = (),
-        total_configurations: int = 0,
-        disc_euler: tuple = (),
-        codes: array = (),
+        diagrams: tuple,
+        choices: tuple,
+        component_of: tuple,
+        components: tuple,
+        total_configurations: int,
+        disc_euler: tuple,
+        codes: array,
     ):
         self.trinity = trinity
         self.diagrams = diagrams
@@ -92,25 +84,6 @@ class ConfigurationGraph:
         self.total_configurations = total_configurations
         self.disc_euler = disc_euler
         self.codes = codes
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.diagrams,
-            self.choices,
-            self.component_of,
-            self.components,
-            self.total_configurations,
-            self.disc_euler,
-        ) == (
-            other.diagrams,
-            other.choices,
-            other.component_of,
-            other.components,
-            other.total_configurations,
-            other.disc_euler,
-        )
 
     def component_count(self):
         return len(self.components)

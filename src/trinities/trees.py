@@ -83,21 +83,13 @@ class GraphIndex:
 
 
 class SpanningTree:
-    """Edge subset spanning the host graph; equal trees have equal edges."""
+    """Edge subset spanning the host graph."""
 
     __slots__ = ("graph", "edges")
 
     def __init__(self, graph, edges: frozenset):
         self.graph = graph
         self.edges = edges
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.edges,))
 
     def degrees(self, colour):
         """Tree degree of each host vertex of this colour."""
@@ -176,23 +168,14 @@ def enumerate_spanning_trees(index, cap=DEFAULT_CAP):
 
 
 class Arborescence:
-    """Arc ids of an arborescence of ``dual`` away from ``root``; equal
-    arborescences have equal arcs."""
+    """Arc ids of an arborescence of ``dual`` away from ``root``."""
 
     __slots__ = ("dual", "root", "arcs")
 
-    def __init__(self, dual, root: str, arcs: frozenset = frozenset()):
+    def __init__(self, dual, root: str, arcs: frozenset):
         self.dual = dual
         self.root = root
         self.arcs = arcs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash((self.arcs,))
 
 
 def count_arborescences(dual, root):
@@ -283,13 +266,6 @@ class MagicReport:
         self.enum = enum
         self.hypertrees = hypertrees
         self.agree = agree
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.det, self.enum, self.hypertrees, self.agree) == (
-            other.det, other.enum, other.hypertrees, other.agree
-        )
 
     @property
     def value(self):

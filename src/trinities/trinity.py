@@ -50,16 +50,6 @@ class Triangle:
         self.violet = violet
         self.emerald = emerald
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.face, self.index, self.dart, self.shade, self.violet, self.emerald) == (
-            other.face, other.index, other.dart, other.shade, other.violet, other.emerald
-        )
-
-    def __hash__(self):
-        return hash((self.face, self.index, self.dart, self.shade, self.violet, self.emerald))
-
     @property
     def red(self):
         """The red corner: the face the triangle lies in."""
@@ -74,14 +64,6 @@ class Arc:
         self.tail = tail
         self.head = head
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.tail, self.head) == (other.id, other.tail, other.head)
-
-    def __hash__(self):
-        return hash((self.id, self.tail, self.head))
-
 
 class DirectedDual:
     """Planar dual of one colour graph, arcs directed black-to-white."""
@@ -92,14 +74,6 @@ class DirectedDual:
         self.colour = colour
         self.vertices = vertices
         self.arcs = arcs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.colour, self.vertices, self.arcs) == (other.colour, other.vertices, other.arcs)
-
-    def __hash__(self):
-        return hash((self.colour, self.vertices, self.arcs))
 
 
 class Trinity:

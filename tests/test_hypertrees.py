@@ -132,7 +132,7 @@ def test_hypertree_enumeration_cap(trinities):
 
 
 def _hypertrees(*vectors):
-    return [ht.Hypertree(tuple(sorted(v.items()))) for v in vectors]
+    return [ht.Hypertree(tuple(sorted(v.items())), None) for v in vectors]
 
 
 def test_translate_offset_trivial():

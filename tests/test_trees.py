@@ -194,7 +194,7 @@ def test_count_arborescences_loop_vertex(trinities):
     root = dual.vertices[0]
     assert trees.count_arborescences(dual, root) == 1
     found = trees.enumerate_arborescences(dual, root)
-    assert found == [trees.Arborescence(dual, root, frozenset())]
+    assert [a.arcs for a in found] == [frozenset()]
 
 
 def test_arborescence_order_is_lexicographic(trinities):
