@@ -8,7 +8,7 @@ graph on the face discs, and the state count of an associated knot-shadow
 universe.
 """
 
-from .limits import DEFAULT_CAP, CapExceeded
+from .limits import DEFAULT_CAP, CapExceeded, InputError, ModelFailure
 from .plane_graph import (
     RotationGraph,
     SchemaError,

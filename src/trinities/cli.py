@@ -14,15 +14,15 @@ import os
 import sys
 import time
 
-from . import dividing, fkt, hypertrees, plane_graph, transitions, trinity
-from .limits import DEFAULT_CAP, CapExceeded
+from . import fkt, hypertrees, plane_graph, transitions, trinity
+from .limits import DEFAULT_CAP, InputError, ModelFailure
 
 
-class UnknownFamily(ValueError):
+class UnknownFamily(InputError):
     """Corpus family tag not recognised."""
 
 
-class SizeOutOfRange(ValueError):
+class SizeOutOfRange(InputError):
     """Corpus size outside 1..MAX_GEN_SIZE."""
 
 
@@ -176,7 +176,7 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
         try:
             graph_c = transitions.build_configuration_graph(trin)
             transitions.classify_components(graph_c)
-        except MODEL_FAILURES as exc:
+        except ModelFailure as exc:
             return {"ok": False, "reason": _reason(exc)}
         counts_ok = graph_c.component_count() == trin.magic_report.value
         return {
@@ -213,8 +213,8 @@ def _read_document(path, flag):
 
 
 def _load_graph(args):
-    graph = plane_graph.parse_graph(_read_document(args.graph, "--graph"))
-    return plane_graph.ensure_bicoloured(graph)
+    # the trinity checks the colouring when it is built
+    return plane_graph.parse_graph(_read_document(args.graph, "--graph"))
 
 
 def _load_universe(args):
@@ -326,7 +326,7 @@ def _cmd_dual(args):
         universe = _load_universe(args)
         dual = fkt.universe_dual_graph(universe)
     else:
-        dual = plane_graph.planar_dual(_load_graph(args))
+        dual = plane_graph.planar_dual(plane_graph.ensure_bicoloured(_load_graph(args)))
     payload = plane_graph.to_document(dual)
     lines = [f"dual: {len(dual.vertices)} vertices, {len(dual.edges)} edges"]
     return _emit(args, payload, lines)
@@ -335,8 +335,7 @@ def _cmd_dual(args):
 def _cmd_correspond(args):
     universe = _load_universe(args)
     report = fkt.states_vs_configurations(universe, args.cap)
-    # every failure raises MappingFailure first, so the report's
-    # "bijective" and "ok" are always true
+    # every failure raises MappingFailure first, so "ok" is always true
     lines = [f"states: {report.states}, tight configurations: {report.tight}, magic: {report.magic}"]
     return _emit(args, report.to_json(), lines)
 
@@ -405,38 +404,6 @@ def _build_parser():
     return parser
 
 
-# model bugs reported as a failure with a reason: by verify's classification
-# stage, and by main for the other commands, for a bad hypertree witness,
-# which verify meets in its magic stage, and for hypertree sets on different
-# hyperedges, which it meets in its hypertrees stage
-MODEL_FAILURES = (
-    hypertrees.BadWitness,
-    hypertrees.IndexMismatch,
-    dividing.MixedRegion,
-    dividing.NoHugBack,
-    dividing.NotSpanning,
-    transitions.BuiltNotTight,
-    transitions.EulerNotConstant,
-    transitions.NotTreeHuggingReachable,
-    transitions.NotBijective,
-    fkt.MappingFailure,
-    fkt.MoveLeavesStates,
-)
-
-USAGE_ERRORS = (
-    plane_graph.SchemaError,
-    plane_graph.NotConnected,
-    plane_graph.NotPlanarConsistent,
-    fkt.NotFourRegular,
-    fkt.StarsNotAdjacent,
-    fkt.CountMismatch,
-    UnknownFamily,
-    SizeOutOfRange,
-    CapExceeded,
-    OSError,
-)
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -447,10 +414,10 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except USAGE_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MODEL_FAILURES as exc:
+    except ModelFailure as exc:
         reason = _reason(exc)
         lines = [f"{args.command}: FAIL ({reason})"]
         return _emit(args, {"ok": False, "reason": reason}, lines, ok=False)

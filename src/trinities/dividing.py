@@ -15,27 +15,27 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .limits import DEFAULT_CAP, check_cap
+from .limits import DEFAULT_CAP, InputError, ModelFailure, check_cap
 from .trees import SpanningTree, components
 
 
-class SizeMismatch(ValueError):
+class SizeMismatch(InputError):
     """Diagram size does not match the face's half-length."""
 
 
-class NotSpanning(ValueError):
+class NotSpanning(ModelFailure):
     """The edge set is not a spanning tree of the violet graph."""
 
 
-class NotTight(ValueError):
+class NotTight(InputError):
     """Operation defined only for tight configurations."""
 
 
-class MixedRegion(RuntimeError):
+class MixedRegion(ModelFailure):
     """A complementary region's boundary arcs differ in sign (model bug)."""
 
 
-class NoHugBack(RuntimeError):
+class NoHugBack(ModelFailure):
     """A tree-hugging witness hugs another configuration (model bug)."""
 
 
@@ -48,20 +48,20 @@ class ChordDiagram:
         self.partner = p = partner
         m = len(p)
         if m % 2 or m == 0:
-            raise ValueError("need an even, positive number of points")
+            raise InputError("need an even, positive number of points")
         # non-crossing iff each closing point closes the innermost open chord
         opened = []
         nested = True
         for i, j in enumerate(p):
             if not 0 <= j < m or j == i or p[j] != i:
-                raise ValueError("partner array is not a perfect matching")
+                raise InputError("partner array is not a perfect matching")
             if j > i:
                 opened.append(i)
             elif nested:
                 nested = opened.pop() == j
         if not nested:
             (a, b), (c, d) = first_crossing(self.pairs())
-            raise ValueError(f"chords ({a},{b}) and ({c},{d}) cross")
+            raise InputError(f"chords ({a},{b}) and ({c},{d}) cross")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -105,7 +105,7 @@ def catalan(n):
 def enumerate_chord_diagrams(n, cap=DEFAULT_CAP):
     """All Catalan(n) non-crossing perfect matchings of 2n points, sorted."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InputError("need n >= 1")
     check_cap(catalan(n), cap, "chord diagram enumeration")
     return tuple(map(ChordDiagram, chord_trie(n)[1]))
 
@@ -207,7 +207,7 @@ class Configuration:
                     f"face {fid}: diagram size {diagram.n} != n_r {trinity.n_r[fid]}"
                 )
         if tuple(sorted(f for f, _ in entries)) != tuple(sorted(trinity.red)):
-            raise ValueError("configuration must cover every face exactly once")
+            raise InputError("configuration must cover every face exactly once")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -19,19 +19,19 @@ from functools import cached_property
 from itertools import compress
 from operator import getitem, mul
 
-from .limits import DEFAULT_CAP
+from .limits import DEFAULT_CAP, InputError, ModelFailure
 from .trees import SpanningTree, components, enumerate_spanning_trees
 
 
-class WrongClass(ValueError):
+class WrongClass(InputError):
     """The tree does not span a graph with the requested hyperedge class."""
 
 
-class IndexMismatch(ValueError):
+class IndexMismatch(ModelFailure):
     """The two hypertree sets are not indexed by the same hyperedges."""
 
 
-class BadWitness(RuntimeError):
+class BadWitness(ModelFailure):
     """An augmentation's witness is not a spanning tree realizing its vector (model bug)."""
 
 
@@ -85,7 +85,7 @@ def trinity_hypergraph(trinity, label):
     """Hypergraph ``label`` of a trinity (vertex class letter, then hyperedge
     class letter), hosted by the third colour's graph."""
     if label not in HYPERGRAPH_LABELS:
-        raise ValueError(f"bad hypergraph label {label!r}")
+        raise InputError(f"bad hypergraph label {label!r}")
     (third,) = set(_COLOUR_OF_LETTER) - set(label)
     return Hypergraph(
         label, _COLOUR_OF_LETTER[label[1]], trinity.graph_index(_COLOUR_OF_LETTER[third])

@@ -1,9 +1,17 @@
-"""Enumeration caps shared by all counting and search stages."""
+"""Enumeration caps, and the two kinds that every package exception is one of."""
 
 DEFAULT_CAP = 10**6
 
 
-class CapExceeded(RuntimeError):
+class InputError(ValueError):
+    """The input is malformed or refused: a command exits 2 with ``error: …``."""
+
+
+class ModelFailure(RuntimeError):
+    """A checked identity or invariant fails: a command exits 1 with a reason."""
+
+
+class CapExceeded(InputError):
     """An enumeration would produce more objects than the configured cap."""
 
     def __init__(self, what, needed, cap):

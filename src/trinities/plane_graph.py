@@ -14,18 +14,20 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .limits import InputError
+
 COLOURS = ("violet", "emerald", "red")
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """The input document does not match the graph JSON schema."""
 
 
-class NotConnected(ValueError):
+class NotConnected(InputError):
     """The graph is not connected."""
 
 
-class NotPlanarConsistent(ValueError):
+class NotPlanarConsistent(InputError):
     """The rotation system does not close up into a sphere embedding."""
 
 

@@ -16,22 +16,22 @@ from operator import and_, getitem, itemgetter, mul, ne, sub
 
 from . import dividing, trees
 from .dividing import ChordDiagram, Configuration
-from .limits import check_cap
+from .limits import ModelFailure, check_cap
 
 
-class EulerNotConstant(RuntimeError):
+class EulerNotConstant(ModelFailure):
     """A component carries two distinct Euler vectors (model bug)."""
 
 
-class NotTreeHuggingReachable(RuntimeError):
+class NotTreeHuggingReachable(ModelFailure):
     """A component contains no tree-hugging configuration (model bug)."""
 
 
-class BuiltNotTight(RuntimeError):
+class BuiltNotTight(ModelFailure):
     """The builder produced a configuration that is not tight (model bug)."""
 
 
-class NotBijective(RuntimeError):
+class NotBijective(ModelFailure):
     """Components do not biject onto the hypertrees of (E,R) (model bug)."""
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .limits import DEFAULT_CAP, CapExceeded, check_cap
+from .limits import DEFAULT_CAP, CapExceeded, InputError, check_cap
 
 
-class UnknownRoot(ValueError):
+class UnknownRoot(InputError):
     """The requested root is not a vertex of the directed dual."""
 
 

@@ -16,11 +16,11 @@ black to white triangles, which are balanced. The shade rule lives in
 is read off the two triangles flanking it, from that colour's corner of the
 black one to its corner of the white one.
 
-A ``Trinity`` owns the products computed from it: the directed duals, the
-colour graphs' index arrays, the six hypertree sets, the magic-number
-report, the disc charts and the global numbering of boundary points and
-their glue across edges are built at most once per trinity and shared by
-every caller. The enumeration cap is fixed when the trinity is built, so
+A ``Trinity`` owns the products computed from it: the corner lists, the
+directed duals, the colour graphs' index arrays, the six hypertree sets,
+the magic-number report, the disc charts and the global numbering of
+boundary points and their glue across edges are built at most once per
+trinity and shared by every caller. The enumeration cap is fixed when the trinity is built, so
 every product is a plain memo.
 """
 
@@ -30,7 +30,7 @@ from functools import cached_property
 
 from . import hypertrees, trees
 from .dividing import DiscChart
-from .limits import DEFAULT_CAP
+from .limits import DEFAULT_CAP, InputError
 from .plane_graph import Edge, RotationGraph, Vertex, ensure_bicoloured
 
 BLACK = "black"
@@ -119,16 +119,15 @@ class Trinity:
     def corner_id(self, face, index):
         return f"{face}@{index}"
 
-    def corners(self, corner_colour):
-        """Corner incidences (face, index, vertex) at vertices of one colour."""
+    @cached_property
+    def corners(self):
+        """Colour -> corner incidences (face, index, vertex) at vertices of that colour."""
         g = self.graph
-        out = []
+        out = {"violet": [], "emerald": []}
         for fid in self.red:
-            boundary = g.faces[fid].boundary
-            for i, d in enumerate(boundary):
+            for i, d in enumerate(g.faces[fid].boundary):
                 w = g.target(d)
-                if g.colour_of(w) == corner_colour:
-                    out.append((fid, i, w))
+                out[g.colour_of(w)].append((fid, i, w))
         return out
 
     # -- colour graphs -------------------------------------------------------
@@ -149,7 +148,7 @@ class Trinity:
 
     def _corner_graph(self, corner_colour):
         g = self.graph
-        corners = self.corners(corner_colour)
+        corners = self.corners[corner_colour]
         red_rotations = {fid: [] for fid in self.red}
         # keyed by the boundary dart leaving the corner vertex
         corner_by_out_dart = {}
@@ -203,13 +202,13 @@ class Trinity:
             # the triangles of the darts entering and leaving the corner
             corner_colour = "emerald" if colour == "violet" else "violet"
             flanks = []
-            for fid, i, _w in self.corners(corner_colour):
+            for fid, i, _w in self.corners[corner_colour]:
                 boundary = g.faces[fid].boundary
                 d_in, d_out = boundary[i], boundary[(i + 1) % len(boundary)]
                 flanks.append((self.corner_id(fid, i), of_dart[d_in], of_dart[d_out]))
             vertices = g.colour_classes[colour]
         else:
-            raise ValueError(f"unknown colour {colour!r}")
+            raise InputError(f"unknown colour {colour!r}")
         arcs = []
         for arc_id, x, y in flanks:
             black, white = (x, y) if x.shade == BLACK else (y, x)
@@ -242,7 +241,7 @@ class Trinity:
         An arc is negative exactly when it ends at an emerald corner.
         """
         corners = {fid: [None] * (2 * k) for fid, k in self.n_r.items()}
-        for fid, i, _w in self.corners("emerald"):
+        for fid, i, _w in self.corners["emerald"]:
             corners[fid][i] = self.corner_id(fid, i)
         return {fid: DiscChart(fid, self.n_r[fid], tuple(corners[fid])) for fid in self.red}
 

@@ -1,14 +1,18 @@
 """Command-line interface: subcommands, exit codes, byte-stable reports."""
 
+import functools
 import gc
+import importlib
 import json
+import pkgutil
 import re
 import weakref
 
 import pytest
 
 from corpus import running_example_document, triangle_document
-from trinities import cli, dividing, fkt, hypertrees, transitions, trees, trinity
+import trinities
+from trinities import cli, dividing, fkt, hypertrees, limits, transitions, trees, trinity
 from trinities import plane_graph as pg
 
 
@@ -488,6 +492,65 @@ def test_hypertree_sets_on_different_hyperedges_fail_verify(capsys, c4_file, mon
         "reason": "IndexMismatch: hypertree sets indexed by different hyperedges",
     }
     assert "verify: FAIL (IndexMismatch: " in err
+
+
+def _package_exceptions():
+    for info in pkgutil.iter_modules(trinities.__path__):
+        module = importlib.import_module(f"trinities.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, BaseException):
+                if value.__module__ == module.__name__:
+                    yield value
+
+
+def test_every_package_exception_is_an_input_error_or_a_model_failure():
+    kinds = (limits.InputError, limits.ModelFailure)
+    found = list(_package_exceptions())
+    assert len(found) >= 26  # the two kinds and the 24 classes under them
+    for cls in found:
+        assert [issubclass(cls, kind) for kind in kinds].count(True) == 1, cls
+
+
+def test_a_new_model_failure_fails_the_classification_stage(capsys, c4_file, monkeypatch):
+    class Unlisted(limits.ModelFailure):
+        """A model bug that no command names."""
+
+    monkeypatch.setattr(transitions, "classify_components", _raise(Unlisted("two roots")))
+    code, out, err = run(capsys, "verify", "--graph", c4_file)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert doc["stages"]["classification"] == {"ok": False, "reason": "Unlisted: two roots"}
+    assert "classification: FAIL" in err
+
+
+def test_a_new_input_error_is_a_usage_error(capsys, c4_file, monkeypatch):
+    class Unlisted(limits.InputError):
+        """A refusal that no command names."""
+
+    monkeypatch.setattr(pg, "parse_graph", _raise(Unlisted("graph refused")))
+    assert run(capsys, "verify", "--graph", c4_file) == (2, "", "error: graph refused\n")
+
+
+def test_verify_checks_the_colouring_and_traces_the_corners_once(capsys, c4_file, monkeypatch):
+    calls = {"validate": 0, "corners": 0}
+    real_validate = pg.validate_bipartite_plane
+    real_corners = trinity.Trinity.corners.func
+
+    def validate(graph):
+        calls["validate"] += 1
+        return real_validate(graph)
+
+    def corners(self):
+        calls["corners"] += 1
+        return real_corners(self)
+
+    counted = functools.cached_property(corners)
+    counted.__set_name__(trinity.Trinity, "corners")
+    monkeypatch.setattr(pg, "validate_bipartite_plane", validate)
+    monkeypatch.setattr(trinity.Trinity, "corners", counted)
+    assert run(capsys, "verify", "--graph", c4_file)[0] == 0
+    assert calls == {"validate": 1, "corners": 1}
 
 
 def test_verify_enumerates_each_tree_family_once(graphs, monkeypatch):

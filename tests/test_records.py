@@ -77,7 +77,7 @@ SPECS = [
     ),
     Spec(
         fkt.CorrespondenceReport,
-        (("states", 1), ("tight", 1), ("magic", 1), ("bijective", True)),
+        (("states", 1), ("tight", 1), ("magic", 1)),
     ),
     Spec(hypertrees.Hypertree, (("vector", (("r0", 0),)), ("source", G1))),
     Spec(plane_graph.Vertex, (("id", "v0"), ("colour", "violet"), ("rotation", ("a.0",)))),

@@ -57,7 +57,7 @@ def test_shades_alternate_around_every_flank(trinities):
         # violet/emerald edges = corners: flanked by the triangles of the
         # incoming and the outgoing boundary dart
         for colour in ("violet", "emerald"):
-            for fid, i, _w in t.corners(colour):
+            for fid, i, _w in t.corners[colour]:
                 boundary = g.faces[fid].boundary
                 t_in = by_dart[(fid, i)]
                 t_out = by_dart[(fid, (i + 1) % len(boundary))]
@@ -209,7 +209,7 @@ def test_dual_arcs_run_black_to_white(trinities):
                     by_position[(fid, i)],
                     by_position[(fid, (i + 1) % len(g.faces[fid].boundary))],
                 )
-                for fid, i, _w in t.corners(corner_colour)
+                for fid, i, _w in t.corners[corner_colour]
             }
         for colour, crossed in flanks.items():
             arcs = t.directed_dual(colour).arcs
