@@ -180,10 +180,6 @@ class DiscChart:
         self.n = n
         self.emerald_corner = emerald_corner
 
-    @property
-    def points(self):
-        return 2 * self.n
-
     @cached_property
     def sign(self):
         """Each arc's sign: +1 when positive, -1 when negative."""
@@ -220,9 +216,6 @@ class Configuration:
     @classmethod
     def from_diagrams(cls, trinity, diagrams):
         return cls(trinity, tuple(sorted(diagrams.items())))
-
-    def diagram(self, face):
-        return dict(self.entries)[face]
 
 
 class TightVerdict:
@@ -351,7 +344,7 @@ def tree_hugging(trinity, tree):
     diagrams = {}
     for fid in trinity.red:
         chart = ch[fid]
-        m = chart.points
+        m = 2 * chart.n
         in_tree = []
         pairs = []
         for arc in range(m):

@@ -17,9 +17,8 @@ moves read backwards. One search yields each state's code and moves, and
 drops a branch once it places a face's last vertex with the face unmarked.
 Where it pays (``Universe.cut``), each subtree below the middle vertex is
 walked once per key of what it reads of the prefix and replayed after.
-The clock graph runs on codes and keeps its arcs in one flat out-list,
-per-state offsets into one list of target indices; it builds per-state
-out-lists and decodes states only when they are read.
+The clock graph runs on codes and keeps its arcs in one flat out-list:
+per-state offsets into one list of target indices.
 """
 
 from __future__ import annotations
@@ -319,24 +318,6 @@ class ClockGraph:
         self.ends = ends
         self.targets = targets
         self.report = report
-
-    @cached_property
-    def choices(self):
-        return tuple(_decode(c, len(self.universe.vertex_ids)) for c in self.codes)
-
-    @cached_property
-    def outs(self):
-        """Per state, the sorted indices of its moves' targets."""
-        ends, targets = self.ends, self.targets
-        return tuple(tuple(sorted(targets[a:b])) for a, b in zip(ends, ends[1:]))
-
-    @cached_property
-    def arcs(self):
-        return tuple((i, j) for i, out in enumerate(self.outs) for j in out)
-
-    @cached_property
-    def states(self):
-        return _as_states(self.universe, self.codes)
 
 
 def clock_graph(universe, cap=DEFAULT_CAP):

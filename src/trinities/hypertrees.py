@@ -23,10 +23,6 @@ from .limits import DEFAULT_CAP, InputError, ModelFailure
 from .trees import SpanningTree, components, enumerate_spanning_trees
 
 
-class WrongClass(InputError):
-    """The tree does not span a graph with the requested hyperedge class."""
-
-
 class IndexMismatch(ModelFailure):
     """The two hypertree sets are not indexed by the same hyperedges."""
 
@@ -95,9 +91,8 @@ def trinity_hypergraph(trinity, label):
 class Hypertree:
     """Degree record of a realizing spanning tree, minus one per hyperedge.
 
-    The tree is ``witness``. ``source`` is either that tree or, for a
-    searched hypertree, its hypergraph and the tree's edge positions in the
-    host, from which the tree is built when first read.
+    The tree is ``witness``, built when first read from ``source``: the
+    hypergraph and the tree's edge positions in its host.
     """
 
     def __init__(self, vector: tuple, source):
@@ -106,20 +101,9 @@ class Hypertree:
 
     @cached_property
     def witness(self):
-        if not isinstance(self.source, tuple):
-            return self.source
         hypergraph, edges = self.source
         index = hypergraph.index
         return SpanningTree(index.graph, frozenset(map(index.edge_ids.__getitem__, edges)))
-
-
-def hypertree_of(tree, hyperedge_colour):
-    """Hypertree realized by a spanning tree: f(e) = deg(e) - 1 at hyperedge nodes."""
-    if hyperedge_colour not in tree.graph.colour_classes:
-        raise WrongClass(f"host graph has no {hyperedge_colour!r} class")
-    degrees = tree.degrees(hyperedge_colour)
-    vector = tuple(sorted((v, d - 1) for v, d in degrees.items()))
-    return Hypertree(vector, tree)
 
 
 def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):

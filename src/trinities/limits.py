@@ -14,13 +14,7 @@ class ModelFailure(RuntimeError):
 class CapExceeded(InputError):
     """An enumeration would produce more objects than the configured cap."""
 
-    def __init__(self, what, needed, cap):
-        super().__init__(f"{what}: {needed} objects exceed cap {cap}")
-        self.what = what
-        self.needed = needed
-        self.cap = cap
-
 
 def check_cap(needed, cap, what):
     if cap is not None and needed > cap:
-        raise CapExceeded(what, needed, cap)
+        raise CapExceeded(f"{what}: {needed} objects exceed cap {cap}")

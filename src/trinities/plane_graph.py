@@ -322,23 +322,11 @@ def with_colours(graph, colouring):
     return RotationGraph(vertices, graph.edges.values())
 
 
-class ValidationReport:
-    __slots__ = ("failures", "colouring")
-
-    def __init__(self, failures: tuple[str, ...], colouring: dict | None):
-        self.failures = failures
-        self.colouring = colouring
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
 def validate_bipartite_plane(graph):
-    """Check the conditions needed of a bipartite plane input.
+    """The violet/emerald colouring of a bipartite plane input.
 
-    Returns a report instead of raising, so callers can explain failures.
-    Colours are checked when present and computed otherwise.
+    Colours are checked when present and computed otherwise. Raises
+    ``SchemaError`` naming every condition the graph fails.
     """
     failures = []
     if any(graph.is_loop(e) for e in graph.edges):
@@ -363,17 +351,17 @@ def validate_bipartite_plane(graph):
         colouring = two_colouring(graph)
         if colouring is None:
             failures.append("not bipartite: odd cycle or loop")
-    return ValidationReport(tuple(failures), colouring)
+    if failures:
+        raise SchemaError("; ".join(failures))
+    return colouring
 
 
 def ensure_bicoloured(graph):
     """Return the graph with a complete violet/emerald colouring, computing one if needed."""
-    report = validate_bipartite_plane(graph)
-    if not report.ok:
-        raise SchemaError("; ".join(report.failures))
+    colouring = validate_bipartite_plane(graph)
     if all(v.colour is not None for v in graph.vertices.values()):
         return graph
-    return with_colours(graph, report.colouring)
+    return with_colours(graph, colouring)
 
 
 # -- canonical form -----------------------------------------------------------

@@ -91,16 +91,6 @@ class SpanningTree:
         self.graph = graph
         self.edges = edges
 
-    def degrees(self, colour):
-        """Tree degree of each host vertex of this colour."""
-        graph = self.graph
-        degs = {v: 0 for v in graph.vertices if graph.colour_of(v) == colour}
-        for eid in self.edges:
-            for v in graph.endpoints(eid):
-                if v in degs:
-                    degs[v] += 1
-        return degs
-
 
 def enumerate_spanning_trees(index, cap=DEFAULT_CAP):
     """Yield every spanning tree of the graph of a ``GraphIndex`` exactly

@@ -70,7 +70,7 @@ CORPUS_SPECS = (
 
 def corpus_documents():
     """All corpus instances with <= 12 edges, by name."""
-    docs = {name: generate_corpus(family, size)[0] for name, family, size in CORPUS_SPECS}
+    docs = {name: generate_corpus(family, size) for name, family, size in CORPUS_SPECS}
     docs["running11"] = running_example_document()
     return docs
 

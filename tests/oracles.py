@@ -1,9 +1,13 @@
-"""Test oracles for paper statements that no command checks.
+"""Test oracles for paper statements that no command checks, and views
+of package records that only tests read.
 
 Bypass moves on chord diagrams, the valence-concentration walk to a
 tree-hugging configuration, the splitting of a universe state into its
-loop, and one-edge exchanges between spanning trees. Each is written from
-the statement, not from the package's fast paths.
+loop, one-edge exchanges between spanning trees, and the hypertree of one
+spanning tree read off its degrees. Each is written from the statement,
+not from the package's fast paths. The views decode a clock graph's flat
+out-list into states, choices, sorted out-lists and arcs, and read one
+face's diagram off a configuration.
 """
 
 import itertools
@@ -73,6 +77,11 @@ def config_bypass_moves(config):
     ]
 
 
+def diagram(config, face):
+    """The chord diagram a configuration places on one face disc."""
+    return dict(config.entries)[face]
+
+
 # -- valence concentration ------------------------------------------------------
 
 
@@ -91,7 +100,7 @@ def valence_concentration_path(config):
     assert dv.is_tight(config).tight, "valence concentration starts from a tight configuration"
     path = [config]
     for fid in trinity.red:
-        while not dv.euler_and_hug(dv.disc_regions(trinity, fid, path[-1].diagram(fid)))[1]:
+        while not dv.euler_and_hug(dv.disc_regions(trinity, fid, diagram(path[-1], fid)))[1]:
             diagrams = dict(path[-1].entries)
             top = _max_negative_valence(trinity, fid, diagrams[fid])
             candidates = (
@@ -143,12 +152,53 @@ def state_trail(universe, state):
     return tuple(sorted(parities.items())), loops[0]
 
 
-# -- spanning-tree exchanges -------------------------------------------------------
+# -- clock graph views --------------------------------------------------------------
+
+
+def clock_choices(clock):
+    """Each state's quadrant choices, vertices in id order, states in the clock's order."""
+    n = len(clock.universe.vertex_ids)
+    return tuple(fkt._decode(c, n) for c in clock.codes)
+
+
+def clock_states(clock):
+    return fkt._as_states(clock.universe, clock.codes)
+
+
+def clock_outs(clock):
+    """Per state, the sorted indices of its moves' targets."""
+    ends, targets = clock.ends, clock.targets
+    return tuple(tuple(sorted(targets[a:b])) for a, b in zip(ends, ends[1:]))
+
+
+def clock_arcs(clock):
+    return tuple((i, j) for i, out in enumerate(clock_outs(clock)) for j in out)
+
+
+# -- spanning trees and hypertrees -------------------------------------------------
+
+
+def degrees(tree, colour):
+    """Tree degree of each host vertex of this colour."""
+    graph = tree.graph
+    degs = {v: 0 for v in graph.vertices if graph.colour_of(v) == colour}
+    for eid in tree.edges:
+        for v in graph.endpoints(eid):
+            if v in degs:
+                degs[v] += 1
+    return degs
+
+
+def hypertree_of(tree, hyperedge_colour):
+    """Hypertree vector realized by a spanning tree: f(e) = deg(e) - 1 at hyperedge nodes."""
+    if hyperedge_colour not in tree.graph.colour_classes:
+        raise ValueError(f"host graph has no {hyperedge_colour!r} class")
+    return tuple(sorted((v, d - 1) for v, d in degrees(tree, hyperedge_colour).items()))
 
 
 def exchange_classes(trees, colour):
     """Per tree, its class under one-edge exchanges that keep the degree record at this colour."""
-    records = [t.degrees(colour) for t in trees]
+    records = [degrees(t, colour) for t in trees]
     pairs = [
         (i, j)
         for i, j in itertools.combinations(range(len(trees)), 2)

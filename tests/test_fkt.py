@@ -32,7 +32,7 @@ def medial_universes():
     """Medial universes of two corpus graphs, starred at their first edge."""
     out = {}
     for name, (family, size) in MEDIAL_SPECS.items():
-        (doc,) = generate_corpus(family, size)
+        doc = generate_corpus(family, size)
         star = doc["edges"][0]["darts"][0]
         out[name] = (fkt.parse_universe(medial_universe_document(doc, star)), doc)
     return out
@@ -205,20 +205,20 @@ def test_state_order_is_lexicographic(universes):
 def test_state_codes_match_choice_oracle(oracle_universes):
     for name, u in oracle_universes.items():
         if len(u.graph.vertices) <= 8:
-            assert list(fkt.clock_graph(u, cap=None).choices) == choice_oracle(u), name
+            assert list(oracles.clock_choices(fkt.clock_graph(u, cap=None))) == choice_oracle(u), name
 
 
 @given(plane_bipartite_maps(max_edges=8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_random_medial_state_codes_match_choice_oracle(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    assert list(fkt.clock_graph(u, cap=None).choices) == choice_oracle(u)
+    assert list(oracles.clock_choices(fkt.clock_graph(u, cap=None))) == choice_oracle(u)
 
 
 def test_pruned_search_matches_plain_search_on_ladder7():
-    (doc,) = generate_corpus("ladder", 7)
+    doc = generate_corpus("ladder", 7)
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    choices = fkt.clock_graph(u, cap=None).choices
+    choices = oracles.clock_choices(fkt.clock_graph(u, cap=None))
     assert len(choices) == trees.spanning_tree_count(pg.parse_graph(doc))
     assert list(choices) == plain_search_choices(u)
 
@@ -301,7 +301,7 @@ def unguarded_cut(universe):
 
 
 def test_memoized_search_matches_the_full_search_on_ladder7():
-    (doc,) = generate_corpus("ladder", 7)
+    doc = generate_corpus("ladder", 7)
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
     assert u.cut == unguarded_cut(u)
     m, faces, reads = u.cut
@@ -315,7 +315,7 @@ def test_memoized_search_matches_the_full_search_on_ladder7():
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_forced_memo_matches_the_full_search(family, size, seed):
     # the memo is exact whatever the guard decides; the guard only saves time
-    (doc,) = generate_corpus(family, size)
+    doc = generate_corpus(family, size)
     medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
     u = fkt.parse_universe(medial if seed is None else shuffled_crossings(medial, seed))
     u.__dict__["cut"] = unguarded_cut(u)  # the cached property's slot
@@ -323,7 +323,7 @@ def test_forced_memo_matches_the_full_search(family, size, seed):
 
 
 def test_search_without_a_cut_matches_the_full_search_on_shuffled_ladder5():
-    (doc,) = generate_corpus("ladder", 5)
+    doc = generate_corpus("ladder", 5)
     medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
     u = fkt.parse_universe(shuffled_crossings(medial, 5))
     m, faces, reads = unguarded_cut(u)
@@ -452,7 +452,7 @@ def all_pairs_arcs(universe):
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_clock_arcs_match_all_pairs_scan(oracle_universes, name):
     u = oracle_universes[name]
-    arcs = fkt.clock_graph(u, cap=None).arcs
+    arcs = oracles.clock_arcs(fkt.clock_graph(u, cap=None))
     assert arcs or name == "curl"
     assert list(arcs) == all_pairs_arcs(u)
 
@@ -464,7 +464,7 @@ def test_random_medial_clock_graphs(doc):
     clock = fkt.clock_graph(u, cap=None)
     # Kauffman's state-tree bijection, counted by the matrix-tree theorem
     assert clock.report["states"] == trees.spanning_tree_count(pg.parse_graph(doc))
-    assert list(clock.arcs) == all_pairs_arcs(u)
+    assert list(oracles.clock_arcs(clock)) == all_pairs_arcs(u)
     assert clock.report["ok"]
 
 
@@ -514,7 +514,7 @@ def test_clock_graphs_are_distributive_lattices(oracle_universes):
     for name, u in oracle_universes.items():
         clock = fkt.clock_graph(u, cap=None)
         assert clock.report["states"] <= 300, name
-        check_clock_lattice(clock.outs)
+        check_clock_lattice(oracles.clock_outs(clock))
 
 
 @given(plane_bipartite_maps())
@@ -523,7 +523,7 @@ def test_random_medial_clock_graphs_are_distributive_lattices(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
     clock = fkt.clock_graph(u, cap=None)
     assume(clock.report["states"] <= 300)
-    check_clock_lattice(clock.outs)
+    check_clock_lattice(oracles.clock_outs(clock))
 
 
 def test_lattice_check_refuses_a_non_distributive_lattice():
@@ -548,7 +548,7 @@ def test_clock_graph_builds_states_only_when_read(medial_universes, monkeypatch)
     monkeypatch.setattr(fkt, "UniverseState", lambda markers: made.append(1) or real(markers))
     clock = fkt.clock_graph(u, cap=None)
     assert made == []
-    assert clock.states == fkt.enumerate_states(u, cap=None)
+    assert oracles.clock_states(clock) == fkt.enumerate_states(u, cap=None)
     assert len(made) == 2 * clock.report["states"]
 
 
@@ -683,7 +683,7 @@ def check_flat_clock_graph(universe):
     ends, targets = clock.ends, clock.targets
     assert ends[0] == 0 and ends[-1] == len(targets) and len(ends) == len(outs) + 1
     assert [sorted(targets[a:b]) for a, b in zip(ends, ends[1:])] == outs
-    assert list(map(list, clock.outs)) == outs
+    assert list(map(list, oracles.clock_outs(clock))) == outs
     assert clock.report == in_list_clock_report(outs)
 
 
@@ -699,12 +699,12 @@ GOLDEN_MEDIAL_SPECS = {
 
 @pytest.mark.parametrize("name", GOLDEN_MEDIAL_SPECS)
 def test_flat_out_list_matches_per_state_out_lists_on_golden_universes(name):
-    (doc,) = generate_corpus(*GOLDEN_MEDIAL_SPECS[name])
+    doc = generate_corpus(*GOLDEN_MEDIAL_SPECS[name])
     check_flat_clock_graph(fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0])))
 
 
 def test_flat_out_list_matches_per_state_out_lists_on_shuffled_ladder5():
-    (doc,) = generate_corpus("ladder", 5)
+    doc = generate_corpus("ladder", 5)
     medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
     u = fkt.parse_universe(shuffled_crossings(medial, 5))
     assert u.cut is None  # the memo declines
@@ -741,8 +741,7 @@ def test_universe_dual_faces_are_quadrilaterals(universes):
     for name, u in universes.items():
         dual = fkt.universe_dual_graph(u)
         assert all(len(f.boundary) == 4 for f in dual.faces.values()), name
-        report = pg.validate_bipartite_plane(dual)
-        assert report.ok, name
+        assert pg.validate_bipartite_plane(dual).keys() == dual.vertices.keys(), name
 
 
 @pytest.mark.parametrize("name,expected", [("curl", 1), ("hopf", 2), ("figure_eight", 5)])

@@ -66,7 +66,7 @@ def write_inputs(directory):
         doc = fkt.BUILTIN_UNIVERSES[name]()
         (directory / f"{name}.json").write_text(json.dumps(doc))
     for name, ((family, size), _commands) in MEDIAL_UNIVERSES.items():
-        (doc,) = cli.generate_corpus(family, size)
+        doc = cli.generate_corpus(family, size)
         medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
         (directory / f"{name}.json").write_text(json.dumps(medial))
 

@@ -1,5 +1,6 @@
 """The package's source rules over one parse of it: each maps ``{module: parsed module}`` to its
-violations, and must find none in the package and the one in ``seed``, a module added to break it."""
+violations, and must find none in the package and the one in ``seed``, a module added to break it.
+One more rule ties the public names kept for perfbench to a parse of its tracer and selftest."""
 
 import ast
 import builtins
@@ -12,6 +13,8 @@ import trinities
 
 ROOT = Path(trinities.__file__).parent
 PACKAGE = {p.relative_to(ROOT).as_posix()[:-3]: ast.parse(p.read_text(), str(p)) for p in sorted(ROOT.rglob("*.py"))}
+BENCH = Path(__file__).parents[1] / "perfbench"
+PERFBENCH = {name: ast.parse((BENCH / f"{name}.py").read_text(), name) for name in ("tracer", "selftest")}
 
 
 def walk(modules, *types):
@@ -70,17 +73,21 @@ def no_private_reads(modules):
     return found
 
 
+# public names that no other package code names, kept on purpose, with the reason for each
+TRACED, SELFTEST = "a perfbench tracer target", "perfbench's selftest"
+ALLOWED = {
+    "fkt.transpositions": TRACED,
+    "trees.spanning_tree_count": TRACED,
+    "dividing.enumerate_chord_diagrams": TRACED,
+    "plane_graph.canonical_form": f"{SELFTEST} compares canonical forms",
+    "dividing.is_tree_hugging": f"{TRACED}; oracle of the integer check",
+    "dividing.euler_vector": f"{TRACED}; oracle of the builder's Euler table",
+}
+
+
 def public_names_used(modules):
-    """Every public module-level function or class is named by other package code, bar seven kept on purpose."""
-    allowed = {  # kept though no other package code names them
-        "fkt.transpositions",  # a perfbench tracer target
-        "trees.spanning_tree_count",  # a perfbench tracer target
-        "dividing.enumerate_chord_diagrams",  # a perfbench tracer target
-        "plane_graph.canonical_form",  # perfbench's selftest compares canonical forms
-        "hypertrees.hypertree_of",  # the per-tree hypertree oracle the tests compare with
-        "dividing.is_tree_hugging",  # perfbench tracer target; oracle of the integer check
-        "dividing.euler_vector",  # perfbench tracer target; oracle of the builder's Euler table
-    }
+    """Every public module-level function or class is named by other package code, bar six kept on purpose."""
+    allowed = ALLOWED.keys()
     named, defined = [], {}  # (statement, the names it reads); public module.name -> its statement
     for m, stmt in ((m, stmt) for m, tree in modules.items() for stmt in tree.body):
         nodes = [node for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
@@ -127,6 +134,20 @@ def stdlib_only(modules):
     return found
 
 
+def kept_for_perfbench(perfbench):
+    """Each public name allowed for perfbench is one its tracer still traces or its selftest still reads."""
+    (targets,) = [s.value for s in perfbench["tracer"].body if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "TARGETS"]
+    traced = {f"{target.elts[0].value}.{target.elts[1].value}" for target in targets.elts}
+    read = {node.attr for node in ast.walk(perfbench["selftest"]) if isinstance(node, ast.Attribute)}
+    found = []
+    for name, reason in sorted(ALLOWED.items()):
+        if reason.startswith(TRACED) and name not in traced:
+            found.append(f"{name}: allowed as a tracer target, but perfbench no longer traces it")
+        elif reason.startswith(SELFTEST) and name.split(".")[1] not in read:
+            found.append(f"{name}: allowed for perfbench's selftest, but the selftest no longer reads it")
+    return found
+
+
 SEEDS = {
     no_assert: "assert True",
     no_generated_records: "from dataclasses import dataclass",
@@ -148,3 +169,21 @@ def test_the_package_keeps_the_rule(rule):
 def test_the_rule_finds_its_seeded_violation(rule):
     found = set(rule({**PACKAGE, "seed": ast.parse(SEEDS[rule])})) - set(rule(PACKAGE))
     assert found and all(violation.startswith("seed") for violation in found), found
+
+
+def test_perfbench_reads_every_name_kept_for_it():
+    assert kept_for_perfbench(PERFBENCH) == []
+
+
+def test_the_perfbench_rule_finds_its_seeded_violation():
+    # a tracer that traces nothing and a selftest that reads nothing
+    found = kept_for_perfbench({"tracer": ast.parse("TARGETS = ()"), "selftest": ast.parse("")})
+    untraced = "allowed as a tracer target, but perfbench no longer traces it"
+    assert found == [
+        f"dividing.enumerate_chord_diagrams: {untraced}",
+        f"dividing.euler_vector: {untraced}",
+        f"dividing.is_tree_hugging: {untraced}",
+        f"fkt.transpositions: {untraced}",
+        "plane_graph.canonical_form: allowed for perfbench's selftest, but the selftest no longer reads it",
+        f"trees.spanning_tree_count: {untraced}",
+    ]

@@ -147,22 +147,20 @@ def test_primal_and_dual_spanning_tree_counts_agree(graphs):
 
 
 def test_validate_four_cycle_passes(graphs):
-    report = pg.validate_bipartite_plane(graphs["cycle4"])
-    assert report.ok
-    assert sorted(Counter(report.colouring.values()).values()) == [2, 2]
+    colouring = pg.validate_bipartite_plane(graphs["cycle4"])
+    assert sorted(Counter(colouring.values()).values()) == [2, 2]
 
 
 def test_validate_triangle_fails():
     g = parse(triangle_document())
-    report = pg.validate_bipartite_plane(g)
-    assert report.failures == ("not bipartite: odd cycle or loop",)
-    assert report.colouring is None
+    with pytest.raises(pg.SchemaError) as refused:
+        pg.validate_bipartite_plane(g)
+    assert str(refused.value) == "not bipartite: odd cycle or loop"
 
 
 def test_validate_running_example(graphs):
-    report = pg.validate_bipartite_plane(graphs["running11"])
-    assert report.ok
-    assert sorted(Counter(report.colouring.values()).values()) == [4, 5]
+    colouring = pg.validate_bipartite_plane(graphs["running11"])
+    assert sorted(Counter(colouring.values()).values()) == [4, 5]
 
 
 def test_validate_rejects_loop():
@@ -173,16 +171,17 @@ def test_validate_rejects_loop():
         "edges": [{"id": "l", "darts": ["l.0", "l.1"]}],
     }
     g = parse(doc)
-    report = pg.validate_bipartite_plane(g)
-    assert "graph has a loop edge" in report.failures
+    with pytest.raises(pg.SchemaError) as refused:
+        pg.validate_bipartite_plane(g)
+    assert "graph has a loop edge" in str(refused.value).split("; ")
 
 
 def test_colour_check_when_colours_present():
     doc = running_example_document()
     doc["vertices"][0]["colour"] = "emerald"  # clash with its neighbours
     g = parse(doc)
-    report = pg.validate_bipartite_plane(g)
-    assert not report.ok
+    with pytest.raises(pg.SchemaError):
+        pg.validate_bipartite_plane(g)
 
 
 def test_canonical_form_invariant_under_relabelling(graphs):
