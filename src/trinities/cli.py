@@ -263,8 +263,8 @@ def _cmd_hypertrees(args):
         payload.append(
             {
                 "hypergraph": label,
-                "hyperedges": [e for e, _ in hts[0].vector],
-                "vectors": [[f for _, f in h.vector] for h in hts],
+                "hyperedges": [e for e, _ in hts[0]],
+                "vectors": [[f for _, f in h] for h in hts],
                 "count": len(hts),
             }
         )
@@ -313,12 +313,13 @@ def _cmd_states(args):
 
 def _cmd_clock(args):
     universe = _load_universe(args)
-    clock = fkt.clock_graph(universe, args.cap)
+    _codes, ends, targets = fkt.clock_graph(universe, args.cap)
+    report = fkt.clock_report(ends, targets)
     lines = [
-        f"clock graph: {clock.report['states']} states, {clock.report['arcs']} arcs",
-        f"structure checks: {'pass' if clock.report['ok'] else 'FAIL'}",
+        f"clock graph: {report['states']} states, {report['arcs']} arcs",
+        f"structure checks: {'pass' if report['ok'] else 'FAIL'}",
     ]
-    return _emit(args, clock.report, lines, clock.report["ok"])
+    return _emit(args, report, lines, report["ok"])
 
 
 def _cmd_dual(args):

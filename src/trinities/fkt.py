@@ -305,26 +305,14 @@ def transpositions(universe, state):
     return list(_as_states(universe, [code + d for _i, d in moves]))
 
 
-class ClockGraph:
-    """States with their clockwise moves as one flat out-list.
-
-    State i's move targets, as state indices, are ``targets[ends[i]:ends[i + 1]]``
-    in the order the search found the moves.
-    """
-
-    def __init__(self, universe: Universe, codes: tuple, ends: list, targets: list, report: dict):
-        self.universe = universe
-        self.codes = codes  # each state's code, in enumerate_states' order
-        self.ends = ends
-        self.targets = targets
-        self.report = report
-
-
 def clock_graph(universe, cap=DEFAULT_CAP):
-    """States with clockwise transpositions as arcs, plus structure checks.
+    """States with clockwise transpositions as arcs: ``(codes, ends, targets)``.
 
-    Each move's target is its source code plus the move's delta, looked up
-    in one code -> index dict by one pass over all moves.
+    ``codes`` lists each state's code in ``enumerate_states``' order. State
+    i's move targets, as state indices, are ``targets[ends[i]:ends[i + 1]]``
+    in the order the search found the moves; ``clock_report`` checks the
+    structure. Each move's target is its source code plus the move's delta,
+    looked up in one code -> index dict by one pass over all moves.
     """
     found = list(_search(universe, cap))
     codes = tuple(map(itemgetter(0), found))
@@ -343,9 +331,7 @@ def clock_graph(universe, cap=DEFAULT_CAP):
         source, dest = _as_states(universe, (c, target))
         v, w = (x for (x, a), (_x, b) in zip(source.markers, dest.markers) if a != b)
         raise MoveLeavesStates(f"state {i}: the move at {v} and {w} leaves the states") from None
-    del moves, index  # before the structure checks count in-degrees
-    ends = list(itertools.accumulate(counts, initial=0))
-    return ClockGraph(universe, codes, ends, targets, clock_report(ends, targets))
+    return codes, list(itertools.accumulate(counts, initial=0)), targets
 
 
 def clock_report(ends, targets):

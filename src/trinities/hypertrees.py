@@ -15,12 +15,11 @@ off every spanning tree nor cut out by polytope inequalities.
 from __future__ import annotations
 
 from bisect import insort
-from functools import cached_property
 from itertools import compress
 from operator import getitem, mul
 
 from .limits import DEFAULT_CAP, InputError, ModelFailure
-from .trees import SpanningTree, components, enumerate_spanning_trees
+from .trees import components, enumerate_spanning_trees
 
 
 class IndexMismatch(ModelFailure):
@@ -88,26 +87,9 @@ def trinity_hypergraph(trinity, label):
     )
 
 
-class Hypertree:
-    """Degree record of a realizing spanning tree, minus one per hyperedge.
-
-    The tree is ``witness``, built when first read from ``source``: the
-    hypergraph and the tree's edge positions in its host.
-    """
-
-    def __init__(self, vector: tuple, source):
-        self.vector = vector
-        self.source = source
-
-    @cached_property
-    def witness(self):
-        hypergraph, edges = self.source
-        index = hypergraph.index
-        return SpanningTree(index.graph, frozenset(map(index.edge_ids.__getitem__, edges)))
-
-
 def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
-    """Hypertree set, sorted by vector, with one witness spanning tree each.
+    """Hypertree set: the sorted tuple of vectors, each a tuple of
+    (hyperedge, value) pairs in hyperedge order.
 
     Hypertrees are the lattice points of the base polytope of the
     polymatroid mu(S) = |union of S| - c(S) (Kalman 2013), so they form an
@@ -127,7 +109,8 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
     difference of I and P is its witness. A move into j is refused
     without a search when every host edge at j is already in T, since
     then there is no edge to end a path. Every witness is checked to span
-    the host and realize its vector, or ``BadWitness`` is raised.
+    the host and realize its vector, or ``BadWitness`` is raised; none
+    outlives the search.
 
     A vector is kept as its mixed-radix code over the hyperedge degrees,
     first hyperedge most significant, so code order is vector order and a
@@ -180,10 +163,7 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
                     found.append((base + stride[j], move))
     # one (hyperedge, value) pair object per value, shared by every vector
     pairs = [[(h, f) for f in range(d)] for h, d in zip(hypergraph.ids, degree)]
-    return tuple(
-        Hypertree(tuple(map(getitem, pairs, vector)), (hypergraph, decided[code]))
-        for code, vector in sorted(found)
-    )
+    return tuple(tuple(map(getitem, pairs, vector)) for _code, vector in sorted(found))
 
 
 class _RootedTree:
@@ -316,8 +296,8 @@ class _ExchangeGraph:
 
 def translate_offset(set_a, set_b):
     """Constant vector c with A = c - B, or None when no such translate exists."""
-    vecs_a = [dict(h.vector) for h in set_a]
-    vecs_b = [dict(h.vector) for h in set_b]
+    vecs_a = list(map(dict, set_a))
+    vecs_b = list(map(dict, set_b))
     if not vecs_a or not vecs_b:
         raise IndexMismatch("empty hypertree set")
     keys = set(vecs_a[0])

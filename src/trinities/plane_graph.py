@@ -326,34 +326,22 @@ def validate_bipartite_plane(graph):
     """The violet/emerald colouring of a bipartite plane input.
 
     Colours are checked when present and computed otherwise. Raises
-    ``SchemaError`` naming every condition the graph fails.
+    ``SchemaError`` naming the first condition the graph fails; a loop
+    fails every colouring check, so it is named alone.
     """
-    failures = []
     if any(graph.is_loop(e) for e in graph.edges):
-        failures.append("graph has a loop edge")
-
+        raise SchemaError("graph has a loop edge")
     given = {v.id: v.colour for v in graph.vertices.values() if v.colour is not None}
-    colouring = None
-    if given:
-        bad = [c for c in given.values() if c not in ("violet", "emerald")]
-        if bad or len(given) != len(graph.vertices):
-            failures.append("vertex colours must be a complete violet/emerald tagging")
-        else:
-            proper = all(
-                graph.colour_of(u) != graph.colour_of(v)
-                for u, v in (graph.endpoints(e) for e in graph.edges)
-            )
-            if proper:
-                colouring = given
-            else:
-                failures.append("an edge joins two vertices of the same colour")
-    else:
+    if not given:
         colouring = two_colouring(graph)
         if colouring is None:
-            failures.append("not bipartite: odd cycle or loop")
-    if failures:
-        raise SchemaError("; ".join(failures))
-    return colouring
+            raise SchemaError("not bipartite: odd cycle or loop")
+        return colouring
+    if len(given) != len(graph.vertices) or not set(given.values()) <= {"violet", "emerald"}:
+        raise SchemaError("vertex colours must be a complete violet/emerald tagging")
+    if any(graph.colour_of(u) == graph.colour_of(v) for u, v in map(graph.endpoints, graph.edges)):
+        raise SchemaError("an edge joins two vertices of the same colour")
+    return given
 
 
 def ensure_bicoloured(graph):

@@ -39,13 +39,11 @@ class NotBijective(ModelFailure):
 
 
 class Component:
-    __slots__ = ("id", "members", "euler", "hypertree", "representative")
+    __slots__ = ("id", "size", "euler", "hypertree", "representative")
 
-    def __init__(
-        self, id: int, members: tuple[int, ...], euler: dict, hypertree: dict, representative: int
-    ):
+    def __init__(self, id: int, size: int, euler: dict, hypertree: dict, representative: int):
         self.id = id
-        self.members = members
+        self.size = size
         self.euler = euler
         self.hypertree = hypertree
         self.representative = representative  # index of a tree-hugging vertex
@@ -459,7 +457,7 @@ def _label_components(graph, count, hugging):
         rep = next(itertools.compress(ids, map(hugging.__getitem__, ids)), None)
         if rep is None or not _hugged_tree(graph, regions, rep)[0]:
             raise NotTreeHuggingReachable(f"component {cid} has no tree-hugging vertex")
-        components.append(Component(cid, tuple(ids), dict(zip(faces, first)), hypertree, rep))
+        components.append(Component(cid, len(ids), dict(zip(faces, first)), hypertree, rep))
     return tuple(components)
 
 
@@ -528,7 +526,7 @@ def _hugging_partner(corner, tree):
 
 def classify_components(config_graph):
     """Raise ``NotBijective`` unless the components biject onto the hypertrees of (E,R)."""
-    expected = {h.vector for h in config_graph.trinity.hypertree_set("ER")}
+    expected = set(config_graph.trinity.hypertree_set("ER"))
     got = [tuple(sorted(c.hypertree.items())) for c in config_graph.components]
     if len(got) != len(set(got)) or set(got) != expected:
         raise NotBijective(f"components {sorted(set(got))} vs hypertrees {sorted(expected)}")
@@ -540,7 +538,7 @@ def classification_json(config_graph):
         "components": [
             {
                 "id": c.id,
-                "size": len(c.members),
+                "size": c.size,
                 "euler": dict(sorted(c.euler.items())),
                 "hypertree": dict(sorted(c.hypertree.items())),
                 "tree_hugging_rep": config_graph.vertex_json(c.representative),

@@ -157,17 +157,6 @@ def enumerate_spanning_trees(index, cap=DEFAULT_CAP):
 # -- arborescences -------------------------------------------------------------
 
 
-class Arborescence:
-    """Arc ids of an arborescence of ``dual`` away from ``root``."""
-
-    __slots__ = ("dual", "root", "arcs")
-
-    def __init__(self, dual, root: str, arcs: frozenset):
-        self.dual = dual
-        self.root = root
-        self.arcs = arcs
-
-
 def count_arborescences(dual, root):
     """Number of spanning arborescences directed away from the root.
 
@@ -194,8 +183,9 @@ def _require_root(dual, root):
 def enumerate_arborescences(dual, root):
     """All arborescences away from the root, duplicate-free, deterministic order.
 
-    Depth-first over the non-root vertices in id order, trying each one's
-    in-arcs in id order; an explicit choice array replaces recursion, so the
+    Each is the tuple of its arc ids, one arc into each non-root vertex in
+    id order. Depth-first over those vertices, trying each one's in-arcs in
+    id order; an explicit choice array replaces recursion, so the
     interpreter's stack depth does not grow with the number of vertices.
     Takes no cap: ``magic_number`` checks the matrix-tree count first.
     """
@@ -225,7 +215,7 @@ def enumerate_arborescences(dual, root):
     k = 0
     while k >= 0:
         if k == n:
-            result.append(Arborescence(dual, root, frozenset(chosen)))
+            result.append(tuple(chosen))
             k -= 1
             continue
         v = others[k]

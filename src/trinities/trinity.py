@@ -17,11 +17,12 @@ is read off the two triangles flanking it, from that colour's corner of the
 black one to its corner of the white one.
 
 A ``Trinity`` owns the products computed from it: the corner lists, the
-directed duals, the colour graphs' index arrays, the six hypertree sets,
-the magic-number report, the disc charts and the global numbering of
-boundary points and their glue across edges are built at most once per
-trinity and shared by every caller. The enumeration cap is fixed when the trinity is built, so
-every product is a plain memo.
+directed duals, the colour graphs' index arrays, the six hypertree sets
+(sorted vectors, no witness trees), the magic-number report, the disc
+charts and the global numbering of boundary points and their glue across
+edges are built at most once per trinity and shared by every caller. The
+enumeration cap is fixed when the trinity is built, so every product is a
+plain memo.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ class Trinity:
     # -- hypertrees and the magic number ---------------------------------------
 
     def hypertree_set(self, label):
-        """Hypertrees of the hypergraph ``label`` with one witness tree each (memoised)."""
+        """The sorted hypertree vectors of the hypergraph ``label`` (memoised)."""
         found = self._hypertrees.get(label)
         if found is None:
             hypergraph = hypertrees.trinity_hypergraph(self, label)

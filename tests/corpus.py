@@ -57,6 +57,14 @@ def triangle_document():
     }
 
 
+def loop_document(colour=None):
+    """One vertex with a loop; fails bipartite validation, coloured or not."""
+    return {
+        "vertices": [{"id": "a", "colour": colour, "rotation": ["l.0", "l.1"]}],
+        "edges": [{"id": "l", "darts": ["l.0", "l.1"]}],
+    }
+
+
 CORPUS_SPECS = (
     ("path1", "path", 1),
     ("path2", "path", 2),

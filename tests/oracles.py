@@ -1,13 +1,14 @@
 """Test oracles for paper statements that no command checks, and views
-of package records that only tests read.
+of package values that only tests read.
 
 Bypass moves on chord diagrams, the valence-concentration walk to a
 tree-hugging configuration, the splitting of a universe state into its
 loop, one-edge exchanges between spanning trees, and the hypertree of one
 spanning tree read off its degrees. Each is written from the statement,
-not from the package's fast paths. The views decode a clock graph's flat
-out-list into states, choices, sorted out-lists and arcs, and read one
-face's diagram off a configuration.
+not from the package's fast paths. The views read the ``(codes, ends,
+targets)`` of ``fkt.clock_graph`` as states, choices, sorted out-lists,
+arcs and the structure report, and read one face's diagram off a
+configuration.
 """
 
 import itertools
@@ -155,24 +156,33 @@ def state_trail(universe, state):
 # -- clock graph views --------------------------------------------------------------
 
 
-def clock_choices(clock):
-    """Each state's quadrant choices, vertices in id order, states in the clock's order."""
-    n = len(clock.universe.vertex_ids)
-    return tuple(fkt._decode(c, n) for c in clock.codes)
+def clock_choices(universe, clock):
+    """Each state's quadrant choices, vertices in id order, states in the
+    order of ``clock``, the ``(codes, ends, targets)`` of ``fkt.clock_graph``."""
+    codes, _ends, _targets = clock
+    n = len(universe.vertex_ids)
+    return tuple(fkt._decode(c, n) for c in codes)
 
 
-def clock_states(clock):
-    return fkt._as_states(clock.universe, clock.codes)
+def clock_states(universe, clock):
+    codes, _ends, _targets = clock
+    return fkt._as_states(universe, codes)
 
 
 def clock_outs(clock):
     """Per state, the sorted indices of its moves' targets."""
-    ends, targets = clock.ends, clock.targets
+    _codes, ends, targets = clock
     return tuple(tuple(sorted(targets[a:b])) for a, b in zip(ends, ends[1:]))
 
 
 def clock_arcs(clock):
     return tuple((i, j) for i, out in enumerate(clock_outs(clock)) for j in out)
+
+
+def clock_report(clock):
+    """``fkt.clock_report`` of the clock graph's flat out-list."""
+    _codes, ends, targets = clock
+    return fkt.clock_report(ends, targets)
 
 
 # -- spanning trees and hypertrees -------------------------------------------------

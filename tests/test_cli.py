@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from corpus import running_example_document, triangle_document
+from corpus import loop_document, running_example_document, triangle_document
 from trinities import cli, dividing, fkt, hypertrees, limits, transitions, trees, trinity
 from trinities import plane_graph as pg
 
@@ -51,6 +51,12 @@ def test_verify_triangle_is_usage_error(capsys, tmp_path):
     code, _out, err = run(capsys, "verify", "--graph", path)
     assert code == 2
     assert "not bipartite" in err
+
+
+@pytest.mark.parametrize("colour", [None, "violet"])
+def test_verify_names_a_loop_once(capsys, tmp_path, colour):
+    path = write_json(tmp_path, "loop.json", loop_document(colour))
+    assert run(capsys, "verify", "--graph", path) == (2, "", "error: graph has a loop edge\n")
 
 
 def test_missing_file_is_usage_error(capsys):

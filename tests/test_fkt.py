@@ -205,20 +205,20 @@ def test_state_order_is_lexicographic(universes):
 def test_state_codes_match_choice_oracle(oracle_universes):
     for name, u in oracle_universes.items():
         if len(u.graph.vertices) <= 8:
-            assert list(oracles.clock_choices(fkt.clock_graph(u, cap=None))) == choice_oracle(u), name
+            assert list(oracles.clock_choices(u, fkt.clock_graph(u, cap=None))) == choice_oracle(u), name
 
 
 @given(plane_bipartite_maps(max_edges=8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_random_medial_state_codes_match_choice_oracle(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    assert list(oracles.clock_choices(fkt.clock_graph(u, cap=None))) == choice_oracle(u)
+    assert list(oracles.clock_choices(u, fkt.clock_graph(u, cap=None))) == choice_oracle(u)
 
 
 def test_pruned_search_matches_plain_search_on_ladder7():
     doc = generate_corpus("ladder", 7)
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    choices = oracles.clock_choices(fkt.clock_graph(u, cap=None))
+    choices = oracles.clock_choices(u, fkt.clock_graph(u, cap=None))
     assert len(choices) == trees.spanning_tree_count(pg.parse_graph(doc))
     assert list(choices) == plain_search_choices(u)
 
@@ -462,10 +462,11 @@ def test_clock_arcs_match_all_pairs_scan(oracle_universes, name):
 def test_random_medial_clock_graphs(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
     clock = fkt.clock_graph(u, cap=None)
+    report = oracles.clock_report(clock)
     # Kauffman's state-tree bijection, counted by the matrix-tree theorem
-    assert clock.report["states"] == trees.spanning_tree_count(pg.parse_graph(doc))
+    assert report["states"] == trees.spanning_tree_count(pg.parse_graph(doc))
     assert list(oracles.clock_arcs(clock)) == all_pairs_arcs(u)
-    assert clock.report["ok"]
+    assert report["ok"]
 
 
 def check_clock_lattice(outs):
@@ -513,7 +514,7 @@ def check_clock_lattice(outs):
 def test_clock_graphs_are_distributive_lattices(oracle_universes):
     for name, u in oracle_universes.items():
         clock = fkt.clock_graph(u, cap=None)
-        assert clock.report["states"] <= 300, name
+        assert oracles.clock_report(clock)["states"] <= 300, name
         check_clock_lattice(oracles.clock_outs(clock))
 
 
@@ -522,7 +523,7 @@ def test_clock_graphs_are_distributive_lattices(oracle_universes):
 def test_random_medial_clock_graphs_are_distributive_lattices(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
     clock = fkt.clock_graph(u, cap=None)
-    assume(clock.report["states"] <= 300)
+    assume(oracles.clock_report(clock)["states"] <= 300)
     check_clock_lattice(oracles.clock_outs(clock))
 
 
@@ -548,24 +549,24 @@ def test_clock_graph_builds_states_only_when_read(medial_universes, monkeypatch)
     monkeypatch.setattr(fkt, "UniverseState", lambda markers: made.append(1) or real(markers))
     clock = fkt.clock_graph(u, cap=None)
     assert made == []
-    assert oracles.clock_states(clock) == fkt.enumerate_states(u, cap=None)
-    assert len(made) == 2 * clock.report["states"]
+    assert oracles.clock_states(u, clock) == fkt.enumerate_states(u, cap=None)
+    assert len(made) == 2 * oracles.clock_report(clock)["states"]
 
 
 @pytest.mark.parametrize("name", ["curl", "hopf", "figure_eight"])
 def test_clock_graph_structure(universes, name):
-    clock = fkt.clock_graph(universes[name])
-    assert clock.report["ok"]
-    assert clock.report["weakly_connected"]
-    assert clock.report["acyclic"]
-    assert clock.report["unique_source"]
-    assert clock.report["unique_sink"]
+    report = oracles.clock_report(fkt.clock_graph(universes[name]))
+    assert report["ok"]
+    assert report["weakly_connected"]
+    assert report["acyclic"]
+    assert report["unique_source"]
+    assert report["unique_sink"]
 
 
 def test_clock_graph_hopf_shape(universes):
-    clock = fkt.clock_graph(universes["hopf"])
-    assert clock.report["states"] == 2
-    assert clock.report["arcs"] == 1
+    report = oracles.clock_report(fkt.clock_graph(universes["hopf"]))
+    assert report["states"] == 2
+    assert report["arcs"] == 1
 
 
 def flat(outs):
@@ -680,11 +681,11 @@ def per_state_out_lists(universe):
 def check_flat_clock_graph(universe):
     clock = fkt.clock_graph(universe, cap=None)
     outs = per_state_out_lists(universe)
-    ends, targets = clock.ends, clock.targets
+    _codes, ends, targets = clock
     assert ends[0] == 0 and ends[-1] == len(targets) and len(ends) == len(outs) + 1
     assert [sorted(targets[a:b]) for a, b in zip(ends, ends[1:])] == outs
     assert list(map(list, oracles.clock_outs(clock))) == outs
-    assert clock.report == in_list_clock_report(outs)
+    assert fkt.clock_report(ends, targets) == in_list_clock_report(outs)
 
 
 # the medial universes of tests/test_golden.py

@@ -77,13 +77,13 @@ def test_hypertree_of_wrong_class(trinities):
 def test_single_edge_er_hypertrees(trinities):
     hg = ht.trinity_hypergraph(trinities["path1"], "ER")
     found = ht.enumerate_hypertrees(hg)
-    assert [dict(h.vector) for h in found] == [{"f0": 0}]
+    assert [dict(h) for h in found] == [{"f0": 0}]
 
 
 def test_four_cycle_er_hypertrees_match_oracle(trinities):
     t = trinities["cycle4"]
     hg = ht.trinity_hypergraph(t, "ER")
-    found = {h.vector for h in ht.enumerate_hypertrees(hg)}
+    found = set(ht.enumerate_hypertrees(hg))
     assert found == brute_force_degree_vectors(t.violet_graph, "red")
     values = sorted(tuple(v for _, v in h) for h in found)
     assert values == [(0, 1), (1, 0)]
@@ -94,8 +94,8 @@ def test_hypertree_bounds_and_sum(trinities):
         hg = ht.trinity_hypergraph(t, "ER")
         host = hg.index.graph
         sizes = {h: len({host.target(d) for d in host.vertices[h].rotation}) for h in hg.ids}
-        for tree in ht.enumerate_hypertrees(hg):
-            vec = dict(tree.vector)
+        for vector in ht.enumerate_hypertrees(hg):
+            vec = dict(vector)
             assert sum(vec.values()) == len(t.emerald) - 1
             for h, f in vec.items():
                 assert 0 <= f <= sizes[h] - 1
@@ -104,8 +104,7 @@ def test_hypertree_bounds_and_sum(trinities):
 def test_witnesses_realize_their_vectors(trinities):
     for t in trinities.values():
         hg = ht.trinity_hypergraph(t, "ER")
-        for tree in ht.enumerate_hypertrees(hg):
-            assert oracles.hypertree_of(tree.witness, "red") == tree.vector
+        assert assert_witnesses_span_and_realize(hg) == t.hypertree_set("ER")
 
 
 def test_all_six_counts_equal_magic(trinities):
@@ -133,7 +132,7 @@ def test_hypertree_enumeration_cap(trinities):
 
 
 def _hypertrees(*vectors):
-    return [ht.Hypertree(tuple(sorted(v.items())), None) for v in vectors]
+    return [tuple(sorted(v.items())) for v in vectors]
 
 
 def test_translate_offset_trivial():
@@ -168,8 +167,8 @@ def test_four_cycle_ve_vs_re_offset(trinities):
     offset = ht.translate_offset(ha, hb)
     # verified exhaustively: every b-vector reflects onto an a-vector
     assert offset is not None
-    b_vectors = {h.vector for h in hb}
-    a_vectors = {h.vector for h in ha}
+    b_vectors = set(hb)
+    a_vectors = set(ha)
     reflected = {
         tuple(sorted((k, offset[k] - dict(v)[k]) for k in offset)) for v in b_vectors
     }
@@ -218,11 +217,31 @@ def realization_oracle(hypergraph):
     return first
 
 
-def assert_witness_spans_and_realizes(hypergraph, hypertree):
+def certified_witnesses(hypergraph):
+    """The hypertree set, and each (witness, vector) that its search certifies.
+
+    A spy on ``Hypergraph.certify`` records each witness as a spanning tree
+    of host edge ids, and each vector as (hyperedge, value) pairs.
+    """
+    index = hypergraph.index
+    seen = []
+    real = ht.Hypergraph.certify
+
+    def spy(self, edges, vector):
+        assert self is hypergraph
+        tree = trees.SpanningTree(index.graph, frozenset(map(index.edge_ids.__getitem__, edges)))
+        seen.append((tree, tuple(zip(self.ids, vector))))
+        return real(self, edges, vector)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ht.Hypergraph, "certify", spy)
+        found = ht.enumerate_hypertrees(hypergraph, cap=None)
+    return found, seen
+
+
+def assert_witness_spans_and_realizes(hypergraph, witness, vector):
     """The witness is a spanning tree of the host whose record is the vector."""
     bip = hypergraph.index.graph
-    witness = hypertree.witness
-    assert witness.graph is bip
     assert witness.edges <= bip.edges.keys()
     assert len(witness.edges) == len(bip.vertices) - 1
     root = {v: v for v in bip.vertices}
@@ -236,7 +255,19 @@ def assert_witness_spans_and_realizes(hypergraph, hypertree):
         u, v = (find(x) for x in bip.endpoints(eid))
         assert u != v, ("cycle through", eid)
         root[u] = v
-    assert oracles.hypertree_of(witness, hypergraph.colour) == hypertree.vector
+    assert oracles.hypertree_of(witness, hypergraph.colour) == vector
+
+
+def assert_witnesses_span_and_realize(hypergraph):
+    """The search certifies one witness per hypertree but its seed, whose
+    vector is the first spanning tree's; returns the hypertree set."""
+    found, seen = certified_witnesses(hypergraph)
+    seed = next(trees.enumerate_spanning_trees(hypergraph.index, cap=None))
+    vectors = [oracles.hypertree_of(seed, hypergraph.colour)] + [v for _w, v in seen]
+    assert sorted(vectors) == list(found)
+    for witness, vector in seen:
+        assert_witness_spans_and_realizes(hypergraph, witness, vector)
+    return found
 
 
 @pytest.mark.parametrize("label", ht.HYPERGRAPH_LABELS)
@@ -245,9 +276,8 @@ def test_hypertree_sets_match_per_tree_realization(trinities, label):
         hypergraph = ht.trinity_hypergraph(t, label)
         first = realization_oracle(hypergraph)
         found = t.hypertree_set(label)
-        assert [h.vector for h in found] == sorted(first), (name, label)
-        for h in found:
-            assert_witness_spans_and_realizes(hypergraph, h)
+        assert list(found) == sorted(first), (name, label)
+        assert assert_witnesses_span_and_realize(hypergraph) == found, (name, label)
 
 
 @given(plane_bipartite_maps())
@@ -259,10 +289,9 @@ def test_random_map_hypertrees_match_per_tree_realization(doc):
     for label in ht.HYPERGRAPH_LABELS:
         hypergraph = ht.trinity_hypergraph(t, label)
         found = t.hypertree_set(label)
-        assert [h.vector for h in found] == sorted(realization_oracle(hypergraph)), label
+        assert list(found) == sorted(realization_oracle(hypergraph)), label
         assert len(found) == magic, label
-        for h in found:
-            assert_witness_spans_and_realizes(hypergraph, h)
+        assert assert_witnesses_span_and_realize(hypergraph) == found, label
 
 
 def polytope_oracle(hypergraph):
@@ -322,7 +351,7 @@ def polytope_trinities(trinities):
 def test_hypertree_sets_are_the_polytope_lattice_points(polytope_trinities, label):
     for name, t in polytope_trinities.items():
         hypergraph = ht.trinity_hypergraph(t, label)
-        found = [h.vector for h in t.hypertree_set(label)]
+        found = list(t.hypertree_set(label))
         assert found == sorted(polytope_oracle(hypergraph)), (name, label)
 
 
@@ -345,10 +374,12 @@ def test_each_hypertree_set_draws_one_spanning_tree(graphs, monkeypatch):
 
 def test_a_witness_with_another_record_is_refused(trinities):
     hypergraph = ht.trinity_hypergraph(trinities["cycle4"], "VE")
-    first, second = ht.enumerate_hypertrees(hypergraph)
-    edges = sorted(hypergraph.index.edge_index[eid] for eid in first.witness.edges)
-    vector = tuple(f for _, f in second.vector)
-    with pytest.raises(ht.BadWitness, match=r"VE: witness for \(1, 0\) realizes \(0, 1\)"):
+    tree = next(trees.enumerate_spanning_trees(hypergraph.index))
+    edges = sorted(hypergraph.index.edge_index[eid] for eid in tree.edges)
+    realized = oracles.hypertree_of(tree, hypergraph.colour)
+    (other,) = set(ht.enumerate_hypertrees(hypergraph)) - {realized}
+    vector = tuple(f for _, f in other)
+    with pytest.raises(ht.BadWitness, match=r"VE: witness for \(0, 1\) realizes \(1, 0\)"):
         hypergraph.certify(edges, vector)
 
 
@@ -377,9 +408,9 @@ def test_a_witness_with_a_cycle_is_refused(trinities):
     hypergraph = ht.trinity_hypergraph(trinities["grid2"], "VE")
     index = hypergraph.index
     bip = index.graph
-    first = ht.enumerate_hypertrees(hypergraph)[0]
-    tree = {index.edge_index[eid] for eid in first.witness.edges}
-    vector = tuple(f for _, f in first.vector)
+    first = next(trees.enumerate_spanning_trees(index))
+    tree = {index.edge_index[eid] for eid in first.edges}
+    vector = tuple(f for _, f in oracles.hypertree_of(first, hypergraph.colour))
     n = len(bip.vertices)
     extra = min(set(range(len(index.edge_ids))) - tree)
     # a tree edge off the cycle that the extra edge closes: dropping it
@@ -395,17 +426,6 @@ def test_a_witness_with_a_cycle_is_refused(trinities):
     assert str(refused.value) == (
         f"VE: witness for {vector} has {n - 1} edges and 2 components on {n} vertices"
     )
-
-
-def test_witnesses_are_built_when_read(graphs):
-    for name, graph in graphs.items():
-        t = trinity_mod.build_trinity(graph)
-        for label in ht.HYPERGRAPH_LABELS:
-            colour = ht.trinity_hypergraph(t, label).colour
-            for h in t.hypertree_set(label):
-                assert "witness" not in vars(h), (name, label)
-                assert oracles.hypertree_of(h.witness, colour) == h.vector, (name, label)
-                assert h.witness is h.witness
 
 
 def test_the_two_hypergraphs_of_a_host_share_its_index(trinities):

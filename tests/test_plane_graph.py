@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from corpus import corpus_documents, running_example_document, triangle_document
+from corpus import corpus_documents, loop_document, running_example_document, triangle_document
 from trinities import plane_graph as pg
 from trinities import trees
 
@@ -164,16 +164,11 @@ def test_validate_running_example(graphs):
 
 
 def test_validate_rejects_loop():
-    doc = {
-        "vertices": [
-            {"id": "a", "colour": None, "rotation": ["l.0", "l.1"]},
-        ],
-        "edges": [{"id": "l", "darts": ["l.0", "l.1"]}],
-    }
-    g = parse(doc)
-    with pytest.raises(pg.SchemaError) as refused:
-        pg.validate_bipartite_plane(g)
-    assert "graph has a loop edge" in str(refused.value).split("; ")
+    # a loop also fails the colouring checks, coloured or not, but is named alone
+    for colour in (None, "violet"):
+        with pytest.raises(pg.SchemaError) as refused:
+            pg.validate_bipartite_plane(parse(loop_document(colour)))
+        assert str(refused.value) == "graph has a loop edge", colour
 
 
 def test_colour_check_when_colours_present():

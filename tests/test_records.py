@@ -22,7 +22,7 @@ from typing import NamedTuple
 import pytest
 
 import trinities
-from trinities import cli, dividing, fkt, hypertrees, plane_graph, transitions, trees, trinity
+from trinities import cli, dividing, fkt, plane_graph, transitions, trees, trinity
 
 
 class Spec(NamedTuple):
@@ -40,7 +40,7 @@ T1 = SimpleNamespace(n_r={"f0": 2}, red=("f0",), tag=1)
 T2 = SimpleNamespace(n_r={"f0": 2}, red=("f0",), tag=2)
 D1, D2 = dividing.ChordDiagram((1, 0, 3, 2)), dividing.ChordDiagram((3, 2, 1, 0))
 ARC = trinity.Arc("a", "f0", "f1")
-COMPONENT = transitions.Component(0, (0,), {"f0": 0}, {"f0": 1}, 0)
+COMPONENT = transitions.Component(0, 1, {"f0": 0}, {"f0": 1}, 0)
 
 SPECS = [
     Spec(
@@ -67,20 +67,9 @@ SPECS = [
         others={"markers": (("x", 1),)},
     ),
     Spec(
-        fkt.ClockGraph,
-        (
-            ("universe", G1),
-            ("codes", (0,)),
-            ("ends", [0, 0]),
-            ("targets", []),
-            ("report", {"ok": True}),
-        ),
-    ),
-    Spec(
         fkt.CorrespondenceReport,
         (("states", 1), ("tight", 1), ("magic", 1)),
     ),
-    Spec(hypertrees.Hypertree, (("vector", (("r0", 0),)), ("source", (G1, (0,))))),
     Spec(plane_graph.Vertex, (("id", "v0"), ("colour", "violet"), ("rotation", ("a.0",)))),
     Spec(plane_graph.Edge, (("id", "a"), ("darts", ("a.0", "a.1")))),
     Spec(plane_graph.Face, (("id", "f0"), ("boundary", ("a.0",)))),
@@ -88,7 +77,7 @@ SPECS = [
         transitions.Component,
         (
             ("id", 0),
-            ("members", (0,)),
+            ("size", 1),
             ("euler", {"f0": 0}),
             ("hypertree", {"f0": 1}),
             ("representative", 0),
@@ -108,7 +97,6 @@ SPECS = [
         ),
     ),
     Spec(trees.SpanningTree, (("graph", G1), ("edges", frozenset({"a"})))),
-    Spec(trees.Arborescence, (("dual", G1), ("root", "f0"), ("arcs", frozenset({"a"})))),
     Spec(
         trees.MagicReport,
         (
@@ -135,7 +123,7 @@ SPECS = [
 
 
 def test_every_record_class_is_specified():
-    assert len(SPECS) == len({spec.cls for spec in SPECS}) == 21
+    assert len(SPECS) == len({spec.cls for spec in SPECS}) == 18
     by_value = {spec.cls for spec in SPECS if spec.others is not None}
     assert by_value == {dividing.ChordDiagram, dividing.Configuration, fkt.UniverseState}
 

@@ -331,9 +331,7 @@ def test_classification_bijection_everywhere(trinities):
     for name, t in trinities.items():
         cg = tx.build_configuration_graph(t)
         tx.classify_components(cg)
-        expected = {
-            h.vector for h in ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "ER"))
-        }
+        expected = set(ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "ER")))
         got = {tuple(sorted(c.hypertree.items())) for c in cg.components}
         assert got == expected
 
@@ -348,9 +346,14 @@ def test_components_have_tree_hugging_representatives(trinities):
             assert {f: d - 1 for f, d in oracles.degrees(witness, "red").items()} == component.hypertree
 
 
+def members_of(graph, component):
+    """The component's members in vertex order, read off ``component_of``."""
+    return [i for i, c in enumerate(graph.component_of) if c == component.id]
+
+
 def _first_hugging_member(graph, component):
     """The representative as the probe loop chose it: the first member that hugs a tree."""
-    for i in component.members:
+    for i in members_of(graph, component):
         if dv.is_tree_hugging(graph.vertex(i))[0]:
             return i
     return None
@@ -395,7 +398,9 @@ def test_euler_constant_on_components(trinities):
     for t in trinities.values():
         cg = tx.build_configuration_graph(t)
         for component in cg.components:
-            for i in component.members:
+            members = members_of(cg, component)
+            assert component.size == len(members)
+            for i in members:
                 assert dv.euler_vector(cg.vertices[i]) == component.euler
 
 
@@ -618,18 +623,19 @@ def test_vertex_builds_the_listed_configuration(trinities):
 def test_a_late_member_euler_mismatch_is_caught(trinities, monkeypatch):
     t = trinities["cycle6"]
     cg = tx.build_configuration_graph(t)
-    component = max(cg.components, key=lambda c: len(c.members))
-    assert len(component.members) > 2
-    last = cg.choices[component.members[-1]]
+    members = {c: members_of(cg, c) for c in cg.components}
+    component = max(cg.components, key=lambda c: c.size)
+    assert component.size > 2
+    last = cg.choices[members[component][-1]]
     # a disc of the last member on which no component's first two members
     # differ and which the component's first member lacks: a check of fewer
     # members than all of them sees no mismatch there
     axis = next(
         a for a, k in enumerate(last)
-        if all(len({cg.choices[i][a] == k for i in c.members[:2]}) == 1 for c in cg.components)
-        and cg.choices[component.members[0]][a] != k
+        if all(len({cg.choices[i][a] == k for i in members[c][:2]}) == 1 for c in cg.components)
+        and cg.choices[members[component][0]][a] != k
     )
-    fid, diagram = cg.vertex(component.members[-1]).entries[axis]
+    fid, diagram = cg.vertex(members[component][-1]).entries[axis]
     real = dv.regions
 
     def regions(face, partner, sign):
@@ -653,7 +659,7 @@ def test_a_single_member_euler_fault_names_its_component(tmp_path, capsys, monke
         (a, k, i)
         for i, choice in enumerate(cg.choices)
         for a, k in enumerate(choice)
-        if used[a, k] == 1 and len(cg.components[cg.component_of[i]].members) > 1
+        if used[a, k] == 1 and cg.components[cg.component_of[i]].size > 1
     )
     cid = cg.component_of[i]
     assert cid > 0
@@ -732,5 +738,5 @@ def test_random_map_component_euler_is_every_member_euler(doc):
     assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
     cg = tx.build_configuration_graph(t)
     for component in cg.components:
-        for i in component.members:
+        for i in members_of(cg, component):
             assert dv.euler_vector(cg.vertex(i)) == component.euler

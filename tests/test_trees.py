@@ -194,7 +194,7 @@ def test_count_arborescences_loop_vertex(trinities):
     root = dual.vertices[0]
     assert trees.count_arborescences(dual, root) == 1
     found = trees.enumerate_arborescences(dual, root)
-    assert [a.arcs for a in found] == [frozenset()]
+    assert [frozenset(a) for a in found] == [frozenset()]
 
 
 def test_arborescence_order_is_lexicographic(trinities):
@@ -208,10 +208,12 @@ def test_arborescence_order_is_lexicographic(trinities):
                     v: sorted(a.id for a in dual.arcs if a.head == v and a.tail != v)
                     for v in others
                 }
+                head = {a.id: a.head for a in dual.arcs}
                 choices = []
                 for found in trees.enumerate_arborescences(dual, root):
-                    head = {a.head: a.id for a in dual.arcs if a.id in found.arcs}
-                    choices.append(tuple(rank[v].index(head[v]) for v in others))
+                    # one arc into each non-root vertex, in id order
+                    assert [head[x] for x in found] == others, (name, colour, root)
+                    choices.append(tuple(rank[v].index(x) for v, x in zip(others, found)))
                 assert choices == sorted(set(choices)), (name, colour, root)
 
 
@@ -222,7 +224,7 @@ def test_arborescence_search_needs_no_recursion():
     arcs = tuple(Arc(f"a{i:05d}", vertices[i], vertices[i + 1]) for i in range(n - 1))
     dual = DirectedDual("red", vertices, arcs)
     (found,) = trees.enumerate_arborescences(dual, vertices[0])
-    assert found.arcs == frozenset(a.id for a in arcs)
+    assert frozenset(found) == frozenset(a.id for a in arcs)
 
 
 def test_unknown_root(trinities):
@@ -240,7 +242,7 @@ def test_four_cycle_red_dual_count_against_oracle(trinities):
         assert len(oracle) == 2
         assert trees.count_arborescences(dual, root) == 2
         found = trees.enumerate_arborescences(dual, root)
-        assert {a.arcs for a in found} == set(oracle)
+        assert {frozenset(a) for a in found} == set(oracle)
 
 
 def test_determinant_equals_enumeration_everywhere(trinities):
