@@ -141,14 +141,18 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
     The stages share the trinity's memoised duals, hypertree sets and magic
     report. The configuration cap is checked before any stage runs, since
     the classification stage would otherwise refuse the instance only after
-    the tree stages had done their work. A model bug found while
-    classifying fails that stage with a reason instead of escaping.
+    the tree stages had done their work. A model bug found in a stage
+    fails that stage with a reason instead of escaping, and the later
+    stages still run.
     """
     suite = VerificationSuite(instance, {}, {})
 
     def stage(name, fn):
         t0 = time.perf_counter()
-        suite.stages[name] = fn()
+        try:
+            suite.stages[name] = fn()
+        except ModelFailure as exc:
+            suite.stages[name] = {"ok": False, "reason": _reason(exc)}
         suite.seconds[name] = time.perf_counter() - t0
 
     trin = trinity.build_trinity(graph, cap)
@@ -173,11 +177,8 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
         }
 
     def classify_stage():
-        try:
-            graph_c = transitions.build_configuration_graph(trin)
-            transitions.classify_components(graph_c)
-        except ModelFailure as exc:
-            return {"ok": False, "reason": _reason(exc)}
+        graph_c = transitions.build_configuration_graph(trin)
+        transitions.classify_components(graph_c)
         counts_ok = graph_c.component_count() == trin.magic_report.value
         return {
             "total_configurations": str(graph_c.total_configurations),
@@ -306,9 +307,9 @@ def _cmd_verify(args):
 
 def _cmd_states(args):
     universe = _load_universe(args)
-    states = fkt.enumerate_states(universe, args.cap)
-    payload = {"count": str(len(states)), "states": [s.to_json() for s in states]}
-    return _emit(args, payload, [f"states: {len(states)}"])
+    codes = fkt.enumerate_states(universe, args.cap)
+    states = [{"markers": fkt.markers(universe, code)} for code in codes]
+    return _emit(args, {"count": str(len(codes)), "states": states}, [f"states: {len(codes)}"])
 
 
 def _cmd_clock(args):
@@ -337,8 +338,9 @@ def _cmd_correspond(args):
     universe = _load_universe(args)
     report = fkt.states_vs_configurations(universe, args.cap)
     # every failure raises MappingFailure first, so "ok" is always true
-    lines = [f"states: {report.states}, tight configurations: {report.tight}, magic: {report.magic}"]
-    return _emit(args, report.to_json(), lines)
+    counts = report["states"], report["tight_configurations"], report["magic"]
+    lines = ["states: {}, tight configurations: {}, magic: {}".format(*counts)]
+    return _emit(args, report, lines)
 
 
 def _cmd_gen(args):

@@ -9,9 +9,10 @@ quadrant clockwise so that their faces swap; the direction convention is
 pinned by a regression fixture, since only its consistency matters here.
 
 Faces are numbered once per universe, and each vertex, in id order, keeps
-the face indices of its four quadrants. A state is kept as its code, the
-base-4 number of its choices with vertex 0 most significant, so code order
-is lexicographic. The one move rule is the universe's swap table, giving
+the face indices of its four quadrants. A state is its code, the base-4
+number of its choices with vertex 0 most significant, so code order is
+lexicographic; functions here take and return codes, and ``markers`` is
+the one decoder. The one move rule is the universe's swap table, giving
 the code delta of each clockwise move; counterclockwise moves are clockwise
 moves read backwards. One search yields each state's code and moves, and
 drops a branch once it places a face's last vertex with the face unmarked.
@@ -152,48 +153,27 @@ def parse_universe(document):
 # -- states ---------------------------------------------------------------------
 
 
-class UniverseState:
-    __slots__ = ("markers",)
-
-    def __init__(self, markers: tuple):
-        self.markers = markers  # sorted (vertex id, quadrant index) pairs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.markers == other.markers
-
-    def __hash__(self):
-        return hash((self.markers,))
-
-    def to_json(self):
-        return {"markers": {v: k for v, k in self.markers}}
-
-
 def quadrant_face(graph, v, k):
     """Face containing quadrant k of vertex v."""
     return graph.face_of(graph.vertices[v].rotation[k])
 
 
 def enumerate_states(universe, cap=DEFAULT_CAP):
-    """All marker assignments covering each unstarred face exactly once."""
-    return _as_states(universe, [code for code, _moves in _search(universe, cap)])
+    """The codes of all marker assignments covering each unstarred face
+    exactly once, rising."""
+    return tuple(code for code, _moves in _search(universe, cap))
 
 
 # each byte's four quadrant digits, most significant first
 _BYTE_DIGITS = tuple(itertools.product(range(4), repeat=4))
 
 
-def _decode(code, n):
-    """The quadrant choices of a state code, vertices in id order."""
-    size = (n + 3) // 4
-    digits = sum(map(_BYTE_DIGITS.__getitem__, code.to_bytes(size, "big")), ())
-    return digits[4 * size - n:]
-
-
-def _as_states(universe, codes):
+def markers(universe, code):
+    """``{vertex id: its marker's quadrant}`` of a state code, ids in order."""
     verts = universe.vertex_ids
-    return tuple(UniverseState(tuple(zip(verts, _decode(c, len(verts))))) for c in codes)
+    size = (len(verts) + 3) // 4
+    digits = sum(map(_BYTE_DIGITS.__getitem__, code.to_bytes(size, "big")), ())
+    return dict(zip(verts, digits[4 * size - len(verts):]))
 
 
 def _search(universe, cap):
@@ -294,15 +274,15 @@ def split_pairs(graph, v, parity):
 # -- transpositions and the clock graph ----------------------------------------------
 
 
-def transpositions(universe, state):
-    """States one clockwise transposition away, ordered by v, then w."""
-    choice = [k for _v, k in state.markers]
-    code = int("0" + "".join(map(str, choice)), 4)
+def transpositions(universe, code):
+    """The codes of the states one clockwise transposition away from the
+    state ``code``, ordered by v, then w."""
+    choice = list(markers(universe, code).values())
     # each v has at most one partner w, so sorting by v orders by v, then w
     moves = sorted(
         (i, d) for j, k in enumerate(choice) for i, ki, d in universe.swaps[j][k] if choice[i] == ki
     )
-    return list(_as_states(universe, [code + d for _i, d in moves]))
+    return [code + d for _i, d in moves]
 
 
 def clock_graph(universe, cap=DEFAULT_CAP):
@@ -328,8 +308,8 @@ def clock_graph(universe, cap=DEFAULT_CAP):
         # the first state with a move to the missing code is the one that raised
         target = miss.args[0]
         i, c = next((i, c) for i, (c, own) in enumerate(zip(codes, moves)) if target - c in own)
-        source, dest = _as_states(universe, (c, target))
-        v, w = (x for (x, a), (_x, b) in zip(source.markers, dest.markers) if a != b)
+        source, dest = markers(universe, c), markers(universe, target)
+        v, w = (x for x in source if source[x] != dest[x])
         raise MoveLeavesStates(f"state {i}: the move at {v} and {w} leaves the states") from None
     return codes, list(itertools.accumulate(counts, initial=0)), targets
 
@@ -407,26 +387,6 @@ def _dual_face_vertex(universe, dual, face_id):
     return universe.graph.origin(universe.graph.reverse(t))
 
 
-class CorrespondenceReport:
-    __slots__ = ("states", "tight", "magic")
-
-    def __init__(self, states: int, tight: int, magic: int):
-        self.states = states
-        self.tight = tight
-        self.magic = magic
-
-    def to_json(self):
-        return {
-            "states": str(self.states),
-            "tight_configurations": str(self.tight),
-            "magic": str(self.magic),
-            # a report is built only once the map is a bijection (MappingFailure
-            # otherwise); the key stays while perfbench's check_report reads it
-            "bijective": True,
-            "ok": self.states == self.tight == self.magic,
-        }
-
-
 def _split_choices(universe, dual, graph):
     """Per face of the dual, in sorted order: the code shift of its universe
     vertex's quadrant digit, and the index in ``graph.diagrams`` of the chord
@@ -463,6 +423,7 @@ def states_vs_configurations(universe, cap=DEFAULT_CAP):
     tuple of the configuration its splitting makes; the set of these must be
     the configuration graph's ``choices``, one state per choice. Also
     checks the state count against the magic number of the dual's trinity.
+    Returns the report, its three counts as strings.
     """
     dual = universe_dual_graph(universe)
     trin = trinity_mod.build_trinity(dual, cap)
@@ -470,7 +431,7 @@ def states_vs_configurations(universe, cap=DEFAULT_CAP):
         raise MappingFailure("dual faces must be quadrilaterals")
     graph = transitions.build_configuration_graph(trin)
     table = _split_choices(universe, dual, graph)
-    codes = [code for code, _moves in _search(universe, cap)]
+    codes = enumerate_states(universe, cap)
     # a marker's parity is the low bit of its quadrant digit
     image = {tuple(ks[code >> shift & 1] for shift, ks in table) for code in codes}
     if len(image) != len(codes) or image != set(graph.choices):
@@ -478,7 +439,15 @@ def states_vs_configurations(universe, cap=DEFAULT_CAP):
     magic = trin.magic_report
     if not magic.agree or magic.value != len(codes):
         raise MappingFailure("state count disagrees with the magic number")
-    return CorrespondenceReport(len(codes), len(graph.choices), magic.value)
+    return {
+        "states": str(len(codes)),
+        "tight_configurations": str(len(graph.choices)),
+        "magic": str(magic.value),
+        # a report is made only once the map is a bijection (MappingFailure
+        # otherwise); the key stays while perfbench's check_report reads it
+        "bijective": True,
+        "ok": len(codes) == len(graph.choices) == magic.value,
+    }
 
 
 # -- built-in universes ------------------------------------------------------------------

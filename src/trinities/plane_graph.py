@@ -335,7 +335,7 @@ def validate_bipartite_plane(graph):
     if not given:
         colouring = two_colouring(graph)
         if colouring is None:
-            raise SchemaError("not bipartite: odd cycle or loop")
+            raise SchemaError("not bipartite: odd cycle")
         return colouring
     if len(given) != len(graph.vertices) or not set(given.values()) <= {"violet", "emerald"}:
         raise SchemaError("vertex colours must be a complete violet/emerald tagging")

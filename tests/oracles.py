@@ -145,9 +145,24 @@ def splitting_loops(graph, parities):
     return loops
 
 
-def state_trail(universe, state):
+def state_choices(code, n):
+    """The quadrant choices of a state code over n vertices, digit by digit,
+    vertex 0 (the most significant digit) first."""
+    return tuple(code >> 2 * (n - 1 - i) & 3 for i in range(n))
+
+
+def state_code(choices):
+    """The base-4 state code of quadrant choices, vertex 0 most significant."""
+    code = 0
+    for k in choices:
+        code = 4 * code + k
+    return code
+
+
+def state_trail(universe, code):
     """A state's splitting, as sorted (vertex, parity) pairs, and its one loop."""
-    parities = {v: k % 2 for v, k in state.markers}
+    verts = sorted(universe.graph.vertices)
+    parities = {v: k % 2 for v, k in zip(verts, state_choices(code, len(verts)))}
     loops = splitting_loops(universe.graph, parities)
     assert len(loops) == 1, f"state splits into {len(loops)} loops"
     return tuple(sorted(parities.items())), loops[0]
@@ -160,13 +175,8 @@ def clock_choices(universe, clock):
     """Each state's quadrant choices, vertices in id order, states in the
     order of ``clock``, the ``(codes, ends, targets)`` of ``fkt.clock_graph``."""
     codes, _ends, _targets = clock
-    n = len(universe.vertex_ids)
-    return tuple(fkt._decode(c, n) for c in codes)
-
-
-def clock_states(universe, clock):
-    codes, _ends, _targets = clock
-    return fkt._as_states(universe, codes)
+    n = len(universe.graph.vertices)
+    return tuple(state_choices(c, n) for c in codes)
 
 
 def clock_outs(clock):

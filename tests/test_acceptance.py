@@ -132,7 +132,7 @@ def test_criterion_7_state_counts(universes):
     ok = True
     for name, expected in (("curl", 1), ("hopf", 2), ("figure_eight", 5)):
         corr = fkt.states_vs_configurations(universes[name])
-        ok = ok and corr.states == corr.tight == corr.magic == expected
+        ok = ok and corr["states"] == corr["tight_configurations"] == corr["magic"] == str(expected)
         # explicit bijection via splittings: trails pairwise distinct
         states = fkt.enumerate_states(universes[name])
         trails = {oracles.state_trail(universes[name], s)[0] for s in states}

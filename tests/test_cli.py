@@ -210,6 +210,16 @@ def test_correspond_figure_eight(capsys, fig8_file):
     assert doc["states"] == "5"
 
 
+def test_correspond_lists_its_states_through_enumerate_states(capsys, fig8_file, monkeypatch):
+    calls = []
+    real = fkt.enumerate_states
+    monkeypatch.setattr(fkt, "enumerate_states", lambda universe, cap: calls.append(cap) or real(universe, cap))
+    for _ in range(2):
+        code, out, _err = run(capsys, "correspond", "--universe", fig8_file)
+        assert code == 0 and json.loads(out)["states"] == "5"
+    assert calls == [limits.DEFAULT_CAP] * 2
+
+
 def test_dual_round_trips_through_schema(capsys, c4_file):
     code, out, _err = run(capsys, "dual", "--graph", c4_file)
     assert code == 0
@@ -307,7 +317,7 @@ def test_gen_theta_three_is_even(capsys):
 
 def test_gen_refuses_a_document_that_fails_its_self_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_path_document", lambda k: triangle_document())
-    expected = (2, "", "error: not bipartite: odd cycle or loop\n")
+    expected = (2, "", "error: not bipartite: odd cycle\n")
     assert run(capsys, "gen", "--family", "path", "--size", "1") == expected
 
 
@@ -471,6 +481,19 @@ def test_magic_reports_an_enumeration_that_misses_its_determinant(capsys, c4_fil
     assert "all counts agree: FAIL" in err
 
 
+def _assert_stages_fail(out, err, reasons):
+    """A verify report that fails exactly the stages in ``reasons``, each
+    with its reason, and passes the others."""
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    for name, stage in doc["stages"].items():
+        if name in reasons:
+            assert stage == {"ok": False, "reason": reasons[name]}, name
+            assert f"{name}: FAIL" in err
+        else:
+            assert stage.get("ok", True) is True, name
+
+
 @pytest.mark.parametrize("command", ["verify", "hypertrees"])
 def test_bad_witness_fails_with_a_reason(capsys, c4_file, monkeypatch, command):
     real = hypertrees._ExchangeGraph.augment
@@ -482,13 +505,15 @@ def test_bad_witness_fails_with_a_reason(capsys, c4_file, monkeypatch, command):
     monkeypatch.setattr(hypertrees._ExchangeGraph, "augment", drop_an_edge)
     code, out, err = run(capsys, command, "--graph", c4_file)
     assert code == 1
-    doc = json.loads(out)
-    assert doc["ok"] is False
-    # VE is the first hypergraph searched, and its first move finds (0, 1)
-    assert doc["reason"] == (
-        "BadWitness: VE: witness for (0, 1) has 2 edges and 2 components on 4 vertices"
-    )
-    assert f"{command}: FAIL (BadWitness: " in err
+    # VE is the first hypergraph searched, and its first move finds (0, 1);
+    # the classification stage searches ER first
+    bad = "BadWitness: {}: witness for (0, 1) has 2 edges and 2 components on 4 vertices"
+    if command == "verify":
+        reasons = {"magic": "VE", "hypertrees": "VE", "classification": "ER"}
+        _assert_stages_fail(out, err, {name: bad.format(h) for name, h in reasons.items()})
+    else:
+        assert json.loads(out) == {"ok": False, "reason": bad.format("VE")}
+        assert f"{command}: FAIL (BadWitness: " in err
 
 
 def test_hypertree_sets_on_different_hyperedges_fail_verify(capsys, c4_file, monkeypatch):
@@ -496,11 +521,26 @@ def test_hypertree_sets_on_different_hyperedges_fail_verify(capsys, c4_file, mon
     monkeypatch.setattr(hypertrees, "translate_offset", _raise(mismatch))
     code, out, err = run(capsys, "verify", "--graph", c4_file)
     assert code == 1
-    assert json.loads(out) == {
-        "ok": False,
-        "reason": "IndexMismatch: hypertree sets indexed by different hyperedges",
-    }
-    assert "verify: FAIL (IndexMismatch: " in err
+    reason = "IndexMismatch: hypertree sets indexed by different hyperedges"
+    _assert_stages_fail(out, err, {"hypertrees": reason})
+
+
+def test_a_model_failure_in_the_magic_stage_fails_that_stage(capsys, c4_file, monkeypatch):
+    # the classification stage compares its components with the magic number
+    class Unlisted(limits.ModelFailure):
+        """A model bug that no command names."""
+
+    monkeypatch.setattr(trees, "magic_number", _raise(Unlisted("counts disagree")))
+    code, out, err = run(capsys, "verify", "--graph", c4_file)
+    assert code == 1
+    reason = "Unlisted: counts disagree"
+    _assert_stages_fail(out, err, {"magic": reason, "classification": reason})
+
+
+def test_a_cap_exceeded_in_a_stage_is_still_a_usage_error(capsys, c4_file, monkeypatch):
+    refused = limits.CapExceeded("hypertree enumeration: 3 objects exceed cap 2")
+    monkeypatch.setattr(trees, "magic_number", _raise(refused))
+    assert run(capsys, "verify", "--graph", c4_file) == (2, "", f"error: {refused}\n")
 
 
 def test_a_new_model_failure_fails_the_classification_stage(capsys, c4_file, monkeypatch):

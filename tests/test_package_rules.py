@@ -33,8 +33,8 @@ def no_generated_records(modules):
 
 def value_records(modules):
     """Only the value records define ``__eq__`` or ``__hash__``, and each of them defines both."""
-    # compared by value: the tree-hugging oracle compares configurations, the state tests compare states
-    allowed = {"dividing.ChordDiagram", "dividing.Configuration", "fkt.UniverseState"}
+    # compared by value: the tree-hugging oracle compares configurations
+    allowed = {"dividing.ChordDiagram", "dividing.Configuration"}
     methods, found = {"__eq__", "__hash__"}, []
     classes = [(f"{m}.{cls.name}", cls) for m, cls in walk(modules, ast.ClassDef)]
     for name, cls in classes:
@@ -102,7 +102,7 @@ def public_names_used(modules):
 
 def error_kinds(modules):
     """Every package error is an ``InputError`` or a ``ModelFailure``, and nothing raises a built-in."""
-    # the two kinds of package error; cli.main and verify's classification stage catch by kind
+    # the two kinds of package error; cli.main and each verify stage catch by kind
     kinds = {"InputError", "ModelFailure"}
     builtin = {n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
     raised = [(m, node.lineno, getattr(getattr(node.exc, "func", node.exc), "id", None)) for m, node in walk(modules, ast.Raise)]

@@ -2,12 +2,11 @@
 
 Each record is a plain class with a hand-written ``__init__``; these tests
 pin what its callers rely on: positional order and keyword names, with
-every argument required. Three records compare by value:
+every argument required. Two records compare by value:
 ``dividing.ChordDiagram`` and ``dividing.Configuration``, which the
-tree-hugging oracle compares, and ``fkt.UniverseState``, which the state
-tests compare. Their equality covers every field bar the back-references
-listed as ignored, and their hash agrees with it. Every other record
-compares and hashes by identity.
+tree-hugging oracle compares. Their equality covers every field bar the
+back-references listed as ignored, and their hash agrees with it. Every
+other record compares and hashes by identity.
 """
 
 import os
@@ -61,15 +60,6 @@ SPECS = [
     ),
     Spec(dividing.TightVerdict, (("tight", True), ("loops", 1))),
     Spec(fkt.Universe, (("graph", G1), ("stars", ("f0", "f1")))),
-    Spec(
-        fkt.UniverseState,
-        (("markers", (("x", 0),)),),
-        others={"markers": (("x", 1),)},
-    ),
-    Spec(
-        fkt.CorrespondenceReport,
-        (("states", 1), ("tight", 1), ("magic", 1)),
-    ),
     Spec(plane_graph.Vertex, (("id", "v0"), ("colour", "violet"), ("rotation", ("a.0",)))),
     Spec(plane_graph.Edge, (("id", "a"), ("darts", ("a.0", "a.1")))),
     Spec(plane_graph.Face, (("id", "f0"), ("boundary", ("a.0",)))),
@@ -123,9 +113,9 @@ SPECS = [
 
 
 def test_every_record_class_is_specified():
-    assert len(SPECS) == len({spec.cls for spec in SPECS}) == 18
+    assert len(SPECS) == len({spec.cls for spec in SPECS}) == 16
     by_value = {spec.cls for spec in SPECS if spec.others is not None}
-    assert by_value == {dividing.ChordDiagram, dividing.Configuration, fkt.UniverseState}
+    assert by_value == {dividing.ChordDiagram, dividing.Configuration}
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.cls.__name__)
