@@ -13,10 +13,9 @@ into a single closed curve.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from .limits import DEFAULT_CAP, InputError, ModelFailure, check_cap
-from .trees import SpanningTree, components
+from .trees import components
 
 
 class SizeMismatch(InputError):
@@ -164,28 +163,6 @@ def chord_trie(n):
     return (a, b, child, sibling, leaf), partners
 
 
-# -- per-face charts -----------------------------------------------------------
-
-
-class DiscChart:
-    """Boundary bookkeeping of one face disc.
-
-    emerald_corner[i] is the violet-graph edge id of the corner under the
-    arc between points i and i+1 when that arc is negative, None when it
-    is positive.
-    """
-
-    def __init__(self, face: str, n: int, emerald_corner: tuple):
-        self.face = face
-        self.n = n
-        self.emerald_corner = emerald_corner
-
-    @cached_property
-    def sign(self):
-        """Each arc's sign: +1 when positive, -1 when negative."""
-        return tuple(1 if c is None else -1 for c in self.emerald_corner)
-
-
 # -- configurations --------------------------------------------------------------
 
 
@@ -287,10 +264,9 @@ def euler_and_hug(regions):
 
 def disc_regions(trinity, face, diagram):
     """Each complementary region's sign and arcs, root region last."""
-    chart = trinity.charts[face]
-    if diagram.n != chart.n:
-        raise SizeMismatch(f"diagram size {diagram.n} != n_r {chart.n}")
-    return regions(face, diagram.partner, chart.sign)
+    if diagram.n != trinity.n_r[face]:
+        raise SizeMismatch(f"diagram size {diagram.n} != n_r {trinity.n_r[face]}")
+    return regions(face, diagram.partner, trinity.signs[face])
 
 
 def regions(face, partner, sign):
@@ -333,25 +309,25 @@ def euler_vector(config):
 
 
 def tree_hugging(trinity, tree):
-    """Configuration hugging a spanning tree of the violet graph.
+    """Configuration hugging a spanning tree of the violet graph, given by
+    its edge positions.
 
     On each disc, emerald corners outside the tree are cut off by minimal
     chords; one chord per gap between consecutive in-tree corners then
     bounds the central negative region.
     """
+    tree = set(tree)
     _require_spanning(trinity.graph_index("violet"), tree)
-    ch = trinity.charts
     diagrams = {}
     for fid in trinity.red:
-        chart = ch[fid]
-        m = 2 * chart.n
+        chart = trinity.charts[fid]
+        m = len(chart)
         in_tree = []
         pairs = []
-        for arc in range(m):
-            corner = chart.emerald_corner[arc]
-            if corner is None:
+        for arc, corner in enumerate(chart):
+            if corner < 0:
                 continue
-            if corner in tree.edges:
+            if corner in tree:
                 in_tree.append(arc)
             else:
                 pairs.append((arc, (arc + 1) % m))
@@ -360,7 +336,7 @@ def tree_hugging(trinity, tree):
         for k, arc in enumerate(in_tree):
             nxt = in_tree[(k + 1) % len(in_tree)]
             pairs.append(((arc + 1) % m, nxt))
-        diagrams[fid] = ChordDiagram.from_pairs(chart.n, pairs)
+        diagrams[fid] = ChordDiagram.from_pairs(m // 2, pairs)
     return Configuration.from_diagrams(trinity, diagrams)
 
 
@@ -368,14 +344,14 @@ def is_tree_hugging(config):
     """Tree-hugging test with witness reconstruction.
 
     A tight configuration hugs a tree iff every disc has at most one
-    negative region of valence above one; the witness is rebuilt from the
-    maximal-valence negative region of each disc and verified by
-    reconstructing the configuration it hugs.
+    negative region of valence above one; the witness, the rising tuple of
+    its violet edge positions, is rebuilt from the maximal-valence negative
+    region of each disc and verified by reconstructing the configuration
+    it hugs.
     """
     trinity = config.trinity
     if not is_tight(config).tight:
         raise NotTight("configuration is not tight")
-    ch = trinity.charts
     edges = set()
     for fid, diagram in config.entries:
         found = disc_regions(trinity, fid, diagram)
@@ -383,19 +359,20 @@ def is_tree_hugging(config):
             return False, None
         negatives = (arcs for sign, arcs in found if sign < 0)
         central = max(negatives, key=lambda arcs: (len(arcs), -arcs[0]))
-        edges.update(map(ch[fid].emerald_corner.__getitem__, central))
-    tree = SpanningTree(trinity.violet_graph, frozenset(edges))
+        edges.update(map(trinity.charts[fid].__getitem__, central))
+    tree = tuple(sorted(edges))
     if tree_hugging(trinity, tree) != config:
-        raise NoHugBack(f"witness {sorted(tree.edges)} hugs another configuration")
+        ids = trinity.graph_index("violet").edge_ids
+        raise NoHugBack(f"witness {[ids[e] for e in tree]} hugs another configuration")
     return True, tree
 
 
-def _require_spanning(index, tree):
-    """Raise ``NotSpanning`` unless the tree spans the graph of this ``trees.GraphIndex``."""
-    if not tree.edges <= index.edge_index.keys():
+def _require_spanning(index, edges):
+    """Raise ``NotSpanning`` unless this set of edge positions spans the ``trees.GraphIndex``."""
+    if not edges <= set(range(len(index.edge_ids))):
         raise NotSpanning("edges outside the host graph")
-    if len(tree.edges) != len(index.vertex_ids) - 1:
+    if len(edges) != len(index.vertex_ids) - 1:
         raise NotSpanning("wrong edge count for a spanning tree")
     # with |V| - 1 edges, a cycle is the same as a second component
-    if len(set(components(index, map(index.edge_index.__getitem__, tree.edges)))) != 1:
+    if len(set(components(index, edges))) != 1:
         raise NotSpanning("edge set contains a cycle")

@@ -119,8 +119,7 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
     The cap bounds the host's Kirchhoff count, checked before the first
     tree is drawn; with ``cap=None`` it is not taken.
     """
-    seed = next(enumerate_spanning_trees(hypergraph.index, cap=cap))
-    tree = sorted(map(hypergraph.index.edge_index.__getitem__, seed.edges))
+    tree = next(enumerate_spanning_trees(hypergraph.index, cap=cap))
     k, degree = len(hypergraph.ids), hypergraph.degree
     stride = [1] * k
     for i in range(k - 1, 0, -1):

@@ -94,14 +94,6 @@ class ConfigurationGraph:
     def vertices(self):
         return tuple(map(self.vertex, range(len(self.choices))))
 
-    @cached_property
-    def corners(self):
-        """Per face, the violet edge position of the emerald corner under
-        each arc, -1 under a positive arc."""
-        edge_index = self.trinity.graph_index("violet").edge_index
-        corners = (self.trinity.charts[fid].emerald_corner for fid in self.trinity.red)
-        return tuple(tuple(-1 if c is None else edge_index[c] for c in cs) for cs in corners)
-
     def vertex_json(self, i):
         """Vertex i's matchings and Euler vector, the latter read off ``disc_euler``."""
         faces, choice = self.trinity.red, self.choices[i]
@@ -199,7 +191,7 @@ def build_configuration_graph(trinity):
     disc_euler, group_hug = [], [1] * len(heads)
     for axis, fid in enumerate(faces):
         indices = column if axis == big else list(map(itemgetter(axis), heads))
-        partners, sign = diagrams[axis], trinity.charts[fid].sign
+        partners, sign = diagrams[axis], trinity.signs[fid]
         euler_of, hug_of = {}, {}
         for k in set(indices):
             euler_of[k], hug_of[k] = dividing.euler_and_hug(dividing.regions(fid, partners[k], sign))
@@ -475,12 +467,13 @@ def _hugged_tree(graph, regions, i):
     """
     trinity, choice = graph.trinity, graph.choices[i]
     index = trinity.graph_index("violet")
+    charts = [trinity.charts[fid] for fid in trinity.red]
     witness = set()
-    rows = zip(trinity.red, graph.corners, graph.diagrams, regions, choice)
+    rows = zip(trinity.red, charts, graph.diagrams, regions, choice)
     for fid, corner, partners, cache, k in rows:
         found = cache.get(k)
         if found is None:
-            found = cache[k] = dividing.regions(fid, partners[k], trinity.charts[fid].sign)
+            found = cache[k] = dividing.regions(fid, partners[k], trinity.signs[fid])
         if not dividing.euler_and_hug(found)[1]:
             return False, None
         negatives = (arcs for sign, arcs in found if sign < 0)
@@ -491,7 +484,7 @@ def _hugged_tree(graph, regions, i):
     # with |V| - 1 edges, a cycle is the same as a second component
     if len(set(trees.components(index, witness))) != 1:
         raise dividing.NotSpanning("edge set contains a cycle")
-    for corner, partners, k in zip(graph.corners, graph.diagrams, choice):
+    for corner, partners, k in zip(charts, graph.diagrams, choice):
         if _hugging_partner(corner, witness) != partners[k]:
             edges = sorted(map(index.edge_ids.__getitem__, witness))
             raise dividing.NoHugBack(f"witness {edges} hugs another configuration")

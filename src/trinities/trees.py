@@ -82,19 +82,9 @@ class GraphIndex:
 # -- spanning trees ------------------------------------------------------------
 
 
-class SpanningTree:
-    """Edge subset spanning the host graph."""
-
-    __slots__ = ("graph", "edges")
-
-    def __init__(self, graph, edges: frozenset):
-        self.graph = graph
-        self.edges = edges
-
-
 def enumerate_spanning_trees(index, cap=DEFAULT_CAP):
     """Yield every spanning tree of the graph of a ``GraphIndex`` exactly
-    once, in a deterministic order.
+    once, in a deterministic order, as the rising tuple of its edge positions.
 
     Contraction/deletion over edges in id order: the branch including the
     smallest live edge is explored first, and the branch excluding it only
@@ -108,8 +98,8 @@ def enumerate_spanning_trees(index, cap=DEFAULT_CAP):
     """
     if cap is not None:
         check_cap(index.tree_count, cap, "spanning tree enumeration")
-    edge_ids, tails, heads = index.edge_ids, index.tail, index.head
-    n, m = len(index.vertex_ids), len(edge_ids)
+    tails, heads = index.tail, index.head
+    n, m = len(index.vertex_ids), len(tails)
     target = n - 1
 
     def joins(label, pos, classes):
@@ -140,7 +130,7 @@ def enumerate_spanning_trees(index, cap=DEFAULT_CAP):
         if excluded and not joins(label, pos, n - depth):
             continue
         if depth == target:
-            yield SpanningTree(index.graph, frozenset([edge_ids[i] for i in chosen]))
+            yield tuple(chosen)
             continue
         while pos < m and label[tails[pos]] == label[heads[pos]]:
             pos += 1  # a loop, or contracted to one: never in a tree
@@ -163,55 +153,54 @@ def count_arborescences(dual, root):
     Matrix-tree count: determinant of the in-degree Laplacian with the
     root's row and column removed. Exact integer arithmetic throughout.
     """
-    _require_root(dual, root)
-    verts = sorted(dual.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
+    r = _root_position(dual, root)
+    n = len(dual.vertices)
     lap = [[0] * n for _ in range(n)]
-    for arc in dual.arcs:
-        lap[index[arc.head]][index[arc.head]] += 1
-        lap[index[arc.tail]][index[arc.head]] -= 1
-    r = index[root]
+    for t, h in zip(dual.tail, dual.head):
+        lap[h][h] += 1
+        lap[t][h] -= 1
     return bareiss_determinant([row[:r] + row[r + 1:] for row in lap[:r] + lap[r + 1:]])
 
 
-def _require_root(dual, root):
+def _root_position(dual, root):
     if root not in dual.vertices:
         raise UnknownRoot(f"{root!r} is not a vertex of the {dual.colour} dual")
+    return dual.vertices.index(root)
 
 
 def enumerate_arborescences(dual, root):
     """All arborescences away from the root, duplicate-free, deterministic order.
 
-    Each is the tuple of its arc ids, one arc into each non-root vertex in
-    id order. Depth-first over those vertices, trying each one's in-arcs in
-    id order; an explicit choice array replaces recursion, so the
-    interpreter's stack depth does not grow with the number of vertices.
-    Takes no cap: ``magic_number`` checks the matrix-tree count first.
+    Each is the tuple of its arc positions, one arc into each non-root
+    vertex in vertex order. Depth-first over those vertices, trying each
+    one's in-arcs in position order; an explicit choice array replaces
+    recursion, so the interpreter's stack depth does not grow with the
+    number of vertices. Takes no cap: ``magic_number`` checks the
+    matrix-tree count first.
     """
-    _require_root(dual, root)
-    others = [v for v in sorted(dual.vertices) if v != root]
-    in_arcs = [
-        sorted((a for a in dual.arcs if a.head == v and a.tail != v), key=lambda a: a.id)
-        for v in others
-    ]
+    r = _root_position(dual, root)
+    tails = dual.tail
+    in_arcs = [[] for _ in dual.vertices]
+    for e, (t, h) in enumerate(zip(tails, dual.head)):
+        if t != h:
+            in_arcs[h].append(e)
+    others = [v for v in range(len(in_arcs)) if v != r]
     result = []
-    parent = {}
+    parent = [-1] * len(in_arcs)
 
-    def creates_cycle(v, tail):
-        u = tail
-        while u in parent:
+    def creates_cycle(v, u):
+        while parent[u] >= 0:
             u = parent[u]
             if u == v:
                 return True
         return False
 
     n = len(others)
-    # choice[k] is the position in in_arcs[k] of the arc taken at others[k]
-    # on the branch being explored, or -1 before the first try; chosen[k]
-    # is that arc's id
+    # choice[k] is the position in in_arcs[others[k]] of the arc taken at
+    # others[k] on the branch being explored, or -1 before the first try;
+    # chosen[k] is that arc
     choice = [-1] * n
-    chosen = [None] * n
+    chosen = [0] * n
     k = 0
     while k >= 0:
         if k == n:
@@ -219,18 +208,18 @@ def enumerate_arborescences(dual, root):
             k -= 1
             continue
         v = others[k]
-        arcs = in_arcs[k]
-        parent.pop(v, None)
+        arcs = in_arcs[v]
+        parent[v] = -1
         c = choice[k] + 1
-        while c < len(arcs) and creates_cycle(v, arcs[c].tail):
+        while c < len(arcs) and creates_cycle(v, tails[arcs[c]]):
             c += 1
         if c == len(arcs):
             choice[k] = -1
             k -= 1
         else:
             choice[k] = c
-            chosen[k] = arcs[c].id
-            parent[v] = arcs[c].tail
+            chosen[k] = arcs[c]
+            parent[v] = tails[arcs[c]]
             k += 1
     return result
 

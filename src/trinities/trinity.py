@@ -12,9 +12,11 @@ From the trinity we expose the three colour graphs (the violet graph on
 emerald+red vertices, the emerald graph on red+violet vertices, and the red
 graph, which is the input itself) and their planar duals directed from
 black to white triangles, which are balanced. The shade rule lives in
-``_build_triangles`` only: each dual arc crosses one colour-graph edge and
-is read off the two triangles flanking it, from that colour's corner of the
-black one to its corner of the white one.
+``_build_triangles`` only: arc e of a dual crosses edge e of its colour
+graph's ``graph_index`` and is read off the two triangles flanking that
+edge, from that colour's corner of the black one to its corner of the
+white one. Trees, arcs and disc corners name colour-graph edges by these
+positions, and only this module maps ids to them.
 
 A ``Trinity`` owns the products computed from it: the corner lists, the
 directed duals, the colour graphs' index arrays, the six hypertree sets
@@ -30,8 +32,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import hypertrees, trees
-from .dividing import DiscChart
-from .limits import DEFAULT_CAP, InputError
+from .limits import DEFAULT_CAP, InputError, ModelFailure
 from .plane_graph import Edge, RotationGraph, Vertex, ensure_bicoloured
 
 BLACK = "black"
@@ -57,24 +58,20 @@ class Triangle:
         return self.face
 
 
-class Arc:
-    __slots__ = ("id", "tail", "head")
-
-    def __init__(self, id: str, tail: str, head: str):
-        self.id = id
-        self.tail = tail
-        self.head = head
-
-
 class DirectedDual:
-    """Planar dual of one colour graph, arcs directed black-to-white."""
+    """Planar dual of one colour graph, arcs directed black-to-white.
 
-    __slots__ = ("colour", "vertices", "arcs")
+    ``vertices`` are sorted ids; arc e crosses edge e of the colour graph,
+    from vertex ``tail[e]`` to vertex ``head[e]``, by position.
+    """
 
-    def __init__(self, colour: str, vertices: tuple[str, ...], arcs: tuple[Arc, ...]):
+    __slots__ = ("colour", "vertices", "tail", "head")
+
+    def __init__(self, colour: str, vertices: tuple[str, ...], tail: list, head: list):
         self.colour = colour
         self.vertices = vertices
-        self.arcs = arcs
+        self.tail = tail
+        self.head = head
 
 
 class Trinity:
@@ -197,7 +194,7 @@ class Trinity:
         of_dart = {x.dart: x for x in self.triangles}
         if colour == "red":
             # the triangles of the edge's two darts
-            flanks = [(eid, *map(of_dart.__getitem__, g.edges[eid].darts)) for eid in sorted(g.edges)]
+            flanks = [(eid, *map(of_dart.__getitem__, edge.darts)) for eid, edge in g.edges.items()]
             vertices = self.red
         elif colour in ("violet", "emerald"):
             # the triangles of the darts entering and leaving the corner
@@ -210,22 +207,31 @@ class Trinity:
             vertices = g.colour_classes[colour]
         else:
             raise InputError(f"unknown colour {colour!r}")
-        arcs = []
-        for arc_id, x, y in flanks:
+        # arc ids are the colour graph's edge ids, unique, so sorting gives its edge order
+        flanks.sort()
+        position = {v: x for x, v in enumerate(vertices)}
+        tail, head = [], []
+        for _id, x, y in flanks:
             black, white = (x, y) if x.shade == BLACK else (y, x)
-            arcs.append(Arc(arc_id, getattr(black, colour), getattr(white, colour)))
-        return DirectedDual(colour, vertices, tuple(arcs))
+            tail.append(position[getattr(black, colour)])
+            head.append(position[getattr(white, colour)])
+        return DirectedDual(colour, vertices, tail, head)
 
     # -- hypertrees and the magic number ---------------------------------------
 
     def hypertree_set(self, label):
-        """The sorted hypertree vectors of the hypergraph ``label`` (memoised)."""
+        """The sorted hypertree vectors of the hypergraph ``label`` (memoised);
+        a failed search's ``ModelFailure`` is memoised too, and raised again."""
         found = self._hypertrees.get(label)
         if found is None:
             hypergraph = hypertrees.trinity_hypergraph(self, label)
-            found = self._hypertrees[label] = hypertrees.enumerate_hypertrees(
-                hypergraph, self.cap
-            )
+            try:
+                found = hypertrees.enumerate_hypertrees(hypergraph, self.cap)
+            except ModelFailure as failure:
+                found = failure
+            self._hypertrees[label] = found
+        if isinstance(found, ModelFailure):
+            raise found
         return found
 
     @cached_property
@@ -237,14 +243,21 @@ class Trinity:
 
     @cached_property
     def charts(self):
-        """Face id -> DiscChart: the emerald corner under each boundary arc.
+        """Face id -> the violet-graph edge position of the emerald corner
+        under each boundary arc, -1 under a positive arc.
 
         An arc is negative exactly when it ends at an emerald corner.
         """
-        corners = {fid: [None] * (2 * k) for fid, k in self.n_r.items()}
+        edge_index = self.graph_index("violet").edge_index
+        charts = {fid: [-1] * (2 * k) for fid, k in self.n_r.items()}
         for fid, i, _w in self.corners["emerald"]:
-            corners[fid][i] = self.corner_id(fid, i)
-        return {fid: DiscChart(fid, self.n_r[fid], tuple(corners[fid])) for fid in self.red}
+            charts[fid][i] = edge_index[self.corner_id(fid, i)]
+        return {fid: tuple(charts[fid]) for fid in self.red}
+
+    @cached_property
+    def signs(self):
+        """Face id -> each boundary arc's sign, +1 when positive, -1 when negative."""
+        return {fid: tuple(1 if c < 0 else -1 for c in chart) for fid, chart in self.charts.items()}
 
     @cached_property
     def offset(self):

@@ -198,30 +198,31 @@ def clock_report(clock):
 # -- spanning trees and hypertrees -------------------------------------------------
 
 
-def degrees(tree, colour):
-    """Tree degree of each host vertex of this colour."""
-    graph = tree.graph
+def degrees(index, tree, colour):
+    """Tree degree of each host vertex of this colour; ``tree`` is a tuple of
+    edge positions in the host's ``trees.GraphIndex``."""
+    graph = index.graph
     degs = {v: 0 for v in graph.vertices if graph.colour_of(v) == colour}
-    for eid in tree.edges:
-        for v in graph.endpoints(eid):
+    for e in tree:
+        for v in graph.endpoints(index.edge_ids[e]):
             if v in degs:
                 degs[v] += 1
     return degs
 
 
-def hypertree_of(tree, hyperedge_colour):
+def hypertree_of(index, tree, hyperedge_colour):
     """Hypertree vector realized by a spanning tree: f(e) = deg(e) - 1 at hyperedge nodes."""
-    if hyperedge_colour not in tree.graph.colour_classes:
+    if hyperedge_colour not in index.graph.colour_classes:
         raise ValueError(f"host graph has no {hyperedge_colour!r} class")
-    return tuple(sorted((v, d - 1) for v, d in degrees(tree, hyperedge_colour).items()))
+    return tuple(sorted((v, d - 1) for v, d in degrees(index, tree, hyperedge_colour).items()))
 
 
-def exchange_classes(trees, colour):
+def exchange_classes(index, trees, colour):
     """Per tree, its class under one-edge exchanges that keep the degree record at this colour."""
-    records = [degrees(t, colour) for t in trees]
+    records = [degrees(index, t, colour) for t in trees]
     pairs = [
         (i, j)
         for i, j in itertools.combinations(range(len(trees)), 2)
-        if records[i] == records[j] and len(trees[i].edges - trees[j].edges) == 1
+        if records[i] == records[j] and len(set(trees[i]) - set(trees[j])) == 1
     ]
     return partition(len(trees), pairs)

@@ -5,6 +5,7 @@ import gc
 import json
 import re
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -494,8 +495,7 @@ def _assert_stages_fail(out, err, reasons):
             assert stage.get("ok", True) is True, name
 
 
-@pytest.mark.parametrize("command", ["verify", "hypertrees"])
-def test_bad_witness_fails_with_a_reason(capsys, c4_file, monkeypatch, command):
+def _drop_a_witness_edge(monkeypatch):
     real = hypertrees._ExchangeGraph.augment
 
     def drop_an_edge(self, j):
@@ -503,17 +503,41 @@ def test_bad_witness_fails_with_a_reason(capsys, c4_file, monkeypatch, command):
         return witness[:-1] if witness else witness
 
     monkeypatch.setattr(hypertrees._ExchangeGraph, "augment", drop_an_edge)
+
+
+# VE is the first hypergraph searched, and its first move finds (0, 1);
+# the classification stage searches ER first
+BAD_WITNESS = "BadWitness: {}: witness for (0, 1) has 2 edges and 2 components on 4 vertices"
+BAD_WITNESS_STAGES = {"magic": "VE", "hypertrees": "VE", "classification": "ER"}
+
+
+@pytest.mark.parametrize("command", ["verify", "hypertrees"])
+def test_bad_witness_fails_with_a_reason(capsys, c4_file, monkeypatch, command):
+    _drop_a_witness_edge(monkeypatch)
     code, out, err = run(capsys, command, "--graph", c4_file)
     assert code == 1
-    # VE is the first hypergraph searched, and its first move finds (0, 1);
-    # the classification stage searches ER first
-    bad = "BadWitness: {}: witness for (0, 1) has 2 edges and 2 components on 4 vertices"
     if command == "verify":
-        reasons = {"magic": "VE", "hypertrees": "VE", "classification": "ER"}
-        _assert_stages_fail(out, err, {name: bad.format(h) for name, h in reasons.items()})
+        _assert_stages_fail(out, err, {name: BAD_WITNESS.format(h) for name, h in BAD_WITNESS_STAGES.items()})
     else:
-        assert json.loads(out) == {"ok": False, "reason": bad.format("VE")}
+        assert json.loads(out) == {"ok": False, "reason": BAD_WITNESS.format("VE")}
         assert f"{command}: FAIL (BadWitness: " in err
+
+
+def test_a_failed_hypertree_search_is_not_repeated(capsys, c4_file, monkeypatch):
+    # the hypertrees stage reads the magic stage's failed VE search, not a new one
+    _drop_a_witness_edge(monkeypatch)
+    searched = Counter()
+    real = hypertrees.enumerate_hypertrees
+
+    def spy(hypergraph, cap):
+        searched[hypergraph.label] += 1
+        return real(hypergraph, cap)
+
+    monkeypatch.setattr(hypertrees, "enumerate_hypertrees", spy)
+    code, out, err = run(capsys, "verify", "--graph", c4_file)
+    assert code == 1
+    _assert_stages_fail(out, err, {name: BAD_WITNESS.format(h) for name, h in BAD_WITNESS_STAGES.items()})
+    assert searched == Counter({"VE": 1, "ER": 1})
 
 
 def test_hypertree_sets_on_different_hyperedges_fail_verify(capsys, c4_file, monkeypatch):

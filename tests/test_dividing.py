@@ -232,17 +232,17 @@ def test_signed_regions_isolating_diagram(trinities):
     t = trinities["cycle4"]
     fid = sorted(t.red)[0]
     chart = t.charts[fid]
-    m = 2 * chart.n
+    m = len(chart)
     pairs = [
         tuple(sorted((i, (i + 1) % m)))
         for i in range(m)
-        if chart.emerald_corner[i] is not None
+        if chart[i] >= 0
     ]
-    diagram = dv.ChordDiagram.from_pairs(chart.n, pairs)
+    diagram = dv.ChordDiagram.from_pairs(m // 2, pairs)
     found = dv.disc_regions(t, fid, diagram)
     assert sorted(len(arcs) for sign, arcs in found if sign < 0) == [1, 1]
     assert [len(arcs) for sign, arcs in found if sign > 0] == [2]
-    assert len(found) == chart.n + 1
+    assert len(found) == m // 2 + 1
 
 
 def test_valence_sums(trinities):
@@ -299,29 +299,29 @@ def _outcome(regions, face, partner, sign):
 
 
 def test_the_region_pass_matches_the_two_pass_rule(trinities):
-    # the corpus charts have n <= 4; the 10- and 12-cycles add n = 5 and 6
-    charts = [c for t in trinities.values() for c in t.charts.values()]
+    # the corpus discs have n <= 4; the 10- and 12-cycles add n = 5 and 6
+    discs = [disc for t in trinities.values() for disc in t.signs.items()]
     for size in (5, 6):
         doc = generate_corpus("even_cycle", size)
         t = trinity_mod.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
-        charts += t.charts.values()
-    assert {c.n for c in charts} == set(range(1, 7))
-    for chart in charts:
-        for diagram in dv.enumerate_chord_diagrams(chart.n):
-            expected = _two_pass_regions(chart.face, diagram.partner, chart.sign)
-            assert dv.regions(chart.face, diagram.partner, chart.sign) == expected
+        discs += t.signs.items()
+    assert {len(sign) // 2 for _fid, sign in discs} == set(range(1, 7))
+    for fid, sign in discs:
+        for diagram in dv.enumerate_chord_diagrams(len(sign) // 2):
+            expected = _two_pass_regions(fid, diagram.partner, sign)
+            assert dv.regions(fid, diagram.partner, sign) == expected
 
 
 def test_the_region_pass_names_a_mixed_region_as_the_two_pass_rule_does(trinities):
     # one arc's sign flipped at a time mixes some regions of some diagrams
-    chart = trinities["cycle6"].charts["f0"]
+    signs = trinities["cycle6"].signs["f0"]
     mixed = 0
-    for arc in range(2 * chart.n):
-        sign = list(chart.sign)
+    for arc in range(len(signs)):
+        sign = list(signs)
         sign[arc] = -sign[arc]
-        for diagram in dv.enumerate_chord_diagrams(chart.n):
-            expected = _outcome(_two_pass_regions, chart.face, diagram.partner, sign)
-            assert _outcome(dv.regions, chart.face, diagram.partner, sign) == expected
+        for diagram in dv.enumerate_chord_diagrams(len(signs) // 2):
+            expected = _outcome(_two_pass_regions, "f0", diagram.partner, sign)
+            assert _outcome(dv.regions, "f0", diagram.partner, sign) == expected
             mixed += isinstance(expected, str)
     assert mixed > 0
 
@@ -329,12 +329,13 @@ def test_the_region_pass_names_a_mixed_region_as_the_two_pass_rule_does(trinitie
 def test_a_flipped_arc_sign_mixes_a_region(graphs):
     t = trinity_mod.build_trinity(graphs["cycle4"])
     fid = sorted(t.red)[0]
-    chart = t.charts[fid]
-    diagram = dv.enumerate_chord_diagrams(chart.n)[0]
+    diagram = dv.enumerate_chord_diagrams(t.n_r[fid])[0]
     arc = next(a for arcs in _region_arcs(diagram.partner) if len(arcs) > 1 for a in arcs)
-    corners = list(chart.emerald_corner)
-    corners[arc] = "flipped" if corners[arc] is None else None
-    t.charts[fid] = dv.DiscChart(chart.face, chart.n, tuple(corners))
+    corners = list(t.charts[fid])
+    corners[arc] = 0 if corners[arc] < 0 else -1
+    t.charts[fid] = tuple(corners)
+    # the signs are derived from the charts once; drop any derived to derive them again
+    vars(t).pop("signs", None)
     with pytest.raises(dv.MixedRegion, match="mixed signs"):
         dv.disc_regions(t, fid, diagram)
     config = dv.Configuration.from_diagrams(t, {f: dv.enumerate_chord_diagrams(t.n_r[f])[0] for f in t.red})
@@ -355,8 +356,9 @@ def test_disc_euler_tree_hugging_formula(trinities):
     for t in trinities.values():
         if t.n > 11:
             continue
-        for tree in trees.enumerate_spanning_trees(t.graph_index("violet")):
-            degrees = oracles.degrees(tree, "red")
+        gv = t.graph_index("violet")
+        for tree in trees.enumerate_spanning_trees(gv):
+            degrees = oracles.degrees(gv, tree, "red")
             config = dv.tree_hugging(t, tree)
             for fid, euler in dv.euler_vector(config).items():
                 f = degrees[fid] - 1
@@ -397,9 +399,8 @@ def test_tree_hugging_single_edge(trinities):
 
 def test_tree_hugging_not_spanning(trinities):
     t = trinities["cycle4"]
-    gv = t.violet_graph
-    some = sorted(gv.edges)[:2]
-    bogus = trees.SpanningTree(gv, frozenset(some))
+    # the first two violet edges, one short of a spanning tree
+    bogus = (0, 1)
     with pytest.raises(dv.NotSpanning):
         dv.tree_hugging(t, bogus)
 
@@ -408,12 +409,13 @@ def test_is_tree_hugging_round_trip(trinities):
     for name, t in trinities.items():
         if t.n > 11:
             continue
-        for tree in trees.enumerate_spanning_trees(t.graph_index("violet")):
+        gv = t.graph_index("violet")
+        for tree in trees.enumerate_spanning_trees(gv):
             config = dv.tree_hugging(t, tree)
             hugging, witness = dv.is_tree_hugging(config)
             assert hugging
             # the witness realizes the same hypertree as the source tree
-            assert oracles.degrees(witness, "red") == oracles.degrees(tree, "red"), name
+            assert oracles.degrees(gv, witness, "red") == oracles.degrees(gv, tree, "red"), name
 
 
 def test_four_cycle_all_tight_are_tree_hugging(trinities):

@@ -61,9 +61,9 @@ def test_star_tree_hypertree():
             {"id": "s2", "darts": ["s2.0", "s2.1"]},
         ],
     }
-    g = pg.parse_graph(doc)
-    tree = next(iter(trees.enumerate_spanning_trees(trees.GraphIndex(g))))
-    vector = oracles.hypertree_of(tree, "emerald")
+    index = trees.GraphIndex(pg.parse_graph(doc))
+    tree = next(iter(trees.enumerate_spanning_trees(index)))
+    vector = oracles.hypertree_of(index, tree, "emerald")
     assert dict(vector) == {"c": 2}
 
 
@@ -71,7 +71,7 @@ def test_hypertree_of_wrong_class(trinities):
     gv = trinities["cycle4"].graph_index("violet")
     tree = next(iter(trees.enumerate_spanning_trees(gv)))
     with pytest.raises(ValueError, match="host graph has no 'violet' class"):
-        oracles.hypertree_of(tree, "violet")  # violet graph has no violet class
+        oracles.hypertree_of(gv, tree, "violet")  # violet graph has no violet class
 
 
 def test_single_edge_er_hypertrees(trinities):
@@ -213,24 +213,22 @@ def realization_oracle(hypergraph):
     """First realizing tree per vector, by ``hypertree_of`` on every spanning tree."""
     first = {}
     for tree in trees.enumerate_spanning_trees(hypergraph.index, cap=None):
-        first.setdefault(oracles.hypertree_of(tree, hypergraph.colour), tree)
+        first.setdefault(oracles.hypertree_of(hypergraph.index, tree, hypergraph.colour), tree)
     return first
 
 
 def certified_witnesses(hypergraph):
     """The hypertree set, and each (witness, vector) that its search certifies.
 
-    A spy on ``Hypergraph.certify`` records each witness as a spanning tree
-    of host edge ids, and each vector as (hyperedge, value) pairs.
+    A spy on ``Hypergraph.certify`` records each witness as the tuple of its
+    host edge positions, and each vector as (hyperedge, value) pairs.
     """
-    index = hypergraph.index
     seen = []
     real = ht.Hypergraph.certify
 
     def spy(self, edges, vector):
         assert self is hypergraph
-        tree = trees.SpanningTree(index.graph, frozenset(map(index.edge_ids.__getitem__, edges)))
-        seen.append((tree, tuple(zip(self.ids, vector))))
+        seen.append((tuple(edges), tuple(zip(self.ids, vector))))
         return real(self, edges, vector)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -240,10 +238,11 @@ def certified_witnesses(hypergraph):
 
 
 def assert_witness_spans_and_realizes(hypergraph, witness, vector):
-    """The witness is a spanning tree of the host whose record is the vector."""
-    bip = hypergraph.index.graph
-    assert witness.edges <= bip.edges.keys()
-    assert len(witness.edges) == len(bip.vertices) - 1
+    """The witness, by edge positions, is a spanning tree of the host whose record is the vector."""
+    index = hypergraph.index
+    bip = index.graph
+    assert all(0 <= e < len(index.edge_ids) for e in witness)
+    assert len(set(witness)) == len(witness) == len(bip.vertices) - 1
     root = {v: v for v in bip.vertices}
 
     def find(x):
@@ -251,11 +250,11 @@ def assert_witness_spans_and_realizes(hypergraph, witness, vector):
             x = root[x]
         return x
 
-    for eid in witness.edges:
+    for eid in map(index.edge_ids.__getitem__, witness):
         u, v = (find(x) for x in bip.endpoints(eid))
         assert u != v, ("cycle through", eid)
         root[u] = v
-    assert oracles.hypertree_of(witness, hypergraph.colour) == vector
+    assert oracles.hypertree_of(index, witness, hypergraph.colour) == vector
 
 
 def assert_witnesses_span_and_realize(hypergraph):
@@ -263,7 +262,7 @@ def assert_witnesses_span_and_realize(hypergraph):
     vector is the first spanning tree's; returns the hypertree set."""
     found, seen = certified_witnesses(hypergraph)
     seed = next(trees.enumerate_spanning_trees(hypergraph.index, cap=None))
-    vectors = [oracles.hypertree_of(seed, hypergraph.colour)] + [v for _w, v in seen]
+    vectors = [oracles.hypertree_of(hypergraph.index, seed, hypergraph.colour)] + [v for _w, v in seen]
     assert sorted(vectors) == list(found)
     for witness, vector in seen:
         assert_witness_spans_and_realizes(hypergraph, witness, vector)
@@ -374,9 +373,8 @@ def test_each_hypertree_set_draws_one_spanning_tree(graphs, monkeypatch):
 
 def test_a_witness_with_another_record_is_refused(trinities):
     hypergraph = ht.trinity_hypergraph(trinities["cycle4"], "VE")
-    tree = next(trees.enumerate_spanning_trees(hypergraph.index))
-    edges = sorted(hypergraph.index.edge_index[eid] for eid in tree.edges)
-    realized = oracles.hypertree_of(tree, hypergraph.colour)
+    edges = next(trees.enumerate_spanning_trees(hypergraph.index))
+    realized = oracles.hypertree_of(hypergraph.index, edges, hypergraph.colour)
     (other,) = set(ht.enumerate_hypertrees(hypergraph)) - {realized}
     vector = tuple(f for _, f in other)
     with pytest.raises(ht.BadWitness, match=r"VE: witness for \(0, 1\) realizes \(1, 0\)"):
@@ -409,8 +407,8 @@ def test_a_witness_with_a_cycle_is_refused(trinities):
     index = hypergraph.index
     bip = index.graph
     first = next(trees.enumerate_spanning_trees(index))
-    tree = {index.edge_index[eid] for eid in first.edges}
-    vector = tuple(f for _, f in oracles.hypertree_of(first, hypergraph.colour))
+    tree = set(first)
+    vector = tuple(f for _, f in oracles.hypertree_of(index, first, hypergraph.colour))
     n = len(bip.vertices)
     extra = min(set(range(len(index.edge_ids))) - tree)
     # a tree edge off the cycle that the extra edge closes: dropping it

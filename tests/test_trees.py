@@ -13,7 +13,7 @@ from random_maps import plane_bipartite_maps
 from trinities import plane_graph, trees
 from trinities import trinity as trinity_mod
 from trinities.limits import CapExceeded
-from trinities.trinity import Arc, DirectedDual
+from trinities.trinity import DirectedDual
 
 
 def permutation_determinant(rows):
@@ -49,14 +49,15 @@ def test_bareiss_matches_permutation_expansion(rows):
 
 
 def brute_force_arborescences(dual, root):
-    """Independent oracle: test every arc subset of size |V| - 1."""
+    """Independent oracle: test every arc subset of size |V| - 1, by arc position."""
     n = len(dual.vertices)
+    root = dual.vertices.index(root)
     hits = []
-    for subset in combinations(dual.arcs, n - 1):
-        heads = [a.head for a in subset]
+    for subset in combinations(enumerate(zip(dual.tail, dual.head)), n - 1):
+        heads = [h for _e, (_t, h) in subset]
         if root in heads or len(set(heads)) != n - 1:
             continue
-        parent = {a.head: a.tail for a in subset}
+        parent = {h: t for _e, (t, h) in subset}
         ok = True
         for v in parent:
             u, hops = v, 0
@@ -67,7 +68,7 @@ def brute_force_arborescences(dual, root):
                 ok = False
                 break
         if ok:
-            hits.append(frozenset(a.id for a in subset))
+            hits.append(frozenset(e for e, _arc in subset))
     return hits
 
 
@@ -80,16 +81,16 @@ def test_enumeration_matches_kirchhoff(graphs):
     for name, g in graphs.items():
         found = list(trees.enumerate_spanning_trees(trees.GraphIndex(g)))
         assert len(found) == trees.spanning_tree_count(g), name
-        assert len({t.edges for t in found}) == len(found)
+        assert len(set(found)) == len(found)
         n_vertices = len(g.vertices)
         for t in found:
-            assert len(t.edges) == n_vertices - 1
+            assert len(t) == n_vertices - 1
 
 
 def test_enumeration_deterministic(graphs):
     g = graphs["cycle6"]
-    a = [t.edges for t in trees.enumerate_spanning_trees(trees.GraphIndex(g))]
-    b = [t.edges for t in trees.enumerate_spanning_trees(trees.GraphIndex(g))]
+    a = list(trees.enumerate_spanning_trees(trees.GraphIndex(g)))
+    b = list(trees.enumerate_spanning_trees(trees.GraphIndex(g)))
     assert a == b
 
 
@@ -97,10 +98,10 @@ def test_four_cycle_violet_graph_trees_and_records(trinities):
     gv = trinities["cycle4"].graph_index("violet")
     found = list(trees.enumerate_spanning_trees(gv))
     assert len(found) == 4
-    records = sorted(tuple(sorted(oracles.degrees(t, "red").values())) for t in found)
+    records = sorted(tuple(sorted(oracles.degrees(gv, t, "red").values())) for t in found)
     # two trees of red degrees (1,2) and two of (2,1) up to vertex order
     assert records == [(1, 2)] * 4
-    distinct = {frozenset(oracles.degrees(t, "red").items()) for t in found}
+    distinct = {frozenset(oracles.degrees(gv, t, "red").items()) for t in found}
     assert len(distinct) == 2
 
 
@@ -131,17 +132,22 @@ def brute_force_spanning_trees(graph):
     return hits
 
 
+def tree_ids(index):
+    """Each spanning tree the enumeration yields, as the set of its edge ids."""
+    return [frozenset(map(index.edge_ids.__getitem__, tree)) for tree in trees.enumerate_spanning_trees(index)]
+
+
 def test_enumeration_equals_subset_oracle(graphs, trinities):
     for name, t in trinities.items():
         for colour in ("violet", "emerald"):
             host = getattr(t, f"{colour}_graph")
             if len(host.edges) > 12:
                 continue
-            found = [tree.edges for tree in trees.enumerate_spanning_trees(trees.GraphIndex(host))]
+            found = tree_ids(trees.GraphIndex(host))
             assert len(found) == len(set(found)), (name, colour)
             assert set(found) == brute_force_spanning_trees(host), (name, colour)
     for name, g in graphs.items():
-        found = [tree.edges for tree in trees.enumerate_spanning_trees(trees.GraphIndex(g))]
+        found = tree_ids(trees.GraphIndex(g))
         assert set(found) == brute_force_spanning_trees(g), name
 
 
@@ -164,8 +170,8 @@ GRID2_PREFIX = (
 def test_enumeration_order_frozen_on_grid2(graphs):
     g = graphs["grid2"]
     prefix = []
-    for tree in trees.enumerate_spanning_trees(trees.GraphIndex(g)):
-        prefix.append(tuple(sorted(set(g.edges) - tree.edges)))
+    for tree in tree_ids(trees.GraphIndex(g)):
+        prefix.append(tuple(sorted(set(g.edges) - tree)))
         if len(prefix) == len(GRID2_PREFIX):
             break
     assert tuple(prefix) == GRID2_PREFIX
@@ -186,7 +192,7 @@ def test_enumeration_depth_does_not_grow_with_the_graph():
         "edges": [{"id": f"p{i}", "darts": [f"p{i}.0", f"p{i}.1"]} for i in range(k)],
     }
     (tree,) = trees.enumerate_spanning_trees(trees.GraphIndex(plane_graph.parse_graph(doc)), cap=None)
-    assert len(tree.edges) == k
+    assert len(tree) == k
 
 
 def test_count_arborescences_loop_vertex(trinities):
@@ -198,21 +204,18 @@ def test_count_arborescences_loop_vertex(trinities):
 
 
 def test_arborescence_order_is_lexicographic(trinities):
-    # depth first over non-root vertices by id, each one's in-arcs by id
+    # depth first over non-root vertices by position, each one's in-arcs by position
     for name, t in trinities.items():
         for colour in ("violet", "emerald", "red"):
             dual = t.directed_dual(colour)
-            for root in dual.vertices:
-                others = [v for v in sorted(dual.vertices) if v != root]
-                rank = {
-                    v: sorted(a.id for a in dual.arcs if a.head == v and a.tail != v)
-                    for v in others
-                }
-                head = {a.id: a.head for a in dual.arcs}
+            arcs = list(enumerate(zip(dual.tail, dual.head)))
+            for r, root in enumerate(dual.vertices):
+                others = [v for v in range(len(dual.vertices)) if v != r]
+                rank = {v: sorted(e for e, (tail, head) in arcs if head == v and tail != v) for v in others}
                 choices = []
                 for found in trees.enumerate_arborescences(dual, root):
-                    # one arc into each non-root vertex, in id order
-                    assert [head[x] for x in found] == others, (name, colour, root)
+                    # one arc into each non-root vertex, in vertex order
+                    assert [dual.head[x] for x in found] == others, (name, colour, root)
                     choices.append(tuple(rank[v].index(x) for v, x in zip(others, found)))
                 assert choices == sorted(set(choices)), (name, colour, root)
 
@@ -221,10 +224,9 @@ def test_arborescence_search_needs_no_recursion():
     # a directed chain deeper than the interpreter's recursion limit
     n = sys.getrecursionlimit() + 100
     vertices = tuple(f"v{i:05d}" for i in range(n))
-    arcs = tuple(Arc(f"a{i:05d}", vertices[i], vertices[i + 1]) for i in range(n - 1))
-    dual = DirectedDual("red", vertices, arcs)
+    dual = DirectedDual("red", vertices, list(range(n - 1)), list(range(1, n)))
     (found,) = trees.enumerate_arborescences(dual, vertices[0])
-    assert frozenset(found) == frozenset(a.id for a in arcs)
+    assert frozenset(found) == frozenset(range(n - 1))
 
 
 def test_unknown_root(trinities):
@@ -252,6 +254,23 @@ def test_determinant_equals_enumeration_everywhere(trinities):
             for root in dual.vertices:
                 det = trees.count_arborescences(dual, root)
                 assert det == len(trees.enumerate_arborescences(dual, root)), (name, colour, root)
+
+
+def test_arborescence_complements_are_spanning_trees(trinities):
+    # planar duality by position: arc e crosses edge e of the colour graph,
+    # so an arborescence of the dual leaves out a spanning tree of the graph
+    for name, t in trinities.items():
+        for colour in ("violet", "emerald", "red"):
+            dual, index = t.directed_dual(colour), t.graph_index(colour)
+            m, n = len(index.edge_ids), len(index.vertex_ids)
+            assert len(dual.tail) == m, (name, colour)
+            for root in dual.vertices:
+                found = trees.enumerate_arborescences(dual, root)
+                complements = {frozenset(range(m)) - set(arcs) for arcs in found}
+                for tree in complements:
+                    assert len(tree) == n - 1, (name, colour, root)
+                    assert len(set(trees.components(index, tree))) == 1, (name, colour, root)
+                assert len(complements) == len(found) == trees.count_arborescences(dual, root)
 
 
 def test_root_independence(trinities):
@@ -312,19 +331,19 @@ def test_magic_report_json(trinities):
 def test_exchange_path_identity(trinities):
     gv = trinities["cycle4"].graph_index("violet")
     t = next(iter(trees.enumerate_spanning_trees(gv)))
-    assert oracles.exchange_classes([t], "red") == (0,)
+    assert oracles.exchange_classes(gv, [t], "red") == (0,)
 
 
 def test_exchange_path_four_cycle_one_step(trinities):
     gv = trinities["cycle4"].graph_index("violet")
     all_trees = list(trees.enumerate_spanning_trees(gv))
-    classes = oracles.exchange_classes(all_trees, "red")
+    classes = oracles.exchange_classes(gv, all_trees, "red")
     groups = {}
     for i, t in enumerate(all_trees):
-        groups.setdefault(frozenset(oracles.degrees(t, "red").items()), []).append(i)
+        groups.setdefault(frozenset(oracles.degrees(gv, t, "red").items()), []).append(i)
     for a, b in groups.values():
         # two trees per record, one exchange apart
-        assert len(all_trees[a].edges - all_trees[b].edges) == 1
+        assert len(set(all_trees[a]) - set(all_trees[b])) == 1
         assert classes[a] == classes[b]
     assert len(set(classes)) == len(groups)
 
@@ -334,11 +353,12 @@ def test_exchange_paths_exist_for_all_same_record_pairs(trinities):
     for name, t in trinities.items():
         if t.n > 12:
             continue
-        found = list(trees.enumerate_spanning_trees(t.graph_index("violet")))
+        gv = t.graph_index("violet")
+        found = list(trees.enumerate_spanning_trees(gv))
         number = {}
-        records = (frozenset(oracles.degrees(tree, "red").items()) for tree in found)
+        records = (frozenset(oracles.degrees(gv, tree, "red").items()) for tree in found)
         by_record = tuple(number.setdefault(record, len(number)) for record in records)
-        assert oracles.exchange_classes(found, "red") == by_record, name
+        assert oracles.exchange_classes(gv, found, "red") == by_record, name
 
 
 @given(plane_bipartite_maps())

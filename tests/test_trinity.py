@@ -106,24 +106,25 @@ def test_directed_duals_are_balanced(trinities):
     for t in trinities.values():
         for colour in ("violet", "emerald", "red"):
             dual = t.directed_dual(colour)
-            assert len(dual.arcs) == t.n
-            assert Counter(a.tail for a in dual.arcs) == Counter(a.head for a in dual.arcs)
+            assert len(dual.tail) == len(dual.head) == t.n
+            assert Counter(dual.tail) == Counter(dual.head)
 
 
 def test_single_edge_violet_dual_is_one_loop(trinities):
     dual = trinities["path1"].directed_dual("violet")
     assert len(dual.vertices) == 1
-    assert len(dual.arcs) == 1
-    assert dual.arcs[0].tail == dual.arcs[0].head
+    assert len(dual.tail) == 1
+    assert dual.tail[0] == dual.head[0]
 
 
 def test_four_cycle_red_dual(trinities):
     dual = trinities["cycle4"].directed_dual("red")
     assert len(dual.vertices) == 2
-    assert len(dual.arcs) == 4
+    assert len(dual.tail) == 4
+    arcs = [(dual.vertices[x], dual.vertices[y]) for x, y in zip(dual.tail, dual.head)]
     a, b = dual.vertices
-    forward = sum(1 for x in dual.arcs if (x.tail, x.head) == (a, b))
-    backward = sum(1 for x in dual.arcs if (x.tail, x.head) == (b, a))
+    forward = arcs.count((a, b))
+    backward = arcs.count((b, a))
     assert forward == backward == 2
 
 
@@ -191,8 +192,9 @@ def _corner_of(triangle, colour):
 
 
 def test_dual_arcs_run_black_to_white(trinities):
-    # every dual arc crosses one colour-graph edge and runs from that colour's
-    # corner of the black flanking triangle to its corner of the white one
+    # arc e crosses edge e of the colour graph's index, and runs from that
+    # colour's corner of the black flanking triangle to its corner of the
+    # white one; both flanking triangles sit on that edge
     for name, t in trinities.items():
         g = t.graph
         by_position = {(x.face, x.index): x for x in t.triangles}
@@ -211,14 +213,20 @@ def test_dual_arcs_run_black_to_white(trinities):
                 for fid, i, _w in t.corners[corner_colour]
             }
         for colour, crossed in flanks.items():
-            arcs = t.directed_dual(colour).arcs
-            assert sorted(a.id for a in arcs) == sorted(crossed), (name, colour)
-            for arc in arcs:
-                x, y = crossed[arc.id]
-                assert {x.shade, y.shade} == {"black", "white"}, (name, arc)
+            dual, index = t.directed_dual(colour), t.graph_index(colour)
+            ids = index.edge_ids
+            assert len(dual.tail) == len(dual.head) == len(ids), (name, colour)
+            assert ids == sorted(crossed), (name, colour)
+            others = [c for c in ("violet", "emerald", "red") if c != colour]
+            for e, (tail, head) in enumerate(zip(dual.tail, dual.head)):
+                x, y = crossed[ids[e]]
+                assert {x.shade, y.shade} == {"black", "white"}, (name, ids[e])
                 black, white = (x, y) if x.shade == "black" else (y, x)
-                assert arc.tail == _corner_of(black, colour), (name, colour, arc)
-                assert arc.head == _corner_of(white, colour), (name, colour, arc)
+                assert dual.vertices[tail] == _corner_of(black, colour), (name, colour, ids[e])
+                assert dual.vertices[head] == _corner_of(white, colour), (name, colour, ids[e])
+                ends = set(index.graph.endpoints(ids[e]))
+                for z in (x, y):
+                    assert {_corner_of(z, c) for c in others} == ends, (name, colour, ids[e])
 
 
 def test_shade_convention_fixture(trinities):
@@ -232,8 +240,10 @@ def test_shade_convention_fixture(trinities):
     assert (triangle.violet, triangle.emerald) == (violet, g.target(dart))
     # ... so each red dual arc of the four-cycle leaves the face of its
     # edge's violet-to-emerald dart
-    arcs = trinities["cycle4"].directed_dual("red").arcs
-    assert [(a.id, a.tail, a.head) for a in arcs] == [
+    dual = trinities["cycle4"].directed_dual("red")
+    ids = trinities["cycle4"].graph_index("red").edge_ids
+    arcs = zip(ids, dual.tail, dual.head)
+    assert [(eid, dual.vertices[x], dual.vertices[y]) for eid, x, y in arcs] == [
         ("e0", "f0", "f1"),
         ("e1", "f1", "f0"),
         ("e2", "f0", "f1"),
