@@ -314,8 +314,7 @@ def _cmd_states(args):
 
 def _cmd_clock(args):
     universe = _load_universe(args)
-    _codes, ends, targets = fkt.clock_graph(universe, args.cap)
-    report = fkt.clock_report(ends, targets)
+    report = fkt.clock_graph(universe, args.cap)
     lines = [
         f"clock graph: {report['states']} states, {report['arcs']} arcs",
         f"structure checks: {'pass' if report['ok'] else 'FAIL'}",

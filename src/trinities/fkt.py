@@ -14,12 +14,16 @@ number of its choices with vertex 0 most significant, so code order is
 lexicographic; functions here take and return codes, and ``markers`` is
 the one decoder. The one move rule is the universe's swap table, giving
 the code delta of each clockwise move; counterclockwise moves are clockwise
-moves read backwards. One search yields each state's code and moves, and
-drops a branch once it places a face's last vertex with the face unmarked.
-Where it pays (``Universe.cut``), each subtree below the middle vertex is
-walked once per key of what it reads of the prefix and replayed after.
-The clock graph runs on codes and keeps its arcs in one flat out-list:
-per-state offsets into one list of target indices.
+moves read backwards. One search yields the states in blocks, a prefix's
+code and moves with the leaves below it, and drops a branch once it
+places a face's last vertex with the face unmarked. Where it pays
+(``Universe.cut``), each subtree below the middle vertex is walked once
+per key of what it reads of the prefix, and every prefix with that key
+shares the one list of leaves. The clock report is decided per block,
+from each key's moves below the cut and the graph of blocks, without
+listing the arcs. What blocks cannot decide, and a universe without a
+cut, falls back to one flat out-list of arcs (per-state offsets into one
+list of target indices), which ``clock_report`` checks exactly.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ def quadrant_face(graph, v, k):
 def enumerate_states(universe, cap=DEFAULT_CAP):
     """The codes of all marker assignments covering each unstarred face
     exactly once, rising."""
-    return tuple(code for code, _moves in _search(universe, cap))
+    return tuple(head | low for head, _moves, leaves in _search(universe, cap) for low, _tail in leaves)
 
 
 # each byte's four quadrant digits, most significant first
@@ -176,16 +180,25 @@ def markers(universe, code):
     return dict(zip(verts, digits[4 * size - len(verts):]))
 
 
-def _search(universe, cap):
-    """Each state's code with its clockwise moves as code deltas, codes rising.
+_ONE_STATE = ((0, ()),)  # the leaves of each block of a search without a cut
 
+
+def _search(universe, cap):
+    """The states in memo blocks ``(head, moves, leaves)``, codes rising.
+
+    A block holds the states below one prefix: their codes are ``head |
+    low`` for each ``(low, tail)`` in ``leaves``, and each one's clockwise
+    moves, as code deltas, are the prefix's ``moves`` and then its ``tail``.
     Depth-first over the vertices, trying quadrants 0..3 at each, with
     explicit arrays instead of recursion; a move is recorded when the later
     vertex of its pair is placed, and no state lies below a dropped branch.
-    With a ``universe.cut`` at vertex m, the subtree below m is walked once
-    per key (the used bits of the cut's faces and the choices at its reads):
-    the first walk records each leaf's code digits from m on with the moves
-    found from m on, and later prefixes with that key join those pairs.
+    With a ``universe.cut`` at vertex m, the prefix is the choices below m
+    and the subtree below m is walked once per key (the used bits of the
+    cut's faces and the choices at its reads): the first walk records each
+    leaf's code digits from m on with the moves found from m on, and every
+    prefix with that key shares that one list. A prefix with no states
+    yields no block. Without a cut each state is a block of one leaf,
+    ``((0, ()),)``.
     """
     quads, swaps = universe.quadrants, universe.swaps
     n = len(quads)
@@ -204,7 +217,7 @@ def _search(universe, cap):
     shift = 2 * (n - m)
     low = (1 << shift) - 1
     memo = {}  # key at vertex m -> [(low code digits, moves from m on)]
-    leaves = None  # the memo entry of the subtree being walked
+    leaves = None  # the memo entry of the subtree being walked; None without a cut
     i = 0
     while i >= 0:
         q = quads[i]
@@ -227,6 +240,9 @@ def _search(universe, cap):
         if k == 4:
             choice[i] = -1
             i -= 1
+            if i == m - 1 and leaves:
+                # the first walk below this prefix is done; moves holds the prefix's
+                yield code[m] << shift, tuple(moves), leaves
             continue
         choice[i] = k
         used[f] = 1
@@ -236,9 +252,10 @@ def _search(universe, cap):
             if choice[h] == kh:
                 moves.append(d)
         if i + 1 == n:
-            if leaves is not None:
+            if leaves is None:
+                yield code[n], tuple(moves), _ONE_STATE
+            else:
                 leaves.append((code[n] & low, tuple(moves[marks[m]:])))
-            yield code[n], tuple(moves)
         elif i + 1 != m:
             i += 1
         else:
@@ -247,10 +264,8 @@ def _search(universe, cap):
             if known is None:
                 memo[key] = leaves = []
                 i += 1
-            else:
-                head, prefix = code[m] << shift, tuple(moves)
-                for tail_code, tail in known:
-                    yield head | tail_code, prefix + tail
+            elif known:
+                yield code[m] << shift, tuple(moves), known
 
 
 # -- splittings -------------------------------------------------------------------
@@ -286,7 +301,137 @@ def transpositions(universe, code):
 
 
 def clock_graph(universe, cap=DEFAULT_CAP):
-    """States with clockwise transpositions as arcs: ``(codes, ends, targets)``.
+    """The clock graph's structure report, ``clock_report``'s keys, decided
+    per memo block of the search without listing the arcs.
+
+    States and arcs are counted from block sizes; a sink is a state with no
+    move. Once per key, the moves inside the low digits make a local graph
+    (``_below_cut``). A prefix move into a block of the same key gives each
+    of its states one in-arc; every other move is looked up by code, once
+    per pair of keys and high-digit delta. The graph is acyclic when every
+    local graph and the graph of blocks are, and then weakly connected when
+    it has one source. Whatever this cannot decide, a move that misses the
+    states included, is decided by ``clock_report`` on ``out_list``'s flat
+    out-list, which raises ``MoveLeavesStates`` on a miss. So is a universe
+    without a cut: each of its blocks is one state, and the flat out-list
+    lists the same arcs faster.
+    """
+    blocks = list(_search(universe, cap))
+    report = None
+    if universe.cut is not None:
+        shift = 2 * (len(universe.quadrants) - universe.cut[0])
+        report = _block_report(blocks, (1 << shift) - 1)
+    if report is None:
+        _codes, ends, targets = out_list(universe, blocks)
+        report = clock_report(ends, targets)
+    return report
+
+
+def _block_report(blocks, low):
+    """``clock_report`` of the search's blocks, or None where blocks cannot
+    decide it: a miss, a cycle, or not one source."""
+    keys = {}  # id of a shared leaves list -> its _below_cut
+    for _head, _moves, leaves in blocks:
+        if id(leaves) not in keys:
+            keys[id(leaves)] = _below_cut(leaves, low)
+    if None in keys.values():
+        return None
+    heads = {head: b for b, (head, _moves, _leaves) in enumerate(blocks)}
+    states = arcs = sinks = 0
+    full = [0] * len(blocks)  # per block, the in-arcs each state has from same-key prefix moves
+    hit = defaultdict(set)  # block -> its key's sources that a move from another key reaches
+    landings = {}  # (key, target key, high delta or None) -> the target sources reached, or None
+    outs = []  # the graph of blocks
+    for head, moves, leaves in blocks:
+        index, _key_sources, key_sinks, key_arcs, jumps = keys[id(leaves)]
+        states += len(leaves)
+        arcs += len(leaves) * len(moves) + key_arcs
+        sinks += 0 if moves else key_sinks
+        out = [heads.get(head + d) for d in itertools.chain(moves, jumps)]
+        if None in out:
+            return None
+        outs.append(out)
+        # a prefix move keeps every leaf's low digits; a jump reaches the lows listed for it
+        for c, (d, lows) in zip(out, itertools.chain(itertools.repeat((None, index), len(moves)), jumps.items())):
+            target = blocks[c][2]
+            if d is None and target is leaves:
+                full[c] += 1
+                continue
+            slot = (id(leaves), id(target), d)
+            if slot not in landings:
+                target_index, target_sources = keys[id(target)][:2]
+                reached = set(map(target_index.get, lows))
+                landings[slot] = None if None in reached else target_sources & reached
+            if landings[slot] is None:
+                return None
+            hit[c] |= landings[slot]
+    if _dag_sources(outs) is None:
+        return None
+    sources = sum(
+        len(keys[id(leaves)][1] - hit[b]) for b, (_head, _moves, leaves) in enumerate(blocks) if not full[b]
+    )
+    if sources != 1:
+        return None
+    return {
+        "states": states,
+        "arcs": arcs,
+        "weakly_connected": True,
+        "acyclic": True,
+        "unique_source": True,
+        "unique_sink": sinks == 1,
+        "ok": sinks == 1,
+    }
+
+
+def _below_cut(leaves, low):
+    """One key's moves: ``(index, sources, sinks, arcs, jumps)``, or None
+    when two leaves share their low digits, a move inside the low digits
+    misses the leaves, or these moves close a cycle.
+
+    ``index`` maps each leaf's low digits to its position, ``sources`` is
+    the set of positions with no in-arc inside the low digits, ``sinks``
+    counts the leaves with no move, ``arcs`` counts the moves, and
+    ``jumps`` maps the high-digit delta of each move that changes the prefix
+    to the low digits of its targets.
+    """
+    index = {c: j for j, (c, _tail) in enumerate(leaves)}
+    if len(index) != len(leaves):
+        return None
+    outs = [[] for _ in leaves]
+    jumps = defaultdict(list)
+    for out, (c, tail) in zip(outs, leaves):
+        for d in tail:
+            t = c + d
+            if t & ~low:
+                jumps[t & ~low].append(t & low)
+            elif t in index:
+                out.append(index[t])
+            else:
+                return None
+    sources = _dag_sources(outs)
+    if sources is None:
+        return None
+    tails = list(map(itemgetter(1), leaves))
+    return index, sources, tails.count(()), sum(map(len, tails)), jumps
+
+
+def _dag_sources(outs):
+    """The set of in-degree-0 vertices of a graph given as out-lists, or
+    None when Kahn's algorithm finds a cycle."""
+    remaining = Counter(itertools.chain.from_iterable(outs))
+    order = [x for x in range(len(outs)) if not remaining[x]]
+    sources = set(order)
+    for x in order:  # the removal order, appended to while it is read
+        for y in outs[x]:
+            remaining[y] -= 1
+            if not remaining[y]:
+                order.append(y)
+    return sources if len(order) == len(outs) else None
+
+
+def out_list(universe, blocks):
+    """The clock graph of the search's blocks as one flat out-list:
+    ``(codes, ends, targets)``.
 
     ``codes`` lists each state's code in ``enumerate_states``' order. State
     i's move targets, as state indices, are ``targets[ends[i]:ends[i + 1]]``
@@ -294,10 +439,12 @@ def clock_graph(universe, cap=DEFAULT_CAP):
     structure. Each move's target is its source code plus the move's delta,
     looked up in one code -> index dict by one pass over all moves.
     """
-    found = list(_search(universe, cap))
-    codes = tuple(map(itemgetter(0), found))
-    moves = list(map(itemgetter(1), found))
-    del found
+    codes, moves = [], []
+    for head, prefix, leaves in blocks:
+        for c, tail in leaves:
+            codes.append(head | c)
+            moves.append(prefix + tail)
+    codes = tuple(codes)
     counts = list(map(len, moves))
     index = {c: i for i, c in enumerate(codes)}
     sources = itertools.chain.from_iterable(map(itertools.repeat, codes, counts))

@@ -5,10 +5,10 @@ Bypass moves on chord diagrams, the valence-concentration walk to a
 tree-hugging configuration, the splitting of a universe state into its
 loop, one-edge exchanges between spanning trees, and the hypertree of one
 spanning tree read off its degrees. Each is written from the statement,
-not from the package's fast paths. The views read the ``(codes, ends,
-targets)`` of ``fkt.clock_graph`` as states, choices, sorted out-lists,
-arcs and the structure report, and read one face's diagram off a
-configuration.
+not from the package's fast paths. The views read the flat out-list
+``(codes, ends, targets)`` of ``fkt.out_list``, the package's one builder
+of it, as states, choices, sorted out-lists, arcs and the structure
+report, and read one face's diagram off a configuration.
 """
 
 import itertools
@@ -171,9 +171,15 @@ def state_trail(universe, code):
 # -- clock graph views --------------------------------------------------------------
 
 
+def out_list(universe):
+    """The clock graph's flat out-list ``(codes, ends, targets)``, built by
+    ``fkt.out_list`` from the whole search."""
+    return fkt.out_list(universe, fkt._search(universe, None))
+
+
 def clock_choices(universe, clock):
     """Each state's quadrant choices, vertices in id order, states in the
-    order of ``clock``, the ``(codes, ends, targets)`` of ``fkt.clock_graph``."""
+    order of ``clock``, the ``(codes, ends, targets)`` of ``out_list``."""
     codes, _ends, _targets = clock
     n = len(universe.graph.vertices)
     return tuple(state_choices(c, n) for c in codes)

@@ -1,6 +1,7 @@
 """Universes, states, trails, transpositions, the clock graph and the
 state/configuration correspondence."""
 
+import functools
 import random
 import sys
 from itertools import accumulate, product
@@ -204,22 +205,27 @@ def test_state_order_is_lexicographic(universes):
 def test_state_codes_match_choice_oracle(oracle_universes):
     for name, u in oracle_universes.items():
         if len(u.graph.vertices) <= 8:
-            assert list(oracles.clock_choices(u, fkt.clock_graph(u, cap=None))) == choice_oracle(u), name
+            assert list(oracles.clock_choices(u, oracles.out_list(u))) == choice_oracle(u), name
 
 
 @given(plane_bipartite_maps(max_edges=8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_random_medial_state_codes_match_choice_oracle(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    assert list(oracles.clock_choices(u, fkt.clock_graph(u, cap=None))) == choice_oracle(u)
+    assert list(oracles.clock_choices(u, oracles.out_list(u))) == choice_oracle(u)
 
 
 def test_pruned_search_matches_plain_search_on_ladder7():
     doc = generate_corpus("ladder", 7)
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    choices = oracles.clock_choices(u, fkt.clock_graph(u, cap=None))
+    choices = oracles.clock_choices(u, oracles.out_list(u))
     assert len(choices) == trees.spanning_tree_count(pg.parse_graph(doc))
     assert list(choices) == plain_search_choices(u)
+
+
+def expanded(blocks):
+    """The search's blocks as one ``(code, moves)`` pair per state, codes rising."""
+    return [(head | low, moves + tail) for head, moves, leaves in blocks for low, tail in leaves]
 
 
 def unmemoized_search(universe):
@@ -305,7 +311,7 @@ def test_memoized_search_matches_the_full_search_on_ladder7():
     assert u.cut == unguarded_cut(u)
     m, faces, reads = u.cut
     assert m == 11 and len(faces) + 2 * len(reads) < 2 * m
-    assert list(fkt._search(u, None)) == list(unmemoized_search(u))
+    assert expanded(fkt._search(u, None)) == list(unmemoized_search(u))
 
 
 @pytest.mark.parametrize(
@@ -318,7 +324,7 @@ def test_forced_memo_matches_the_full_search(family, size, seed):
     medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
     u = fkt.parse_universe(medial if seed is None else shuffled_crossings(medial, seed))
     u.__dict__["cut"] = unguarded_cut(u)  # the cached property's slot
-    assert list(fkt._search(u, None)) == list(unmemoized_search(u))
+    assert expanded(fkt._search(u, None)) == list(unmemoized_search(u))
 
 
 def test_search_without_a_cut_matches_the_full_search_on_shuffled_ladder5():
@@ -327,7 +333,7 @@ def test_search_without_a_cut_matches_the_full_search_on_shuffled_ladder5():
     u = fkt.parse_universe(shuffled_crossings(medial, 5))
     m, faces, reads = unguarded_cut(u)
     assert len(faces) + 2 * len(reads) >= 2 * m and u.cut is None
-    found = list(fkt._search(u, None))
+    found = expanded(fkt._search(u, None))
     assert len(found) == trees.spanning_tree_count(pg.parse_graph(doc))
     assert found == list(unmemoized_search(u))
 
@@ -336,7 +342,7 @@ def test_search_without_a_cut_matches_the_full_search_on_shuffled_ladder5():
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_random_medial_searches_match_the_full_search(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    assert list(fkt._search(u, None)) == list(unmemoized_search(u))
+    assert expanded(fkt._search(u, None)) == list(unmemoized_search(u))
 
 
 def test_state_search_needs_no_recursion():
@@ -451,7 +457,7 @@ def all_pairs_arcs(universe):
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_clock_arcs_match_all_pairs_scan(oracle_universes, name):
     u = oracle_universes[name]
-    arcs = oracles.clock_arcs(fkt.clock_graph(u, cap=None))
+    arcs = oracles.clock_arcs(oracles.out_list(u))
     assert arcs or name == "curl"
     assert list(arcs) == all_pairs_arcs(u)
 
@@ -460,7 +466,7 @@ def test_clock_arcs_match_all_pairs_scan(oracle_universes, name):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_random_medial_clock_graphs(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    clock = fkt.clock_graph(u, cap=None)
+    clock = oracles.out_list(u)
     report = oracles.clock_report(clock)
     # Kauffman's state-tree bijection, counted by the matrix-tree theorem
     assert report["states"] == trees.spanning_tree_count(pg.parse_graph(doc))
@@ -512,7 +518,7 @@ def check_clock_lattice(outs):
 
 def test_clock_graphs_are_distributive_lattices(oracle_universes):
     for name, u in oracle_universes.items():
-        clock = fkt.clock_graph(u, cap=None)
+        clock = oracles.out_list(u)
         assert oracles.clock_report(clock)["states"] <= 300, name
         check_clock_lattice(oracles.clock_outs(clock))
 
@@ -521,7 +527,7 @@ def test_clock_graphs_are_distributive_lattices(oracle_universes):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_random_medial_clock_graphs_are_distributive_lattices(doc):
     u = fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
-    clock = fkt.clock_graph(u, cap=None)
+    clock = oracles.out_list(u)
     assume(oracles.clock_report(clock)["states"] <= 300)
     check_clock_lattice(oracles.clock_outs(clock))
 
@@ -549,14 +555,15 @@ def test_clock_graph_builds_states_only_when_read(medial_universes, monkeypatch)
     decoded = []
     real = fkt.markers
     monkeypatch.setattr(fkt, "markers", lambda universe, code: decoded.append(code) or real(universe, code))
-    codes, _ends, _targets = fkt.clock_graph(u, cap=None)
+    assert fkt.clock_graph(u, cap=None)["ok"]
+    codes, _ends, _targets = oracles.out_list(u)
     assert decoded == []
     assert codes == fkt.enumerate_states(u, cap=None)
 
 
 @pytest.mark.parametrize("name", ["curl", "hopf", "figure_eight"])
 def test_clock_graph_structure(universes, name):
-    report = oracles.clock_report(fkt.clock_graph(universes[name]))
+    report = fkt.clock_graph(universes[name])
     assert report["ok"]
     assert report["weakly_connected"]
     assert report["acyclic"]
@@ -565,7 +572,7 @@ def test_clock_graph_structure(universes, name):
 
 
 def test_clock_graph_hopf_shape(universes):
-    report = oracles.clock_report(fkt.clock_graph(universes["hopf"]))
+    report = fkt.clock_graph(universes["hopf"])
     assert report["states"] == 2
     assert report["arcs"] == 1
 
@@ -674,19 +681,20 @@ def test_clock_report_matches_in_list_report_on_random_digraphs(outs):
 def per_state_out_lists(universe):
     """The clock graph's sorted out-lists, built state by state as before
     the flat out-list: one dict lookup per move, one sort per state."""
-    found = list(fkt._search(universe, None))
+    found = expanded(fkt._search(universe, None))
     index = {c: i for i, (c, _deltas) in enumerate(found)}
     return [sorted(index[c + d] for d in deltas) for c, deltas in found]
 
 
 def check_flat_clock_graph(universe):
-    clock = fkt.clock_graph(universe, cap=None)
+    clock = oracles.out_list(universe)
     outs = per_state_out_lists(universe)
     _codes, ends, targets = clock
     assert ends[0] == 0 and ends[-1] == len(targets) and len(ends) == len(outs) + 1
     assert [sorted(targets[a:b]) for a, b in zip(ends, ends[1:])] == outs
     assert list(map(list, oracles.clock_outs(clock))) == outs
     assert fkt.clock_report(ends, targets) == in_list_clock_report(outs)
+    assert fkt.clock_graph(universe, cap=None) == in_list_clock_report(outs)
 
 
 # the medial universes of tests/test_golden.py
@@ -717,6 +725,147 @@ def test_flat_out_list_matches_per_state_out_lists_on_shuffled_ladder5():
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_random_medial_flat_out_lists_match_per_state_out_lists(doc):
     check_flat_clock_graph(fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0])))
+
+
+# universes on which the block report is compared with the in-list report
+BLOCK_SPECS = {
+    **{f"medial_ladder{k}": ("ladder", k) for k in range(4, 8)},
+    "medial_grid2": ("grid", 2),
+    "medial_grid3": ("grid", 3),
+}
+
+
+@functools.cache
+def block_universe(name):
+    """A built-in universe, or the medial universe of a corpus graph starred at its first edge."""
+    if name in fkt.BUILTIN_UNIVERSES:
+        return fkt.parse_universe(fkt.BUILTIN_UNIVERSES[name]())
+    doc = generate_corpus(*BLOCK_SPECS[name])
+    return fkt.parse_universe(medial_universe_document(doc, doc["edges"][0]["darts"][0]))
+
+
+def spy_on_out_list(monkeypatch):
+    """The universes ``fkt.out_list`` is called on from now on, in call order."""
+    built, real = [], fkt.out_list
+    monkeypatch.setattr(fkt, "out_list", lambda universe, blocks: built.append(universe) or real(universe, blocks))
+    return built
+
+
+@pytest.mark.parametrize("name", [*fkt.BUILTIN_UNIVERSES, *BLOCK_SPECS])
+def test_block_report_matches_the_in_list_report(name):
+    u = block_universe(name)
+    assert fkt.clock_graph(u, cap=None) == in_list_clock_report(per_state_out_lists(u))
+
+
+@pytest.mark.parametrize("name", [name for name in BLOCK_SPECS if name != "medial_grid2"])
+def test_a_valid_universe_with_a_cut_never_builds_the_flat_out_list(name, monkeypatch):
+    u = block_universe(name)
+    assert u.cut is not None
+    built = spy_on_out_list(monkeypatch)
+    assert fkt.clock_graph(u, cap=None)["ok"]
+    assert built == []
+
+
+def test_a_move_reversed_between_blocks_gives_the_flat_report(monkeypatch):
+    u = block_universe("medial_ladder4")
+    assert u.cut is not None
+    found = list(fkt._search(u, None))
+    leaves_at = {head: leaves for head, _moves, leaves in found}
+    # a prefix move into a block of the same key also runs back: two-cycles between two blocks
+    head, d = next((h, d) for h, moves, leaves in found for d in moves if leaves_at.get(h + d) is leaves)
+    faulty = [(h, moves + (-d,) if h == head + d else moves, leaves) for h, moves, leaves in found]
+    monkeypatch.setattr(fkt, "_search", lambda universe, cap: iter(faulty))
+    built = spy_on_out_list(monkeypatch)
+    report = fkt.clock_graph(u, cap=None)
+    assert built == [u]
+    _codes, ends, targets = oracles.out_list(u)
+    assert report == fkt.clock_report(ends, targets) == in_list_clock_report(per_state_out_lists(u))
+    assert report["acyclic"] is False and report["ok"] is False
+
+
+def test_blocks_in_a_cycle_fall_back_to_the_flat_report(monkeypatch):
+    # the memo forced on where the guard declines: the theta-5 medial with its
+    # crossings shuffled has an acyclic clock graph but a cycle of blocks
+    doc = generate_corpus("theta", 5)
+    u = fkt.parse_universe(shuffled_crossings(medial_universe_document(doc, doc["edges"][0]["darts"][0]), 4))
+    assert u.cut is None
+    u.__dict__["cut"] = unguarded_cut(u)  # the cached property's slot
+    built = spy_on_out_list(monkeypatch)
+    report = fkt.clock_graph(u, cap=None)
+    assert built == [u]
+    assert report == in_list_clock_report(per_state_out_lists(u))
+    assert report["ok"]
+
+
+def faulty_blocks(found, kind, pick):
+    """The search's blocks with one fault, in the block that ``pick`` picks
+    among those it can change: the block dropped (kind 0) or listed twice
+    (kind 1), its first prefix move also run back from its target (kind 2),
+    the first move below the cut of its leaves also run back from its
+    target (kind 3), or a leaf that ``pick`` picks dropped from (kind 4) or
+    listed twice in (kind 5) every block of its key."""
+    changeable = [b for b in found if (b[1] if kind == 2 else any(t for _c, t in b[2]) if kind == 3 else True)]
+    if not changeable:
+        return found
+    j = pick % len(changeable)
+    head, moves, leaves = changeable[j]
+    if kind == 0:
+        return found[:j] + found[j + 1:]
+    if kind == 1:
+        return found[:j + 1] + found[j:]
+    if kind == 2:
+        d = moves[0]
+        return [(h, m + (-d,) if h == head + d else m, own) for h, m, own in found]
+    if kind >= 4:
+        i = pick // len(changeable) % len(leaves)
+        changed = leaves[:i] + leaves[i + 1:] if kind == 4 else leaves[:i + 1] + leaves[i:]
+        return [(h, m, changed if own is leaves else own) for h, m, own in found]
+    low, tail = next((c, t) for c, t in leaves if t)
+    # the target leaf, in whichever block holds it, gains the reversed move;
+    # its leaves list is shared, so every block of its key changes
+    target = head + low + tail[0]
+    rebuilt = {}  # id of a leaves list -> its copy with the reversed move
+    for h, _m, own in found:
+        for c, _t in own:
+            if h + c == target:
+                rebuilt[id(own)] = [(c2, t2 + (-tail[0],) if c2 == c else t2) for c2, t2 in own]
+    return [(h, m, rebuilt.get(id(own), own)) for h, m, own in found]
+
+
+@given(plane_bipartite_maps(max_edges=9), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_block_report_equals_the_flat_report_on_faulty_searches(doc, pick):
+    # whatever the fault, the block report is the flat report, or both raise the same miss
+    medial = medial_universe_document(doc, doc["edges"][0]["darts"][0])
+    u = fkt.parse_universe(medial)
+    u.__dict__["cut"] = unguarded_cut(u)  # the cached property's slot
+    found = list(fkt._search(u, None))
+    faulty = faulty_blocks(found, pick % 6, pick // 6)
+    assume(faulty != found)
+    patch = pytest.MonkeyPatch()
+    patch.setattr(fkt, "_search", lambda universe, cap: iter(faulty))
+
+    def outcome(report):
+        try:
+            return report()
+        except fkt.MoveLeavesStates as miss:
+            return str(miss)
+
+    try:
+        flat = outcome(lambda: fkt.clock_report(*oracles.out_list(u)[1:]))
+        assert outcome(lambda: fkt.clock_graph(u, cap=None)) == flat
+    finally:
+        patch.undo()
+
+
+@pytest.mark.parametrize(
+    "name,blocks,keys,leaves", [("medial_ladder7", 153, 16, 1142), ("medial_grid3", 1546, 606, 43356)]
+)
+def test_search_work_counts(name, blocks, keys, leaves):
+    # blocks yielded, distinct memo keys among them, and leaves walked below the cut
+    found = list(fkt._search(block_universe(name), None))
+    shared = {id(own): own for _head, _moves, own in found}
+    assert (len(found), len(shared), sum(map(len, shared.values()))) == (blocks, keys, leaves)
 
 
 def test_universe_dual_hopf_is_four_cycle(universes, graphs):
