@@ -5,21 +5,17 @@ edge incidence, numbered in face-trace order. The boundary arc between
 consecutive points runs past the vertex separating the two edges; arcs at
 violet vertices are positive, arcs at emerald vertices negative (the discs
 are oriented by the projection plane, so flipping this convention negates
-every Euler class). A configuration chooses one diagram per face; it is
-tight exactly when joining the two points of every edge glues all chords
-into a single closed curve.
+every Euler class). A diagram is its partner tuple: point p is joined to
+point ``partner[p]``. A configuration chooses one diagram per face, and is
+the tuple of their partner tuples in ``trinity.red`` order; it is tight
+exactly when joining the two points of every edge glues all chords into a
+single closed curve.
 """
 
 from __future__ import annotations
 
-import itertools
-
+from . import trees
 from .limits import DEFAULT_CAP, InputError, ModelFailure, check_cap
-from .trees import components
-
-
-class SizeMismatch(InputError):
-    """Diagram size does not match the face's half-length."""
 
 
 class NotSpanning(ModelFailure):
@@ -38,62 +34,6 @@ class NoHugBack(ModelFailure):
     """A tree-hugging witness hugs another configuration (model bug)."""
 
 
-class ChordDiagram:
-    """Non-crossing perfect matching of 2n cyclically ordered points."""
-
-    __slots__ = ("partner",)
-
-    def __init__(self, partner: tuple[int, ...]):
-        self.partner = p = partner
-        m = len(p)
-        if m % 2 or m == 0:
-            raise InputError("need an even, positive number of points")
-        # non-crossing iff each closing point closes the innermost open chord
-        opened = []
-        nested = True
-        for i, j in enumerate(p):
-            if not 0 <= j < m or j == i or p[j] != i:
-                raise InputError("partner array is not a perfect matching")
-            if j > i:
-                opened.append(i)
-            elif nested:
-                nested = opened.pop() == j
-        if not nested:
-            (a, b), (c, d) = first_crossing(self.pairs())
-            raise InputError(f"chords ({a},{b}) and ({c},{d}) cross")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.partner == other.partner
-
-    def __hash__(self):
-        return hash((self.partner,))
-
-    @property
-    def n(self):
-        return len(self.partner) // 2
-
-    def pairs(self):
-        return tuple((i, j) for i, j in enumerate(self.partner) if i < j)
-
-    @classmethod
-    def from_pairs(cls, n, pairs):
-        partner = [-1] * (2 * n)
-        for a, b in pairs:
-            partner[a] = b
-            partner[b] = a
-        return cls(tuple(partner))
-
-
-def first_crossing(pairs):
-    """The first two chords, in input order, whose ends interleave; None if none do."""
-    for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        if a < c < b < d or c < a < d < b:
-            return (a, b), (c, d)
-    return None
-
-
 def catalan(n):
     c = 1
     for i in range(n):
@@ -102,11 +42,11 @@ def catalan(n):
 
 
 def enumerate_chord_diagrams(n, cap=DEFAULT_CAP):
-    """All Catalan(n) non-crossing perfect matchings of 2n points, sorted."""
+    """All Catalan(n) non-crossing perfect matchings of 2n points, as sorted partner tuples."""
     if n < 1:
         raise InputError("need n >= 1")
     check_cap(catalan(n), cap, "chord diagram enumeration")
-    return tuple(map(ChordDiagram, chord_trie(n)[1]))
+    return chord_trie(n)[1]
 
 
 def chord_trie(n):
@@ -166,35 +106,6 @@ def chord_trie(n):
 # -- configurations --------------------------------------------------------------
 
 
-class Configuration:
-    """One chord diagram per face disc; equal configurations have equal entries."""
-
-    __slots__ = ("trinity", "entries")
-
-    def __init__(self, trinity, entries: tuple):
-        self.trinity = trinity
-        self.entries = entries
-        for fid, diagram in entries:
-            if diagram.n != trinity.n_r[fid]:
-                raise SizeMismatch(
-                    f"face {fid}: diagram size {diagram.n} != n_r {trinity.n_r[fid]}"
-                )
-        if tuple(sorted(f for f, _ in entries)) != tuple(sorted(trinity.red)):
-            raise InputError("configuration must cover every face exactly once")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries,))
-
-    @classmethod
-    def from_diagrams(cls, trinity, diagrams):
-        return cls(trinity, tuple(sorted(diagrams.items())))
-
-
 class TightVerdict:
     __slots__ = ("tight", "loops")
 
@@ -203,13 +114,12 @@ class TightVerdict:
         self.loops = loops
 
 
-def loop_count(config):
+def loop_count(trinity, partners):
     """Closed curves obtained by gluing chord endpoints across graph edges."""
-    trinity = config.trinity
     chord = [0] * len(trinity.glue)
-    for fid, diagram in config.entries:
+    for fid, partner in zip(trinity.red, partners):
         lo = trinity.offset[fid]
-        chord[lo:lo + len(diagram.partner)] = [lo + j for j in diagram.partner]
+        chord[lo:lo + len(partner)] = [lo + j for j in partner]
     return glued_loops(chord, trinity.glue)
 
 
@@ -243,8 +153,8 @@ def glued_loops(chord, glue):
     return loops
 
 
-def is_tight(config):
-    loops = loop_count(config)
+def is_tight(trinity, partners):
+    loops = loop_count(trinity, partners)
     return TightVerdict(loops == 1, loops)
 
 
@@ -260,13 +170,6 @@ def euler_and_hug(regions):
         if sign < 0 and len(arcs) > 1:
             spread += 1
     return euler, spread <= 1
-
-
-def disc_regions(trinity, face, diagram):
-    """Each complementary region's sign and arcs, root region last."""
-    if diagram.n != trinity.n_r[face]:
-        raise SizeMismatch(f"diagram size {diagram.n} != n_r {trinity.n_r[face]}")
-    return regions(face, diagram.partner, trinity.signs[face])
 
 
 def regions(face, partner, sign):
@@ -298,10 +201,10 @@ def regions(face, partner, sign):
     return out
 
 
-def euler_vector(config):
+def euler_vector(trinity, partners):
     return {
-        fid: euler_and_hug(disc_regions(config.trinity, fid, diagram))[0]
-        for fid, diagram in config.entries
+        fid: euler_and_hug(regions(fid, partner, trinity.signs[fid]))[0]
+        for fid, partner in zip(trinity.red, partners)
     }
 
 
@@ -317,30 +220,33 @@ def tree_hugging(trinity, tree):
     bounds the central negative region.
     """
     tree = set(tree)
-    _require_spanning(trinity.graph_index("violet"), tree)
-    diagrams = {}
+    index = trinity.graph_index("violet")
+    if not tree <= set(range(len(index.edge_ids))):
+        raise NotSpanning("edges outside the host graph")
+    require_spanning(index, tree)
+    partners = []
     for fid in trinity.red:
         chart = trinity.charts[fid]
         m = len(chart)
+        partner = [-1] * m
         in_tree = []
-        pairs = []
         for arc, corner in enumerate(chart):
             if corner < 0:
                 continue
             if corner in tree:
                 in_tree.append(arc)
             else:
-                pairs.append((arc, (arc + 1) % m))
+                partner[arc], partner[(arc + 1) % m] = (arc + 1) % m, arc
         if not in_tree:
             raise NotSpanning(f"tree misses face {fid}")
         for k, arc in enumerate(in_tree):
-            nxt = in_tree[(k + 1) % len(in_tree)]
-            pairs.append(((arc + 1) % m, nxt))
-        diagrams[fid] = ChordDiagram.from_pairs(m // 2, pairs)
-    return Configuration.from_diagrams(trinity, diagrams)
+            a, b = (arc + 1) % m, in_tree[(k + 1) % len(in_tree)]
+            partner[a], partner[b] = b, a
+        partners.append(tuple(partner))
+    return tuple(partners)
 
 
-def is_tree_hugging(config):
+def is_tree_hugging(trinity, partners):
     """Tree-hugging test with witness reconstruction.
 
     A tight configuration hugs a tree iff every disc has at most one
@@ -349,30 +255,28 @@ def is_tree_hugging(config):
     region of each disc and verified by reconstructing the configuration
     it hugs.
     """
-    trinity = config.trinity
-    if not is_tight(config).tight:
+    if not is_tight(trinity, partners).tight:
         raise NotTight("configuration is not tight")
     edges = set()
-    for fid, diagram in config.entries:
-        found = disc_regions(trinity, fid, diagram)
+    for fid, partner in zip(trinity.red, partners):
+        found = regions(fid, partner, trinity.signs[fid])
         if not euler_and_hug(found)[1]:
             return False, None
         negatives = (arcs for sign, arcs in found if sign < 0)
         central = max(negatives, key=lambda arcs: (len(arcs), -arcs[0]))
         edges.update(map(trinity.charts[fid].__getitem__, central))
     tree = tuple(sorted(edges))
-    if tree_hugging(trinity, tree) != config:
+    if tree_hugging(trinity, tree) != tuple(partners):
         ids = trinity.graph_index("violet").edge_ids
         raise NoHugBack(f"witness {[ids[e] for e in tree]} hugs another configuration")
     return True, tree
 
 
-def _require_spanning(index, edges):
-    """Raise ``NotSpanning`` unless this set of edge positions spans the ``trees.GraphIndex``."""
-    if not edges <= set(range(len(index.edge_ids))):
-        raise NotSpanning("edges outside the host graph")
+def require_spanning(index, edges):
+    """Raise ``NotSpanning`` unless this set of edge positions, all in the
+    ``trees.GraphIndex``, spans it as a tree."""
     if len(edges) != len(index.vertex_ids) - 1:
         raise NotSpanning("wrong edge count for a spanning tree")
     # with |V| - 1 edges, a cycle is the same as a second component
-    if len(set(components(index, edges))) != 1:
+    if len(set(trees.components(index, edges))) != 1:
         raise NotSpanning("edge set contains a cycle")

@@ -14,8 +14,7 @@ from array import array
 from functools import cached_property
 from operator import and_, getitem, itemgetter, mul, ne, sub
 
-from . import dividing, trees
-from .dividing import ChordDiagram, Configuration
+from . import dividing
 from .limits import ModelFailure, check_cap
 
 
@@ -58,9 +57,9 @@ class ConfigurationGraph:
     ``enumerate_chord_diagrams`` order. ``disc_euler`` holds, face by face,
     the Euler contribution of each diagram index some vertex uses.
     ``codes`` holds each vertex's mixed-radix code, with radices the faces'
-    diagram counts, as the walk gave it. ``vertex(i)`` builds its
-    ``Configuration`` and ``ChordDiagram``s when read; building the graph
-    and ``vertex_json`` make none.
+    diagram counts, as the walk gave it. ``vertex(i)`` is vertex i's
+    configuration in the form the ``dividing`` functions take, its faces'
+    partner tuples; ``vertices`` lists them all, built when first read.
     """
 
     def __init__(
@@ -87,8 +86,7 @@ class ConfigurationGraph:
         return len(self.components)
 
     def vertex(self, i):
-        diagrams = map(ChordDiagram, map(getitem, self.diagrams, self.choices[i]))
-        return Configuration(self.trinity, tuple(zip(self.trinity.red, diagrams)))
+        return tuple(map(getitem, self.diagrams, self.choices[i]))
 
     @cached_property
     def vertices(self):
@@ -479,11 +477,7 @@ def _hugged_tree(graph, regions, i):
         negatives = (arcs for sign, arcs in found if sign < 0)
         central = max(negatives, key=lambda arcs: (len(arcs), -arcs[0]))
         witness.update(map(corner.__getitem__, central))
-    if len(witness) != len(index.vertex_ids) - 1:
-        raise dividing.NotSpanning("wrong edge count for a spanning tree")
-    # with |V| - 1 edges, a cycle is the same as a second component
-    if len(set(trees.components(index, witness))) != 1:
-        raise dividing.NotSpanning("edge set contains a cycle")
+    dividing.require_spanning(index, witness)
     for corner, partners, k in zip(charts, graph.diagrams, choice):
         if _hugging_partner(corner, witness) != partners[k]:
             edges = sorted(map(index.edge_ids.__getitem__, witness))

@@ -5,10 +5,14 @@ Bypass moves on chord diagrams, the valence-concentration walk to a
 tree-hugging configuration, the splitting of a universe state into its
 loop, one-edge exchanges between spanning trees, and the hypertree of one
 spanning tree read off its degrees. Each is written from the statement,
-not from the package's fast paths. The views read the flat out-list
-``(codes, ends, targets)`` of ``fkt.out_list``, the package's one builder
-of it, as states, choices, sorted out-lists, arcs and the structure
-report, and read one face's diagram off a configuration.
+not from the package's fast paths. A chord diagram is its partner tuple
+and a configuration the tuple of its faces' partner tuples, in
+``trinity.red`` order, as the package holds them; ``chords``,
+``partner_of``, ``first_crossing`` and ``is_non_crossing_matching`` read
+and write them as chord pairs and check them. The views read the flat
+out-list ``(codes, ends, targets)`` of ``fkt.out_list``, the package's one
+builder of it, as states, choices, sorted out-lists, arcs and the
+structure report.
 """
 
 import itertools
@@ -33,6 +37,38 @@ def partition(n, pairs):
     return tuple(number.setdefault(find(x), len(number)) for x in range(n))
 
 
+# -- chord diagrams as chord pairs ----------------------------------------------
+
+
+def chords(partner):
+    """A diagram's chords ``(i, j)``, i < j, in order of i."""
+    return tuple((i, j) for i, j in enumerate(partner) if i < j)
+
+
+def partner_of(pairs):
+    """The partner tuple of the perfect matching with these chords."""
+    partner = [-1] * (2 * len(pairs))
+    for a, b in pairs:
+        partner[a] = b
+        partner[b] = a
+    return tuple(partner)
+
+
+def first_crossing(pairs):
+    """The first two chords, in input order, whose ends interleave; None if none do."""
+    for (a, b), (c, d) in itertools.combinations(pairs, 2):
+        if a < c < b < d or c < a < d < b:
+            return (a, b), (c, d)
+    return None
+
+
+def is_non_crossing_matching(partner):
+    """Whether a partner tuple pairs its 2n points, n >= 1, by chords that do not cross."""
+    m = len(partner)
+    paired = all(0 <= j < m and j != i and partner[j] == i for i, j in enumerate(partner))
+    return m > 0 and paired and first_crossing(chords(partner)) is None
+
+
 # -- bypass moves -------------------------------------------------------------
 
 # The three matchings of six points closed under the one-step rotation
@@ -45,11 +81,11 @@ ROTATION_PATTERNS = (
 )
 
 
-def bypass_moves(diagram):
+def bypass_moves(partner):
     """Diagrams one bypass move away: three chords whose middle one
     separates the other two, re-matched by turning their six endpoints one
     step either way around the hexagon."""
-    pairs = diagram.pairs()
+    pairs = chords(partner)
     targets = set()
     for triple in itertools.combinations(pairs, 3):
         points = sorted(p for pair in triple for p in pair)
@@ -63,56 +99,49 @@ def bypass_moves(diagram):
             # the induced matching turned by one step: point i goes to i + step
             turned = [(induced[(i - step) % 6] + step) % 6 for i in range(6)]
             new_pairs = rest + [(points[i], points[j]) for i, j in enumerate(turned) if i < j]
-            if dv.first_crossing(new_pairs) is None:
-                targets.add(dv.ChordDiagram.from_pairs(diagram.n, new_pairs))
+            if first_crossing(new_pairs) is None:
+                targets.add(partner_of(new_pairs))
     return targets
 
 
-def config_bypass_moves(config):
+def config_bypass_moves(partners):
     """Configurations one bypass move away, on one face disc."""
-    diagrams = dict(config.entries)
     return [
-        dv.Configuration.from_diagrams(config.trinity, {**diagrams, fid: target})
-        for fid, diagram in config.entries
-        for target in bypass_moves(diagram)
+        (*partners[:k], target, *partners[k + 1:])
+        for k, partner in enumerate(partners)
+        for target in bypass_moves(partner)
     ]
-
-
-def diagram(config, face):
-    """The chord diagram a configuration places on one face disc."""
-    return dict(config.entries)[face]
 
 
 # -- valence concentration ------------------------------------------------------
 
 
-def _max_negative_valence(trinity, fid, diagram):
-    return max(len(arcs) for sign, arcs in dv.disc_regions(trinity, fid, diagram) if sign < 0)
+def _max_negative_valence(trinity, fid, partner):
+    return max(len(arcs) for sign, arcs in dv.regions(fid, partner, trinity.signs[fid]) if sign < 0)
 
 
-def valence_concentration_path(config):
+def valence_concentration_path(trinity, partners):
     """Walk to a tree-hugging configuration through tight neighbours.
 
     Face by face, while a disc does not hug, replace its diagram with the
     first tight alternative of strictly larger maximum negative valence.
     Valence sums bound the walk, so it stops.
     """
-    trinity = config.trinity
-    assert dv.is_tight(config).tight, "valence concentration starts from a tight configuration"
-    path = [config]
-    for fid in trinity.red:
-        while not dv.euler_and_hug(dv.disc_regions(trinity, fid, diagram(path[-1], fid)))[1]:
-            diagrams = dict(path[-1].entries)
-            top = _max_negative_valence(trinity, fid, diagrams[fid])
+    assert dv.is_tight(trinity, partners).tight, "valence concentration starts from a tight configuration"
+    path = [partners]
+    for k, fid in enumerate(trinity.red):
+        while not dv.euler_and_hug(dv.regions(fid, path[-1][k], trinity.signs[fid]))[1]:
+            current = path[-1]
+            top = _max_negative_valence(trinity, fid, current[k])
             candidates = (
-                dv.Configuration.from_diagrams(trinity, {**diagrams, fid: alt})
+                (*current[:k], alt, *current[k + 1:])
                 for alt in dv.enumerate_chord_diagrams(trinity.n_r[fid])
                 if _max_negative_valence(trinity, fid, alt) > top
             )
-            step = next((c for c in candidates if dv.is_tight(c).tight), None)
+            step = next((c for c in candidates if dv.is_tight(trinity, c).tight), None)
             assert step is not None, f"no valence-increasing tight move on face {fid}"
             path.append(step)
-    assert dv.is_tree_hugging(path[-1])[0], "concentration ended on a configuration that hugs no tree"
+    assert dv.is_tree_hugging(trinity, path[-1])[0], "concentration ended on a configuration that hugs no tree"
     return path
 
 

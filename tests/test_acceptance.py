@@ -156,8 +156,8 @@ def test_criterion_9_tree_hugging_reachability(trinities, config_graphs):
     for name, t in trinities.items():
         budget = 1 + sum(t.n_r.values())
         for v in config_graphs[name].vertices:
-            path = oracles.valence_concentration_path(v)
-            hugging, _ = dv.is_tree_hugging(path[-1])
+            path = oracles.valence_concentration_path(t, v)
+            hugging, _ = dv.is_tree_hugging(t, path[-1])
             ok = ok and hugging and len(path) <= budget
     report(9, ok, "valence concentration reaches tree-hugging from every tight configuration")
 
@@ -169,9 +169,9 @@ def test_criterion_10_bypass_soundness(trinities, config_graphs):
             if t.n_r[fid] > 4:
                 continue
             for d in dv.enumerate_chord_diagrams(t.n_r[fid]):
-                e0 = dv.euler_and_hug(dv.disc_regions(t, fid, d))[0]
+                e0 = dv.euler_and_hug(dv.regions(fid, d, t.signs[fid]))[0]
                 for d2 in oracles.bypass_moves(d):
-                    ok = ok and dv.euler_and_hug(dv.disc_regions(t, fid, d2))[0] == e0
+                    ok = ok and dv.euler_and_hug(dv.regions(fid, d2, t.signs[fid]))[0] == e0
         cg = config_graphs[name]
         index = {v: i for i, v in enumerate(cg.vertices)}
         for v in cg.vertices:

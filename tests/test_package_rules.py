@@ -1,6 +1,7 @@
 """The package's source rules over one parse of it: each maps ``{module: parsed module}`` to its
 violations, and must find none in the package and the one in ``seed``, a module added to break it.
-One more rule ties the public names kept for perfbench to a parse of its tracer and selftest."""
+Two more rules read a parse of perfbench's tracer and selftest: one ties the public names kept for
+perfbench to them, and one checks that every name the tracer wraps is defined in the package."""
 
 import ast
 import builtins
@@ -31,20 +32,20 @@ def no_generated_records(modules):
     return [f"{m}: says dataclass" for m, tree in modules.items() if "dataclass" in ast.unparse(tree)]
 
 
+def bound_names(body):
+    """The names that these statements bind: definitions and assignment targets."""
+    assigned = [t for s in body if isinstance(s, ast.Assign) for t in s.targets]
+    return {getattr(s, "name", None) or getattr(s, "id", None) for s in body + assigned} - {None}
+
+
 def value_records(modules):
-    """Only the value records define ``__eq__`` or ``__hash__``, and each of them defines both."""
-    # compared by value: the tree-hugging oracle compares configurations
-    allowed = {"dividing.ChordDiagram", "dividing.Configuration"}
-    methods, found = {"__eq__", "__hash__"}, []
-    classes = [(f"{m}.{cls.name}", cls) for m, cls in walk(modules, ast.ClassDef)]
-    for name, cls in classes:
-        assigned = [t for s in cls.body if isinstance(s, ast.Assign) for t in s.targets]  # such as __hash__ = None
-        defined = methods & {getattr(s, "name", None) or getattr(s, "id", None) for s in cls.body + assigned}
-        if name in allowed and defined != methods:
-            found.append(f"{name}: compared by value but lacks {', '.join(sorted(methods - defined))}")
-        elif name not in allowed and defined:
-            found.append(f"{name}: defines {', '.join(sorted(defined))}")
-    return found + [f"{name}: allowed, but not defined" for name in sorted(allowed - {n for n, _c in classes})]
+    """No package class defines ``__eq__`` or ``__hash__``: every record compares by identity."""
+    methods = {"__eq__", "__hash__"}  # an assignment counts too, such as __hash__ = None
+    return [
+        f"{m}.{cls.name}: defines {', '.join(sorted(methods & bound_names(cls.body)))}"
+        for m, cls in walk(modules, ast.ClassDef)
+        if methods & bound_names(cls.body)
+    ]
 
 
 def no_recursion(modules):
@@ -134,10 +135,15 @@ def stdlib_only(modules):
     return found
 
 
+def traced_names(tracer):
+    """The ``module.attribute`` names of the tracer's ``TARGETS`` entries, in order."""
+    (targets,) = [s.value for s in tracer.body if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "TARGETS"]
+    return [f"{target.elts[0].value}.{target.elts[1].value}" for target in targets.elts]
+
+
 def kept_for_perfbench(perfbench):
     """Each public name allowed for perfbench is one its tracer still traces or its selftest still reads."""
-    (targets,) = [s.value for s in perfbench["tracer"].body if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "TARGETS"]
-    traced = {f"{target.elts[0].value}.{target.elts[1].value}" for target in targets.elts}
+    traced = set(traced_names(perfbench["tracer"]))
     read = {node.attr for node in ast.walk(perfbench["selftest"]) if isinstance(node, ast.Attribute)}
     found = []
     for name, reason in sorted(ALLOWED.items()):
@@ -146,6 +152,19 @@ def kept_for_perfbench(perfbench):
         elif reason.startswith(SELFTEST) and name.split(".")[1] not in read:
             found.append(f"{name}: allowed for perfbench's selftest, but the selftest no longer reads it")
     return found
+
+
+def traced_names_defined(tracer, modules):
+    """Each name the tracer wraps, every ``TARGETS`` entry and each ``cli`` attribute it reads (the
+    stage timers wrap ``cli.run_verification``), is a module-level definition of the package or a
+    member of one of its module-level classes."""
+    defined = set()
+    for m, tree in modules.items():
+        defined |= {f"{m}.{name}" for name in bound_names(tree.body)}
+        classes = [stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)]
+        defined |= {f"{m}.{cls.name}.{name}" for cls in classes for name in bound_names(cls.body)}
+    read = [f"cli.{node.attr}" for node in ast.walk(tracer) if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cli"]
+    return [f"{name}: the tracer wraps it, but the package does not define it" for name in traced_names(tracer) + read if name not in defined]
 
 
 SEEDS = {
@@ -173,6 +192,20 @@ def test_the_rule_finds_its_seeded_violation(rule):
 
 def test_perfbench_reads_every_name_kept_for_it():
     assert kept_for_perfbench(PERFBENCH) == []
+
+
+def test_every_name_the_tracer_wraps_is_defined():
+    assert traced_names_defined(PERFBENCH["tracer"], PACKAGE) == []
+
+
+def test_the_tracer_rule_finds_its_seeded_violation():
+    # a removed class, a kept property and a renamed cli entry point
+    tracer = ast.parse(
+        'TARGETS = (("dividing", "ChordDiagram", FUNCTION, None), ("trinity", "Trinity.violet_graph", PROPERTY, None))\n'
+        "cli.run_checks"
+    )
+    missing = "the tracer wraps it, but the package does not define it"
+    assert traced_names_defined(tracer, PACKAGE) == [f"dividing.ChordDiagram: {missing}", f"cli.run_checks: {missing}"]
 
 
 def test_the_perfbench_rule_finds_its_seeded_violation():

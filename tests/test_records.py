@@ -2,11 +2,9 @@
 
 Each record is a plain class with a hand-written ``__init__``; these tests
 pin what its callers rely on: positional order and keyword names, with
-every argument required. Two records compare by value:
-``dividing.ChordDiagram`` and ``dividing.Configuration``, which the
-tree-hugging oracle compares. Their equality covers every field bar the
-back-references listed as ignored, and their hash agrees with it. Every
-other record compares and hashes by identity.
+every argument required. Every record compares and hashes by identity: a
+configuration, the one value the tree-hugging oracle compares, is a tuple
+of partner tuples, not a record.
 """
 
 import os
@@ -15,7 +13,6 @@ import subprocess
 import sys
 from array import array
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -27,34 +24,16 @@ from trinities import cli, dividing, fkt, plane_graph, transitions, trees, trini
 class Spec(NamedTuple):
     cls: type
     fields: tuple  # (name, value), in constructor order
-    others: dict = None  # another value of each field, for a record compared by value
-    ignored: tuple = ()  # the fields its equality ignores
 
 
-# stand-ins for back-references
+# a stand-in for back-references
 G1 = object()
-# Configuration checks its entries against the trinity's faces; the tags
-# keep the two stand-ins unequal
-T1 = SimpleNamespace(n_r={"f0": 2}, red=("f0",), tag=1)
-T2 = SimpleNamespace(n_r={"f0": 2}, red=("f0",), tag=2)
-D1, D2 = dividing.ChordDiagram((1, 0, 3, 2)), dividing.ChordDiagram((3, 2, 1, 0))
 COMPONENT = transitions.Component(0, 1, {"f0": 0}, {"f0": 1}, 0)
 
 SPECS = [
     Spec(
         cli.VerificationSuite,
         (("instance", "g"), ("stages", {"census": {}}), ("seconds", {"census": 0.0})),
-    ),
-    Spec(
-        dividing.ChordDiagram,
-        (("partner", (1, 0, 3, 2)),),
-        others={"partner": (3, 2, 1, 0)},
-    ),
-    Spec(
-        dividing.Configuration,
-        (("trinity", T1), ("entries", (("f0", D1),))),
-        others={"trinity": T2, "entries": (("f0", D2),)},
-        ignored=("trinity",),
     ),
     Spec(dividing.TightVerdict, (("tight", True), ("loops", 1))),
     Spec(fkt.Universe, (("graph", G1), ("stars", ("f0", "f1")))),
@@ -74,7 +53,7 @@ SPECS = [
     Spec(
         transitions.ConfigurationGraph,
         (
-            ("trinity", T1),
+            ("trinity", G1),
             ("diagrams", (((1, 0),),)),
             ("choices", ((0,),)),
             ("component_of", (0,)),
@@ -109,9 +88,7 @@ SPECS = [
 
 
 def test_every_record_class_is_specified():
-    assert len(SPECS) == len({spec.cls for spec in SPECS}) == 13
-    by_value = {spec.cls for spec in SPECS if spec.others is not None}
-    assert by_value == {dividing.ChordDiagram, dividing.Configuration}
+    assert len(SPECS) == len({spec.cls for spec in SPECS}) == 11
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.cls.__name__)
@@ -131,18 +108,8 @@ def test_record_construction(spec):
 def test_record_equality_and_hash(spec):
     values = dict(spec.fields)
     record, same = spec.cls(**values), spec.cls(**values)
-    if spec.others is None:
-        assert record == record and record != same
-        assert len({record, same}) == 2
-        return
-    assert record == same
-    for name in values:
-        changed = spec.cls(**{**values, name: spec.others[name]})
-        assert (changed == record) is (name in spec.ignored), name
-        if name in spec.ignored:
-            assert hash(changed) == hash(record), name
-    assert hash(record) == hash(same)
-    assert len({record, same}) == 1
+    assert record == record and record != same
+    assert len({record, same}) == 2
 
 
 def test_importing_the_cli_generates_no_classes():

@@ -28,14 +28,10 @@ def _generated(family, size):
 
 def _product_oracle(t):
     """Diagram index tuples of the tight configurations, filtered from the product."""
-    faces = sorted(t.red)
-    per_face = [dv.enumerate_chord_diagrams(t.n_r[f]) for f in faces]
+    per_face = [dv.enumerate_chord_diagrams(t.n_r[f]) for f in t.red]
     kept = []
     for choice in itertools.product(*(range(len(d)) for d in per_face)):
-        config = dv.Configuration.from_diagrams(
-            t, {f: diagrams[k] for f, diagrams, k in zip(faces, per_face, choice)}
-        )
-        if dv.loop_count(config) == 1:
+        if dv.loop_count(t, tuple(map(operator.getitem, per_face, choice))) == 1:
             kept.append(choice)
     return kept, per_face
 
@@ -61,12 +57,12 @@ def _prefix_trie(parts):
     """
     a, b, child, sibling, leaf = [], [], [], [], []
     for lo, face_diagrams in parts:
-        n = face_diagrams[0].n
+        n = len(face_diagrams[0]) // 2
         path = [0] * n
         previous = [None] * n
         leaves = []
         for k, diagram in enumerate(face_diagrams):
-            pairs = diagram.pairs()
+            pairs = oracles.chords(diagram)
             depth = 0
             while pairs[depth] == previous[depth]:
                 depth += 1
@@ -93,7 +89,7 @@ def test_search_trie_matches_the_prefix_trie(n):
     assert trie == _prefix_trie([(0, dv.enumerate_chord_diagrams(n))])
     leaves = [k for k in trie[4] if k >= 0]
     assert leaves == list(range(dv.catalan(n)))
-    assert [partners[k] for k in leaves] == [d.partner for d in dv.enumerate_chord_diagrams(n)]
+    assert [partners[k] for k in leaves] == dv.enumerate_chord_diagrams(n)
 
 
 def test_concatenated_tries_match_the_prefix_tries(trinities):
@@ -103,26 +99,17 @@ def test_concatenated_tries_match_the_prefix_tries(trinities):
         assert tx._chord_tries(t, tries) == _prefix_trie(parts), name
 
 
-def test_building_reads_only_the_diagrams_of_tight_choices(monkeypatch):
+def test_building_reads_only_the_diagrams_of_tight_choices():
     t = _generated("path", 8)
-    built = []
-    real = dv.ChordDiagram
-    monkeypatch.setattr(tx, "ChordDiagram", lambda partner: built.append(partner) or real(partner))
     cg = tx.build_configuration_graph(t)
     assert len({k for (k,) in cg.choices}) == len(cg.choices) == 174
-    # the region, Euler and hug tables read partner tuples, and each
-    # component's representative is checked on them: no diagram is built
     assert cg.component_count() == 1
-    # nor does the report of every vertex: it reads the partner tuples
-    for i in range(len(cg.choices)):
-        cg.vertex_json(i)
-    assert built == []
     expected = dv.enumerate_chord_diagrams(8)
     assert len(expected) == 1430
-    assert cg.diagrams[0] == tuple(d.partner for d in expected)
-    # only a vertex's Configuration builds diagrams, one per face
-    cg.vertex(0)
-    assert built == [cg.diagrams[0][cg.choices[0][0]]]
+    assert cg.diagrams[0] == tuple(expected)
+    # a vertex is its faces' partner tuples, read off the shared diagrams
+    assert cg.vertex(0) == (cg.diagrams[0][cg.choices[0][0]],)
+    assert cg.vertex(0)[0] is cg.diagrams[0][cg.choices[0][0]]
 
 
 def test_building_leaves_the_glue_unchanged(trinities, monkeypatch):
@@ -146,25 +133,25 @@ def test_no_moves_with_two_chords():
 
 
 def test_three_nested_chords_rotate_both_ways():
-    d = dv.ChordDiagram.from_pairs(3, [(0, 5), (1, 4), (2, 3)])
+    d = oracles.partner_of([(0, 5), (1, 4), (2, 3)])
     targets = oracles.bypass_moves(d)
     assert targets == {
-        dv.ChordDiagram.from_pairs(3, [(0, 1), (2, 5), (3, 4)]),
-        dv.ChordDiagram.from_pairs(3, [(0, 3), (1, 2), (4, 5)]),
+        oracles.partner_of([(0, 1), (2, 5), (3, 4)]),
+        oracles.partner_of([(0, 3), (1, 2), (4, 5)]),
     }
 
 
 def test_rotation_cycle_closes():
-    a = dv.ChordDiagram.from_pairs(3, [(0, 5), (1, 4), (2, 3)])
-    b = dv.ChordDiagram.from_pairs(3, [(0, 1), (2, 5), (3, 4)])
-    c = dv.ChordDiagram.from_pairs(3, [(0, 3), (1, 2), (4, 5)])
+    a = oracles.partner_of([(0, 5), (1, 4), (2, 3)])
+    b = oracles.partner_of([(0, 1), (2, 5), (3, 4)])
+    c = oracles.partner_of([(0, 3), (1, 2), (4, 5)])
     assert oracles.bypass_moves(b) == {a, c}
     assert oracles.bypass_moves(c) == {a, b}
 
 
 def test_side_by_side_chords_admit_no_move():
     # no chord separates the other two, so no attaching arc crosses them
-    d = dv.ChordDiagram.from_pairs(3, [(0, 1), (2, 3), (4, 5)])
+    d = oracles.partner_of([(0, 1), (2, 3), (4, 5)])
     assert oracles.bypass_moves(d) == set()
 
 
@@ -172,7 +159,8 @@ def test_moves_preserve_matching_validity():
     for n in (3, 4):
         for d in dv.enumerate_chord_diagrams(n):
             for d2 in oracles.bypass_moves(d):
-                assert d2.n == n  # construction re-validates non-crossing
+                assert len(d2) == 2 * n
+                assert oracles.is_non_crossing_matching(d2)
 
 
 def test_moves_are_symmetric():
@@ -183,7 +171,7 @@ def test_moves_are_symmetric():
 
 
 def _disc_euler(t, fid, diagram):
-    return dv.euler_and_hug(dv.disc_regions(t, fid, diagram))[0]
+    return dv.euler_and_hug(dv.regions(fid, diagram, t.signs[fid]))[0]
 
 
 def test_bypass_moves_preserve_disc_euler(trinities):
@@ -260,8 +248,7 @@ def test_edges_join_single_face_differences(trinities):
     cg = tx.build_configuration_graph(t)
     for i, j in cg.edges:
         a, b = cg.vertices[i], cg.vertices[j]
-        differing = [f for f in t.red if oracles.diagram(a, f) != oracles.diagram(b, f)]
-        assert len(differing) == 1
+        assert sum(map(operator.ne, a, b)) == 1
 
 
 def test_bypass_edges_stay_in_component(trinities):
@@ -341,7 +328,7 @@ def test_components_have_tree_hugging_representatives(trinities):
         cg = tx.build_configuration_graph(t)
         for component in cg.components:
             rep = cg.vertices[component.representative]
-            hugging, witness = dv.is_tree_hugging(rep)
+            hugging, witness = dv.is_tree_hugging(t, rep)
             assert hugging
             degrees = oracles.degrees(t.graph_index("violet"), witness, "red")
             assert {f: d - 1 for f, d in degrees.items()} == component.hypertree
@@ -355,7 +342,7 @@ def members_of(graph, component):
 def _first_hugging_member(graph, component):
     """The representative as the probe loop chose it: the first member that hugs a tree."""
     for i in members_of(graph, component):
-        if dv.is_tree_hugging(graph.vertex(i))[0]:
+        if dv.is_tree_hugging(graph.trinity, graph.vertex(i))[0]:
             return i
     return None
 
@@ -384,7 +371,7 @@ def test_hug_flags_follow_the_signed_regions_rule(trinities):
     for t in trinities.values():
         for fid in t.red:
             for diagram in dv.enumerate_chord_diagrams(t.n_r[fid]):
-                found = dv.disc_regions(t, fid, diagram)
+                found = dv.regions(fid, diagram, t.signs[fid])
                 positives = [arcs for sign, arcs in found if sign == 1]
                 negatives = [arcs for sign, arcs in found if sign == -1]
                 assert len(positives) + len(negatives) == len(found)
@@ -402,7 +389,7 @@ def test_euler_constant_on_components(trinities):
             members = members_of(cg, component)
             assert component.size == len(members)
             for i in members:
-                assert dv.euler_vector(cg.vertices[i]) == component.euler
+                assert dv.euler_vector(t, cg.vertices[i]) == component.euler
 
 
 def test_classification_json(trinities):
@@ -413,7 +400,7 @@ def test_classification_json(trinities):
     for comp, component in zip(doc["components"], cg.components):
         assert set(comp) == {"id", "size", "euler", "hypertree", "tree_hugging_rep"}
         assert set(comp["tree_hugging_rep"]) == {"faces", "euler"}
-        assert dv.is_tight(cg.vertex(component.representative)).tight
+        assert dv.is_tight(cg.trinity, cg.vertex(component.representative)).tight
 
 
 @given(plane_bipartite_maps())
@@ -435,7 +422,7 @@ def test_valence_concentration_already_hugging(trinities):
     t = trinities["cycle4"]
     tree = next(iter(trees.enumerate_spanning_trees(t.graph_index("violet"))))
     config = dv.tree_hugging(t, tree)
-    path = oracles.valence_concentration_path(config)
+    path = oracles.valence_concentration_path(t, config)
     assert path == [config]
 
 
@@ -447,14 +434,13 @@ def test_valence_concentration_terminates_tree_hugging(trinities):
         cg = tx.build_configuration_graph(t)
         budget = 1 + sum(t.n_r.values())
         for v in cg.vertices:
-            path = oracles.valence_concentration_path(v)
+            path = oracles.valence_concentration_path(t, v)
             assert len(path) <= budget
-            hugging, _ = dv.is_tree_hugging(path[-1])
+            hugging, _ = dv.is_tree_hugging(t, path[-1])
             assert hugging
             for a, b in zip(path, path[1:]):
-                differing = [f for f in t.red if oracles.diagram(a, f) != oracles.diagram(b, f)]
-                assert len(differing) == 1
-                assert dv.is_tight(b).tight
+                assert sum(map(operator.ne, a, b)) == 1
+                assert dv.is_tight(t, b).tight
 
 
 BEYOND_CORPUS = {"even_cycle5": ("even_cycle", 5), "even_cycle6": ("even_cycle", 6), "ladder5": ("ladder", 5)}
@@ -469,12 +455,7 @@ def test_builder_matches_the_product_filter(trinities, name):
     choices, per_face = _product_oracle(t)
     cg = tx.build_configuration_graph(t)
     assert cg.choices == tuple(choices)
-    assert cg.vertices == tuple(
-        dv.Configuration.from_diagrams(
-            t, {f: diagrams[k] for f, diagrams, k in zip(sorted(t.red), per_face, choice)}
-        )
-        for choice in choices
-    )
+    assert cg.vertices == tuple(tuple(map(operator.getitem, per_face, choice)) for choice in choices)
     assert cg.edges == _bucket_pair_edges(choices)
 
 
@@ -556,19 +537,13 @@ def test_builder_checks_each_tight_configuration_once(monkeypatch):
 
 def test_building_makes_no_configuration(monkeypatch):
     t = _generated("even_cycle", 6)
-    made = []
-    real_init = dv.Configuration.__init__
-    monkeypatch.setattr(
-        dv.Configuration, "__init__", lambda config, *args: made.append(config) or real_init(config, *args)
-    )
-    monkeypatch.setattr(tx, "ChordDiagram", lambda partner: made.append(partner) or dv.ChordDiagram(partner))
-    # the integer check stands in for these, which build a Configuration
-    # and a ChordDiagram per face
-    for name in ("is_tree_hugging", "tree_hugging"):
+    # the integer check stands in for these oracles, and the builder keeps
+    # choice tuples, not configurations
+    for name in ("is_tree_hugging", "tree_hugging", "loop_count", "euler_vector"):
         monkeypatch.setattr(dv, name, _raise(AssertionError(f"the build called {name}")))
+    monkeypatch.setattr(tx.ConfigurationGraph, "vertex", _raise(AssertionError("the build read a vertex")))
     cg = tx.build_configuration_graph(t)
     assert len(cg.choices) == 1828 and cg.component_count() == 6
-    assert made == []
 
 
 def _raise(exc):
@@ -581,7 +556,7 @@ def _raise(exc):
 def _check_hugged_tree(cg, regions, i):
     """Check that the integer check on vertex i gives ``is_tree_hugging``'s
     verdict and witness; return the verdict."""
-    hugging, witness = dv.is_tree_hugging(cg.vertex(i))
+    hugging, witness = dv.is_tree_hugging(cg.trinity, cg.vertex(i))
     verdict, positions = tx._hugged_tree(cg, regions, i)
     assert verdict == hugging, i
     if hugging:
@@ -620,6 +595,17 @@ def test_vertex_builds_the_listed_configuration(trinities):
             assert cg.vertex(i) == cg.vertices[i], (name, i)
 
 
+def test_every_vertex_is_a_tuple_of_non_crossing_matchings(trinities):
+    for name, t in trinities.items():
+        cg = tx.build_configuration_graph(t)
+        for i in range(len(cg.choices)):
+            partners = cg.vertex(i)
+            assert type(partners) is tuple and len(partners) == len(t.red), (name, i)
+            for fid, partner in zip(t.red, partners):
+                assert type(partner) is tuple and len(partner) == 2 * t.n_r[fid], (name, i, fid)
+                assert oracles.is_non_crossing_matching(partner), (name, i, fid)
+
+
 def test_a_late_member_euler_mismatch_is_caught(trinities, monkeypatch):
     t = trinities["cycle6"]
     cg = tx.build_configuration_graph(t)
@@ -635,13 +621,13 @@ def test_a_late_member_euler_mismatch_is_caught(trinities, monkeypatch):
         if all(len({cg.choices[i][a] == k for i in members[c][:2]}) == 1 for c in cg.components)
         and cg.choices[members[component][0]][a] != k
     )
-    fid, diagram = cg.vertex(members[component][-1]).entries[axis]
+    fid, diagram = t.red[axis], cg.vertex(members[component][-1])[axis]
     real = dv.regions
 
     def regions(face, partner, sign):
         out = real(face, partner, sign)
         # two more positive regions raise the disc's Euler contribution by 2
-        return out + [(1, [])] * 2 if (face, partner) == (fid, diagram.partner) else out
+        return out + [(1, [])] * 2 if (face, partner) == (fid, diagram) else out
 
     monkeypatch.setattr(dv, "regions", regions)
     with pytest.raises(tx.EulerNotConstant, match="mixes Euler vectors"):
@@ -683,12 +669,12 @@ def test_a_single_member_euler_fault_names_its_component(tmp_path, capsys, monke
     assert stage == {"ok": False, "reason": "EulerNotConstant: " + reason}
 
 
-def _curves(t, config):
+def _curves(t, partners):
     """The point sets of the closed curves of a configuration, walked on the glue."""
     chord = {}
-    for fid, diagram in config.entries:
+    for fid, partner in zip(t.red, partners):
         lo = t.offset[fid]
-        chord.update((lo + x, lo + y) for x, y in enumerate(diagram.partner))
+        chord.update((lo + x, lo + y) for x, y in enumerate(partner))
     curves, seen = [], set()
     for start in range(len(t.glue)):
         curve, p = set(), start
@@ -708,7 +694,7 @@ def test_non_tight_configurations_are_caught_with_their_curve_count(monkeypatch)
     for family in ("ladder", "grid"):
         t = _generated(family, 2)
         tight, per_face = _product_oracle(t)
-        faces, sizes = sorted(t.red), [len(d) for d in per_face]
+        faces, sizes = t.red, [len(d) for d in per_face]
         strides = [math.prod(sizes[a + 1:]) for a in range(len(sizes))]
         big = max(range(len(faces)), key=lambda a: (sizes[a], a))
         assert big != len(faces) - 1  # so the groups are not runs of the vertex order
@@ -719,10 +705,10 @@ def test_non_tight_configurations_are_caught_with_their_curve_count(monkeypatch)
             emitted = tuple(sorted([*tight, bad]))
             codes = array("q", (sum(map(operator.mul, choice, strides)) for choice in emitted))
             monkeypatch.setattr(tx, "_tight_choices", lambda trinity, tries, strides: (emitted, codes))
-            config = dv.Configuration.from_diagrams(t, {f: d[k] for f, d, k in zip(faces, per_face, bad)})
+            config = tuple(map(operator.getitem, per_face, bad))
             with pytest.raises(tx.BuiltNotTight) as caught:
                 tx.build_configuration_graph(t)
-            loops = dv.loop_count(config)
+            loops = dv.loop_count(t, config)
             assert str(caught.value) == f"diagrams {dict(zip(faces, bad))} close into {loops} curves"
             curves = _curves(t, config)
             assert len(curves) == loops > 1
@@ -739,4 +725,4 @@ def test_random_map_component_euler_is_every_member_euler(doc):
     cg = tx.build_configuration_graph(t)
     for component in cg.components:
         for i in members_of(cg, component):
-            assert dv.euler_vector(cg.vertex(i)) == component.euler
+            assert dv.euler_vector(t, cg.vertex(i)) == component.euler
