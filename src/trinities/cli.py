@@ -182,7 +182,7 @@ def run_verification(graph, instance="graph", cap=DEFAULT_CAP):
         counts_ok = graph_c.component_count() == trin.magic_report.value
         return {
             "total_configurations": str(graph_c.total_configurations),
-            "tight_configurations": str(len(graph_c.choices)),
+            "tight_configurations": str(len(graph_c.codes)),
             "components": str(graph_c.component_count()),
             "matches_magic": counts_ok,
             "ok": counts_ok,
@@ -276,7 +276,7 @@ def _cmd_hypertrees(args):
 def _cmd_configs(args):
     trin = trinity.build_trinity(_load_graph(args), args.cap)
     graph_c = transitions.build_configuration_graph(trin)
-    tight = len(graph_c.choices)
+    tight = len(graph_c.codes)
     payload = {
         "total": str(graph_c.total_configurations),
         "tight": str(tight),

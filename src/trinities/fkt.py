@@ -566,9 +566,9 @@ def _split_choices(universe, dual, graph):
 def states_vs_configurations(universe, cap=DEFAULT_CAP):
     """Verify that states biject with tight configurations of the dual.
 
-    Each state code is read, through ``_split_choices``, as the choice
-    tuple of the configuration its splitting makes; the set of these must be
-    the configuration graph's ``choices``, one state per choice. Also
+    Each state code is read, through ``_split_choices``, as the diagram
+    indices of the configuration its splitting makes; the set of these must
+    be that of the graph's vertices, read by ``digits``, one per state. Also
     checks the state count against the magic number of the dual's trinity.
     Returns the report, its three counts as strings.
     """
@@ -581,19 +581,19 @@ def states_vs_configurations(universe, cap=DEFAULT_CAP):
     codes = enumerate_states(universe, cap)
     # a marker's parity is the low bit of its quadrant digit
     image = {tuple(ks[code >> shift & 1] for shift, ks in table) for code in codes}
-    if len(image) != len(codes) or image != set(graph.choices):
+    if len(image) != len(codes) or image != set(map(graph.digits, range(len(graph.codes)))):
         raise MappingFailure("states do not biject with tight configurations")
     magic = trin.magic_report
     if not magic.agree or magic.value != len(codes):
         raise MappingFailure("state count disagrees with the magic number")
     return {
         "states": str(len(codes)),
-        "tight_configurations": str(len(graph.choices)),
+        "tight_configurations": str(len(graph.codes)),
         "magic": str(magic.value),
         # a report is made only once the map is a bijection (MappingFailure
         # otherwise); the key stays while perfbench's check_report reads it
         "bijective": True,
-        "ok": len(codes) == len(graph.choices) == magic.value,
+        "ok": len(codes) == len(graph.codes) == magic.value,
     }
 
 

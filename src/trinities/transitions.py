@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import collections
 import itertools
-from array import array
+import math
 from functools import cached_property
-from operator import and_, getitem, itemgetter, mul, ne, sub
+from operator import and_, floordiv, getitem, itemgetter, mod, ne
 
 from . import dividing
 from .limits import ModelFailure, check_cap
@@ -51,50 +51,59 @@ class Component:
 class ConfigurationGraph:
     """Tight configurations and the partition of their one-face graph.
 
-    A vertex is its choice tuple: ``choices[i]`` holds, face by face in
-    sorted order, the index of vertex i's diagram in that face's
-    ``diagrams``, the face's tuple of partner tuples in
+    A vertex is its code: ``codes[i]`` is vertex i's mixed-radix number,
+    with radices the faces' diagram counts in sorted face order, and
+    ``digits(i)`` its digits, face by face the index of vertex i's diagram
+    in that face's ``diagrams``, the face's tuple of partner tuples in
     ``enumerate_chord_diagrams`` order. ``disc_euler`` holds, face by face,
     the Euler contribution of each diagram index some vertex uses.
-    ``codes`` holds each vertex's mixed-radix code, with radices the faces'
-    diagram counts, as the walk gave it. ``vertex(i)`` is vertex i's
-    configuration in the form the ``dividing`` functions take, its faces'
-    partner tuples; ``vertices`` lists them all, built when first read.
+    ``vertex(i)`` is vertex i's configuration in the form the ``dividing``
+    functions take, its faces' partner tuples; ``vertices`` lists them all,
+    built when first read.
     """
 
     def __init__(
         self,
         trinity,
         diagrams: tuple,
-        choices: tuple,
+        codes: list,
         component_of: tuple,
         components: tuple,
         total_configurations: int,
         disc_euler: tuple,
-        codes: array,
     ):
         self.trinity = trinity
         self.diagrams = diagrams
-        self.choices = choices
+        self.codes = codes
         self.component_of = component_of
         self.components = components
         self.total_configurations = total_configurations
         self.disc_euler = disc_euler
-        self.codes = codes
+        self.radices = tuple(map(len, diagrams))
+        # a face's place value is the product of the radices after it
+        self.strides = tuple(math.prod(self.radices[axis + 1:]) for axis in range(len(diagrams)))
 
     def component_count(self):
         return len(self.components)
 
+    def digits(self, i, axis=None):
+        """Vertex i's diagram indices, face by face, read off its code; with
+        ``axis``, its diagram index on that face alone."""
+        code = self.codes[i]
+        if axis is not None:
+            return code // self.strides[axis] % self.radices[axis]
+        return tuple(map(mod, map(floordiv, itertools.repeat(code), self.strides), self.radices))
+
     def vertex(self, i):
-        return tuple(map(getitem, self.diagrams, self.choices[i]))
+        return tuple(map(getitem, self.diagrams, self.digits(i)))
 
     @cached_property
     def vertices(self):
-        return tuple(map(self.vertex, range(len(self.choices))))
+        return tuple(map(self.vertex, range(len(self.codes))))
 
     def vertex_json(self, i):
         """Vertex i's matchings and Euler vector, the latter read off ``disc_euler``."""
-        faces, choice = self.trinity.red, self.choices[i]
+        faces, choice = self.trinity.red, self.digits(i)
         partners = map(getitem, self.diagrams, choice)
         return {
             "faces": {
@@ -112,10 +121,9 @@ class ConfigurationGraph:
         large instances they far outnumber the vertices.
         """
         pairs = []
-        strides = _strides(tuple(map(len, self.diagrams)))
-        for axis, stride in enumerate(strides):
+        for stride, radix in zip(self.strides, self.radices):
             groups = {}
-            for i, key in enumerate(_face_keys(self.codes, self.choices, stride, axis)):
+            for i, key in enumerate(_face_keys(self.codes, stride, radix)):
                 groups.setdefault(key, []).append(i)
             for group in groups.values():
                 pairs.extend(itertools.combinations(group, 2))
@@ -144,8 +152,9 @@ def build_configuration_graph(trinity):
     The tight configurations are built chord by chord, by walking the
     faces' chord tries, not filtered out of the Catalan product; faces of
     one half-length share one ``dividing.chord_trie``. The walk gives each
-    vertex's choice tuple and its mixed-radix code. Vertices come in the
-    product's order: lexicographic in ``choices``.
+    vertex's mixed-radix code, rising, so vertices come in the product's
+    order; every reader of a vertex's diagram indices decodes them with
+    ``ConfigurationGraph.digits``.
 
     The big face is the face with the most diagrams, ties to the last.
     Vertices that agree off it form a group. Per group, ``_group_matches``
@@ -165,27 +174,28 @@ def build_configuration_graph(trinity):
     # past the walk only the partner tuples are read
     shared = {n: tuple(partners) for n, (_trie, partners) in tries.items()}
     diagrams = tuple(shared[trinity.n_r[fid]] for fid in faces)
-    strides = _strides(tuple(map(len, diagrams)))
-    choices, codes = _tight_choices(trinity, [tries[trinity.n_r[fid]][0] for fid in faces], strides)
+    graph = ConfigurationGraph(trinity, diagrams, [], (), (), total, ())
+    strides, radices = graph.strides, graph.radices
+    codes = graph.codes = _tight_choices(trinity, [tries[trinity.n_r[fid]][0] for fid in faces], strides)
     del tries, shared
-    big = max(range(len(faces)), key=lambda axis: (len(diagrams[axis]), axis))
+    big = max(range(len(faces)), key=lambda axis: (radices[axis], axis))
     # a group is named by its first member, where its members' parents start
-    keys = array("q", _face_keys(codes, choices, strides[big], big))
+    keys = list(_face_keys(codes, strides[big], radices[big]))
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     parent = list(map(first.__getitem__, keys))
     del keys
-    # each group's first member, key and choice tuple
+    # each group's first member, key and diagram indices
     firsts, group_keys = list(first.values()), list(first)
-    heads = list(map(choices.__getitem__, firsts))
+    heads = list(map(graph.digits, firsts))
     match_of = dict(zip(firsts, _group_matches(trinity, diagrams, heads, big)))
+    column = list(map(graph.digits, range(len(codes)), itertools.repeat(big)))
     partners, walk = diagrams[big], dividing.glued_loops
-    for choice, g in zip(choices, parent):
-        loops = walk(partners[choice[big]], match_of[g])
+    for i, (k, g) in enumerate(zip(column, parent)):
+        loops = walk(partners[k], match_of[g])
         if loops != 1:
-            raise BuiltNotTight(f"diagrams {dict(zip(faces, choice))} close into {loops} curves")
+            raise BuiltNotTight(f"diagrams {dict(zip(faces, graph.digits(i)))} close into {loops} curves")
     # per face, the Euler contribution and hug flag of each diagram used;
     # off the big face a group's first member stands for its members
-    column = list(map(itemgetter(big), choices))
     disc_euler, group_hug = [], [1] * len(heads)
     for axis, fid in enumerate(faces):
         indices = column if axis == big else list(map(itemgetter(axis), heads))
@@ -207,10 +217,10 @@ def build_configuration_graph(trinity):
     big_used = {g: set() for g in firsts}
     for g, k in zip(parent, column):
         big_used[g].add(k)
-    for axis, stride in enumerate(strides):
+    for axis, (stride, radix) in enumerate(zip(strides, radices)):
         if axis == big:
             continue
-        keys = list(_face_keys(group_keys, heads, stride, axis))
+        keys = list(_face_keys(group_keys, stride, radix))
         sharers = collections.Counter(keys)
         buckets = {}
         # only the groups whose key off this face another group shares
@@ -218,7 +228,7 @@ def build_configuration_graph(trinity):
         for g, key in itertools.compress(zip(firsts, keys), shared_keys):
             buckets.setdefault(key, []).append(big_used[g])
         if any(len(set().union(*sets)) < sum(map(len, sets)) for sets in buckets.values()):
-            _join(parent, list(_face_keys(codes, choices, stride, axis)))
+            _join(parent, list(_face_keys(codes, stride, radix)))
     del big_used
     # one pass in vertex order numbers components by their smallest member:
     # a parent's number is written before its children read it
@@ -226,15 +236,15 @@ def build_configuration_graph(trinity):
     for i, p in enumerate(parent):
         if p == i:
             parent[i] = len(leaders)
-            leaders.append(choices[i])
+            leaders.append(i)
         else:
             parent[i] = parent[p]
-    count = len(leaders)
     # per face, each member's Euler contribution is its component's first
     # member's; off the big face a group's members share their first's
+    lead_digits = list(map(graph.digits, leaders))
     group_component = list(map(parent.__getitem__, firsts))
     for axis, euler_of in enumerate(disc_euler):
-        lead = list(map(euler_of.__getitem__, map(itemgetter(axis), leaders)))
+        lead = list(map(euler_of.__getitem__, map(itemgetter(axis), lead_digits)))
         if axis == big:
             members, ks = parent, column
         else:
@@ -244,10 +254,8 @@ def build_configuration_graph(trinity):
             mixed = min(itertools.compress(members, differs))
             raise EulerNotConstant(f"component {mixed} mixes Euler vectors")
     del column
-    graph = ConfigurationGraph(
-        trinity, diagrams, choices, tuple(parent), (), total, tuple(disc_euler), codes
-    )
-    graph.components = _label_components(graph, count, hugging)
+    graph.component_of, graph.disc_euler = tuple(parent), tuple(disc_euler)
+    graph.components = _label_components(graph, leaders, hugging)
     return graph
 
 
@@ -273,7 +281,7 @@ def _join(parent, keys):
 
 
 def _group_matches(trinity, diagrams, heads, big):
-    """Per group, given by its first member's choice tuple in ``heads``,
+    """Per group, given by its first member's diagram indices in ``heads``,
     the matching its chords induce on the big face.
 
     Each group's chords off the big face are laid end to end once into
@@ -335,9 +343,9 @@ def _chord_tries(trinity, tries):
 
 
 def _tight_choices(trinity, tries, strides):
-    """Diagram index tuples of the tight configurations, in lexicographic
-    order, and their mixed-radix codes, with radices the faces' diagram
-    counts and place values ``strides``, in an ``array('q')``.
+    """The mixed-radix codes of the tight configurations, rising, as a
+    list of ints: radices the faces' diagram counts, place values
+    ``strides``, and a face's digit the index of its diagram.
 
     Walks the faces' chord tries depth first on a copy of ``trinity.glue``,
     read as ``end``: ``end[p]`` is the far end of the open path ending at
@@ -355,19 +363,17 @@ def _tight_choices(trinity, tries, strides):
     last = len(end) // 2 - 2
     if last < 0:
         # a single chord, on a face of half-length one
-        return ((leaf[0],),), array("q", leaf[:1])
-    # a machine word per code, not an int object: codes stay below the product
-    out, codes = [], array("q")
+        return leaf[:1]
+    codes = []
     face_at = [f for f, fid in enumerate(trinity.red) for _ in range(trinity.n_r[fid])]
     path, far_p, far_q = [0] * last, [0] * last, [0] * last
-    choice = [0] * len(trinity.red)
     prefix = [0] * len(trinity.red)
     depth = x = 0
     while True:
         if x < 0:
             depth -= 1
             if depth < 0:
-                return tuple(out), codes
+                return codes
             x = path[depth]
             end[far_p[depth]] = a[x]
             end[far_q[depth]] = b[x]
@@ -380,13 +386,10 @@ def _tight_choices(trinity, tries, strides):
             continue
         if leaf[x] >= 0:
             f = face_at[depth]
-            choice[f] = leaf[x]
             prefix[f + 1] = prefix[f] + leaf[x] * strides[f]
         if depth == last:
             # the last face's place value is 1
-            k = choice[-1] = leaf[child[x]]
-            out.append(tuple(choice))
-            codes.append(prefix[-1] + k)
+            codes.append(prefix[-1] + leaf[child[x]])
             x = sibling[x]
             continue
         eq = end[q]
@@ -399,32 +402,23 @@ def _tight_choices(trinity, tries, strides):
         x = child[x]
 
 
-def _strides(sizes):
-    """Place values of the mixed-radix codes with radices ``sizes``."""
-    strides = [1] * len(sizes)
-    for axis in range(len(sizes) - 1, 0, -1):
-        strides[axis - 1] = strides[axis] * sizes[axis]
-    return strides
-
-
-def _face_keys(codes, choices, stride, axis):
-    """Each choice's key off ``axis``, in vertex order.
-
-    Two choices are equal off the axis exactly when their keys are: a
-    choice's key is its mixed-radix code less its term for the axis,
-    ``code - choice[axis] * stride``.
+def _face_keys(codes, stride, radix):
+    """Each code's key off the face of place value ``stride`` and radix
+    ``radix``: the code less its term there. Two codes are equal off the
+    face exactly when their keys are.
     """
-    return map(sub, codes, map(mul, map(itemgetter(axis), choices), itertools.repeat(stride)))
+    return (code - code // stride % radix * stride for code in codes)
 
 
-def _label_components(graph, count, hugging):
+def _label_components(graph, leaders, hugging):
     """Each component's Euler vector, hypertree and tree-hugging representative.
 
-    ``hugging[i]`` is 1 when vertex i's every disc hugs. The Euler vector
-    is the first member's, read off ``disc_euler``; the builder has checked
-    that every member's is the same. The representative, the first member
-    in vertex order whose every disc hugs, is checked by ``_hugged_tree``,
-    which rebuilds its witness.
+    ``leaders[c]`` is component c's first member and ``hugging[i]`` is 1
+    when vertex i's every disc hugs. The Euler vector is the first
+    member's, read off ``disc_euler``; the builder has checked that every
+    member's is the same. One pass over ``component_of`` gives the sizes
+    and the representatives, each the first member in vertex order whose
+    every disc hugs, checked by ``_hugged_tree``, which rebuilds its witness.
     """
     faces, n_r = graph.trinity.red, graph.trinity.n_r
     # the region passes of the diagrams representatives use, per face; the
@@ -432,22 +426,23 @@ def _label_components(graph, count, hugging):
     # (thousands of small lists on large faces) costs more in collections
     # than the few passes the representatives repeat
     regions = [{} for _ in faces]
-    members = [[] for _ in range(count)]
-    for idx, c in enumerate(graph.component_of):
-        members[c].append(idx)
+    sizes, reps = [0] * len(leaders), [None] * len(leaders)
+    for i, (c, hugs) in enumerate(zip(graph.component_of, hugging)):
+        sizes[c] += 1
+        if hugs and reps[c] is None:
+            reps[c] = i
     components = []
-    for cid, ids in enumerate(members):
-        first = tuple(map(getitem, graph.disc_euler, graph.choices[ids[0]]))
+    for cid, (lead, size, rep) in enumerate(zip(leaders, sizes, reps)):
+        first = tuple(map(getitem, graph.disc_euler, graph.digits(lead)))
         hypertree = {}
         for fid, e in zip(faces, first):
             f2 = e + n_r[fid] - 1
             if f2 % 2:
                 raise EulerNotConstant(f"odd Euler offset on face {fid}")
             hypertree[fid] = f2 // 2
-        rep = next(itertools.compress(ids, map(hugging.__getitem__, ids)), None)
         if rep is None or not _hugged_tree(graph, regions, rep)[0]:
             raise NotTreeHuggingReachable(f"component {cid} has no tree-hugging vertex")
-        components.append(Component(cid, len(ids), dict(zip(faces, first)), hypertree, rep))
+        components.append(Component(cid, size, dict(zip(faces, first)), hypertree, rep))
     return tuple(components)
 
 
@@ -463,7 +458,7 @@ def _hugged_tree(graph, regions, i):
     and ``dividing.NoHugBack`` unless every disc's diagram is the one
     ``_hugging_partner`` rebuilds from the witness.
     """
-    trinity, choice = graph.trinity, graph.choices[i]
+    trinity, choice = graph.trinity, graph.digits(i)
     index = trinity.graph_index("violet")
     charts = [trinity.charts[fid] for fid in trinity.red]
     witness = set()

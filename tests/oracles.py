@@ -9,7 +9,8 @@ not from the package's fast paths. A chord diagram is its partner tuple
 and a configuration the tuple of its faces' partner tuples, in
 ``trinity.red`` order, as the package holds them; ``chords``,
 ``partner_of``, ``first_crossing`` and ``is_non_crossing_matching`` read
-and write them as chord pairs and check them. The views read the flat
+and write them as chord pairs and check them. ``config_choices`` reads a
+configuration graph's vertices as diagram indices. The views read the flat
 out-list ``(codes, ends, targets)`` of ``fkt.out_list``, the package's one
 builder of it, as states, choices, sorted out-lists, arcs and the
 structure report.
@@ -195,6 +196,15 @@ def state_trail(universe, code):
     loops = splitting_loops(universe.graph, parities)
     assert len(loops) == 1, f"state splits into {len(loops)} loops"
     return tuple(sorted(parities.items())), loops[0]
+
+
+# -- configuration graph views -------------------------------------------------------
+
+
+def config_choices(graph):
+    """Each vertex's diagram indices, face by face, in vertex order, as
+    ``ConfigurationGraph.digits`` decodes them from the vertex's code."""
+    return tuple(map(graph.digits, range(len(graph.codes))))
 
 
 # -- clock graph views --------------------------------------------------------------

@@ -251,6 +251,22 @@ def test_configs_and_classify(capsys, c4_file):
     assert [comp["size"] for comp in doc["components"]] == [1, 1]
 
 
+def test_the_largest_theta_runs_past_a_machine_word(capsys, tmp_path):
+    # theta 64: 64 tight configurations in a product of 2^64, so the
+    # largest codes do not fit a signed 64-bit integer
+    path = write_json(tmp_path, "theta_64.json", cli.generate_corpus("theta", 64))
+    cap = str(10**22)
+    code, out, _err = run(capsys, "--cap", cap, "verify", "--graph", path)
+    assert code == 0
+    doc = json.loads(out)
+    stage = doc["stages"]["classification"]
+    assert doc["pass"] is True
+    assert stage["total_configurations"] == str(2**64)
+    assert (stage["tight_configurations"], stage["components"]) == ("64", "64")
+    for command in ("classify", "configs"):
+        assert run(capsys, "--cap", cap, command, "--graph", path)[0] == 0, command
+
+
 def test_reports_byte_stable(capsys, c4_file):
     _code, out1, _ = run(capsys, "verify", "--graph", c4_file)
     _code, out2, _ = run(capsys, "verify", "--graph", c4_file)

@@ -441,7 +441,7 @@ def test_is_tree_hugging_requires_tight(trinities):
 def test_configuration_json_round_trip(trinities):
     for name, t in trinities.items():
         cg = tx.build_configuration_graph(t)
-        for i in range(len(cg.choices)):
+        for i in range(len(cg.codes)):
             config = cg.vertex(i)
             doc = cg.vertex_json(i)
             assert set(doc) == {"faces", "euler"}

@@ -11,7 +11,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,12 +54,11 @@ SPECS = [
         (
             ("trinity", G1),
             ("diagrams", (((1, 0),),)),
-            ("choices", ((0,),)),
+            ("codes", [0]),
             ("component_of", (0,)),
             ("components", (COMPONENT,)),
             ("total_configurations", 1),
             ("disc_euler", ({0: 0},)),
-            ("codes", array("q", [0])),
         ),
     ),
     Spec(

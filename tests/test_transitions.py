@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import operator
-from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,6 +33,15 @@ def _product_oracle(t):
         if dv.loop_count(t, tuple(map(operator.getitem, per_face, choice))) == 1:
             kept.append(choice)
     return kept, per_face
+
+
+def _check_codes(cg, choices):
+    """The builder's codes are the mixed-radix numbers of the oracle's
+    choice tuples, radices the faces' diagram counts, and decode to them."""
+    sizes = list(map(len, cg.diagrams))
+    strides = [math.prod(sizes[a + 1:]) for a in range(len(sizes))]
+    assert cg.codes == [sum(map(operator.mul, choice, strides)) for choice in choices]
+    assert oracles.config_choices(cg) == tuple(choices)
 
 
 def _bucket_pair_edges(choices):
@@ -102,14 +110,15 @@ def test_concatenated_tries_match_the_prefix_tries(trinities):
 def test_building_reads_only_the_diagrams_of_tight_choices():
     t = _generated("path", 8)
     cg = tx.build_configuration_graph(t)
-    assert len({k for (k,) in cg.choices}) == len(cg.choices) == 174
+    choices = oracles.config_choices(cg)
+    assert len({k for (k,) in choices}) == len(choices) == 174
     assert cg.component_count() == 1
     expected = dv.enumerate_chord_diagrams(8)
     assert len(expected) == 1430
     assert cg.diagrams[0] == tuple(expected)
     # a vertex is its faces' partner tuples, read off the shared diagrams
-    assert cg.vertex(0) == (cg.diagrams[0][cg.choices[0][0]],)
-    assert cg.vertex(0)[0] is cg.diagrams[0][cg.choices[0][0]]
+    assert cg.vertex(0) == (cg.diagrams[0][choices[0][0]],)
+    assert cg.vertex(0)[0] is cg.diagrams[0][choices[0][0]]
 
 
 def test_building_leaves_the_glue_unchanged(trinities, monkeypatch):
@@ -218,13 +227,13 @@ def test_component_count_equals_magic(trinities):
 def _search_components(cg):
     """Component ids of the graph on ``cg.edges``, found by a search from
     each unseen vertex in vertex order, so numbered by smallest member."""
-    adjacent = {i: set() for i in range(len(cg.choices))}
+    adjacent = {i: set() for i in range(len(cg.codes))}
     for i, j in cg.edges:
         adjacent[i].add(j)
         adjacent[j].add(i)
     seen = {}
     count = 0
-    for start in range(len(cg.choices)):
+    for start in range(len(cg.codes)):
         if start in seen:
             continue
         stack = [start]
@@ -234,7 +243,7 @@ def _search_components(cg):
                 seen[v] = count
                 stack.extend(adjacent[v])
         count += 1
-    return tuple(seen[i] for i in range(len(cg.choices)))
+    return tuple(seen[i] for i in range(len(cg.codes)))
 
 
 def test_components_are_numbered_by_smallest_member(trinities):
@@ -292,7 +301,7 @@ def test_random_map_bypass_moves_give_the_component_partition(doc):
     t = trinity.build_trinity(plane_graph.ensure_bicoloured(plane_graph.parse_graph(doc)))
     assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
     cg = tx.build_configuration_graph(t)
-    assume(len(cg.choices) <= 300)
+    assume(len(cg.codes) <= 300)
     assert _bypass_partition(cg) == cg.component_of
 
 
@@ -454,7 +463,7 @@ def test_builder_matches_the_product_filter(trinities, name):
     t = _generated(*BEYOND_CORPUS[name]) if name in BEYOND_CORPUS else trinities[name]
     choices, per_face = _product_oracle(t)
     cg = tx.build_configuration_graph(t)
-    assert cg.choices == tuple(choices)
+    _check_codes(cg, choices)
     assert cg.vertices == tuple(tuple(map(operator.getitem, per_face, choice)) for choice in choices)
     assert cg.edges == _bucket_pair_edges(choices)
 
@@ -490,7 +499,7 @@ def test_the_forced_last_chord_keeps_the_product_filter(trinities, name, chords,
     t = _doubled_edge_cycle(k) if k else trinities[name]
     assert (sum(t.n_r.values()), t.n_r[t.red[-1]]) == (chords, last_n)
     choices, _ = _product_oracle(t)
-    assert tx.build_configuration_graph(t).choices == tuple(choices)
+    _check_codes(tx.build_configuration_graph(t), choices)
 
 
 # closed meander numbers M_1..M_7 (OEIS A005315; Lando and Zvonkin 1993):
@@ -502,7 +511,7 @@ CLOSED_MEANDERS = (1, 2, 8, 42, 262, 1828, 13820)
 @pytest.mark.parametrize("k", range(1, 8))
 def test_even_cycle_tight_configurations_are_closed_meanders(k):
     t = _generated("even_cycle", k)
-    assert len(tx.build_configuration_graph(t).choices) == CLOSED_MEANDERS[k - 1]
+    assert len(tx.build_configuration_graph(t).codes) == CLOSED_MEANDERS[k - 1]
 
 
 @given(plane_bipartite_maps())
@@ -513,7 +522,7 @@ def test_random_map_builder_matches_the_product_filter(doc):
     choices, _ = _product_oracle(t)
     cg = tx.build_configuration_graph(t)
     # the oracle lists the product in order, and the builder sorts nothing
-    assert cg.choices == tuple(choices)
+    _check_codes(cg, choices)
     assert cg.edges == _bucket_pair_edges(choices)
     assert cg.component_of == _search_components(cg)
 
@@ -530,20 +539,20 @@ def test_builder_checks_each_tight_configuration_once(monkeypatch):
     monkeypatch.setattr(dv, "glued_loops", glued_loops)
     cg = tx.build_configuration_graph(t)
     assert cg.total_configurations == 17424
-    assert len(cg.choices) == 1828
+    assert len(cg.codes) == 1828
     # one walk per vertex, and none for the representatives' checks
-    assert calls["glued_loops"] == len(cg.choices)
+    assert calls["glued_loops"] == len(cg.codes)
 
 
 def test_building_makes_no_configuration(monkeypatch):
     t = _generated("even_cycle", 6)
     # the integer check stands in for these oracles, and the builder keeps
-    # choice tuples, not configurations
+    # codes, not configurations
     for name in ("is_tree_hugging", "tree_hugging", "loop_count", "euler_vector"):
         monkeypatch.setattr(dv, name, _raise(AssertionError(f"the build called {name}")))
     monkeypatch.setattr(tx.ConfigurationGraph, "vertex", _raise(AssertionError("the build read a vertex")))
     cg = tx.build_configuration_graph(t)
-    assert len(cg.choices) == 1828 and cg.component_count() == 6
+    assert len(cg.codes) == 1828 and cg.component_count() == 6
 
 
 def _raise(exc):
@@ -572,7 +581,7 @@ def test_hugged_tree_matches_is_tree_hugging_on_every_member(trinities):
     for t in trinities.values():
         cg = tx.build_configuration_graph(t)
         regions = [{} for _ in cg.diagrams]  # filled as the checks read them
-        verdicts += [_check_hugged_tree(cg, regions, i) for i in range(len(cg.choices))]
+        verdicts += [_check_hugged_tree(cg, regions, i) for i in range(len(cg.codes))]
     assert True in verdicts and False in verdicts
 
 
@@ -583,22 +592,22 @@ def test_random_map_hugged_tree_matches_is_tree_hugging(doc):
     assume(math.prod(dv.catalan(n) for n in t.n_r.values()) <= 20_000)
     cg = tx.build_configuration_graph(t)
     regions = [{} for _ in cg.diagrams]
-    for i in range(len(cg.choices)):
+    for i in range(len(cg.codes)):
         _check_hugged_tree(cg, regions, i)
 
 
 def test_vertex_builds_the_listed_configuration(trinities):
     for name, t in trinities.items():
         cg = tx.build_configuration_graph(t)
-        assert len(cg.vertices) == len(cg.choices), name
-        for i in range(len(cg.choices)):
+        assert len(cg.vertices) == len(cg.codes), name
+        for i in range(len(cg.codes)):
             assert cg.vertex(i) == cg.vertices[i], (name, i)
 
 
 def test_every_vertex_is_a_tuple_of_non_crossing_matchings(trinities):
     for name, t in trinities.items():
         cg = tx.build_configuration_graph(t)
-        for i in range(len(cg.choices)):
+        for i in range(len(cg.codes)):
             partners = cg.vertex(i)
             assert type(partners) is tuple and len(partners) == len(t.red), (name, i)
             for fid, partner in zip(t.red, partners):
@@ -612,14 +621,15 @@ def test_a_late_member_euler_mismatch_is_caught(trinities, monkeypatch):
     members = {c: members_of(cg, c) for c in cg.components}
     component = max(cg.components, key=lambda c: c.size)
     assert component.size > 2
-    last = cg.choices[members[component][-1]]
+    choices = oracles.config_choices(cg)
+    last = choices[members[component][-1]]
     # a disc of the last member on which no component's first two members
     # differ and which the component's first member lacks: a check of fewer
     # members than all of them sees no mismatch there
     axis = next(
         a for a, k in enumerate(last)
-        if all(len({cg.choices[i][a] == k for i in members[c][:2]}) == 1 for c in cg.components)
-        and cg.choices[members[component][0]][a] != k
+        if all(len({choices[i][a] == k for i in members[c][:2]}) == 1 for c in cg.components)
+        and choices[members[component][0]][a] != k
     )
     fid, diagram = t.red[axis], cg.vertex(members[component][-1])[axis]
     real = dv.regions
@@ -640,10 +650,11 @@ def test_a_single_member_euler_fault_names_its_component(tmp_path, capsys, monke
     doc = generate_corpus("ladder", 3)
     t = _generated("ladder", 3)
     cg = tx.build_configuration_graph(t)
-    used = collections.Counter((a, k) for choice in cg.choices for a, k in enumerate(choice))
+    choices = oracles.config_choices(cg)
+    used = collections.Counter((a, k) for choice in choices for a, k in enumerate(choice))
     axis, k, i = next(
         (a, k, i)
-        for i, choice in enumerate(cg.choices)
+        for i, choice in enumerate(choices)
         for a, k in enumerate(choice)
         if used[a, k] == 1 and cg.components[cg.component_of[i]].size > 1
     )
@@ -703,8 +714,8 @@ def test_non_tight_configurations_are_caught_with_their_curve_count(monkeypatch)
             if bad in tight:
                 continue
             emitted = tuple(sorted([*tight, bad]))
-            codes = array("q", (sum(map(operator.mul, choice, strides)) for choice in emitted))
-            monkeypatch.setattr(tx, "_tight_choices", lambda trinity, tries, strides: (emitted, codes))
+            codes = [sum(map(operator.mul, choice, strides)) for choice in emitted]
+            monkeypatch.setattr(tx, "_tight_choices", lambda trinity, tries, strides: codes)
             config = tuple(map(operator.getitem, per_face, bad))
             with pytest.raises(tx.BuiltNotTight) as caught:
                 tx.build_configuration_graph(t)
