@@ -260,12 +260,11 @@ def _cmd_hypertrees(args):
     lines = []
     for label in hypertrees.HYPERGRAPH_LABELS:
         hts = trin.hypertree_set(label)
-        # every vector lists its hyperedges in the same, sorted order
         payload.append(
             {
                 "hypergraph": label,
-                "hyperedges": [e for e, _ in hts[0]],
-                "vectors": [[f for _, f in h] for h in hts],
+                "hyperedges": list(hypertrees.trinity_hypergraph(trin, label).ids),
+                "vectors": list(map(list, hts)),
                 "count": len(hts),
             }
         )

@@ -202,10 +202,11 @@ def regions(face, partner, sign):
 
 
 def euler_vector(trinity, partners):
-    return {
-        fid: euler_and_hug(regions(fid, partner, trinity.signs[fid]))[0]
+    """Each disc's Euler contribution, as a tuple in ``trinity.red`` order."""
+    return tuple(
+        euler_and_hug(regions(fid, partner, trinity.signs[fid]))[0]
         for fid, partner in zip(trinity.red, partners)
-    }
+    )
 
 
 # -- tree-hugging configurations -------------------------------------------------------
@@ -237,8 +238,6 @@ def tree_hugging(trinity, tree):
                 in_tree.append(arc)
             else:
                 partner[arc], partner[(arc + 1) % m] = (arc + 1) % m, arc
-        if not in_tree:
-            raise NotSpanning(f"tree misses face {fid}")
         for k, arc in enumerate(in_tree):
             a, b = (arc + 1) % m, in_tree[(k + 1) % len(in_tree)]
             partner[a], partner[b] = b, a

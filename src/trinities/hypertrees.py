@@ -5,7 +5,8 @@ classes, either class may serve as the hyperedge set, with the matching
 colour graph as incidence structure. A ``Hypergraph`` is that colour
 graph's index arrays (``trees.GraphIndex``) and the hyperedge slot of each
 of its edges. A hypertree is a non-negative vector indexed by hyperedges
-that occurs as (degree - 1) of some spanning tree at the hyperedge nodes.
+that occurs as (degree - 1) of some spanning tree at the hyperedge nodes;
+it is the tuple of its values in the order of ``Hypergraph.ids``.
 Hypertree sets are found by exchange moves from the hypertree of one
 spanning tree, each candidate decided by one matroid-intersection
 augmentation that also yields its witness tree; the sets are neither read
@@ -15,15 +16,15 @@ off every spanning tree nor cut out by polytope inequalities.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import compress
-from operator import getitem, mul
+from itertools import chain, compress
+from operator import mul, sub
 
 from .limits import DEFAULT_CAP, InputError, ModelFailure
 from .trees import components, enumerate_spanning_trees
 
 
 class IndexMismatch(ModelFailure):
-    """The two hypertree sets are not indexed by the same hyperedges."""
+    """A hypertree set is empty, or two vectors differ in length."""
 
 
 class BadWitness(ModelFailure):
@@ -40,9 +41,9 @@ class Hypergraph:
 
     ``index`` is the host's ``trees.GraphIndex``, shared by the two
     hypergraphs it hosts, and ``colour`` the hyperedge class. ``ids`` lists
-    the hyperedges in sorted order, as every vector does; ``slot[e]`` is
-    the position in ``ids`` of host edge e's hyperedge end, and
-    ``degree[s]`` the number of host edges at hyperedge s.
+    the hyperedges in sorted order, the order of every vector's values;
+    ``slot[e]`` is the position in ``ids`` of host edge e's hyperedge end,
+    and ``degree[s]`` the number of host edges at hyperedge s.
     """
 
     def __init__(self, label, colour, index):
@@ -88,8 +89,8 @@ def trinity_hypergraph(trinity, label):
 
 
 def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
-    """Hypertree set: the sorted tuple of vectors, each a tuple of
-    (hyperedge, value) pairs in hyperedge order.
+    """Hypertree set: the sorted tuple of vectors, each the tuple of its
+    values in the order of ``hypergraph.ids``.
 
     Hypertrees are the lattice points of the base polytope of the
     polymatroid mu(S) = |union of S| - c(S) (Kalman 2013), so they form an
@@ -160,9 +161,7 @@ def enumerate_hypertrees(hypergraph, cap=DEFAULT_CAP):
                     move = tuple(move)
                     hypergraph.certify(witness, move)
                     found.append((base + stride[j], move))
-    # one (hyperedge, value) pair object per value, shared by every vector
-    pairs = [[(h, f) for f in range(d)] for h, d in zip(hypergraph.ids, degree)]
-    return tuple(tuple(map(getitem, pairs, vector)) for _code, vector in sorted(found))
+    return tuple(vector for _code, vector in sorted(found))
 
 
 class _RootedTree:
@@ -294,23 +293,20 @@ class _ExchangeGraph:
 
 
 def translate_offset(set_a, set_b):
-    """Constant vector c with A = c - B, or None when no such translate exists."""
-    vecs_a = list(map(dict, set_a))
-    vecs_b = list(map(dict, set_b))
-    if not vecs_a or not vecs_b:
+    """Constant vector c with A = c - B, or None when no such translate
+    exists; ``IndexMismatch`` for an empty set or unequal vector lengths."""
+    if not set_a or not set_b:
         raise IndexMismatch("empty hypertree set")
-    keys = set(vecs_a[0])
-    if any(set(v) != keys for v in vecs_a + vecs_b):
-        raise IndexMismatch("hypertree sets indexed by different hyperedges")
-    if len(vecs_a) != len(vecs_b):
+    k = len(set_a[0])
+    if any(len(v) != k for v in chain(set_a, set_b)):
+        raise IndexMismatch("hypertree vectors of unequal length")
+    m = len(set_a)
+    if m != len(set_b):
         return None
-    m = len(vecs_a)
-    offset = {}
-    for k in keys:
-        total = sum(v[k] for v in vecs_a) + sum(v[k] for v in vecs_b)
-        if total % m != 0:
-            return None
-        offset[k] = total // m
-    image = {tuple(sorted((k, offset[k] - v[k]) for k in keys)) for v in vecs_b}
-    mine = {tuple(sorted(v.items())) for v in vecs_a}
-    return offset if image == mine else None
+    # each hyperedge's values over both sets sum to m times its offset
+    totals = list(map(sum, zip(*set_a, *set_b)))
+    if any(total % m for total in totals):
+        return None
+    offset = tuple(total // m for total in totals)
+    image = {tuple(map(sub, offset, v)) for v in set_b}
+    return offset if image == set(set_a) else None

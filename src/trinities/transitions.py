@@ -12,7 +12,7 @@ import collections
 import itertools
 import math
 from functools import cached_property
-from operator import and_, floordiv, getitem, itemgetter, mod, ne
+from operator import add, and_, floordiv, getitem, itemgetter, mod, ne, sub
 
 from . import dividing
 from .limits import ModelFailure, check_cap
@@ -38,9 +38,12 @@ class NotBijective(ModelFailure):
 
 
 class Component:
+    """A component; ``euler`` and ``hypertree`` are value tuples in
+    ``trinity.red`` order, which is also the ER hyperedge order."""
+
     __slots__ = ("id", "size", "euler", "hypertree", "representative")
 
-    def __init__(self, id: int, size: int, euler: dict, hypertree: dict, representative: int):
+    def __init__(self, id: int, size: int, euler: tuple, hypertree: tuple, representative: int):
         self.id = id
         self.size = size
         self.euler = euler
@@ -179,8 +182,10 @@ def build_configuration_graph(trinity):
     codes = graph.codes = _tight_choices(trinity, [tries[trinity.n_r[fid]][0] for fid in faces], strides)
     del tries, shared
     big = max(range(len(faces)), key=lambda axis: (radices[axis], axis))
+    # each vertex's big-face diagram index, and its key off the big face;
     # a group is named by its first member, where its members' parents start
-    keys = list(_face_keys(codes, strides[big], radices[big]))
+    column = [code // strides[big] % radices[big] for code in codes]
+    keys = list(map(sub, codes, map(strides[big].__mul__, column)))
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     parent = list(map(first.__getitem__, keys))
     del keys
@@ -188,7 +193,6 @@ def build_configuration_graph(trinity):
     firsts, group_keys = list(first.values()), list(first)
     heads = list(map(graph.digits, firsts))
     match_of = dict(zip(firsts, _group_matches(trinity, diagrams, heads, big)))
-    column = list(map(graph.digits, range(len(codes)), itertools.repeat(big)))
     partners, walk = diagrams[big], dividing.glued_loops
     for i, (k, g) in enumerate(zip(column, parent)):
         loops = walk(partners[k], match_of[g])
@@ -421,6 +425,7 @@ def _label_components(graph, leaders, hugging):
     every disc hugs, checked by ``_hugged_tree``, which rebuilds its witness.
     """
     faces, n_r = graph.trinity.red, graph.trinity.n_r
+    shift = [n_r[fid] - 1 for fid in faces]
     # the region passes of the diagrams representatives use, per face; the
     # builder's table pass keeps none, since holding one per diagram used
     # (thousands of small lists on large faces) costs more in collections
@@ -433,16 +438,14 @@ def _label_components(graph, leaders, hugging):
             reps[c] = i
     components = []
     for cid, (lead, size, rep) in enumerate(zip(leaders, sizes, reps)):
-        first = tuple(map(getitem, graph.disc_euler, graph.digits(lead)))
-        hypertree = {}
-        for fid, e in zip(faces, first):
-            f2 = e + n_r[fid] - 1
+        euler = tuple(map(getitem, graph.disc_euler, graph.digits(lead)))
+        doubled = tuple(map(add, euler, shift))
+        for fid, f2 in zip(faces, doubled):
             if f2 % 2:
                 raise EulerNotConstant(f"odd Euler offset on face {fid}")
-            hypertree[fid] = f2 // 2
         if rep is None or not _hugged_tree(graph, regions, rep)[0]:
             raise NotTreeHuggingReachable(f"component {cid} has no tree-hugging vertex")
-        components.append(Component(cid, size, dict(zip(faces, first)), hypertree, rep))
+        components.append(Component(cid, size, euler, tuple(f2 // 2 for f2 in doubled), rep))
     return tuple(components)
 
 
@@ -508,21 +511,23 @@ def _hugging_partner(corner, tree):
 
 def classify_components(config_graph):
     """Raise ``NotBijective`` unless the components biject onto the hypertrees of (E,R)."""
-    expected = set(config_graph.trinity.hypertree_set("ER"))
-    got = [tuple(sorted(c.hypertree.items())) for c in config_graph.components]
-    if len(got) != len(set(got)) or set(got) != expected:
-        raise NotBijective(f"components {sorted(set(got))} vs hypertrees {sorted(expected)}")
+    trinity = config_graph.trinity
+    expected = list(trinity.hypertree_set("ER"))  # sorted, so without repeats
+    got = sorted(c.hypertree for c in config_graph.components)
+    if got != expected:
+        raise NotBijective(f"over faces {list(trinity.red)}: components {got} vs hypertrees {expected}")
 
 
 def classification_json(config_graph):
     """The ``classify`` report: each component with its tree-hugging representative."""
+    faces = config_graph.trinity.red
     return {
         "components": [
             {
                 "id": c.id,
                 "size": c.size,
-                "euler": dict(sorted(c.euler.items())),
-                "hypertree": dict(sorted(c.hypertree.items())),
+                "euler": dict(zip(faces, c.euler)),
+                "hypertree": dict(zip(faces, c.hypertree)),
                 "tree_hugging_rep": config_graph.vertex_json(c.representative),
             }
             for c in config_graph.components

@@ -220,8 +220,8 @@ class Trinity:
     # -- hypertrees and the magic number ---------------------------------------
 
     def hypertree_set(self, label):
-        """The sorted hypertree vectors of the hypergraph ``label`` (memoised);
-        a failed search's ``ModelFailure`` is memoised too, and raised again."""
+        """The hypertrees of hypergraph ``label``, sorted value tuples in its ``ids``
+        order (memoised); a failed search's ``ModelFailure`` is memoised, raised again."""
         found = self._hypertrees.get(label)
         if found is None:
             hypergraph = hypertrees.trinity_hypergraph(self, label)

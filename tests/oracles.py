@@ -256,10 +256,11 @@ def degrees(index, tree, colour):
 
 
 def hypertree_of(index, tree, hyperedge_colour):
-    """Hypertree vector realized by a spanning tree: f(e) = deg(e) - 1 at hyperedge nodes."""
+    """Hypertree vector realized by a spanning tree: f(e) = deg(e) - 1 at
+    hyperedge nodes, as the tuple of its values in sorted hyperedge order."""
     if hyperedge_colour not in index.graph.colour_classes:
         raise ValueError(f"host graph has no {hyperedge_colour!r} class")
-    return tuple(sorted((v, d - 1) for v, d in degrees(index, tree, hyperedge_colour).items()))
+    return tuple(d - 1 for _v, d in sorted(degrees(index, tree, hyperedge_colour).items()))
 
 
 def exchange_classes(index, trees, colour):

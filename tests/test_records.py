@@ -27,7 +27,7 @@ class Spec(NamedTuple):
 
 # a stand-in for back-references
 G1 = object()
-COMPONENT = transitions.Component(0, 1, {"f0": 0}, {"f0": 1}, 0)
+COMPONENT = transitions.Component(0, 1, (0,), (1,), 0)
 
 SPECS = [
     Spec(
@@ -44,8 +44,8 @@ SPECS = [
         (
             ("id", 0),
             ("size", 1),
-            ("euler", {"f0": 0}),
-            ("hypertree", {"f0": 1}),
+            ("euler", (0,)),
+            ("hypertree", (1,)),
             ("representative", 0),
         ),
     ),

@@ -309,18 +309,26 @@ def test_classification_single_edge(trinities):
     cg = tx.build_configuration_graph(trinities["path1"])
     tx.classify_components(cg)
     (component,) = cg.components
-    assert set(component.hypertree.values()) == {0}
+    assert set(component.hypertree) == {0}
 
 
 def test_classification_four_cycle(trinities):
     t = trinities["cycle4"]
     cg = tx.build_configuration_graph(t)
     tx.classify_components(cg)
-    faces = sorted(t.red)
-    eulers = {tuple(c.euler[f] for f in faces) for c in cg.components}
+    eulers = {c.euler for c in cg.components}
     assert eulers == {(1, -1), (-1, 1)}
-    hypertrees = {tuple(c.hypertree[f] for f in faces) for c in cg.components}
+    hypertrees = {c.hypertree for c in cg.components}
     assert hypertrees == {(1, 0), (0, 1)}
+
+
+def test_classification_refuses_a_repeated_hypertree(trinities):
+    cg = tx.build_configuration_graph(trinities["cycle4"])
+    first, second = cg.components
+    second.hypertree = first.hypertree
+    message = r"over faces \['f0', 'f1'\]: components \[\(0, 1\), \(0, 1\)\] vs hypertrees \[\(0, 1\), \(1, 0\)\]"
+    with pytest.raises(tx.NotBijective, match=message):
+        tx.classify_components(cg)
 
 
 def test_classification_bijection_everywhere(trinities):
@@ -328,7 +336,7 @@ def test_classification_bijection_everywhere(trinities):
         cg = tx.build_configuration_graph(t)
         tx.classify_components(cg)
         expected = set(ht.enumerate_hypertrees(ht.trinity_hypergraph(t, "ER")))
-        got = {tuple(sorted(c.hypertree.items())) for c in cg.components}
+        got = {c.hypertree for c in cg.components}
         assert got == expected
 
 
@@ -340,7 +348,7 @@ def test_components_have_tree_hugging_representatives(trinities):
             hugging, witness = dv.is_tree_hugging(t, rep)
             assert hugging
             degrees = oracles.degrees(t.graph_index("violet"), witness, "red")
-            assert {f: d - 1 for f, d in degrees.items()} == component.hypertree
+            assert {f: d - 1 for f, d in degrees.items()} == dict(zip(t.red, component.hypertree))
 
 
 def members_of(graph, component):
@@ -424,7 +432,7 @@ def test_random_map_classification(doc):
     dual = t.directed_dual("violet")
     assert cg.component_count() == trees.count_arborescences(dual, min(dual.vertices))
     for component in cg.components:
-        assert sum(component.euler.values()) == len(t.emerald) - len(t.violet)
+        assert sum(component.euler) == len(t.emerald) - len(t.violet)
 
 
 def test_valence_concentration_already_hugging(trinities):
